@@ -353,10 +353,11 @@ class HoffmanGraph:
             raise HoffmanGraphError(f"bad header line {lines[0]!r}") from None
         edges = []
         for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise HoffmanGraphError(f"bad edge line {ln!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                u, v = map(int, ln.split())
+            except ValueError:
+                raise HoffmanGraphError(f"bad edge line {ln!r}") from None
+            edges.append((u, v))
         return cls.build(slim, fat, edges)
 
     def to_dot(self, name="H"):
@@ -632,10 +633,6 @@ def find_embedding(pattern, host):
     if rec(0, domains):
         return tuple(mapping)
     return None
-
-
-def has_induced_subgraph(pattern, host):
-    return find_embedding(pattern, host) is not None
 
 
 # ---------------------------------------------------------------------------

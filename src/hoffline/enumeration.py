@@ -9,7 +9,11 @@ in the automorphism orbit of a canonical deletion target (the non-cut
 vertex latest in the canonical labelling).  Children of one parent are
 deduplicated by canonical form, which together with the orbit rule makes
 every class appear exactly once.  ``all_slim_graphs`` is the variant
-without the connectivity requirement.
+without the connectivity requirement; both run one augmentation step,
+``_canonical_children``.  The catalog in ``verify`` applies that step to
+line-graph parents only, which is exhaustive because the class is
+hereditary: a line graph or minimal forbidden subgraph has a line graph
+as canonical parent (the child minus a non-cut vertex).
 
 The graph6 reader/writer is bit-exact to the published format (short
 form, up to 62 vertices): upper-triangle column-major bits in 6-bit
@@ -36,6 +40,7 @@ from .core import (
     canonical_data,
     canonical_form,
 )
+from .sums import SharedFatConflict
 
 
 # ---------------------------------------------------------------------------
@@ -168,53 +173,46 @@ def _noncut_mask(g):
     return out
 
 
+def _canonical_children(parent, connected=True):
+    """(child, canonical form) for the one-vertex extensions of
+    ``parent`` whose canonical parent it is, one per class.  The deletion
+    target ranges over non-cut vertices, or all when not ``connected``."""
+    new = parent.slim_count
+    emitted = set()
+    for nbhd in range(1 if connected else 0, 1 << new):
+        child = _extend(parent, nbhd)
+        form, lab, orbits = canonical_data(child)
+        if form in emitted:
+            continue
+        allowed = _noncut_mask(child) if connected else child.slim_mask
+        pos = {v: i for i, v in enumerate(lab)}
+        target = max(_iter_bits(allowed), key=pos.__getitem__)
+        oid = _orbit_id(orbits, new + 1)
+        if oid[new] == oid[target]:
+            emitted.add(form)
+            yield child, form
+
+
 def connected_slim_graphs(n):
     """One representative per isomorphism class of connected n-vertex
     graphs, in a deterministic order.  1 <= n <= 10."""
-    if not 1 <= n <= 10:
-        raise IndexOutOfRange("generation supports 1 <= n <= 10")
-    if n == 1:
-        yield HoffmanGraph(1, 0, (0,), _checked=True)
-        return
-    new = n - 1
-    for parent in connected_slim_graphs(n - 1):
-        emitted = set()
-        for nbhd in range(1, 1 << new):
-            child = _extend(parent, nbhd)
-            form, lab, orbits = canonical_data(child)
-            if form in emitted:
-                continue
-            noncut = _noncut_mask(child)
-            pos = {v: i for i, v in enumerate(lab)}
-            target = max(
-                (v for v in range(n) if (noncut >> v) & 1), key=pos.__getitem__
-            )
-            oid = _orbit_id(orbits, n)
-            if oid[new] == oid[target]:
-                emitted.add(form)
-                yield child
+    yield from _slim_graphs(n, connected=True)
 
 
 def all_slim_graphs(n):
     """One representative per isomorphism class of all n-vertex graphs."""
+    yield from _slim_graphs(n, connected=False)
+
+
+def _slim_graphs(n, connected):
     if not 1 <= n <= 10:
         raise IndexOutOfRange("generation supports 1 <= n <= 10")
     if n == 1:
         yield HoffmanGraph(1, 0, (0,), _checked=True)
         return
-    new = n - 1
-    for parent in all_slim_graphs(n - 1):
-        emitted = set()
-        for nbhd in range(1 << new):
-            child = _extend(parent, nbhd)
-            form, lab, orbits = canonical_data(child)
-            if form in emitted:
-                continue
-            target = lab[-1]
-            oid = _orbit_id(orbits, n)
-            if oid[new] == oid[target]:
-                emitted.add(form)
-                yield child
+    for parent in _slim_graphs(n - 1, connected):
+        for child, _form in _canonical_children(parent, connected):
+            yield child
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +513,6 @@ def sum_graphs(slim_count, classes=("H1", "H2", "H3", "H5"), component_count=Non
                 continue
             seen.add(form)
             yield g, parts
-
-
-class SharedFatConflict(HoffmanGraphError):
-    """Two slim vertices in different summands would share two fat
-    vertices."""
 
 
 def _compose(f_graph, k_graph, fat_map):

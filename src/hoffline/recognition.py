@@ -57,7 +57,6 @@ from .core import (
     HoffmanGraphError,
     NotConnected,
     _iter_bits,
-    canonical_form,
 )
 from .sums import SumDecomposition
 
@@ -493,19 +492,6 @@ def is_h_line(g):
     for cells, kinds, blocks in _cover_structures(g, find_all=False):
         return _materialize(g, cells, kinds, blocks, allow_h1)
     return None
-
-
-_memo = {}
-
-
-def is_h_line_cached(g):
-    """Boolean version of :func:`is_h_line` memoized by canonical form."""
-    key = canonical_form(g)
-    hit = _memo.get(key)
-    if hit is None:
-        hit = is_h_line(g) is not None
-        _memo[key] = hit
-    return hit
 
 
 def enumerate_strict_covers(g):

@@ -39,6 +39,16 @@ class EmptyGraph(HoffmanGraphError):
     """Eigenvalues need at least one slim vertex."""
 
 
+class CertificationError(HoffmanGraphError):
+    """An exact identity the certification relies on failed to hold."""
+
+
+def _require(ok, what):
+    # an explicit raise, not ``assert``: ``python -O`` strips asserts
+    if not ok:
+        raise CertificationError(what)
+
+
 #: minimal polynomial of tau = -1 - sqrt(2), low-degree-first: x^2 + 2x - 1
 _TAU_MIN_POLY = (-1, 2, 1)
 
@@ -161,7 +171,7 @@ def square_free(p):
         return [c / lead for c in p] if lead else p
     g = _gcd_poly(p, _derivative(p))
     q, r = _divmod_poly(p, g)
-    assert _is_zero(r)
+    _require(_is_zero(r), "gcd(p, p') does not divide p")
     lead = q[-1]
     return [c / lead for c in q]
 
@@ -236,7 +246,7 @@ def count_eigenvalues_below_threshold(poly):
     p = square_free(poly)
     if _eval_at_tau(p) == (0, 0):
         q, r = _divmod_poly(p, _TAU_MIN_POLY)
-        assert _is_zero(r)
+        _require(_is_zero(r), "x^2 + 2x - 1 does not divide a polynomial vanishing at tau")
         p = q
     if _degree(p) == 0:
         return 0
@@ -310,18 +320,18 @@ def smallest_root_interval(poly, tolerance=DEFAULT_TOLERANCE):
         if _sign_at(work, Fraction(k)) == 0:
             int_roots.append(k)
             work, r = _divmod_poly(work, [-k, 1])
-            assert _is_zero(r)
+            _require(_is_zero(r), "x - k does not divide a polynomial vanishing at k")
             continue  # possible repeated... square-free, so move on
         k += 1
     best_int = min(int_roots) if int_roots else None
     if _degree(work) == 0:
-        assert best_int is not None
+        _require(best_int is not None, "constant polynomial left without a root")
         return Fraction(best_int), Fraction(best_int)
     chain = sturm_chain(work)
     lo = Fraction(-int(bound) - 1)
     hi = Fraction(int(bound) + 1)
-    assert _count_leq(chain, lo) == 0
-    assert _count_leq(chain, hi) >= 1
+    _require(_count_leq(chain, lo) == 0, "a root lies below the lower root bound")
+    _require(_count_leq(chain, hi) >= 1, "no root lies below the upper root bound")
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
         if _count_leq(chain, mid) >= 1:

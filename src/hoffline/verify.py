@@ -4,11 +4,13 @@ The central object is the catalog of minimal forbidden subgraphs for the
 class of slim {H2, H3, H5}-line graphs: connected slim graphs that are
 not line graphs of the family although every one-vertex-deleted induced
 subgraph is.  ``build_catalog`` derives it from scratch for
-5 <= n <= n_max by exhaustive recognition over all connected graphs,
-cross-checking two independent minimality filters (per-vertex deletion
-versus containment of a smaller member), and attaches per-member
-certificates: a strict cover of every one-vertex deletion and a certified
-smallest-eigenvalue interval with its threshold verdict.
+5 <= n <= n_max over line-graph layers: generation extends only the line
+graphs of each size, which is exhaustive because the class is hereditary
+(see ``_line_layers``).  It cross-checks two independent minimality
+filters (per-vertex deletion versus containment of a smaller member) on
+every candidate, and attaches per-member certificates: a strict cover of
+every one-vertex deletion and a certified smallest-eigenvalue interval
+with its threshold verdict.
 
 ``screen`` decides line-graph membership purely by forbidden-subgraph
 containment, which the test suite checks against direct cover-search
@@ -53,6 +55,7 @@ from .core import (
 )
 from .enumeration import (
     FatConstraints,
+    _canonical_children,
     connected_slim_graphs,
     enumerate_sums,
     fat_hoffman_graphs,
@@ -60,7 +63,7 @@ from .enumeration import (
     write_graph6,
 )
 from .families import TranscriptionMissing, family_graph
-from .recognition import enumerate_strict_covers, is_h_line, is_h_line_cached
+from .recognition import enumerate_strict_covers, is_h_line
 from .spectral import (
     EigenInterval,
     Verdict,
@@ -152,40 +155,39 @@ class MfsCatalog:
 
     @staticmethod
     def load(directory):
-        with open(os.path.join(directory, "catalog.json")) as fh:
-            meta = json.load(fh)
-        cat = MfsCatalog(n_max=meta["n_max"])
-        for n_str in sorted(meta["counts"], key=int):
-            n = int(n_str)
-            entries = []
-            for i in range(meta["counts"][n_str]):
-                with open(os.path.join(directory, "witness", f"mfs{n}_{i}.json")) as fh:
-                    doc = json.load(fh)
-                g = parse_graph6(doc["graph6"])
-                eig = doc["eigen"]
-                interval = EigenInterval(
-                    Fraction(eig["lower"]),
-                    Fraction(eig["upper"]),
-                    tuple(eig["char_poly"]),
-                )
-                entries.append(
-                    CatalogEntry(
-                        graph=g,
-                        form=canonical_form(g),
-                        eigen=interval,
-                        verdict=Verdict(eig["verdict"]),
-                        equals_threshold=eig["equals_threshold"],
-                        witnesses={int(v): w for v, w in doc["deletions"].items()},
+        try:
+            with open(os.path.join(directory, "catalog.json")) as fh:
+                meta = json.load(fh)
+            cat = MfsCatalog(n_max=meta["n_max"])
+            for n_str in sorted(meta["counts"], key=int):
+                n = int(n_str)
+                entries = []
+                for i in range(meta["counts"][n_str]):
+                    with open(os.path.join(directory, "witness", f"mfs{n}_{i}.json")) as fh:
+                        doc = json.load(fh)
+                    g = parse_graph6(doc["graph6"])
+                    eig = doc["eigen"]
+                    interval = EigenInterval(
+                        Fraction(eig["lower"]),
+                        Fraction(eig["upper"]),
+                        tuple(eig["char_poly"]),
                     )
-                )
-            cat.entries[n] = entries
-        if cat.checksum() != meta["checksum"]:
-            raise HoffmanGraphError("catalog checksum mismatch")
+                    entries.append(
+                        CatalogEntry(
+                            graph=g,
+                            form=canonical_form(g),
+                            eigen=interval,
+                            verdict=Verdict(eig["verdict"]),
+                            equals_threshold=eig["equals_threshold"],
+                            witnesses={int(v): w for v, w in doc["deletions"].items()},
+                        )
+                    )
+                cat.entries[n] = entries
+            if cat.checksum() != meta["checksum"]:
+                raise HoffmanGraphError("catalog checksum mismatch")
+        except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise HoffmanGraphError(f"unreadable catalog {directory}: {exc!r}") from None
         return cat
-
-
-def _recognize_form(g):
-    return canonical_form(g), is_h_line(g) is not None
 
 
 def _pool_map(fn, items, jobs):
@@ -195,31 +197,48 @@ def _pool_map(fn, items, jobs):
         return pool.map(fn, items, chunksize=64)
 
 
+def _line_layers(n_max, jobs=1):
+    """(n, line, non_line) for n = 1 .. n_max: the children of the line
+    graphs on n-1 vertices split by recognition, as (graph, form) lists.
+
+    Why this reaches every line graph and minimal forbidden subgraph on
+    n vertices (McKay's prune, J. Algorithms 26, 1998): a child is made
+    only from its canonical parent, the child minus a non-cut vertex;
+    every one-vertex deletion of a minimal forbidden subgraph is a line
+    graph, and every induced subgraph of a line graph is one.
+    """
+    children = [(g, canonical_form(g)) for g in connected_slim_graphs(1)]
+    for n in range(1, n_max + 1):
+        if n > 1:
+            children = [c for parent, _ in line for c in _canonical_children(parent)]
+        covers = _pool_map(is_h_line, [g for g, _ in children], jobs)
+        line = [c for c, cover in zip(children, covers) if cover is not None]
+        yield n, line, [c for c, cover in zip(children, covers) if cover is None]
+
+
 def build_catalog(n_max, jobs=1, progress=None):
     """Derive the catalog for 5 <= n <= n_max (5 <= n_max <= 9).
 
-    For every size: recognize all connected graphs, keep the non-line
-    ones whose one-vertex deletions are all line graphs, and cross-check
-    that filter against containment of a smaller member.  Results are
-    deterministic and independent of ``jobs``.
+    For every size: take the children of the line graphs one size down
+    (see ``_line_layers``), keep the non-line ones whose one-vertex
+    deletions are all line graphs, and cross-check that filter against
+    containment of a smaller member.  Results are deterministic and
+    independent of ``jobs``.
     """
     if not 5 <= n_max <= 9:
         raise HoffmanGraphError("catalog sizes run from 5 to 9")
     cat = MfsCatalog(n_max=n_max)
     smaller = []
-    for n in range(5, n_max + 1):
-        t0 = time.time()
-        graphs = list(connected_slim_graphs(n))
-        flags = _pool_map(_recognize_form, graphs, jobs)
+    t0 = time.time()
+    for n, line, non_line in _line_layers(n_max, jobs):
+        if n < 5:
+            continue
         entries = []
-        for g, (form, is_line) in zip(graphs, flags):
-            if is_line:
-                continue
+        for g, form in non_line:
             deletions = {}
             minimal = True
             for v in range(n):
-                sub = g.delete_slim({v})
-                cover = is_h_line(sub)
+                cover = is_h_line(g.delete_slim({v}))
                 if cover is None:
                     minimal = False
                     break
@@ -249,9 +268,10 @@ def build_catalog(n_max, jobs=1, progress=None):
         smaller.extend(entries)
         if progress:
             progress(
-                f"n={n}: {len(graphs)} graphs, {len(entries)} minimal forbidden "
-                f"({time.time() - t0:.1f}s)"
+                f"n={n}: {len(line) + len(non_line)} candidates, {len(entries)} "
+                f"minimal forbidden ({time.time() - t0:.1f}s)"
             )
+        t0 = time.time()
     return cat
 
 
@@ -369,16 +389,12 @@ def verify_eigen_claims(catalog, check_line_graphs_to=7):
     counts = {"below": len(below), "at_or_above": len(above)}
     ok = len(below) == 1 and below[0].graph.n == 5
     bad = None
-    checked = 0
-    for n in range(1, check_line_graphs_to + 1):
-        for g in connected_slim_graphs(n):
-            if not is_h_line_cached(g):
-                continue
-            checked += 1
-            if compare_threshold(smallest_eigenvalue(g)) is not Verdict.AT_OR_ABOVE:
-                ok = False
-                bad = write_graph6(g)
-    counts["line_graphs_checked"] = checked
+    line = [g for _n, layer, _ in _line_layers(check_line_graphs_to) for g, _ in layer]
+    for g in line:
+        if compare_threshold(smallest_eigenvalue(g)) is not Verdict.AT_OR_ABOVE:
+            ok = False
+            bad = write_graph6(g)
+    counts["line_graphs_checked"] = len(line)
     details = {
         "below_member_graph6": write_graph6(below[0].graph) if len(below) == 1 else None,
         "below_member_vertices": below[0].graph.n if len(below) == 1 else None,
@@ -392,33 +408,30 @@ def _cover_class_count(g):
 
 def verify_cover_uniqueness(n, sample_size=None, seed=2026, jobs=1):
     """Strict-cover equivalence-class counts over connected line graphs
-    with ``n`` vertices.  The published uniqueness claim applies from 8
-    vertices on; below that the distribution is only reported."""
+    with ``n`` vertices (a sample of them when ``sample_size`` is given).
+    The published uniqueness claim applies from 8 vertices on; below
+    that the distribution is only reported."""
     t0 = time.time()
     if not 5 <= n <= 9:
         raise HoffmanGraphError("uniqueness audit covers 5 <= n <= 9")
-    graphs = list(connected_slim_graphs(n))
+    for _n, line, _non_line in _line_layers(n, jobs):
+        pass
+    graphs = [g for g, _form in line]
     if sample_size is not None and sample_size < len(graphs):
         rng = random.Random(seed)
         graphs = rng.sample(graphs, sample_size)
     class_counts = _pool_map(_cover_class_count, graphs, jobs)
     dist = {}
-    worst = None
-    line_count = 0
-    for g, k in zip(graphs, class_counts):
-        if k == 0:
-            continue
-        line_count += 1
+    for k in class_counts:
         dist[k] = dist.get(k, 0) + 1
-        if worst is None or k > worst[0]:
-            worst = (k, write_graph6(g))
-    ok = True
-    if n >= 8:
-        ok = set(dist) <= {1}
-    counts = {"line_graphs": line_count, "classes_distribution": dict(sorted(dist.items()))}
-    details = {"n": n, "sampled": sample_size is not None, "max_classes": worst[0] if worst else 0}
-    bad = worst[1] if (n >= 8 and not ok and worst) else None
-    return _report("uniqueness", ok, counts, t0, details, bad)
+    # every audited graph was recognized, so it must have a cover
+    bad = next(
+        (write_graph6(g) for g, k in zip(graphs, class_counts) if k == 0 or (n >= 8 and k > 1)),
+        None,
+    )
+    counts = {"line_graphs": len(graphs), "classes_distribution": dict(sorted(dist.items()))}
+    details = {"n": n, "sampled": sample_size is not None, "max_classes": max(class_counts, default=0)}
+    return _report("uniqueness", bad is None, counts, t0, details, bad)
 
 
 # ---------------------------------------------------------------------------

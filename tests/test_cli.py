@@ -135,3 +135,26 @@ def test_catalog_env_var(tmp_path, catalog7, monkeypatch):
         timeout=300,
     )
     assert json.loads(proc.stdout)["is_line"] is False
+
+
+def test_sums_bad_edge_line_exit_two(tmp_path):
+    f = tmp_path / "bad.hg"
+    f.write_text("s=2 f=1\n0 x\n")
+    out = _run(["sums", "--F", str(f), "--slim-k", "2"])
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "bad edge line" in out.stderr
+
+
+def test_screen_partial_catalog_exit_two(tmp_path, catalog7):
+    import shutil
+
+    cat = tmp_path / "partial"
+    catalog7.save(str(cat))
+    shutil.rmtree(cat / "witness")
+    out = _run(["screen", "--catalog", str(cat)], stdin="DsW\n")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "unreadable catalog" in out.stderr
+    (cat / "catalog.json").write_text('{"n_max": 7}')
+    out = _run(["screen", "--catalog", str(cat)], stdin="DsW\n")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr

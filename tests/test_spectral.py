@@ -9,7 +9,9 @@ import pytest
 
 from hoffline.core import HoffmanGraph, slim_complete, slim_cycle, slim_path
 from hoffline.families import family_graph
+from hoffline import spectral
 from hoffline.spectral import (
+    CertificationError,
     EmptyGraph,
     Verdict,
     char_poly,
@@ -207,3 +209,10 @@ def test_family_alpha_labels():
     e1 = smallest_eigenvalue(family_graph("H1"))
     assert e1.lower == e1.upper == Fraction(-1)
     assert equals_threshold(smallest_eigenvalue(family_graph("H5")))
+
+
+def test_failed_certification_check_raises(monkeypatch):
+    # an explicit raise, so the check also holds under python -O
+    monkeypatch.setattr(spectral, "_count_leq", lambda chain, x: 1)
+    with pytest.raises(CertificationError):
+        spectral.smallest_root_interval((-2, 0, 1))

@@ -1,14 +1,17 @@
 """Catalog pipeline, screening, claim checkers, persistence."""
 
+import os
+
 import pytest
 
-from hoffline.core import slim_complete, slim_cycle
+from hoffline.core import canonical_form, slim_complete, slim_cycle
 from hoffline.enumeration import connected_slim_graphs, parse_graph6
 from hoffline.recognition import is_h_line
 from hoffline.spectral import Verdict
 from hoffline.verify import (
     IncompleteCatalog,
     MfsCatalog,
+    _line_layers,
     build_catalog,
     screen,
     table1_label_groups,
@@ -18,6 +21,28 @@ from hoffline.verify import (
     verify_lemma,
     verify_prop21,
 )
+
+
+@pytest.mark.parametrize("n", [
+    *range(1, 8),
+    pytest.param(8, marks=pytest.mark.skipif(
+        not os.environ.get("HOFFLINE_ACCEPT_N9"),
+        reason="set HOFFLINE_ACCEPT_N9=1 to cross-check the n=8 layer",
+    )),
+])
+def test_line_layers_match_unpruned_generation(n):
+    # the layer extends line graphs only; the unpruned generator is the
+    # reference for what that prune must still reach
+    *_, (_n, line, non_line) = _line_layers(n)
+    forms = {canonical_form(g): g for g in connected_slim_graphs(n)}
+    recognized = {f for f, g in forms.items() if is_h_line(g) is not None}
+    assert sorted(f for _, f in line) == sorted(recognized)
+    non_line_forms = {f for _, f in non_line}
+    for f, g in forms.items():
+        if f not in recognized and all(
+            is_h_line(g.delete_slim({v})) is not None for v in range(n)
+        ):
+            assert f in non_line_forms
 
 
 def test_catalog_counts_to_7(catalog7):
