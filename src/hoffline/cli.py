@@ -111,8 +111,12 @@ def _cmd_covers(args):
 
 
 def _cmd_sums(args):
-    with open(args.F) as fh:
-        f_graph = HoffmanGraph.from_text(fh.read())
+    try:
+        with open(args.F) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise HoffmanGraphError(f"cannot read --F {args.F}: {exc}") from exc
+    f_graph = HoffmanGraph.from_text(text)
     classes = tuple(args.classes.split(","))
     for g in enumerate_sums(
         f_graph,

@@ -37,10 +37,11 @@ from .core import (
     HoffmanGraphError,
     IndexOutOfRange,
     _iter_bits,
+    _mask_of,
     canonical_data,
     canonical_form,
 )
-from .sums import SharedFatConflict
+from .sums import SharedFatConflict, _sum_adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +367,9 @@ def fat_hoffman_graphs(c: FatConstraints):
 # adjacent to all slim vertices of that part, so cross-part slim adjacency
 # is forced: two slim vertices in different parts are adjacent exactly
 # when their parts share a fat vertex, and sharing two is never allowed.
+# ``sums._sum_adjacency`` derives that adjacency, for K from its cells and
+# blocks and for F (+) K from the two cells F-slim and K-slim.  Blocks
+# never let two parts share two fat vertices, so only gluing F can fail.
 
 
 _CELL_KINDS = {"H1": 1, "H2": 2, "H3": 1, "H5": 1}
@@ -449,40 +453,19 @@ def _assemble_sum(k, cells, blocks, slot_parts):
 
     Returns (graph, parts) with parts the vertex sets of the summands.
     """
-    nf = len(blocks)
-    adj = [0] * (k + nf)
-    part_masks = []
-    for cell, cls, edges in cells:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        part_masks.append(m)
+    slim_rows = [0] * k
+    masks = []
+    for cell, _cls, edges in cells:
+        masks.append(_mask_of(cell))
         for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    part_fats = [[] for _ in part_masks]
+            slim_rows[u] |= 1 << v
+            slim_rows[v] |= 1 << u
+    fat_nbhds = [0] * len(blocks)
     for bi, block in enumerate(blocks):
-        fv = k + bi
-        members = {slot_parts[s] for s in block}
-        nbhd = 0
-        for p in members:
-            nbhd |= part_masks[p]
-            part_fats[p].append(fv)
-        adj[fv] = nbhd
-        for v in _iter_bits(nbhd):
-            adj[v] |= 1 << fv
-        mem = sorted(members)
-        for a in range(len(mem)):
-            for b in range(a + 1, len(mem)):
-                for u in _iter_bits(part_masks[mem[a]]):
-                    adj[u] |= part_masks[mem[b]]
-                for u in _iter_bits(part_masks[mem[b]]):
-                    adj[u] |= part_masks[mem[a]]
-    g = HoffmanGraph(k, nf, adj, _checked=True)
-    parts = []
-    for p, (cell, cls, _e) in enumerate(cells):
-        parts.append(frozenset(list(cell) + part_fats[p]))
-    return g, parts
+        for slot in block:
+            fat_nbhds[bi] |= masks[slot_parts[slot]]
+    adj, parts = _sum_adjacency(slim_rows, masks, fat_nbhds)
+    return HoffmanGraph(k, len(blocks), adj, _checked=True), parts
 
 
 def sum_graphs(slim_count, classes=("H1", "H2", "H3", "H5"), component_count=None):
@@ -518,36 +501,17 @@ def sum_graphs(slim_count, classes=("H1", "H2", "H3", "H5"), component_count=Non
 def _compose(f_graph, k_graph, fat_map):
     """Glue F onto K: ``fat_map[i]`` is the K-fat vertex identified with
     F-fat i (indexed from F's first fat).  Vertices of the result: F slim,
-    K slim, K fats.  Raises SharedFatConflict when rule (iv) fails."""
+    K slim, K fats.  F slim and K slim are the two cells of the sum.
+    Raises SharedFatConflict when rule (iv) fails."""
     fs, ks = f_graph.slim_count, k_graph.slim_count
-    kn = k_graph.n
-    n = fs + kn
-    adj = [0] * n
-
-    def kv(v):
-        return fs + v
-
-    for v in range(fs):
-        row = f_graph.adj[v]
-        adj[v] |= row & f_graph.slim_mask
-        for fi in _iter_bits(row & f_graph.fat_mask):
-            g = kv(fat_map[fi - fs])
-            adj[v] |= 1 << g
-            adj[g] |= 1 << v
-    for v in range(kn):
-        for u in _iter_bits(k_graph.adj[v]):
-            adj[kv(v)] |= 1 << kv(u)
-    for x in range(fs):
-        xf = adj[x] >> fs
-        for y in range(ks):
-            shared = (xf & k_graph.adj[y]) >> ks
-            cnt = shared.bit_count()
-            if cnt > 1:
-                raise SharedFatConflict(f"slim pair shares {cnt} fat vertices")
-            if cnt == 1:
-                adj[x] |= 1 << kv(y)
-                adj[kv(y)] |= 1 << x
-    return HoffmanGraph(fs + ks, kn - ks, adj, _checked=True)
+    slim_rows = [f_graph.adj[v] & f_graph.slim_mask for v in range(fs)]
+    slim_rows += [(k_graph.adj[v] & k_graph.slim_mask) << fs for v in range(ks)]
+    fat_nbhds = [k_graph.adj[kf] << fs for kf in range(ks, k_graph.n)]
+    for fi, kf in enumerate(fat_map):
+        fat_nbhds[kf - ks] |= f_graph.adj[fs + fi]
+    cells = (f_graph.slim_mask, k_graph.slim_mask << fs)
+    adj, _parts = _sum_adjacency(slim_rows, cells, fat_nbhds)
+    return HoffmanGraph(fs + ks, len(fat_nbhds), adj, _checked=True)
 
 
 def enumerate_sums(

@@ -30,6 +30,11 @@ into one clique, which prunes hard; afterwards only budget-2 cells carry
 uncovered edges and a small exact clique-partition search finishes the
 job, branching on the lowest uncovered D-edge.
 
+``_cover_fats`` turns a solution into the cover's fat neighbourhoods in
+host order (pinned input fats, new shared cliques sorted, then private
+padding for unused slots), and the one sum primitive of ``sums``,
+``_sum_adjacency``, builds the host from them.
+
 The same machinery recognizes inputs that already carry fat vertices:
 each input fat vertex pins one fat vertex of the cover exactly (its slim
 neighbourhood must be a union of cells forming one clique block), H1
@@ -45,7 +50,8 @@ isomorphism between them restricts to the identity on the covered graph.
 Fat vertices are pairwise non-adjacent, so with all slim vertices pinned
 such an isomorphism is precisely a fat-vertex bijection preserving slim
 neighbourhoods: covers are equivalent iff their multisets of fat
-neighbourhoods agree, and enumeration deduplicates on that multiset.
+neighbourhoods agree, and enumeration deduplicates on that multiset,
+read from ``_cover_fats`` before the host is built.
 """
 
 from __future__ import annotations
@@ -57,8 +63,9 @@ from .core import (
     HoffmanGraphError,
     NotConnected,
     _iter_bits,
+    _mask_of,
 )
-from .sums import SumDecomposition
+from .sums import SumDecomposition, _sum_adjacency
 
 
 class DifferentBase(HoffmanGraphError):
@@ -126,7 +133,7 @@ def _fat_phase(p, kinds, dadj, pinned_parts, find_all):
 
     Yields block lists: ``blocks[i]`` for i < len(pinned_parts) realizes
     input fat i; later entries are new shared blocks.  Private padding is
-    left to the materializer.
+    left to ``_cover_fats``.
     """
     budget = [2 if k == 1 else 1 for k in kinds]
     covered = [0] * p
@@ -400,83 +407,43 @@ def _cover_structures(g, find_all):
     yield from rec((1 << s) - 1)
 
 
-def _materialize(g, cells, kinds, blocks, allow_h1):
-    """Build the StrictCover for one (cells, kinds, blocks) structure."""
-    s = g.slim_count
-    pinned_count = g.fat_count
-    cell_mask = []
-    for verts in cells:
-        m = 0
-        for v in verts:
-            m |= 1 << v
-        cell_mask.append(m)
-
-    fat_count_of = [0] * len(cells)
+def _cover_fats(g, cells, kinds, blocks, allow_h1):
+    """Cell masks and the cover's fat neighbourhoods in host order: the
+    pinned input fats, the new shared blocks sorted, then private padding
+    filling each part's fat slots."""
+    masks = [_mask_of(verts) for verts in cells]
+    count = [0] * len(cells)
     for members in blocks:
         for part in members:
-            fat_count_of[part] += 1
-    padding = []
-    for part, kind in enumerate(kinds):
-        want = (2 if not allow_h1 else max(1, fat_count_of[part])) if kind == 1 else 1
-        for _ in range(want - fat_count_of[part]):
-            padding.append(part)
-        fat_count_of[part] = want
-    new_shared = sorted(blocks[pinned_count:])
-    all_blocks = list(blocks[:pinned_count]) + new_shared + [(part,) for part in padding]
-
-    nf = len(all_blocks)
-    n = s + nf
-    adj = [g.adj[v] & g.slim_mask for v in range(s)] + [0] * nf
-    for bi, members in enumerate(all_blocks):
-        fv = s + bi
+            count[part] += 1
+    pinned = g.fat_count
+    fat_nbhds = []
+    for members in list(blocks[:pinned]) + sorted(blocks[pinned:]):
         nbhd = 0
         for part in members:
-            nbhd |= cell_mask[part]
-        adj[fv] = nbhd
-        for v in _iter_bits(nbhd):
-            adj[v] |= 1 << fv
-
-    part_fats = [[] for _ in cells]
-    for bi, members in enumerate(all_blocks):
-        for part in members:
-            part_fats[part].append(s + bi)
-    parts = []
-    classes = []
-    for part, verts in enumerate(cells):
-        parts.append(frozenset(list(verts) + part_fats[part]))
-        kind = kinds[part]
-        if kind == 1:
-            classes.append("H2" if fat_count_of[part] == 2 else "H1")
-        elif kind == 2:
-            classes.append("H3")
-        else:
-            classes.append("H5")
-
-    host = HoffmanGraph(s, nf, adj, _checked=True)
-    return StrictCover(g, host, tuple(parts), tuple(classes))
-
-
-def _cover_signature(cells, kinds, blocks, pinned_count, allow_h1):
-    """Fat-neighbourhood multiset of the would-be cover, for equivalence
-    dedup before materializing."""
-    cell_mask = []
-    for verts in cells:
-        m = 0
-        for v in verts:
-            m |= 1 << v
-        cell_mask.append(m)
-    nbhds = []
-    count_of = [0] * len(cells)
-    for members in blocks:
-        m = 0
-        for part in members:
-            m |= cell_mask[part]
-            count_of[part] += 1
-        nbhds.append(m)
+            nbhd |= masks[part]
+        fat_nbhds.append(nbhd)
     for part, kind in enumerate(kinds):
-        want = (2 if not allow_h1 else max(1, count_of[part])) if kind == 1 else 1
-        nbhds.extend([cell_mask[part]] * (want - count_of[part]))
-    return tuple(sorted(nbhds))
+        want = (2 if not allow_h1 else max(1, count[part])) if kind == 1 else 1
+        fat_nbhds.extend([masks[part]] * (want - count[part]))
+    return masks, fat_nbhds
+
+
+def _materialize(g, kinds, masks, fat_nbhds):
+    """Build the StrictCover from the output of ``_cover_fats``."""
+    slim_rows = [0] * g.slim_count
+    for m in masks:
+        for v in _iter_bits(m):
+            slim_rows[v] = g.adj[v] & m
+    adj, parts = _sum_adjacency(slim_rows, masks, fat_nbhds)
+    classes = []
+    for part, kind in zip(parts, kinds):
+        if kind == 1:
+            classes.append("H2" if len(part) == 3 else "H1")
+        else:
+            classes.append("H3" if kind == 2 else "H5")
+    host = HoffmanGraph(g.slim_count, len(fat_nbhds), adj, _checked=True)
+    return StrictCover(g, host, tuple(parts), tuple(classes))
 
 
 def is_h_line(g):
@@ -490,7 +457,7 @@ def is_h_line(g):
     """
     allow_h1 = g.fat_count > 0
     for cells, kinds, blocks in _cover_structures(g, find_all=False):
-        return _materialize(g, cells, kinds, blocks, allow_h1)
+        return _materialize(g, kinds, *_cover_fats(g, cells, kinds, blocks, allow_h1))
     return None
 
 
@@ -505,11 +472,12 @@ def enumerate_strict_covers(g):
     seen = set()
     out = []
     for cells, kinds, blocks in _cover_structures(g, find_all=True):
-        sig = _cover_signature(cells, kinds, blocks, 0, False)
-        if sig in seen:
+        masks, fat_nbhds = _cover_fats(g, cells, kinds, blocks, False)
+        key = tuple(sorted(fat_nbhds))
+        if key in seen:
             continue
-        seen.add(sig)
-        out.append(_materialize(g, cells, kinds, blocks, False))
+        seen.add(key)
+        out.append(_materialize(g, kinds, masks, fat_nbhds))
     return out
 
 

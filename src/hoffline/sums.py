@@ -14,11 +14,14 @@ fat neighbours), so a decomposition is stored as a partition of the slim
 vertices; all four conditions reduce to bitmask intersections on the
 host.
 
-``build_sum`` goes the constructive way: given component graphs and an
-identification of fat vertices across them, the cross-component slim
-adjacency is *derived* from rule (iv) — two slim vertices in different
-components become adjacent exactly when they share one glued fat vertex,
-and sharing two or more is an error.
+Every sum host in the package is built by one function,
+``_sum_adjacency``: given the slim edges inside each part, the slim cell
+of each part and the slim neighbourhood of each fat vertex, it *derives*
+the cross-part slim adjacency from rule (iv) — two slim vertices in
+different parts become adjacent exactly when they share one fat vertex,
+and sharing two or more is an error.  ``build_sum`` (components with
+glued fat vertices), the sums K and compositions F (+) K of
+``enumeration`` and the strict covers of ``recognition`` all call it.
 
 ``decompose`` searches for all ways to split a host into parts whose
 isomorphism classes lie in a given set, by backtracking on the lowest
@@ -124,15 +127,8 @@ def validate_sum(host, parts):
         for v in p:
             if v < slim and host.fat_neighbors(v) & ~mask:
                 return False, "iii"
-    for a, b in itertools.combinations(range(len(parts)), 2):
-        for x in slim_sets[a]:
-            fx = host.fat_neighbors(x)
-            for y in slim_sets[b]:
-                common = (fx & host.fat_neighbors(y)).bit_count()
-                if common > 1:
-                    return False, "iv"
-                if (common == 1) != host.adjacent(x, y):
-                    return False, "iv"
+    if not _cells_respect_iv(host, slim_sets):
+        return False, "iv"
     return True, None
 
 
@@ -163,53 +159,66 @@ def build_sum(components, fat_glue=()):
                 raise HoffmanGraphError(f"fat vertex ({ci},{fv}) glued twice")
             used.add((ci, fv))
 
-    slim_of = {}
+    offsets = []
     next_slim = 0
-    for ci, comp in enumerate(components):
-        for v in range(comp.slim_count):
-            slim_of[(ci, v)] = next_slim
-            next_slim += 1
-    fat_of = {}
-    next_fat = next_slim
+    for comp in components:
+        offsets.append(next_slim)
+        next_slim += comp.slim_count
+    slim_rows = [
+        (comp.adj[v] & comp.slim_mask) << off
+        for comp, off in zip(components, offsets)
+        for v in range(comp.slim_count)
+    ]
+    cells = [comp.slim_mask << off for comp, off in zip(components, offsets)]
+    fat_nbhds = [0] * len(groups)
     for gi, g in enumerate(groups):
-        for key in g:
-            fat_of[key] = next_fat
-        next_fat += 1
+        for ci, fv in g:
+            fat_nbhds[gi] |= components[ci].adj[fv] << offsets[ci]
     for ci, comp in enumerate(components):
         for fv in range(comp.slim_count, comp.n):
-            if (ci, fv) not in fat_of:
-                fat_of[(ci, fv)] = next_fat
-                next_fat += 1
+            if (ci, fv) not in used:
+                fat_nbhds.append(comp.adj[fv] << offsets[ci])
+    adj, parts = _sum_adjacency(slim_rows, cells, fat_nbhds)
+    host = HoffmanGraph(next_slim, len(fat_nbhds), adj)
+    return host, SumDecomposition.normalized(host, parts)
 
-    n = next_fat
-    adj = [0] * n
-    parts = [set() for _ in components]
-    for ci, comp in enumerate(components):
-        for v in range(comp.n):
-            hv = slim_of[(ci, v)] if v < comp.slim_count else fat_of[(ci, v)]
-            parts[ci].add(hv)
-            for u in _iter_bits(comp.adj[v]):
-                hu = slim_of[(ci, u)] if u < comp.slim_count else fat_of[(ci, u)]
-                adj[hv] |= 1 << hu
-                adj[hu] |= 1 << hv
-    fat_lo = next_slim
-    for (ci_a, xa) in list(slim_of):
-        x = slim_of[(ci_a, xa)]
-        fx = adj[x] >> fat_lo
-        for (ci_b, yb) in list(slim_of):
-            if ci_b <= ci_a:
-                continue
-            y = slim_of[(ci_b, yb)]
-            common = (fx & (adj[y] >> fat_lo)).bit_count()
-            if common > 1:
+
+def _sum_adjacency(slim_rows, cells, fat_nbhds):
+    """Host adjacency rows and part vertex sets of a sum, by rule (iv).
+
+    ``slim_rows`` holds each slim vertex's neighbours inside its own
+    part, ``cells`` the slim mask of each part, and ``fat_nbhds`` the
+    slim neighbourhood of each fat vertex in host order (fat ``i`` is
+    host vertex ``len(slim_rows) + i``).  Slim vertices of different
+    parts become adjacent when a fat vertex sees both; a pair derived a
+    second time shares two fat vertices and raises SharedFatConflict.
+    A part is its cell plus every fat vertex meeting the cell.
+    """
+    s = len(slim_rows)
+    part_of = [0] * s
+    for p, c in enumerate(cells):
+        for v in _iter_bits(c):
+            part_of[v] = p
+    adj = list(slim_rows) + list(fat_nbhds)
+    cross = [0] * s
+    part_masks = list(cells)
+    for i, nbhd in enumerate(fat_nbhds):
+        bit = 1 << (s + i)
+        for x in _iter_bits(nbhd):
+            p = part_of[x]
+            derived = nbhd & ~cells[p]
+            shared = cross[x] & derived
+            if shared:
                 raise SharedFatConflict(
-                    f"slim vertices {x} and {y} share {common} fat vertices"
+                    f"slim vertices {x} and {shared.bit_length() - 1} share"
+                    " two or more fat vertices"
                 )
-            if common == 1:
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-    host = HoffmanGraph(next_slim, n - next_slim, adj)
-    return host, SumDecomposition.normalized(host, [frozenset(p) for p in parts])
+            cross[x] |= derived
+            adj[x] |= bit
+            part_masks[p] |= bit
+    for x in range(s):
+        adj[x] |= cross[x]
+    return adj, [frozenset(_iter_bits(m)) for m in part_masks]
 
 
 def _cells_respect_iv(host, cells):

@@ -44,6 +44,7 @@ import multiprocessing
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -565,22 +566,6 @@ def table1_row_occurrence(row_id, catalog):
     return occ, uncovered, count
 
 
-def _signature_census(occs, rows):
-    """(member size, signature within ``rows``) -> count, over all forms
-    occurring anywhere; plus per-form signatures."""
-    form_sig = {}
-    for occ in occs.values():
-        for f in occ:
-            form_sig.setdefault(f, "")
-    for f in list(form_sig):
-        form_sig[f] = "".join(r for r in rows if f in occs.get(r, ()))
-    census = {}
-    for f, s in form_sig.items():
-        key = (f[0], s)
-        census[key] = census.get(key, 0) + 1
-    return census, form_sig
-
-
 def _expected_census(rows):
     """Expected (size, signature) census from the published lists,
     counting every catalog member (absent labels sign as empty)."""
@@ -628,14 +613,16 @@ def verify_table1(catalog):
     ok = all(covered.values())
 
     exact = TABLE1_EXACT_ROWS
-    census5, form_sig5 = _signature_census(occs, exact)
-    # members occurring in no exact row still count with empty signature
     all_forms = {m.form for m in catalog.members()}
-    for f in all_forms:
-        sig = "".join(r for r in exact if f in occs[r])
-        key = (f[0], sig)
-        if f not in form_sig5:
-            census5[key] = census5.get(key, 0) + 1
+
+    def census(rows):
+        """(member size, signature within ``rows``) -> count over all
+        members; one occurring in none of the rows signs as empty."""
+        return Counter(
+            (f[0], "".join(r for r in rows if f in occs[r])) for f in all_forms
+        )
+
+    census5 = census(exact)
     expected5 = _expected_census(exact)
     structure_ok = census5 == expected5
 
@@ -654,12 +641,7 @@ def verify_table1(catalog):
         want_51 = "".join(r for r in exact if "G5,1" in TABLE1_LABELS[r])
         pins_ok = sig_52 == want_52 and sig_51 == want_51
 
-    censusF, _ = _signature_census(occs, "abcdefg")
-    for f in all_forms:
-        sig = "".join(r for r in "abcdefg" if f in occs[r])
-        if all(f not in occs[r] for r in "abcdefg"):
-            key = (f[0], sig)
-            censusF[key] = censusF.get(key, 0) + 1
+    censusF = census("abcdefg")
     expectedF = _expected_census("abcdefg")
     extra_memberships = {}
     list_covered = True

@@ -145,6 +145,16 @@ def test_sums_bad_edge_line_exit_two(tmp_path):
     assert "Traceback" not in out.stderr and "bad edge line" in out.stderr
 
 
+@pytest.mark.parametrize("content", [None, b"s=1 f=0\n\xff\xfe\n"])
+def test_sums_unreadable_F_exit_two(tmp_path, content):
+    f = tmp_path / "f.hg"
+    if content is not None:
+        f.write_bytes(content)
+    out = _run(["sums", "--F", str(f), "--slim-k", "2"])
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "cannot read --F" in out.stderr
+
+
 def test_screen_partial_catalog_exit_two(tmp_path, catalog7):
     import shutil
 

@@ -8,6 +8,7 @@ import pytest
 from hoffline.core import HoffmanGraph, canonical_form, find_embedding
 from hoffline.enumeration import (
     EMPTY_GRAPH,
+    _compose,
     FatConstraints,
     MalformedHeader,
     NonCanonicalPadding,
@@ -22,7 +23,7 @@ from hoffline.enumeration import (
     write_graph6,
 )
 from hoffline.families import family_graph
-from hoffline.sums import validate_sum
+from hoffline.sums import SharedFatConflict, validate_sum
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -253,3 +254,13 @@ def test_enumerate_sums_are_valid_two_part_sums():
         emb = find_embedding(f1, g)
         assert emb is not None
     assert count > 0
+
+
+def test_compose_conflict_is_raised_and_skipped():
+    # F = H2 with both fats glued onto the two fats of K = H2: the slim
+    # vertex of F and that of K would share two fat vertices (rule (iv))
+    h2 = family_graph("H2")
+    with pytest.raises(SharedFatConflict):
+        _compose(h2, h2, (1, 2))
+    # both gluings of F onto the only K conflict, so none is composed
+    assert list(enumerate_sums(h2, 1, classes=("H2",))) == []
