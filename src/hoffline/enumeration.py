@@ -28,6 +28,7 @@ of F onto fat vertices of K in all valid ways.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -370,6 +371,16 @@ def fat_hoffman_graphs(c: FatConstraints):
 # ``sums._sum_adjacency`` derives that adjacency, for K from its cells and
 # blocks and for F (+) K from the two cells F-slim and K-slim.  Blocks
 # never let two parts share two fat vertices, so only gluing F can fail.
+#
+# Many slot partitions of one cell partition give the same multiset of fat
+# neighbourhoods, and such structures differ only in the order of their
+# fat vertices.  ``_sum_family`` keys each structure by that multiset,
+# within its cell partition, and sends only the first structure per key
+# through ``connected_components`` and ``canonical_form``; the first
+# member of every class is never skipped, so the output is the same as
+# without the key.  Each family is built once per process
+# (``functools.cache``): the table-1 rows a and c share k = 5, and rows
+# d, e and g share k = 4.
 
 
 _CELL_KINDS = {"H1": 1, "H2": 2, "H3": 1, "H5": 1}
@@ -448,24 +459,37 @@ def _slot_partitions(slot_parts):
     yield from rec(0, [], [], set())
 
 
-def _assemble_sum(k, cells, blocks, slot_parts):
-    """Build the Hoffman graph of a typed cell partition plus slot blocks.
+def _fat_neighbourhoods(cells):
+    """Yield the slim neighbourhoods of the fat vertices, one list per way
+    to merge the fat slots of ``cells`` into fat vertices."""
+    masks = [_mask_of(cell) for cell, _cls, _edges in cells]
+    slot_parts = [
+        p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_KINDS[cls])
+    ]
+    for blocks in _slot_partitions(slot_parts):
+        fat_nbhds = []
+        for block in blocks:
+            nbhd = 0
+            for slot in block:
+                nbhd |= masks[slot_parts[slot]]
+            fat_nbhds.append(nbhd)
+        yield fat_nbhds
+
+
+def _assemble_sum(k, cells, fat_nbhds):
+    """Build the Hoffman graph of a typed cell partition whose fat
+    vertices have the slim neighbourhoods ``fat_nbhds``.
 
     Returns (graph, parts) with parts the vertex sets of the summands.
     """
     slim_rows = [0] * k
-    masks = []
-    for cell, _cls, edges in cells:
-        masks.append(_mask_of(cell))
+    for _cell, _cls, edges in cells:
         for u, v in edges:
             slim_rows[u] |= 1 << v
             slim_rows[v] |= 1 << u
-    fat_nbhds = [0] * len(blocks)
-    for bi, block in enumerate(blocks):
-        for slot in block:
-            fat_nbhds[bi] |= masks[slot_parts[slot]]
+    masks = [_mask_of(cell) for cell, _cls, _edges in cells]
     adj, parts = _sum_adjacency(slim_rows, masks, fat_nbhds)
-    return HoffmanGraph(k, len(blocks), adj, _checked=True), parts
+    return HoffmanGraph(k, len(fat_nbhds), adj, _checked=True), tuple(parts)
 
 
 def sum_graphs(slim_count, classes=("H1", "H2", "H3", "H5"), component_count=None):
@@ -473,21 +497,36 @@ def sum_graphs(slim_count, classes=("H1", "H2", "H3", "H5"), component_count=Non
     vertices, one per isomorphism class; optionally filter by the number
     of connected components of K.
 
-    Yields (graph, parts).
+    Yields (graph, parts), parts a tuple of frozensets.  The family is
+    built once per process and shared by every caller.
     """
     if slim_count > 6:
         raise IndexOutOfRange("sum enumeration capped at 6 slim vertices")
+    yield from _sum_family(slim_count, frozenset(classes), component_count)
+
+
+@functools.cache
+def _sum_family(slim_count, classes, component_count):
     if slim_count == 0:
-        if component_count in (None, 0):
-            yield EMPTY_GRAPH, []
-        return
+        return ((EMPTY_GRAPH, ()),) if component_count in (None, 0) else ()
+    family = []
     seen = set()
-    for cells in _cell_partitions(slim_count, frozenset(classes)):
-        slot_parts = []
-        for p, (cell, cls, _e) in enumerate(cells):
-            slot_parts.extend([p] * _CELL_KINDS[cls])
-        for blocks in _slot_partitions(slot_parts):
-            g, parts = _assemble_sum(slim_count, cells, blocks, slot_parts)
+    for cells in _cell_partitions(slim_count, classes):
+        # Within one cell partition the slim edges inside the parts are
+        # fixed and rule (iv) derives every other slim edge from the fat
+        # neighbourhoods; fat vertices are pairwise non-adjacent.  So the
+        # multiset of fat neighbourhoods fixes the graph up to a
+        # permutation of its fat vertices, and a repeated multiset is
+        # isomorphic to a structure already seen.  Across partitions the
+        # same multiset can belong to different graphs, hence one key set
+        # per partition.
+        keys = set()
+        for fat_nbhds in _fat_neighbourhoods(cells):
+            key = tuple(sorted(fat_nbhds))
+            if key in keys:
+                continue
+            keys.add(key)
+            g, parts = _assemble_sum(slim_count, cells, fat_nbhds)
             if component_count is not None:
                 if len(g.connected_components()) != component_count:
                     continue
@@ -495,7 +534,8 @@ def sum_graphs(slim_count, classes=("H1", "H2", "H3", "H5"), component_count=Non
             if form in seen:
                 continue
             seen.add(form)
-            yield g, parts
+            family.append((g, parts))
+    return tuple(family)
 
 
 def _compose(f_graph, k_graph, fat_map):

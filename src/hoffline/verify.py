@@ -566,6 +566,11 @@ def table1_row_occurrence(row_id, catalog):
     return occ, uncovered, count
 
 
+def _table1_rows(catalog):
+    """``table1_row_occurrence`` of every row, keyed by row id."""
+    return {row_id: table1_row_occurrence(row_id, catalog) for row_id in TABLE1_ROWS}
+
+
 def _expected_census(rows):
     """Expected (size, signature) census from the published lists,
     counting every catalog member (absent labels sign as empty)."""
@@ -599,18 +604,12 @@ def verify_table1(catalog):
     t0 = time.time()
     if catalog.n_max < 8:
         raise IncompleteCatalog("the composition table needs the catalog up to n = 8")
-    occs = {}
-    covered = {}
-    ngraphs = {}
-    first_uncovered = None
-    for row_id in TABLE1_ROWS:
-        occ, uncovered, cnt = table1_row_occurrence(row_id, catalog)
-        occs[row_id] = occ
-        covered[row_id] = uncovered is None
-        ngraphs[row_id] = cnt
-        if uncovered is not None and first_uncovered is None:
-            first_uncovered = f"row {row_id}: {uncovered}"
-    ok = all(covered.values())
+    rows = _table1_rows(catalog)
+    occs = {r: occ for r, (occ, _u, _c) in rows.items()}
+    ngraphs = {r: cnt for r, (_o, _u, cnt) in rows.items()}
+    uncovered = {r: u for r, (_o, u, _c) in rows.items() if u is not None}
+    first_uncovered = next((f"row {r}: {u}" for r, u in uncovered.items()), None)
+    ok = not uncovered
 
     exact = TABLE1_EXACT_ROWS
     all_forms = {m.form for m in catalog.members()}
@@ -660,7 +659,7 @@ def verify_table1(catalog):
         "published_per_row": {r: len(TABLE1_LABELS[r]) for r in sorted(TABLE1_LABELS)},
     }
     details = {
-        "guarantee_rows_ok": {r: covered[r] for r in sorted(covered)},
+        "guarantee_rows_ok": {r: r not in uncovered for r in sorted(rows)},
         "label_structure_exact_rows": exact,
         "label_structure_ok": structure_ok,
         "spectral_pins_ok": pins_ok,
@@ -682,9 +681,7 @@ def table1_label_groups(catalog):
     graphs in the second (a bijection within every group).  Singleton
     groups are exact identifications.
     """
-    occs = {}
-    for row_id in TABLE1_ROWS:
-        occs[row_id], _, _ = table1_row_occurrence(row_id, catalog)
+    occs = {r: occ for r, (occ, _u, _c) in _table1_rows(catalog).items()}
     exact = TABLE1_EXACT_ROWS
     below = {e.form for e in catalog.members() if e.verdict is Verdict.BELOW}
     groups = {}

@@ -8,7 +8,10 @@ import pytest
 from hoffline.core import HoffmanGraph, canonical_form, find_embedding
 from hoffline.enumeration import (
     EMPTY_GRAPH,
+    _assemble_sum,
+    _cell_partitions,
     _compose,
+    _fat_neighbourhoods,
     FatConstraints,
     MalformedHeader,
     NonCanonicalPadding,
@@ -223,6 +226,33 @@ def test_sum_component_filter():
         for c in (1, 2):
             for g, _ in sum_graphs(k, component_count=c):
                 assert len(g.connected_components()) == c
+
+
+def _unpruned_sum_forms(k, component_count):
+    """Canonical forms of the sums K in first-occurrence order, over every
+    assembled structure (no multiset key)."""
+    forms = []
+    for cells in _cell_partitions(k, frozenset(("H1", "H2", "H3", "H5"))):
+        for fat_nbhds in _fat_neighbourhoods(cells):
+            g, _parts = _assemble_sum(k, cells, fat_nbhds)
+            if component_count is None or len(g.connected_components()) == component_count:
+                forms.append(canonical_form(g))
+    return list(dict.fromkeys(forms))
+
+
+@pytest.mark.parametrize(
+    "k,component_count",
+    [(k, c) for k in range(1, 5) for c in (None, *range(1, k + 1))] + [(5, 1)],
+)
+def test_sum_key_skip_matches_unpruned(k, component_count):
+    family = list(sum_graphs(k, component_count=component_count))
+    assert [canonical_form(g) for g, _ in family] == _unpruned_sum_forms(k, component_count)
+    again = list(sum_graphs(k, component_count=component_count))
+    assert len(again) == len(family)
+    for (g, parts), (g2, parts2) in zip(family, again):
+        assert g2 is g and parts2 is parts
+        assert isinstance(parts, tuple)
+        assert all(isinstance(p, frozenset) for p in parts)
 
 
 def test_enumerate_sums_empty_f_gives_plain_sums():
