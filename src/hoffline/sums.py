@@ -140,8 +140,10 @@ def build_sum(components, fat_glue=()):
     vertex of the host.  Ungrouped fat vertices stay private to their
     component.  Cross-component slim adjacency is derived from rule (iv).
 
-    Raises SharedFatConflict when two slim vertices of different
-    components would share two fat vertices.
+    Raises HoffmanGraphError when a group holds two fat vertices of one
+    component (merging them would change that component), and
+    SharedFatConflict when two slim vertices of different components
+    would share two fat vertices.
     """
     components = list(components)
     groups = [list(g) for g in fat_glue]
@@ -149,6 +151,7 @@ def build_sum(components, fat_glue=()):
     for g in groups:
         if len(g) < 2:
             raise HoffmanGraphError("a glue group needs at least two fat vertices")
+        group_comps = set()
         for ci, fv in g:
             if not 0 <= ci < len(components):
                 raise IndexOutOfRange(f"no component {ci}")
@@ -157,7 +160,12 @@ def build_sum(components, fat_glue=()):
                 raise IndexOutOfRange(f"{fv} is not a fat vertex of component {ci}")
             if (ci, fv) in used:
                 raise HoffmanGraphError(f"fat vertex ({ci},{fv}) glued twice")
+            if ci in group_comps:
+                raise HoffmanGraphError(
+                    f"a glue group holds two fat vertices of component {ci}"
+                )
             used.add((ci, fv))
+            group_comps.add(ci)
 
     offsets = []
     next_slim = 0

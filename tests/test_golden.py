@@ -32,7 +32,7 @@ CLI_DIGESTS = {
 }
 SUM_GRAPHS_DIGEST = "e28c4d1cc8eea47ab8c8d36ee2bcf6a097cdc80785b857a02f077ddd2f7aab5a"
 ENUMERATE_SUMS_DIGEST = "7626865c0dcbb3c910c9e1196f3d366a4ff3d6555914d1157248de91b7295b1e"
-BUILD_SUM_DIGEST = "1c62c35e0708ae24a09d3bd85b1c029b07a81c0b2a0d7d68a142967bef7907c7"
+BUILD_SUM_DIGEST = "432be6663fb47dccfedcdd1fff25833c30249c9fbcc4a4ceeffa007bca619e36"
 
 
 def _digest(lines):

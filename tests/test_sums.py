@@ -2,7 +2,7 @@
 
 import pytest
 
-from hoffline.core import HoffmanGraph, canonical_form
+from hoffline.core import HoffmanGraph, HoffmanGraphError, canonical_form
 from hoffline.enumeration import connected_slim_graphs
 from hoffline.families import classify_part, family_graph, line_family_forms
 from hoffline.recognition import enumerate_strict_covers
@@ -80,6 +80,14 @@ def test_build_sum_two_h1_glued():
 def test_build_sum_double_glue_conflicts():
     with pytest.raises(SharedFatConflict):
         build_sum([_h2(), _h2()], [[(0, 1), (1, 1)], [(0, 2), (1, 2)]])
+
+
+def test_build_sum_rejects_gluing_fats_of_one_component():
+    # merging the two fats of one H2 would turn that part into H1
+    with pytest.raises(HoffmanGraphError, match="component 0"):
+        build_sum([_h2(), _h2()], [[(0, 1), (0, 2)]])
+    with pytest.raises(HoffmanGraphError, match="component 1"):
+        build_sum([_h2(), _h2()], [[(0, 1), (1, 1), (1, 2)]])
 
 
 def test_build_sum_h3_h3_shared_fat():
