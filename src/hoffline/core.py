@@ -351,6 +351,10 @@ class HoffmanGraph:
             fat = int(head[1].removeprefix("f="))
         except (ValueError, IndexError):
             raise HoffmanGraphError(f"bad header line {lines[0]!r}") from None
+        if slim + fat > _TEXT_MAX_VERTICES:
+            raise IndexOutOfRange(
+                f"text graphs are limited to {_TEXT_MAX_VERTICES} vertices"
+            )
         edges = []
         for ln in lines[1:]:
             try:
@@ -374,6 +378,11 @@ class HoffmanGraph:
 
 
 EMPTY_GRAPH = HoffmanGraph(0, 0, ())
+
+#: ``from_text`` refuses larger headers before allocating anything, so a
+#: malformed count cannot exhaust memory; the graphs this package can
+#: label canonically are far smaller
+_TEXT_MAX_VERTICES = 1000
 
 
 # ---------------------------------------------------------------------------

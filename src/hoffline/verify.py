@@ -186,7 +186,10 @@ class MfsCatalog:
                 cat.entries[n] = entries
             if cat.checksum() != meta["checksum"]:
                 raise HoffmanGraphError("catalog checksum mismatch")
-        except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (
+            OSError, KeyError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError, RecursionError,
+        ) as exc:
             raise HoffmanGraphError(f"unreadable catalog {directory}: {exc!r}") from None
         return cat
 
