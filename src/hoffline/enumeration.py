@@ -372,15 +372,12 @@ def fat_hoffman_graphs(c: FatConstraints):
 # blocks and for F (+) K from the two cells F-slim and K-slim.  Blocks
 # never let two parts share two fat vertices, so only gluing F can fail.
 #
-# Many slot partitions of one cell partition give the same multiset of fat
-# neighbourhoods, and such structures differ only in the order of their
-# fat vertices.  ``_sum_family`` keys each structure by that multiset,
-# within its cell partition, and sends only the first structure per key
-# through ``connected_components`` and ``canonical_form``; the first
-# member of every class is never skipped, so the output is the same as
-# without the key.  Each family is built once per process
-# (``functools.cache``): the table-1 rows a and c share k = 5, and rows
-# d, e and g share k = 4.
+# ``_sum_family`` builds each family once per process (``functools.cache``;
+# table-1 rows a and c share k = 5, rows d, e and g share k = 4).  It sends
+# a structure through ``connected_components`` and ``canonical_form`` only
+# when its multiset of fat neighbourhoods is new within its cell
+# partition; the first member of every class is never skipped, so the
+# output is the same as without the key.
 
 
 _CELL_KINDS = {"H1": 1, "H2": 2, "H3": 1, "H5": 1}

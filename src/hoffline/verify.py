@@ -43,6 +43,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -91,6 +92,18 @@ class CatalogEntry:
     verdict: Verdict
     equals_threshold: bool
     witnesses: dict  # deleted vertex -> strict cover json dict of the deletion
+
+
+_STORED_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _stored_fraction(text):
+    """A bound as ``MfsCatalog.save`` writes it, ``p`` or ``p/q``.  Other
+    forms ``Fraction`` accepts are refused: expanding ``1e10000000``
+    alone takes seconds."""
+    if not isinstance(text, str) or not _STORED_FRACTION.fullmatch(text):
+        raise ValueError(f"bad stored fraction {text!r}")
+    return Fraction(text)
 
 
 @dataclass
@@ -169,8 +182,8 @@ class MfsCatalog:
                     g = parse_graph6(doc["graph6"])
                     eig = doc["eigen"]
                     interval = EigenInterval(
-                        Fraction(eig["lower"]),
-                        Fraction(eig["upper"]),
+                        _stored_fraction(eig["lower"]),
+                        _stored_fraction(eig["upper"]),
                         tuple(eig["char_poly"]),
                     )
                     entries.append(

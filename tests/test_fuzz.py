@@ -159,16 +159,19 @@ def test_fuzz_catalog_load_with_one_edited_value(saved_catalog, data):
         _parses_or_refuses(MfsCatalog.load, work)
 
 
-def _zero_denominator(text):
-    doc = json.loads(text)
-    doc["eigen"]["lower"] = "1/0"
-    return json.dumps(doc)
+def _lower_bound(value):
+    def edit(text):
+        doc = json.loads(text)
+        doc["eigen"]["lower"] = value
+        return json.dumps(doc)
+
+    return edit
 
 
 @pytest.mark.parametrize(
     "edit",
-    [_zero_denominator, lambda _text: "[" * 100000],
-    ids=["zero-denominator", "deep-nesting"],
+    [_lower_bound("1/0"), _lower_bound("1e100000000"), lambda _text: "[" * 100000],
+    ids=["zero-denominator", "huge-exponent", "deep-nesting"],
 )
 def test_catalog_load_refuses_bad_witness(saved_catalog, tmp_path, edit):
     work = tmp_path / "cat"
