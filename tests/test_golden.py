@@ -2,8 +2,9 @@
 
 Each corpus is serialized one JSON line per item and hashed with SHA-256.
 The digests were computed by running these same functions on the code
-before the sum builders were merged into one rule-(iv) primitive, so a
-mismatch means some output changed byte for byte.  When a change alters
+before the sum builders were merged into one rule-(iv) primitive (the
+fat-input covers: before the strict-cover search became plain
+generators), so a mismatch means some output changed byte for byte.  When a change alters
 an output on purpose, recompute the digest (``_digest`` of the corpus)
 and say why in the commit.
 """
@@ -18,12 +19,15 @@ import pytest
 from hoffline.cli import main
 from hoffline.core import HoffmanGraph, HoffmanGraphError
 from hoffline.enumeration import (
+    FatConstraints,
     connected_slim_graphs,
     enumerate_sums,
+    fat_hoffman_graphs,
     sum_graphs,
     write_graph6,
 )
 from hoffline.families import family_graph
+from hoffline.recognition import enumerate_strict_covers, is_h_line
 from hoffline.sums import SumDecomposition, build_sum, validate_sum
 
 CLI_DIGESTS = {
@@ -33,6 +37,7 @@ CLI_DIGESTS = {
 SUM_GRAPHS_DIGEST = "e28c4d1cc8eea47ab8c8d36ee2bcf6a097cdc80785b857a02f077ddd2f7aab5a"
 ENUMERATE_SUMS_DIGEST = "7626865c0dcbb3c910c9e1196f3d366a4ff3d6555914d1157248de91b7295b1e"
 BUILD_SUM_DIGEST = "432be6663fb47dccfedcdd1fff25833c30249c9fbcc4a4ceeffa007bca619e36"
+FAT_COVERS_DIGEST = "3d65612518f1676a01274aab03b95005f53749d04a3dc2c61929b567be8a277e"
 
 
 def _digest(lines):
@@ -57,6 +62,25 @@ def test_cli_records_all_connected_graphs_upto_7(command, graph6_upto_7, monkeyp
     out = capsys.readouterr().out
     assert out.count("\n") == 996
     assert _digest(out.splitlines()) == CLI_DIGESTS[command]
+
+
+def test_is_h_line_first_cover_equals_enumeration_head():
+    # recognition returns the first cover of the same search that
+    # enumeration drains, or None exactly when there is no cover
+    for n in range(1, 8):
+        for g in connected_slim_graphs(n):
+            covers = enumerate_strict_covers(g)
+            assert is_h_line(g) == (covers[0] if covers else None)
+
+
+def test_is_h_line_fat_inputs():
+    # inputs with pinned fat vertices, which the CLI corpus never reaches
+    constraints = FatConstraints(slim_min=1, slim_max=4, fat_min=1, fat_max=3)
+    covers = [is_h_line(g) for g in fat_hoffman_graphs(constraints)]
+    assert len(covers) == 2763
+    assert sum(c is not None for c in covers) == 98
+    lines = [json.dumps(c.to_json_dict() if c else None) for c in covers]
+    assert _digest(lines) == FAT_COVERS_DIGEST
 
 
 def test_sum_graphs_upto_4():
