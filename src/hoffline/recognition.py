@@ -25,10 +25,17 @@ shape of any strict cover of a slim graph G:
     two fat slots, H3 and H5 parts own one; slots not consumed by shared
     cliques become private fat vertices.
 
-An H3 or H5 part having a single slot forces its whole D-neighbourhood
-into one clique, which prunes hard; afterwards only budget-2 cells carry
-uncovered edges and a small exact clique-partition search finishes the
-job, branching on the lowest uncovered D-edge.
+The search is one chain of generators, so it runs only as far as its
+consumer reads: ``_cover_structures`` grows the cell partition, lowest
+uncovered vertex first, and ``_fat_phase`` yields the fat blocks of each
+complete partition.  An H3 or H5 part having a single slot forces its
+whole D-neighbourhood into one clique, which prunes hard; a part whose
+slot is already spent is consistent only if that block covered all of
+its D-edges.  Afterwards only budget-2 cells carry uncovered edges and a
+small exact clique-partition search finishes the job, branching on the
+lowest uncovered D-edge.  Blocks are opened and closed by one
+``add``/``remove`` pair.  ``is_h_line`` takes the first cover of the
+search and ``enumerate_strict_covers`` drains it.
 
 ``_cover_fats`` turns a solution into the cover's fat neighbourhoods in
 host order (pinned input fats, new shared cliques sorted, then private
@@ -94,19 +101,12 @@ class StrictCover:
     def decomposition(self):
         return SumDecomposition(self.host, self.parts)
 
-    @property
-    def embedding(self):
-        return tuple(range(self.base.n))
-
     def fat_neighborhoods(self):
         """Sorted slim-neighbourhood masks of the host's fat vertices."""
         sm = self.host.slim_mask
         return tuple(
             sorted(self.host.adj[f] & sm for f in range(self.host.slim_count, self.host.n))
         )
-
-    def is_connected(self):
-        return self.host.is_connected()
 
     def to_json_dict(self):
         return {
@@ -123,167 +123,95 @@ class StrictCover:
 # ---------------------------------------------------------------------------
 
 
-def _fat_phase(p, kinds, dadj, pinned_parts, find_all):
+def _fat_phase(cells, dadj, pinned_parts):
     """Assign fat vertices to a complete cell partition.
 
-    p           -- number of parts (cells)
-    kinds       -- per part: 1 (singleton), 2 (pair) or 3 (triple)
+    cells       -- the cells; a singleton owns two fat slots, others one
     dadj        -- per part: bitmask of cross-complete partner parts
     pinned_parts-- per input fat vertex, the tuple of parts it must span
 
-    Yields block lists: ``blocks[i]`` for i < len(pinned_parts) realizes
+    Yields block tuples: ``blocks[i]`` for i < len(pinned_parts) realizes
     input fat i; later entries are new shared blocks.  Private padding is
     left to ``_cover_fats``.
     """
-    budget = [2 if k == 1 else 1 for k in kinds]
+    p = len(cells)
+    budget = [2 if len(c) == 1 else 1 for c in cells]
     covered = [0] * p
     blocks = []
-    shared_at = [None] * p  # block index of the unique shared block of a budget-1 part
 
-    def commit_block(members):
-        """Try to add a shared block; returns an undo closure or None."""
+    def add(members):
+        """Open a fat vertex spanning ``members`` if every member has a
+        free slot and every pair of them is an uncovered D-edge."""
+        m = _mask_of(members)
         for a in members:
-            if budget[a] <= 0:
-                return None
-        mark = []
-        ok = True
-        for ia, a in enumerate(members):
-            for b in members[ia + 1:]:
-                if not (dadj[a] >> b) & 1 or (covered[a] >> b) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            return None
-        for ia, a in enumerate(members):
-            for b in members[ia + 1:]:
-                covered[a] |= 1 << b
-                covered[b] |= 1 << a
-                mark.append((a, b))
+            if budget[a] <= 0 or m & ~(1 << a) & (covered[a] | ~dadj[a]):
+                return False
         for a in members:
             budget[a] -= 1
-        idx = len(blocks)
+            covered[a] |= m & ~(1 << a)
         blocks.append(tuple(members))
-        saved = [(a, shared_at[a]) for a in members if kinds[a] != 1]
-        for a, _old in saved:
-            shared_at[a] = idx
+        return True
 
-        def undo():
-            blocks.pop()
-            for a in members:
-                budget[a] += 1
-            for a, b in mark:
-                covered[a] &= ~(1 << b)
-                covered[b] &= ~(1 << a)
-            for a, old in saved:
-                shared_at[a] = old
+    def remove():
+        members = blocks.pop()
+        m = _mask_of(members)
+        for a in members:
+            budget[a] += 1
+            covered[a] &= ~m
 
-        return undo
-
-    # pinned fat vertices of the input, in original order
-    undos = []
-
-    def unwind():
-        for u in reversed(undos):
-            u()
-
+    # pinned fat vertices of the input, in original order; a pinned
+    # private fat is a one-member block
     for members in pinned_parts:
-        if len(members) == 1:
-            a = members[0]
-            if budget[a] <= 0:
-                unwind()
-                return
-            budget[a] -= 1
-            blocks.append(tuple(members))
+        if not add(members):
+            return
 
-            def undo_private(a=a):
-                blocks.pop()
-                budget[a] += 1
-
-            undos.append(undo_private)
-        else:
-            u = commit_block(list(members))
-            if u is None:
-                unwind()
-                return
-            undos.append(u)
-
-    # forced blocks: a budget-1 part's single slot must cover all its edges
-    ok = True
+    # forced blocks: a budget-1 part's single slot must cover all its
+    # edges, so a part whose slot is already spent is consistent iff that
+    # block covered its whole D-neighbourhood
     for part in range(p):
-        if kinds[part] == 1 or dadj[part] == 0:
+        if len(cells[part]) == 1 or dadj[part] == 0:
             continue
-        required = sorted({part, *(_iter_bits(dadj[part]))})
-        existing = shared_at[part]
-        if existing is not None:
-            if list(blocks[existing]) != required:
-                ok = False
-                break
-            continue
-        u = commit_block(required)
-        if u is None:
-            ok = False
-            break
-        undos.append(u)
-    if not ok:
-        unwind()
-        return
+        if budget[part] == 0:
+            if covered[part] != dadj[part]:
+                return
+        elif not add(sorted({part, *_iter_bits(dadj[part])})):
+            return
 
     # exact clique partition of the remaining edges (budget-2 parts only)
-    stop = []
-
     def bt():
-        if stop:
-            return
-        edge = None
         for i in range(p):
-            rem = dadj[i] & ~covered[i] & ~((1 << (i + 1)) - 1)
+            rem = dadj[i] & ~covered[i] & ~((2 << i) - 1)
             if rem:
-                edge = (i, (rem & -rem).bit_length() - 1)
                 break
-        if edge is None:
-            yield list(blocks)
-            if not find_all:
-                stop.append(True)
+        else:
+            yield tuple(blocks)
             return
-        i, j = edge
+        j = (rem & -rem).bit_length() - 1
         if budget[i] <= 0 or budget[j] <= 0:
             return
-        candidates = [
-            k
-            for k in _iter_bits(dadj[i] & dadj[j])
-            if k not in (i, j) and budget[k] > 0
-        ]
+        # edge ij goes into exactly one new block: ij plus some common
+        # D-neighbours that still have a free slot
+        candidates = [k for k in _iter_bits(dadj[i] & dadj[j]) if budget[k] > 0]
 
         def grow(members, start):
-            u = commit_block(members)
-            if u is not None:
+            if add(members):
                 yield from bt()
-                u()
-            if stop:
-                return
+                remove()
+            m = _mask_of(members)
             for ci in range(start, len(candidates)):
                 k = candidates[ci]
-                fits = all(
-                    (dadj[k] >> m) & 1 and not (covered[k] >> m) & 1 for m in members
-                )
-                if fits and budget[k] > 0:
+                if not m & (covered[k] | ~dadj[k]):
                     yield from grow(members + [k], ci + 1)
-                if stop:
-                    return
 
         yield from grow([i, j], 0)
 
     yield from bt()
-    unwind()
 
 
-def _cover_structures(g, find_all):
-    """Yield (cells, kinds, blocks) triples describing strict covers.
+def _cover_structures(g):
+    """Yield (cells, blocks) pairs describing strict covers.
 
     cells  -- tuple of vertex tuples partitioning the slim vertices
-    kinds  -- 1/2/3 per cell
     blocks -- per fat vertex of the cover (pinned input fats first),
               the tuple of part indices it spans; private padding fats
               are implied by the budgets and not listed.
@@ -292,48 +220,33 @@ def _cover_structures(g, find_all):
     smask = g.slim_mask
     sadj = [g.adj[v] & smask for v in range(s)]
     pinned = [g.adj[f] & smask for f in range(s, g.n)]
-    if s == 0:
-        if not pinned:
-            yield (), (), ()
-        return
-
     cells = []
-    kinds = []
     masks = []
-    sizes = []
     dadj = []
-    stop = []
 
-    def pinned_ok(cm):
+    def try_cell(verts):
+        """The cell's mask and D-row, or None if some earlier cell is
+        neither complete nor empty to it or an input fat splits it."""
+        cm = _mask_of(verts)
         for pf in pinned:
-            inter = cm & pf
-            if inter and inter != cm:
-                return False
-        return True
-
-    def try_cell(verts, kind):
-        cm = 0
+            if cm & pf not in (0, cm):
+                return None
+        seen_any, seen_all = 0, smask
         for v in verts:
-            cm |= 1 << v
-        if not pinned_ok(cm):
-            return None
+            seen_any |= sadj[v]
+            seen_all &= sadj[v]
         bits = 0
         for i, m in enumerate(masks):
-            e = 0
-            for v in verts:
-                e += (sadj[v] & m).bit_count()
-            if e:
-                if e != len(verts) * sizes[i]:
+            if seen_any & m:
+                if seen_all & m != m:
                     return None
                 bits |= 1 << i
         return cm, bits
 
-    def push(verts, kind, cm, bits):
+    def push(verts, cm, bits):
         idx = len(cells)
         cells.append(verts)
-        kinds.append(kind)
         masks.append(cm)
-        sizes.append(len(verts))
         for i in _iter_bits(bits):
             dadj[i] |= 1 << idx
         dadj.append(bits)
@@ -341,73 +254,54 @@ def _cover_structures(g, find_all):
     def pop(bits):
         idx = len(cells) - 1
         cells.pop()
-        kinds.pop()
         masks.pop()
-        sizes.pop()
         dadj.pop()
         for i in _iter_bits(bits):
             dadj[i] &= ~(1 << idx)
 
     def rec(uncovered):
-        if stop:
-            return
         if not uncovered:
-            p = len(cells)
-            pinned_parts = []
-            feasible = True
-            for pf in pinned:
-                members = tuple(i for i in range(p) if masks[i] & pf)
-                pinned_parts.append(members)
-            if feasible:
-                for blocks in _fat_phase(p, kinds, dadj, pinned_parts, find_all):
-                    yield tuple(cells), tuple(kinds), tuple(blocks)
-                    if not find_all:
-                        stop.append(True)
-                        return
+            pinned_parts = [
+                tuple(i for i, m in enumerate(masks) if m & pf) for pf in pinned
+            ]
+            for blocks in _fat_phase(cells, dadj, pinned_parts):
+                yield tuple(cells), blocks
             return
         v = (uncovered & -uncovered).bit_length() - 1
         rest = uncovered & ~(1 << v)
 
         # singleton cell
-        r = try_cell((v,), 1)
+        r = try_cell((v,))
         if r:
-            push((v,), 1, *r)
+            push((v,), *r)
             yield from rec(rest)
             pop(r[1])
-            if stop:
-                return
 
         # non-adjacent pair cells
         for u in _iter_bits(rest & ~sadj[v]):
-            r = try_cell((v, u), 2)
+            r = try_cell((v, u))
             if r:
-                push((v, u), 2, *r)
+                push((v, u), *r)
                 yield from rec(rest & ~(1 << u))
                 pop(r[1])
-                if stop:
-                    return
 
         # one-edge triple cells
         pool = list(_iter_bits(rest))
-        for ai in range(len(pool)):
-            a = pool[ai]
+        for ai, a in enumerate(pool):
             va = (sadj[v] >> a) & 1
             for b in pool[ai + 1:]:
-                count = va + ((sadj[v] >> b) & 1) + ((sadj[a] >> b) & 1)
-                if count != 1:
+                if va + ((sadj[v] >> b) & 1) + ((sadj[a] >> b) & 1) != 1:
                     continue
-                r = try_cell((v, a, b), 3)
+                r = try_cell((v, a, b))
                 if r:
-                    push((v, a, b), 3, *r)
+                    push((v, a, b), *r)
                     yield from rec(rest & ~(1 << a) & ~(1 << b))
                     pop(r[1])
-                    if stop:
-                        return
 
     yield from rec((1 << s) - 1)
 
 
-def _cover_fats(g, cells, kinds, blocks, allow_h1):
+def _cover_fats(g, cells, blocks, allow_h1):
     """Cell masks and the cover's fat neighbourhoods in host order: the
     pinned input fats, the new shared blocks sorted, then private padding
     filling each part's fat slots."""
@@ -423,13 +317,15 @@ def _cover_fats(g, cells, kinds, blocks, allow_h1):
         for part in members:
             nbhd |= masks[part]
         fat_nbhds.append(nbhd)
-    for part, kind in enumerate(kinds):
-        want = (2 if not allow_h1 else max(1, count[part])) if kind == 1 else 1
+    for part, verts in enumerate(cells):
+        want = 1
+        if len(verts) == 1:
+            want = max(1, count[part]) if allow_h1 else 2
         fat_nbhds.extend([masks[part]] * (want - count[part]))
     return masks, fat_nbhds
 
 
-def _materialize(g, kinds, masks, fat_nbhds):
+def _materialize(g, cells, masks, fat_nbhds):
     """Build the StrictCover from the output of ``_cover_fats``."""
     slim_rows = [0] * g.slim_count
     for m in masks:
@@ -437,13 +333,26 @@ def _materialize(g, kinds, masks, fat_nbhds):
             slim_rows[v] = g.adj[v] & m
     adj, parts = _sum_adjacency(slim_rows, masks, fat_nbhds)
     classes = []
-    for part, kind in zip(parts, kinds):
-        if kind == 1:
+    for part, verts in zip(parts, cells):
+        if len(verts) == 1:
             classes.append("H2" if len(part) == 3 else "H1")
         else:
-            classes.append("H3" if kind == 2 else "H5")
+            classes.append("H3" if len(verts) == 2 else "H5")
     host = HoffmanGraph(g.slim_count, len(fat_nbhds), adj, _checked=True)
     return StrictCover(g, host, tuple(parts), tuple(classes))
+
+
+def _strict_covers(g):
+    """Strict covers of ``g`` in search order, one per equivalence class
+    (the first of each fat-neighbourhood multiset)."""
+    allow_h1 = g.fat_count > 0
+    seen = set()
+    for cells, blocks in _cover_structures(g):
+        masks, fat_nbhds = _cover_fats(g, cells, blocks, allow_h1)
+        key = tuple(sorted(fat_nbhds))
+        if key not in seen:
+            seen.add(key)
+            yield _materialize(g, cells, masks, fat_nbhds)
 
 
 def is_h_line(g):
@@ -453,12 +362,10 @@ def is_h_line(g):
     {H2, H3, H5}-line graphs.  Inputs with fat vertices are searched for
     a cover with parts from {H1, H2, H3, H5} pinning the input's fat
     vertices, which exists iff the input is a line graph of the family.
-    Returns the first cover in deterministic search order.
+    Returns the first cover in deterministic search order, which is the
+    first one ``enumerate_strict_covers`` lists.
     """
-    allow_h1 = g.fat_count > 0
-    for cells, kinds, blocks in _cover_structures(g, find_all=False):
-        return _materialize(g, kinds, *_cover_fats(g, cells, kinds, blocks, allow_h1))
-    return None
+    return next(_strict_covers(g), None)
 
 
 def enumerate_strict_covers(g):
@@ -469,16 +376,7 @@ def enumerate_strict_covers(g):
     """
     if g.fat_count:
         raise HoffmanGraphError("strict cover enumeration expects a slim graph")
-    seen = set()
-    out = []
-    for cells, kinds, blocks in _cover_structures(g, find_all=True):
-        masks, fat_nbhds = _cover_fats(g, cells, kinds, blocks, False)
-        key = tuple(sorted(fat_nbhds))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(_materialize(g, kinds, masks, fat_nbhds))
-    return out
+    return list(_strict_covers(g))
 
 
 def covers_equivalent(a, b):
