@@ -29,7 +29,7 @@ from .enumeration import (
     all_slim_graphs,
     connected_slim_graphs,
     enumerate_sums,
-    parse_graph6,
+    read_graph6_lines,
     write_graph6,
 )
 from .recognition import enumerate_strict_covers, is_h_line
@@ -50,12 +50,6 @@ CLAIMS = (
 
 def _emit(doc, pretty):
     print(json.dumps(doc, indent=2 if pretty else None, sort_keys=True))
-
-
-def _stdin_graphs(args):
-    for line in sys.stdin:
-        if line.strip():
-            yield parse_graph6(line)
 
 
 def _load_or_build_catalog(args, need=8):
@@ -86,7 +80,7 @@ def _cmd_gen(args):
 
 
 def _cmd_recognize(args):
-    for g in _stdin_graphs(args):
+    for g in read_graph6_lines(sys.stdin):
         cover = is_h_line(g)
         doc = {
             "canonical_form": canonical_form(g).hex(),
@@ -99,7 +93,7 @@ def _cmd_recognize(args):
 
 
 def _cmd_covers(args):
-    for g in _stdin_graphs(args):
+    for g in read_graph6_lines(sys.stdin):
         covers = enumerate_strict_covers(g)
         doc = {
             "canonical_form": canonical_form(g).hex(),
@@ -135,7 +129,7 @@ def _cmd_sums(args):
 
 
 def _cmd_spectral(args):
-    for g in _stdin_graphs(args):
+    for g in read_graph6_lines(sys.stdin):
         interval = smallest_eigenvalue(g)
         doc = {
             "lambda_min_lo": float(interval.lower),
@@ -161,7 +155,7 @@ def _cmd_catalog(args):
 
 def _cmd_screen(args):
     cat = _load_or_build_catalog(args, need=8)
-    for g in _stdin_graphs(args):
+    for g in read_graph6_lines(sys.stdin):
         doc = {
             "canonical_form": canonical_form(g).hex(),
             "is_line": screen(g, cat),
@@ -193,20 +187,18 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indented JSON output")
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="worker processes for bulk runs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, *parents, **kw):
+        return sub.add_parser(name, parents=[common, *parents], **kw)
 
     g = add("gen", help="generate slim graphs up to isomorphism")
     g.add_argument("-n", type=int, required=True)
-    mode = g.add_mutually_exclusive_group()
-    mode.add_argument("--connected", action="store_true", default=True,
-                      help="connected graphs only (default)")
-    mode.add_argument("--all", action="store_true",
-                      help="include disconnected graphs")
+    g.add_argument("--all", action="store_true",
+                   help="include disconnected graphs (default: connected only)")
     g.add_argument("--format", choices=("graph6", "text", "dot"), default="graph6")
     g.set_defaults(func=_cmd_gen)
 
@@ -226,18 +218,18 @@ def build_parser():
     e = add("spectral", help="smallest-eigenvalue certification, graph6 on stdin")
     e.set_defaults(func=_cmd_spectral)
 
-    k = add("catalog", help="build the forbidden-subgraph catalog")
+    k = add("catalog", pooled, help="build the forbidden-subgraph catalog")
     k.add_argument("action", choices=("build",))
     k.add_argument("--nmax", type=int, default=8)
     k.add_argument("--out", required=True)
     k.set_defaults(func=_cmd_catalog)
 
-    sc = add("screen", help="membership by forbidden-subgraph containment")
+    sc = add("screen", pooled, help="membership by forbidden-subgraph containment")
     sc.add_argument("--catalog", default=None)
     sc.add_argument("--nmax", type=int, default=None)
     sc.set_defaults(func=_cmd_screen)
 
-    v = add("verify", help="run a published-claim checker")
+    v = add("verify", pooled, help="run a published-claim checker")
     v.add_argument("--claim", choices=CLAIMS, required=True)
     v.add_argument("--nmax", type=int, default=None)
     v.add_argument("--n", type=int, default=None, help="size for the uniqueness audit")

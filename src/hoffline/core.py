@@ -148,12 +148,6 @@ class HoffmanGraph:
     def fat_mask(self):
         return ((1 << self.n) - 1) ^ self.slim_mask
 
-    def is_slim_vertex(self, v):
-        return v < self.slim_count
-
-    def is_slim_graph(self):
-        return self.fat_count == 0
-
     def degree(self, v):
         return self.adj[v].bit_count()
 

@@ -247,7 +247,6 @@ class FatConstraints:
     fat_max: int | None = None
     max_fat_degree: int | None = None
     exact_fat_degree: int | None = None
-    connected: bool = True
     non_line: bool = False
     nonadjacent_slim_pair: bool = False
     pivot_structure: bool = False
@@ -302,7 +301,8 @@ def _overlapping_cover_ok(g):
 
 
 def fat_hoffman_graphs(c: FatConstraints):
-    """One representative per isomorphism class satisfying ``c``.
+    """One representative per isomorphism class of connected fat graphs
+    satisfying ``c``.
 
     Enumerates slim base graphs up to isomorphism, then all multisets of
     fat attachment neighbourhoods, deduplicating by canonical form.
@@ -342,7 +342,7 @@ def fat_hoffman_graphs(c: FatConstraints):
                         for v in _iter_bits(m):
                             adj[v] |= 1 << fv
                     g = HoffmanGraph(s, fcount, adj, _checked=True)
-                    if c.connected and not g.is_connected():
+                    if not g.is_connected():
                         continue
                     if c.pivot_structure and not _pivot_ok(g):
                         continue
@@ -556,10 +556,8 @@ def enumerate_sums(
     slim_count_k,
     classes=("H1", "H2", "H3", "H5"),
     component_count_k=None,
-    require_fat_cover=True,
-    connected_only=True,
 ):
-    """Isomorphism classes of G = F (+) K.
+    """Isomorphism classes of connected G = F (+) K.
 
     K ranges over sums of parts from ``classes`` with ``slim_count_k``
     slim vertices and, when given, ``component_count_k`` connected
@@ -571,8 +569,6 @@ def enumerate_sums(
     if slim_count_k > 6:
         raise IndexOutOfRange("sum enumeration capped at 6 slim vertices")
     nf = f_graph.fat_count
-    if not require_fat_cover and nf:
-        raise HoffmanGraphError("fat vertices of F must map into K")
     seen = set()
     for k_graph, _parts in sum_graphs(slim_count_k, classes, component_count_k):
         kfats = range(k_graph.slim_count, k_graph.n)
@@ -589,7 +585,7 @@ def enumerate_sums(
             if g.adj in local:
                 continue
             local.add(g.adj)
-            if connected_only and not g.is_connected():
+            if not g.is_connected():
                 continue
             form = canonical_form(g)
             if form in seen:

@@ -288,9 +288,6 @@ class EigenInterval:
     def width(self):
         return self.upper - self.lower
 
-    def midpoint_float(self):
-        return float((self.lower + self.upper) / 2)
-
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
 

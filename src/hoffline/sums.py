@@ -72,13 +72,6 @@ class SumDecomposition:
         )
         return SumDecomposition(host, tuple(ordered))
 
-    def part_graphs(self):
-        return [self.host.induced_on(sorted(p))[0] for p in self.parts]
-
-    def slim_cells(self):
-        s = self.host.slim_count
-        return [frozenset(v for v in p if v < s) for p in self.parts]
-
     def to_json(self):
         doc = {
             "host": {

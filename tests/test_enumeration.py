@@ -201,7 +201,7 @@ def test_hub_bundle_members_contain_f6_f7_f9():
 
 
 def test_fat_stream_is_unique_and_satisfies_constraints():
-    c = FatConstraints(slim_min=2, slim_max=3, fat_min=1, fat_max=2, connected=True)
+    c = FatConstraints(slim_min=2, slim_max=3, fat_min=1, fat_max=2)
     forms = set()
     for g in fat_hoffman_graphs(c):
         f = canonical_form(g)
