@@ -86,7 +86,6 @@ def _cmd_recognize(args):
             "canonical_form": canonical_form(g).hex(),
             "is_line": cover is not None,
             "cover": cover.to_json_dict() if cover else None,
-            "cases": [],
         }
         _emit(doc, args.pretty)
     return 0

@@ -31,7 +31,7 @@ from hoffline.recognition import enumerate_strict_covers, is_h_line
 from hoffline.sums import SumDecomposition, build_sum, validate_sum
 
 CLI_DIGESTS = {
-    "recognize": "e8d3ce073d281beb17ca7f68cb610bfe8c13a80d8eb1e8e738b20581a641e172",
+    "recognize": "ed28d70a29bd7a5410ab48e1a5694efbd645e1b764bd5ad2b0e9e061da9cd75e",
     "covers": "e336500618e9e05601d487126a9e1e77f911ef278d8028b40867eab0f363995d",
 }
 SUM_GRAPHS_DIGEST = "e28c4d1cc8eea47ab8c8d36ee2bcf6a097cdc80785b857a02f077ddd2f7aab5a"
