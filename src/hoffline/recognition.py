@@ -318,9 +318,7 @@ def _cover_fats(g, cells, blocks, allow_h1):
             nbhd |= masks[part]
         fat_nbhds.append(nbhd)
     for part, verts in enumerate(cells):
-        want = 1
-        if len(verts) == 1:
-            want = max(1, count[part]) if allow_h1 else 2
+        want = (2 if not allow_h1 else max(1, count[part])) if len(verts) == 1 else 1
         fat_nbhds.extend([masks[part]] * (want - count[part]))
     return masks, fat_nbhds
 
@@ -362,8 +360,8 @@ def is_h_line(g):
     {H2, H3, H5}-line graphs.  Inputs with fat vertices are searched for
     a cover with parts from {H1, H2, H3, H5} pinning the input's fat
     vertices, which exists iff the input is a line graph of the family.
-    Returns the first cover in deterministic search order, which is the
-    first one ``enumerate_strict_covers`` lists.
+    Returns the first cover in deterministic search order; for a slim
+    input that is the first one ``enumerate_strict_covers`` lists.
     """
     return next(_strict_covers(g), None)
 
