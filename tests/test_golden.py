@@ -4,9 +4,10 @@ Each corpus is serialized one JSON line per item and hashed with SHA-256.
 The digests were computed by running these same functions on the code
 before the sum builders were merged into one rule-(iv) primitive (the
 fat-input covers: before the strict-cover search became plain
-generators), so a mismatch means some output changed byte for byte.  When a change alters
-an output on purpose, recompute the digest (``_digest`` of the corpus)
-and say why in the commit.
+generators; the spectral records: before the Sturm certification moved
+to integer arithmetic), so a mismatch means some output changed byte
+for byte.  When a change alters an output on purpose, recompute the
+digest (``_digest`` of the corpus) and say why in the commit.
 """
 
 import hashlib
@@ -28,16 +29,25 @@ from hoffline.enumeration import (
 )
 from hoffline.families import family_graph
 from hoffline.recognition import enumerate_strict_covers, is_h_line
+from hoffline.spectral import (
+    compare_threshold,
+    count_eigenvalues_below_threshold,
+    equals_threshold,
+    smallest_eigenvalue,
+)
 from hoffline.sums import SumDecomposition, build_sum, validate_sum
 
 CLI_DIGESTS = {
     "recognize": "ed28d70a29bd7a5410ab48e1a5694efbd645e1b764bd5ad2b0e9e061da9cd75e",
     "covers": "e336500618e9e05601d487126a9e1e77f911ef278d8028b40867eab0f363995d",
+    "spectral": "ab4a52e58605b18406344838718f6dcdfe03e58dd3625eb7bd1d3d86de39cef3",
 }
 SUM_GRAPHS_DIGEST = "e28c4d1cc8eea47ab8c8d36ee2bcf6a097cdc80785b857a02f077ddd2f7aab5a"
 ENUMERATE_SUMS_DIGEST = "7626865c0dcbb3c910c9e1196f3d366a4ff3d6555914d1157248de91b7295b1e"
 BUILD_SUM_DIGEST = "432be6663fb47dccfedcdd1fff25833c30249c9fbcc4a4ceeffa007bca619e36"
 FAT_COVERS_DIGEST = "3d65612518f1676a01274aab03b95005f53749d04a3dc2c61929b567be8a277e"
+SPECTRAL_DIGEST = "bf909f0ea95bdb7f4c3143eb9b7bbc9261e38a9b26877aed1363855bb924cd9b"
+CATALOG8_CHECKSUM = "d6f66c950019c53a484eac3714198b77965f75c5811415d22bf04238fc78522b"
 
 
 def _digest(lines):
@@ -62,6 +72,26 @@ def test_cli_records_all_connected_graphs_upto_7(command, graph6_upto_7, monkeyp
     out = capsys.readouterr().out
     assert out.count("\n") == 996
     assert _digest(out.splitlines()) == CLI_DIGESTS[command]
+
+
+def test_spectral_records(spectral_corpus):
+    # exact brackets, both verdicts and the count below -1-sqrt(2)
+    lines = []
+    for g in spectral_corpus:
+        e = smallest_eigenvalue(g)
+        lines.append(json.dumps([
+            str(e.lower),
+            str(e.upper),
+            compare_threshold(e).value,
+            equals_threshold(e),
+            count_eigenvalues_below_threshold(e.poly),
+        ]))
+    assert len(lines) == 996 + 200
+    assert _digest(lines) == SPECTRAL_DIGEST
+
+
+def test_catalog8_checksum(catalog8):
+    assert catalog8.checksum() == CATALOG8_CHECKSUM
 
 
 def test_is_h_line_first_cover_equals_enumeration_head():
