@@ -8,27 +8,28 @@ just the adjacency matrix.  The smallest eigenvalue of B(H) is written
 lambda_min(H); the class of slim {H2, H3, H5}-line graphs is governed by
 its position relative to tau = -1 - sqrt(2), a root of x^2 + 2x - 1.
 
-Since tau is irrational, every threshold comparison here is exact:
+All polynomial arithmetic is over the integers.  The characteristic
+polynomial comes from the Berkowitz (division-free) recurrence.  Sturm
+chains are primitive pseudo-remainder sequences (Basu, Pollack & Roy,
+*Algorithms in Real Algebraic Geometry*, ch. 8), each member a positive
+multiple of the classical one, so sign counts agree.  The count of
+eigenvalues strictly below tau evaluates the chain in Z[sqrt(2)], where
+a + b*sqrt(2) has an exact sign via a^2 versus 2 b^2; when x^2 + 2x - 1
+divides the square-free part, tau is an eigenvalue (equality witness).
 
-  * the characteristic polynomial is computed over the integers with the
-    Berkowitz (division-free) recurrence;
-  * the number of eigenvalues strictly below tau is a Sturm-chain sign
-    variation count, with the chain evaluated inside Q(sqrt(2)) — a value
-    a + b*sqrt(2) has a computable exact sign via a^2 versus 2 b^2;
-  * when x^2 + 2x - 1 divides the square-free part, tau itself is an
-    eigenvalue, giving exact equality witnesses.
-
-``smallest_eigenvalue`` also produces a rational interval bracketing
-lambda_min to a configurable width (default 1e-9).  Monic integer
-polynomials only have integer rational roots, so after splitting those
-off exactly the remaining bisection never lands on a root and plain
-Sturm counts apply.  Floating point is never consulted; the test suite
-cross-checks the intervals against a floating eigensolver.
+``smallest_eigenvalue`` also brackets lambda_min in a rational interval
+of configurable width (default 1e-9).  The integer roots, the only
+rational ones of a monic integer polynomial, are split off first by a
+scan that Newton's identities bound; the rest is bisected from the
+Cauchy bound with homogenised integer Horner, never landing on a root.
+Floating point is never consulted; the test suite cross-checks the
+intervals against a floating eigensolver.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,7 +106,7 @@ def char_poly(matrix):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic (coefficients low-degree-first)
+# Integer polynomial arithmetic (coefficients low-degree-first)
 # ---------------------------------------------------------------------------
 
 
@@ -113,78 +114,79 @@ def _trim(p):
     p = list(p)
     while len(p) > 1 and p[-1] == 0:
         p.pop()
-    return p
+    return p or [0]
 
 
 def _degree(p):
     return len(p) - 1
 
 
-def _is_zero(p):
-    return all(c == 0 for c in p)
+def _primitive(p):
+    """``p`` divided by the gcd of its coefficients, a positive number."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
 def _derivative(p):
-    if len(p) <= 1:
-        return [0]
-    return [Fraction(i) * c for i, c in enumerate(p)][1:]
+    return [i * c for i, c in enumerate(p)][1:] or [0]
 
 
 def _divmod_poly(a, b):
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    b = _trim(b)
-    if _is_zero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = a[:]
-    db = _degree(b)
-    lead = b[-1]
-    while not _is_zero(r) and _degree(_trim(r)) >= db:
+    """Quotient and remainder of ``a`` by ``b`` over the integers.  Every
+    quotient coefficient must come out an integer, as it does whenever
+    ``b`` is monic or ``b`` divides ``a`` (Gauss's lemma)."""
+    lead, db = b[-1], _degree(b)
+    r = list(a)
+    q = [0] * max(1, len(r) - db)
+    for shift in range(len(r) - 1 - db, -1, -1):
+        coef, rest = divmod(r[shift + db], lead)
+        _require(rest == 0, "inexact integer polynomial division")
+        q[shift] = coef
+        for i, c in enumerate(b):
+            r[shift + i] -= coef * c
+    return _trim(q), _trim(r[:db])
+
+
+def _prem(a, b):
+    """The primitive part of a positive multiple of the remainder of
+    ``a`` by ``b``: the divisor is taken with a positive leading
+    coefficient, and each step scales the partial remainder by it."""
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lead, db = b[-1], _degree(b)
+    r = _trim(a)
+    while len(r) > db and any(r):
+        top = r.pop()
+        shift = len(r) - db
+        r = [lead * c for c in r]
+        for i in range(db):
+            r[shift + i] -= top * b[i]
         r = _trim(r)
-        shift = _degree(r) - db
-        coef = r[-1] / lead
-        q[shift] += coef
-        for i in range(len(b)):
-            r[shift + i] -= coef * b[i]
-        r = r[:-1] if r and r[-1] == 0 else r
-    return _trim(q), _trim(r)
-
-
-def _gcd_poly(a, b):
-    a = _trim([Fraction(c) for c in a])
-    b = _trim([Fraction(c) for c in b])
-    while not _is_zero(b):
-        _, r = _divmod_poly(a, b)
-        a, b = b, _trim(r)
-    if _is_zero(a):
-        return [Fraction(1)]
-    lead = a[-1]
-    return [c / lead for c in a]
+    return _primitive(r)
 
 
 def square_free(p):
-    """The radical of ``p``: same roots, multiplicity one, monic."""
-    p = _trim([Fraction(c) for c in p])
-    if _degree(p) <= 1:
-        lead = p[-1]
-        return [c / lead for c in p] if lead else p
-    g = _gcd_poly(p, _derivative(p))
-    q, r = _divmod_poly(p, g)
-    _require(_is_zero(r), "gcd(p, p') does not divide p")
-    lead = q[-1]
-    return [c / lead for c in q]
+    """The radical of the monic integer polynomial ``p``: same roots,
+    multiplicity one, monic.  Its coefficients are integers, since a
+    monic integer polynomial has only monic integer factors."""
+    # the last member of the Sturm chain is a multiple of gcd(p, p')
+    gcd = _primitive(sturm_chain(p)[-1])
+    q, r = _divmod_poly(p, gcd if gcd[-1] > 0 else [-c for c in gcd])
+    _require(not any(r), "gcd(p, p') does not divide p")
+    return q
 
 
 def sturm_chain(p):
-    chain = [_trim([Fraction(c) for c in p])]
+    """Sturm chain of ``p`` in integers.  Each member is a positive
+    multiple of the classical member (``_prem`` scales by positive
+    factors only), so all sign counts are those of the classical chain."""
+    chain = [_trim(p)]
     d = _derivative(chain[0])
-    if not _is_zero(d):
-        chain.append(_trim(d))
+    if any(d):
+        chain.append(_primitive(d))
         while _degree(chain[-1]) > 0:
-            _, r = _divmod_poly(chain[-2], chain[-1])
-            r = _trim(r)
-            if _is_zero(r):
+            r = _prem(chain[-2], chain[-1])
+            if not any(r):
                 break
             chain.append([-c for c in r])
     return chain
@@ -195,46 +197,37 @@ def _variations(signs):
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _sign_at(p, x):
-    acc = Fraction(0)
+def _sign_at(p, num, den=1):
+    """Sign of p(num/den) for den > 0, by Horner on den^deg * p(num/den)."""
+    acc, scale = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
+        acc = acc * num + c * scale
+        scale *= den
     return (acc > 0) - (acc < 0)
 
 
 def _sign_at_neg_inf(p):
-    lead = p[-1]
-    s = (lead > 0) - (lead < 0)
-    return s if _degree(p) % 2 == 0 else -s
+    return (1 if p[-1] > 0 else -1) * (-1) ** _degree(p)
 
 
 # -- arithmetic in Q(sqrt(2)): values are pairs (a, b) meaning a + b*sqrt(2)
 
 
 def _qsqrt2_sign(a, b):
-    if a == 0 and b == 0:
-        return 0
-    if a >= 0 and b >= 0:
-        return 1
-    if a <= 0 and b <= 0:
-        return -1
-    s = a * a - 2 * b * b
-    if a > 0:  # b < 0
-        return 1 if s > 0 else -1
-    return 1 if s < 0 else -1  # a < 0, b > 0
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    # opposite signs: the larger of |a| and |b| sqrt(2), never equal, wins
+    return sa if a * a > 2 * b * b else sb
 
 
 def _eval_at_tau(p):
     """p(-1 - sqrt(2)) as a pair (a, b) = a + b*sqrt(2)."""
-    a, b = Fraction(0), Fraction(0)
+    a, b = 0, 0
     for c in reversed(p):
         # (a + b r)(-1 - r) + c  with r = sqrt(2)
         a, b = -a - 2 * b + c, -a - b
     return a, b
-
-
-def _sign_at_tau(p):
-    return _qsqrt2_sign(*_eval_at_tau(p))
 
 
 def count_eigenvalues_below_threshold(poly):
@@ -245,20 +238,17 @@ def count_eigenvalues_below_threshold(poly):
     """
     p = square_free(poly)
     if _eval_at_tau(p) == (0, 0):
-        q, r = _divmod_poly(p, _TAU_MIN_POLY)
-        _require(_is_zero(r), "x^2 + 2x - 1 does not divide a polynomial vanishing at tau")
-        p = q
-    if _degree(p) == 0:
-        return 0
+        p, r = _divmod_poly(p, _TAU_MIN_POLY)
+        _require(not any(r), "x^2 + 2x - 1 does not divide a polynomial vanishing at tau")
     chain = sturm_chain(p)
     v_lo = _variations([_sign_at_neg_inf(q) for q in chain])
-    v_tau = _variations([_sign_at_tau(q) for q in chain])
+    v_tau = _variations([_qsqrt2_sign(*_eval_at_tau(q)) for q in chain])
     return v_lo - v_tau
 
 
 def threshold_is_root(poly):
     """Does tau = -1 - sqrt(2) satisfy ``poly`` exactly?"""
-    return _eval_at_tau([Fraction(c) for c in poly]) == (0, 0)
+    return _eval_at_tau(poly) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +283,31 @@ DEFAULT_TOLERANCE = Fraction(1, 10**9)
 
 
 def _count_leq(chain, x):
-    """Roots <= x of the square-free polynomial behind ``chain``;
-    requires that x itself is not a root."""
-    v_lo = _variations([_sign_at_neg_inf(q) for q in chain])
-    v_x = _variations([_sign_at(q, x) for q in chain])
-    return v_lo - v_x
+    """Roots <= x of the square-free polynomial behind ``chain``, for a
+    rational x that is not itself a root."""
+    signs = [_sign_at(q, x.numerator, x.denominator) for q in chain]
+    _require(signs[0] != 0, "a bisection point is a root")
+    return _variations([_sign_at_neg_inf(q) for q in chain]) - _variations(signs)
+
+
+def _integer_roots(p, bound):
+    """The integer roots of the square-free monic ``p``, ascending, and
+    ``p`` with them divided out; ``bound`` is the Cauchy bound of ``p``."""
+    d = _degree(p)
+    # Newton's identities: the roots of x^d + c_{d-1} x^{d-1} + c_{d-2}
+    # x^{d-2} + ... have sum of squares c_{d-1}^2 - 2 c_{d-2}.  They are
+    # all real, so each |root| is at most the square root of that sum,
+    # and no integer root lies outside [-top, top].
+    squares = p[d - 1] ** 2 - 2 * (p[d - 2] if d >= 2 else 0)
+    _require(squares >= 0, "the squared roots have a negative sum")
+    top = min(bound + 1, math.isqrt(squares) + 1)
+    roots, work = [], p
+    for k in range(-top, top + 1):
+        if _sign_at(work, k) == 0:
+            roots.append(k)
+            work, r = _divmod_poly(work, [-k, 1])
+            _require(not any(r), "x - k does not divide a polynomial vanishing at k")
+    return roots, work
 
 
 def smallest_root_interval(poly, tolerance=DEFAULT_TOLERANCE):
@@ -307,40 +317,29 @@ def smallest_root_interval(poly, tolerance=DEFAULT_TOLERANCE):
     p = square_free(poly)
     if _degree(p) == 0:
         raise EmptyGraph("constant polynomial has no roots")
-    bound = 1 + max(abs(c) for c in p[:-1]) / p[-1]
+    # Cauchy: every root lies strictly inside (-bound, bound)
+    bound = 1 + max(abs(c) for c in p[:-1])
     # split off integer roots: a monic integer polynomial has no other
     # rational roots, so the remaining bisection never meets one
-    int_roots = []
-    work = p
-    k = -int(bound) - 1
-    while k <= int(bound) + 1 and _degree(work) > 0:
-        if _sign_at(work, Fraction(k)) == 0:
-            int_roots.append(k)
-            work, r = _divmod_poly(work, [-k, 1])
-            _require(_is_zero(r), "x - k does not divide a polynomial vanishing at k")
-            continue  # possible repeated... square-free, so move on
-        k += 1
-    best_int = min(int_roots) if int_roots else None
+    int_roots, work = _integer_roots(p, bound)
+    best_int = int_roots[0] if int_roots else None
     if _degree(work) == 0:
         _require(best_int is not None, "constant polynomial left without a root")
         return Fraction(best_int), Fraction(best_int)
     chain = sturm_chain(work)
-    lo = Fraction(-int(bound) - 1)
-    hi = Fraction(int(bound) + 1)
+    lo, hi = Fraction(-bound - 1), Fraction(bound + 1)
     _require(_count_leq(chain, lo) == 0, "a root lies below the lower root bound")
     _require(_count_leq(chain, hi) >= 1, "no root lies below the upper root bound")
+    # decide exactly which side of the integer root the irrational
+    # minimum lies on; they can never coincide
+    if best_int is not None and _count_leq(chain, Fraction(best_int)) == 0:
+        return Fraction(best_int), Fraction(best_int)
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
         if _count_leq(chain, mid) >= 1:
             hi = mid
         else:
             lo = mid
-    if best_int is not None:
-        # decide exactly which side of the integer root the irrational
-        # minimum lies on; they can never coincide
-        if _count_leq(chain, Fraction(best_int)) >= 1:
-            return lo, hi
-        return Fraction(best_int), Fraction(best_int)
     return lo, hi
 
 
