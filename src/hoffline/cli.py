@@ -194,7 +194,8 @@ def build_parser():
     def add(name, *parents, **kw):
         return sub.add_parser(name, parents=[common, *parents], **kw)
 
-    g = add("gen", help="generate slim graphs up to isomorphism")
+    # gen prints graph6, text or dot, never JSON, so it takes no --pretty
+    g = sub.add_parser("gen", help="generate slim graphs up to isomorphism")
     g.add_argument("-n", type=int, required=True)
     g.add_argument("--all", action="store_true",
                    help="include disconnected graphs (default: connected only)")

@@ -32,6 +32,13 @@ def test_gen_counts_and_format():
     assert "s=3 f=0" in txt.stdout
 
 
+def test_gen_refuses_pretty():
+    # gen never prints JSON, so --pretty is a usage error
+    out = _run(["gen", "-n", "3", "--pretty"])
+    assert out.returncode == 2
+    assert "--pretty" in out.stderr and not out.stdout
+
+
 def test_gen_all_includes_disconnected():
     out = _run(["gen", "-n", "4", "--all"])
     assert len(out.stdout.split()) == 11

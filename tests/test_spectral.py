@@ -216,3 +216,116 @@ def test_failed_certification_check_raises(monkeypatch):
     monkeypatch.setattr(spectral, "_count_leq", lambda chain, x: 1)
     with pytest.raises(CertificationError):
         spectral.smallest_root_interval((-2, 0, 1))
+
+
+def test_inexact_integer_division_raises(monkeypatch):
+    # a divisor that does not divide: 2x + 1 into x^2 - 1
+    monkeypatch.setattr(spectral, "sturm_chain", lambda p: [[1, 2]])
+    with pytest.raises(CertificationError):
+        spectral.smallest_root_interval((-1, 0, 1))
+
+
+def test_bisection_point_at_a_root_raises(monkeypatch):
+    # a scan that missed the integer roots 0 and 1 of x^2 - x: the first
+    # bisection point, 0, is a root, which raises instead of miscounting
+    monkeypatch.setattr(spectral, "_integer_roots", lambda p, bound: ([], p))
+    with pytest.raises(CertificationError):
+        spectral.smallest_root_interval((0, -1, 1))
+
+
+# -- the Newton-bounded integer-root scan against the full Cauchy range ------
+
+
+def _cauchy_bound(p):
+    return 1 + max(abs(c) for c in p[:-1])
+
+
+def _integer_roots_unpruned(p):
+    bound = _cauchy_bound(p)
+    return [
+        k for k in range(-bound - 1, bound + 2)
+        if sum(c * k**i for i, c in enumerate(p)) == 0
+    ]
+
+
+def _check_integer_roots(poly):
+    p = square_free(poly)
+    roots, work = spectral._integer_roots(p, _cauchy_bound(p))
+    assert roots == _integer_roots_unpruned(p)
+    assert len(work) - 1 == len(p) - 1 - len(roots)
+    return roots
+
+
+def test_integer_root_scan_matches_cauchy_range(spectral_corpus):
+    found = 0
+    for g in spectral_corpus:
+        found += len(_check_integer_roots(char_poly(special_matrix(g))))
+    assert found > len(spectral_corpus)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_integer_root_scan_complete_graph(n):
+    # the root n - 1 of K_n lies just inside the Newton bound:
+    # (x - n + 1)(x + 1) has sum of squares n^2 - 2n + 2 < n^2
+    poly = char_poly(special_matrix(slim_complete(n)))
+    assert _check_integer_roots(poly) == [-1, n - 1]
+    assert spectral.smallest_root_interval(poly) == (-1, -1)
+
+
+@pytest.mark.parametrize(
+    "poly, roots, lowest",
+    [
+        ((3, 1), [-3], -3),  # degree 1
+        ((-2, -3, 0, 1), [-1, 2], -1),  # (x + 1)^2 (x - 2)
+        ((0, -6, -1, 1), [-2, 0, 3], -2),  # (x + 2) x (x - 3)
+        ((2, -2, -1, 1), [1], -math.sqrt(2)),  # (x - 1)(x^2 - 2)
+    ],
+)
+def test_integer_root_scan_edge_cases(poly, roots, lowest):
+    assert _check_integer_roots(poly) == roots
+    lo, hi = spectral.smallest_root_interval(poly)
+    assert lo <= lowest <= hi and hi - lo <= Fraction(1, 10**9)
+
+
+# -- integer Sturm chains against the classical chain over Q -----------------
+
+
+def _classical_sturm_chain(p):
+    def rem(a, b):
+        r = list(a)
+        while len(r) >= len(b) and any(r):
+            coef = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for i, c in enumerate(b):
+                r[shift + i] -= coef * c
+            r.pop()
+            while len(r) > 1 and r[-1] == 0:
+                r.pop()
+        return r
+
+    chain = [[Fraction(c) for c in p]]
+    d = [i * c for i, c in enumerate(chain[0])][1:]
+    if any(d):
+        chain.append(d)
+        while len(chain[-1]) > 1:
+            r = rem(chain[-2], chain[-1])
+            if not any(r):
+                break
+            chain.append([-c for c in r])
+    return chain
+
+
+def test_integer_sturm_chain_is_a_positive_multiple_of_the_classical_one():
+    # each member a positive multiple, so every sign count is unchanged;
+    # random polynomials reach degree gaps and negative leading terms
+    rng = random.Random(31)
+    for _ in range(2000):
+        p = [rng.randint(-4, 4) for _ in range(rng.randint(2, 8))]
+        p.append(rng.choice((1, -1, 2, -3)))
+        chain = spectral.sturm_chain(p)
+        classical = _classical_sturm_chain(p)
+        assert len(chain) == len(classical)
+        for ours, theirs in zip(chain, classical):
+            ratio = Fraction(ours[-1]) / theirs[-1]
+            assert ratio > 0
+            assert [Fraction(c) for c in ours] == [ratio * c for c in theirs]
