@@ -210,7 +210,7 @@ def _sign_at_neg_inf(p):
     return (1 if p[-1] > 0 else -1) * (-1) ** _degree(p)
 
 
-# -- arithmetic in Q(sqrt(2)): values are pairs (a, b) meaning a + b*sqrt(2)
+# -- arithmetic in Z[sqrt(2)]: values are pairs (a, b) meaning a + b*sqrt(2)
 
 
 def _qsqrt2_sign(a, b):
