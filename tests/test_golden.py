@@ -5,7 +5,9 @@ The digests were computed by running these same functions on the code
 before the sum builders were merged into one rule-(iv) primitive (the
 fat-input covers: before the strict-cover search became plain
 generators; the spectral records: before the Sturm certification moved
-to integer arithmetic), so a mismatch means some output changed byte
+to integer arithmetic; the fat-graph classes and the cover deletions:
+before the fat graphs moved to canonical augmentation and the deletion
+host to the sum primitive), so a mismatch means some output changed byte
 for byte.  When a change alters an output on purpose, recompute the
 digest (``_digest`` of the corpus) and say why in the commit.
 """
@@ -18,7 +20,7 @@ import random
 import pytest
 
 from hoffline.cli import main
-from hoffline.core import HoffmanGraph, HoffmanGraphError
+from hoffline.core import HoffmanGraph, HoffmanGraphError, canonical_form
 from hoffline.enumeration import (
     FatConstraints,
     connected_slim_graphs,
@@ -28,7 +30,11 @@ from hoffline.enumeration import (
     write_graph6,
 )
 from hoffline.families import family_graph
-from hoffline.recognition import enumerate_strict_covers, is_h_line
+from hoffline.recognition import (
+    delete_vertex_from_cover,
+    enumerate_strict_covers,
+    is_h_line,
+)
 from hoffline.spectral import (
     compare_threshold,
     count_eigenvalues_below_threshold,
@@ -46,6 +52,8 @@ SUM_GRAPHS_DIGEST = "e28c4d1cc8eea47ab8c8d36ee2bcf6a097cdc80785b857a02f077ddd2f7
 ENUMERATE_SUMS_DIGEST = "7626865c0dcbb3c910c9e1196f3d366a4ff3d6555914d1157248de91b7295b1e"
 BUILD_SUM_DIGEST = "432be6663fb47dccfedcdd1fff25833c30249c9fbcc4a4ceeffa007bca619e36"
 FAT_COVERS_DIGEST = "3d65612518f1676a01274aab03b95005f53749d04a3dc2c61929b567be8a277e"
+FAT_CLASSES_DIGEST = "e9375da14a014d50aaba8584fe753e81ee280c37ae368634ac3e8f61c2bb45e9"
+DELETE_COVER_DIGEST = "6e5c4b78ef24023132e50e262fd4166777a367712d99890049a74ae1cd72004f"
 SPECTRAL_DIGEST = "bf909f0ea95bdb7f4c3143eb9b7bbc9261e38a9b26877aed1363855bb924cd9b"
 CATALOG8_CHECKSUM = "d6f66c950019c53a484eac3714198b77965f75c5811415d22bf04238fc78522b"
 
@@ -103,14 +111,47 @@ def test_is_h_line_first_cover_equals_enumeration_head():
             assert is_h_line(g) == (covers[0] if covers else None)
 
 
-def test_is_h_line_fat_inputs():
-    # inputs with pinned fat vertices, which the CLI corpus never reaches
+@pytest.fixture(scope="module")
+def fat_corpus():
+    """Connected fat graphs with 1-4 slim and 1-3 fat vertices."""
     constraints = FatConstraints(slim_min=1, slim_max=4, fat_min=1, fat_max=3)
-    covers = [is_h_line(g) for g in fat_hoffman_graphs(constraints)]
+    return list(fat_hoffman_graphs(constraints))
+
+
+def test_is_h_line_fat_inputs(fat_corpus):
+    # inputs with pinned fat vertices, which the CLI corpus never reaches
+    covers = [is_h_line(g) for g in fat_corpus]
     assert len(covers) == 2763
     assert sum(c is not None for c in covers) == 98
     lines = [json.dumps(c.to_json_dict() if c else None) for c in covers]
     assert _digest(lines) == FAT_COVERS_DIGEST
+
+
+def test_fat_corpus_classes(fat_corpus):
+    # the set of classes and their verdicts, independent of which
+    # representative a generator picks and in which order
+    lines = sorted(
+        json.dumps([canonical_form(g).hex(), is_h_line(g) is not None]) for g in fat_corpus
+    )
+    assert len(lines) == 2763
+    assert _digest(lines) == FAT_CLASSES_DIGEST
+
+
+def test_delete_vertex_from_cover_records():
+    # every slim vertex of every connected {H2, H3, H5} cover, n = 2..7
+    lines = []
+    for n in range(2, 8):
+        for g in connected_slim_graphs(n):
+            for c in enumerate_strict_covers(g):
+                if not c.host.is_connected() or set(c.classes) - {"H2", "H3", "H5"}:
+                    continue
+                for x in range(c.host.slim_count):
+                    out, case = delete_vertex_from_cover(c.decomposition, x)
+                    lines.append(json.dumps(
+                        [case, out.to_json_dict(), list(out.base.adj), out.base.fat_count]
+                    ))
+    assert len(lines) == 1632
+    assert _digest(lines) == DELETE_COVER_DIGEST
 
 
 def test_sum_graphs_upto_4():
