@@ -72,7 +72,7 @@ from .core import (
     _iter_bits,
     _mask_of,
 )
-from .sums import SumDecomposition, _sum_adjacency
+from .sums import SumDecomposition, _sum_adjacency, validate_sum
 
 
 class DifferentBase(HoffmanGraphError):
@@ -421,6 +421,9 @@ def delete_vertex_from_cover(decomposition, x):
         raise VertexNotInGraph(f"{x} is not a slim vertex of the host")
     if not host.is_connected():
         raise NotConnected("the cover must be connected")
+    ok, why = validate_sum(host, parts)
+    if not ok:
+        raise HoffmanGraphError(f"the parts are not a sum: condition ({why}) fails")
     part_of = None
     part_classes = []
     for i, p in enumerate(parts):
@@ -435,79 +438,47 @@ def delete_vertex_from_cover(decomposition, x):
         raise VertexNotInGraph(f"{x} not covered by any part")
 
     s = host.slim_count
-    new_slim = s - 1
+    low = (1 << x) - 1
 
-    def map_slim(v):
-        return v if v < x else v - 1
+    def drop_x(mask):
+        """A slim mask without x, higher slim indices moved down."""
+        return mask & low | mask >> 1 & ~low
 
-    survivors = [
-        f
-        for f in range(s, host.n)
-        if host.slim_neighbors(f) & ~(1 << x)
-    ]
-    fat_new = {f: new_slim + i for i, f in enumerate(survivors)}
-
-    cls = part_classes[part_of]
-    cell = sorted(v for v in parts[part_of] if v < s)
-    others = [v for v in cell if v != x]
-    hub_fats = sorted(v for v in parts[part_of] if v >= s and v in fat_new)
-
-    fresh = []  # (new fat, attached slim new index)
-    next_fat = new_slim + len(survivors)
-    new_parts = []
-    new_classes = []
-    for i, p in enumerate(parts):
-        if i == part_of:
-            continue
-        new_parts.append(
-            frozenset(
-                map_slim(v) if v < s else fat_new[v] for v in p
-            )
-        )
-        new_classes.append(part_classes[i])
-
-    if cls == "H2":
+    # the slim cells of the new cover (host indices) and the slim
+    # vertices that gain a fresh pendant fat vertex
+    home = sorted(v for v in parts[part_of] if v < s and v != x)
+    cells = [_mask_of(p) & host.slim_mask for i, p in enumerate(parts) if i != part_of]
+    classes = [c for i, c in enumerate(part_classes) if i != part_of]
+    padded = ()
+    if part_classes[part_of] == "H2":
         case = "i"
-    elif cls == "H3":
+    elif part_classes[part_of] == "H3":
         case = "ii"
-        (y,) = others
-        hub = hub_fats[0]
-        fresh.append((next_fat, map_slim(y)))
-        new_parts.append(frozenset({map_slim(y), fat_new[hub], next_fat}))
-        new_classes.append("H2")
-        next_fat += 1
+        cells.append(_mask_of(home))
+        classes.append("H2")
+        padded = home
+    elif host.adjacent(*home):
+        case = "iii"
+        cells.extend(1 << v for v in home)
+        classes.extend(("H2", "H2"))
+        padded = home
     else:
-        a, b = others
-        hub = hub_fats[0]
-        if host.adjacent(a, b):
-            case = "iii"
-            for v in (a, b):
-                fresh.append((next_fat, map_slim(v)))
-                new_parts.append(frozenset({map_slim(v), fat_new[hub], next_fat}))
-                new_classes.append("H2")
-                next_fat += 1
-        else:
-            case = "iv"
-            new_parts.append(frozenset({map_slim(a), map_slim(b), fat_new[hub]}))
-            new_classes.append("H3")
+        case = "iv"
+        cells.append(_mask_of(home))
+        classes.append("H3")
 
-    n = next_fat
-    adj = [0] * n
-    keep = [v for v in range(s) if v != x] + survivors
-    pos = {}
-    for v in range(s):
-        if v != x:
-            pos[v] = map_slim(v)
-    pos.update(fat_new)
-    for v in keep:
-        for u in _iter_bits(host.adj[v]):
-            if u in pos:
-                adj[pos[v]] |= 1 << pos[u]
-    for fv, sv in fresh:
-        adj[fv] |= 1 << sv
-        adj[sv] |= 1 << fv
-
-    new_host = HoffmanGraph(new_slim, n - new_slim, adj)
+    rows = [0] * s
+    for c in cells:
+        for v in _iter_bits(c):
+            rows[v] = host.adj[v] & c
+    fat_nbhds = [drop_x(host.slim_neighbors(f)) for f in range(s, host.n)]
+    fat_nbhds = [m for m in fat_nbhds if m] + [drop_x(1 << v) for v in padded]
+    adj, new_parts = _sum_adjacency(
+        [drop_x(rows[v]) for v in range(s) if v != x],
+        [drop_x(c) for c in cells],
+        fat_nbhds,
+    )
+    new_host = HoffmanGraph(s - 1, len(fat_nbhds), adj)
     base = host.delete_slim({x})
-    cover = StrictCover(base, new_host, tuple(new_parts), tuple(new_classes))
+    cover = StrictCover(base, new_host, tuple(new_parts), tuple(classes))
     return cover, case

@@ -7,6 +7,7 @@ import pytest
 from hoffline.core import (
     EMPTY_GRAPH,
     HoffmanGraph,
+    HoffmanGraphError,
     slim_complete,
     slim_cycle,
     slim_path,
@@ -21,7 +22,7 @@ from hoffline.recognition import (
     enumerate_strict_covers,
     is_h_line,
 )
-from hoffline.sums import build_sum, validate_sum
+from hoffline.sums import SumDecomposition, build_sum, validate_sum
 
 from bruteforce import hline_bruteforce
 
@@ -250,3 +251,15 @@ def test_delete_rejects_bad_vertex():
     cover = enumerate_strict_covers(slim_path(3))[0]
     with pytest.raises(VertexNotInGraph):
         delete_vertex_from_cover(cover.decomposition, 99)
+
+
+def test_delete_rejects_a_decomposition_that_is_not_a_sum():
+    # slim 0 and 1 share fat 3 but are not adjacent, so rule (iv) fails;
+    # the transform must not return a cover of it
+    host = HoffmanGraph.build(
+        3, 4, [(0, 3), (1, 3), (0, 4), (1, 5), (2, 5), (2, 6), (1, 2)]
+    )
+    parts = (frozenset({0, 3, 4}), frozenset({1, 3, 5}), frozenset({2, 5, 6}))
+    assert validate_sum(host, parts) == (False, "iv")
+    with pytest.raises(HoffmanGraphError, match=r"\(iv\)"):
+        delete_vertex_from_cover(SumDecomposition(host, parts), 2)
