@@ -34,18 +34,9 @@ from .enumeration import (
 )
 from .recognition import enumerate_strict_covers, is_h_line
 from .spectral import compare_threshold, equals_threshold, smallest_eigenvalue
-from .verify import MfsCatalog, build_catalog, screen, verify_claim
+from .verify import LEMMA_CLAIMS, MfsCatalog, build_catalog, screen, verify_claim
 
-CLAIMS = (
-    "eq2",
-    "prop2.1",
-    "table1",
-    "lemma4.10",
-    "lemma4.11",
-    "lemma4.12",
-    "uniqueness",
-    "eigen",
-)
+CLAIMS = ("eq2", "prop2.1", "table1", *LEMMA_CLAIMS, "uniqueness", "eigen")
 
 
 def _emit(doc, pretty):

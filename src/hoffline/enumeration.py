@@ -1,5 +1,5 @@
-"""Graph streams: isomorph-free generation, graph6 I/O, constrained fat
-graphs, and sum composition.
+"""Graph streams: isomorph-free generation of slim and fat graphs, graph6
+I/O, and sum composition.
 
 ``connected_slim_graphs(n)`` yields exactly one representative per
 isomorphism class of connected n-vertex graphs, generated by canonical
@@ -19,19 +19,20 @@ The graph6 reader/writer is bit-exact to the published format (short
 form, up to 62 vertices): upper-triangle column-major bits in 6-bit
 chunks offset by 63, zero padding required.
 
-``fat_hoffman_graphs`` enumerates fat Hoffman graphs under the structural
-constraint bundles used by the composition lemmas, and ``enumerate_sums``
-composes a fixed fat graph F with every sum K of parts from
-{H1, H2, H3, H5} meeting size/component bounds, gluing the fat vertices
-of F onto fat vertices of K in all valid ways.
+``fat_hoffman_graphs`` runs the same augmentation step with a new fat
+vertex, whose deletion target is the fat vertex latest in the canonical
+labelling, over ``all_slim_graphs``; the composition lemmas of ``verify``
+filter its output by their hypotheses.
+
+``enumerate_sums`` composes a fixed fat graph F with every sum K of
+parts from {H1, H2, H3, H5} meeting size/component bounds, gluing the
+fat vertices of F onto fat vertices of K in all valid ways.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-
 from .core import (
     EMPTY_GRAPH,
     HoffmanGraph,
@@ -156,13 +157,14 @@ def _orbit_id(orbits, n):
     return oid
 
 
-def _extend(parent, nbhd_mask):
-    """Parent plus one new vertex adjacent to ``nbhd_mask``."""
-    n = parent.slim_count
+def _extend(parent, nbhd_mask, fat=False):
+    """Parent plus one new vertex adjacent to ``nbhd_mask``: a fat vertex,
+    or a slim one when the parent is slim."""
+    n = parent.n
     adj = list(parent.adj) + [nbhd_mask]
     for u in _iter_bits(nbhd_mask):
         adj[u] |= 1 << n
-    return HoffmanGraph(n + 1, 0, adj, _checked=True)
+    return HoffmanGraph(parent.slim_count + (not fat), parent.fat_count + fat, adj, _checked=True)
 
 
 def _noncut_mask(g):
@@ -175,18 +177,27 @@ def _noncut_mask(g):
     return out
 
 
-def _canonical_children(parent, connected=True):
+def _canonical_children(parent, connected=True, fat=False):
     """(child, canonical form) for the one-vertex extensions of
-    ``parent`` whose canonical parent it is, one per class.  The deletion
-    target ranges over non-cut vertices, or all when not ``connected``."""
-    new = parent.slim_count
+    ``parent`` whose canonical parent it is, one per class.
+
+    A new slim vertex extends a slim parent, and the deletion target
+    ranges over non-cut vertices, or all when not ``connected``.  A new
+    fat vertex sees a non-empty set of slim vertices, and the deletion
+    target ranges over the fat vertices: deleting a fat vertex always
+    leaves a Hoffman graph, so every graph with a fat vertex has its
+    canonical parent one layer down."""
+    new = parent.n
     emitted = set()
-    for nbhd in range(1 if connected else 0, 1 << new):
-        child = _extend(parent, nbhd)
+    for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
+        child = _extend(parent, nbhd, fat)
         form, lab, orbits = canonical_data(child)
         if form in emitted:
             continue
-        allowed = _noncut_mask(child) if connected else child.slim_mask
+        if fat:
+            allowed = child.fat_mask
+        else:
+            allowed = _noncut_mask(child) if connected else child.slim_mask
         pos = {v: i for i, v in enumerate(lab)}
         target = max(_iter_bits(allowed), key=pos.__getitem__)
         oid = _orbit_id(orbits, new + 1)
@@ -217,144 +228,23 @@ def _slim_graphs(n, connected):
             yield child
 
 
-# ---------------------------------------------------------------------------
-# Constrained fat Hoffman graphs
-# ---------------------------------------------------------------------------
+def fat_hoffman_graphs(slim_count, fat_max):
+    """One representative per isomorphism class of connected Hoffman
+    graphs with ``slim_count`` slim and 1 .. ``fat_max`` fat vertices,
+    by number of fat vertices, in a deterministic order.
 
-
-@dataclass(frozen=True)
-class FatConstraints:
-    """Structural constraints for ``fat_hoffman_graphs``.
-
-    The three predicate bundles mirror the hypothesis lists of the
-    computer-checked composition lemmas:
-
-    ``nonadjacent_slim_pair``
-        exactly two slim vertices and they are non-adjacent;
-    ``pivot_structure``
-        some slim vertex s has two fat neighbours, some slim vertex is
-        non-adjacent to s while all other slim vertices are adjacent to
-        s, and the closure of the slim set minus s is a copy of H3 or H5;
-    ``overlapping_cover_pair``
-        two different slim subsets V1, V2 cover the slim set, each with
-        closure a copy of H3 or H5, such that every vertex of Vs-V2 is
-        adjacent to every vertex of Vs-V1 except possibly one pair.
+    Layer f holds every graph with f fat vertices, one per class: the
+    children of layer f - 1 under ``_canonical_children`` with a new fat
+    vertex, starting from ``all_slim_graphs``.  Layers are kept whole and
+    only the output is filtered, because a fat vertex can join two
+    components: a connected graph may have only disconnected parents.
     """
-
-    slim_min: int
-    slim_max: int
-    fat_min: int = 1
-    fat_max: int | None = None
-    max_fat_degree: int | None = None
-    exact_fat_degree: int | None = None
-    non_line: bool = False
-    nonadjacent_slim_pair: bool = False
-    pivot_structure: bool = False
-    overlapping_cover_pair: bool = False
-
-
-def _closure_class_is_h3_or_h5(g, slim_subset):
-    from .families import classify_part
-
-    sub = g.induced_slim_closure(slim_subset)
-    return classify_part(sub) in ("H3", "H5")
-
-
-def _pivot_ok(g):
-    s_count = g.slim_count
-    for s in range(s_count):
-        if g.fat_neighbors(s).bit_count() != 2:
-            continue
-        others = [t for t in range(s_count) if t != s]
-        non = [t for t in others if not g.adjacent(s, t)]
-        if len(non) != 1:
-            continue
-        if not _closure_class_is_h3_or_h5(g, others):
-            continue
-        return True
-    return False
-
-
-def _overlapping_cover_ok(g):
-    s_count = g.slim_count
-    verts = list(range(s_count))
-    subsets = []
-    for r in range(2, s_count + 1):
-        subsets.extend(itertools.combinations(verts, r))
-    good = [set(c) for c in subsets if _closure_class_is_h3_or_h5(g, c)]
-    for v1, v2 in itertools.permutations(good, 2):
-        if v1 == v2 or v1 | v2 != set(verts):
-            continue
-        # the two difference sets are disjoint; all cross pairs must be
-        # adjacent except exactly one genuinely non-adjacent pair
-        left = sorted(set(verts) - v2)
-        right = sorted(set(verts) - v1)
-        missing = [
-            (x, y)
-            for x in left
-            for y in right
-            if not g.adjacent(x, y)
-        ]
-        if len(missing) == 1:
-            return True
-    return False
-
-
-def fat_hoffman_graphs(c: FatConstraints):
-    """One representative per isomorphism class of connected fat graphs
-    satisfying ``c``.
-
-    Enumerates slim base graphs up to isomorphism, then all multisets of
-    fat attachment neighbourhoods, deduplicating by canonical form.
-    """
-    from .recognition import is_h_line
-
-    if c.slim_max > 8:
+    if slim_count > 8:
         raise IndexOutOfRange("fat graph enumeration capped at 8 slim vertices")
-    seen = set()
-    for s in range(max(c.slim_min, 1), c.slim_max + 1):
-        fat_hi = c.fat_max if c.fat_max is not None else 2 * s
-        for base in all_slim_graphs(s):
-            if c.nonadjacent_slim_pair and (s != 2 or base.edge_count() != 0):
-                continue
-            nonempty = [m for m in range(1, 1 << s)]
-            for fcount in range(max(c.fat_min, 0), fat_hi + 1):
-                for combo in itertools.combinations_with_replacement(nonempty, fcount):
-                    fdeg = [0] * s
-                    ok = True
-                    for m in combo:
-                        for v in _iter_bits(m):
-                            fdeg[v] += 1
-                    if c.max_fat_degree is not None and any(
-                        d > c.max_fat_degree for d in fdeg
-                    ):
-                        ok = False
-                    if ok and c.exact_fat_degree is not None and any(
-                        d != c.exact_fat_degree for d in fdeg
-                    ):
-                        ok = False
-                    if not ok:
-                        continue
-                    adj = list(base.adj) + [0] * fcount
-                    for i, m in enumerate(combo):
-                        fv = s + i
-                        adj[fv] = m
-                        for v in _iter_bits(m):
-                            adj[v] |= 1 << fv
-                    g = HoffmanGraph(s, fcount, adj, _checked=True)
-                    if not g.is_connected():
-                        continue
-                    if c.pivot_structure and not _pivot_ok(g):
-                        continue
-                    if c.overlapping_cover_pair and not _overlapping_cover_ok(g):
-                        continue
-                    if c.non_line and is_h_line(g) is not None:
-                        continue
-                    form = canonical_form(g)
-                    if form in seen:
-                        continue
-                    seen.add(form)
-                    yield g
+    layer = list(all_slim_graphs(slim_count))
+    for _ in range(fat_max):
+        layer = [c for parent in layer for c, _form in _canonical_children(parent, fat=True)]
+        yield from (g for g in layer if g.is_connected())
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +431,7 @@ def _compose(f_graph, k_graph, fat_map):
     K slim, K fats.  F slim and K slim are the two cells of the sum.
     Raises SharedFatConflict when rule (iv) fails."""
     fs, ks = f_graph.slim_count, k_graph.slim_count
-    slim_rows = [f_graph.adj[v] & f_graph.slim_mask for v in range(fs)]
-    slim_rows += [(k_graph.adj[v] & k_graph.slim_mask) << fs for v in range(ks)]
+    slim_rows = list(f_graph.adj[:fs]) + [row << fs for row in k_graph.adj[:ks]]
     fat_nbhds = [k_graph.adj[kf] << fs for kf in range(ks, k_graph.n)]
     for fi, kf in enumerate(fat_map):
         fat_nbhds[kf - ks] |= f_graph.adj[fs + fi]

@@ -72,6 +72,7 @@ from .core import (
     _iter_bits,
     _mask_of,
 )
+from .families import classify_part
 from .sums import SumDecomposition, _sum_adjacency, validate_sum
 
 
@@ -325,11 +326,7 @@ def _cover_fats(g, cells, blocks, allow_h1):
 
 def _materialize(g, cells, masks, fat_nbhds):
     """Build the StrictCover from the output of ``_cover_fats``."""
-    slim_rows = [0] * g.slim_count
-    for m in masks:
-        for v in _iter_bits(m):
-            slim_rows[v] = g.adj[v] & m
-    adj, parts = _sum_adjacency(slim_rows, masks, fat_nbhds)
+    adj, parts = _sum_adjacency(g.adj[: g.slim_count], masks, fat_nbhds)
     classes = []
     for part, verts in zip(parts, cells):
         if len(verts) == 1:
@@ -411,8 +408,6 @@ def delete_vertex_from_cover(decomposition, x):
       iv   H0 was a copy of H5 and x an endpoint of its slim edge; the
            remaining non-adjacent pair keeps the hub as a copy of H3.
     """
-    from .families import classify_part
-
     if isinstance(decomposition, StrictCover):
         decomposition = decomposition.decomposition
     host = decomposition.host
@@ -444,37 +439,26 @@ def delete_vertex_from_cover(decomposition, x):
         """A slim mask without x, higher slim indices moved down."""
         return mask & low | mask >> 1 & ~low
 
-    # the slim cells of the new cover (host indices) and the slim
-    # vertices that gain a fresh pendant fat vertex
+    # the cells (host indices) and classes replacing H0; a new H2 cell
+    # is padded by a fresh pendant fat vertex
     home = sorted(v for v in parts[part_of] if v < s and v != x)
-    cells = [_mask_of(p) & host.slim_mask for i, p in enumerate(parts) if i != part_of]
-    classes = [c for i, c in enumerate(part_classes) if i != part_of]
-    padded = ()
     if part_classes[part_of] == "H2":
-        case = "i"
+        case, home_cells, home_classes = "i", [], []
     elif part_classes[part_of] == "H3":
-        case = "ii"
-        cells.append(_mask_of(home))
-        classes.append("H2")
-        padded = home
+        case, home_cells, home_classes = "ii", [home], ["H2"]
     elif host.adjacent(*home):
-        case = "iii"
-        cells.extend(1 << v for v in home)
-        classes.extend(("H2", "H2"))
-        padded = home
+        case, home_cells, home_classes = "iii", [[v] for v in home], ["H2", "H2"]
     else:
-        case = "iv"
-        cells.append(_mask_of(home))
-        classes.append("H3")
+        case, home_cells, home_classes = "iv", [home], ["H3"]
+    padded = home if case in ("ii", "iii") else []
+    cells = [_mask_of(p) & host.slim_mask for i, p in enumerate(parts) if i != part_of]
+    cells += [_mask_of(c) for c in home_cells]
+    classes = [c for i, c in enumerate(part_classes) if i != part_of] + home_classes
 
-    rows = [0] * s
-    for c in cells:
-        for v in _iter_bits(c):
-            rows[v] = host.adj[v] & c
     fat_nbhds = [drop_x(host.slim_neighbors(f)) for f in range(s, host.n)]
     fat_nbhds = [m for m in fat_nbhds if m] + [drop_x(1 << v) for v in padded]
     adj, new_parts = _sum_adjacency(
-        [drop_x(rows[v]) for v in range(s) if v != x],
+        [drop_x(host.adj[v]) for v in range(s) if v != x],
         [drop_x(c) for c in cells],
         fat_nbhds,
     )

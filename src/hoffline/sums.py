@@ -166,9 +166,7 @@ def build_sum(components, fat_glue=()):
         offsets.append(next_slim)
         next_slim += comp.slim_count
     slim_rows = [
-        (comp.adj[v] & comp.slim_mask) << off
-        for comp, off in zip(components, offsets)
-        for v in range(comp.slim_count)
+        row << off for comp, off in zip(components, offsets) for row in comp.adj[: comp.slim_count]
     ]
     cells = [comp.slim_mask << off for comp, off in zip(components, offsets)]
     fat_nbhds = [0] * len(groups)
@@ -187,8 +185,9 @@ def build_sum(components, fat_glue=()):
 def _sum_adjacency(slim_rows, cells, fat_nbhds):
     """Host adjacency rows and part vertex sets of a sum, by rule (iv).
 
-    ``slim_rows`` holds each slim vertex's neighbours inside its own
-    part, ``cells`` the slim mask of each part, and ``fat_nbhds`` the
+    ``slim_rows`` holds each slim vertex's neighbours, of which only
+    those in its own part are read, ``cells`` the slim mask of each part,
+    and ``fat_nbhds`` the
     slim neighbourhood of each fat vertex in host order (fat ``i`` is
     host vertex ``len(slim_rows) + i``).  Slim vertices of different
     parts become adjacent when a fat vertex sees both; a pair derived a
@@ -200,7 +199,7 @@ def _sum_adjacency(slim_rows, cells, fat_nbhds):
     for p, c in enumerate(cells):
         for v in _iter_bits(c):
             part_of[v] = p
-    adj = list(slim_rows) + list(fat_nbhds)
+    adj = [row & cells[part_of[x]] for x, row in enumerate(slim_rows)] + list(fat_nbhds)
     cross = [0] * s
     part_masks = list(cells)
     for i, nbhd in enumerate(fat_nbhds):

@@ -39,6 +39,7 @@ occurrences of rows c/d exactly.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -52,19 +53,21 @@ from fractions import Fraction
 from .core import (
     HoffmanGraph,
     HoffmanGraphError,
+    _iter_bits,
     canonical_form,
     find_embedding,
 )
 from .enumeration import (
-    FatConstraints,
     _canonical_children,
+    _extend,
+    all_slim_graphs,
     connected_slim_graphs,
     enumerate_sums,
     fat_hoffman_graphs,
     parse_graph6,
     write_graph6,
 )
-from .families import TranscriptionMissing, family_graph
+from .families import TranscriptionMissing, classify_part, family_graph
 from .recognition import enumerate_strict_covers, is_h_line
 from .spectral import (
     EigenInterval,
@@ -459,25 +462,85 @@ def verify_cover_uniqueness(n, sample_size=None, seed=2026, jobs=1):
 # Constrained fat-graph enumerations
 # ---------------------------------------------------------------------------
 
-_LEMMA_BUNDLES = {
-    "4.10": FatConstraints(
-        slim_min=2, slim_max=2, fat_max=4, max_fat_degree=2,
-        nonadjacent_slim_pair=True, non_line=True,
+def _closure_class_is_h3_or_h5(g, slim_subset):
+    return classify_part(g.induced_slim_closure(slim_subset)) in ("H3", "H5")
+
+
+def _nonadjacent_pair_ok(g):
+    """The two slim vertices are non-adjacent, each of fat degree <= 2."""
+    return not g.adjacent(0, 1) and max(g.fat_neighbors(v).bit_count() for v in (0, 1)) <= 2
+
+
+def _pivot_ok(g):
+    """Some slim vertex s has two fat neighbours and exactly one slim
+    non-neighbour, and the closure of the other slim vertices is a copy
+    of H3 or H5."""
+    for s in range(g.slim_count):
+        others = g.slim_mask & ~(1 << s)
+        if (
+            g.fat_neighbors(s).bit_count() == 2
+            and (others & ~g.adj[s]).bit_count() == 1
+            and _closure_class_is_h3_or_h5(g, _iter_bits(others))
+        ):
+            return True
+    return False
+
+
+def _overlapping_cover_ok(g):
+    """Two different slim subsets V1, V2 cover the slim set, each with
+    closure a copy of H3 or H5, and all pairs between Vs-V2 and Vs-V1 are
+    adjacent except exactly one.  Such a closure has 2 or 3 slim
+    vertices."""
+    full = g.slim_mask
+    good = [
+        m for m in range(1, full + 1)
+        if m.bit_count() in (2, 3) and _closure_class_is_h3_or_h5(g, _iter_bits(m))
+    ]
+    for v1, v2 in itertools.combinations(good, 2):
+        if v1 | v2 == full and sum(
+            (full & ~v1 & ~g.adj[x]).bit_count() for x in _iter_bits(full & ~v2)
+        ) == 1:
+            return True
+    return False
+
+
+def _hub_graphs(slim_count):
+    """Every slim graph on ``slim_count`` vertices plus one fat vertex
+    adjacent to all of them, one per class."""
+    for base in all_slim_graphs(slim_count):
+        yield _extend(base, base.slim_mask, fat=True)
+
+
+#: lemma id -> (named conclusions, candidate graphs, hypothesis).  The
+#: candidates are connected fat graphs, one per class; a lemma
+#: enumerates the non-line candidates satisfying its hypothesis.
+_LEMMAS = {
+    # two slim vertices of fat degree <= 2, hence at most four fat
+    "4.10": (("F1", "F3", "F4"), lambda: fat_hoffman_graphs(2, 4), _nonadjacent_pair_ok),
+    "4.11": (
+        ("F2", "F5", "F8"),
+        lambda: (g for s in (3, 4) for g in fat_hoffman_graphs(s, 2)),
+        _pivot_ok,
     ),
-    "4.11": FatConstraints(
-        slim_min=3, slim_max=4, fat_max=2, pivot_structure=True, non_line=True,
-    ),
-    "4.12": FatConstraints(
-        slim_min=3, slim_max=6, fat_min=1, fat_max=1, exact_fat_degree=1,
-        overlapping_cover_pair=True, non_line=True,
+    # one fat vertex and every slim vertex of fat degree exactly 1: the
+    # fat vertex sees every slim vertex, which fixes the graph by its
+    # slim part
+    "4.12": (
+        ("F6", "F7", "F9"),
+        lambda: (g for s in range(3, 7) for g in _hub_graphs(s)),
+        _overlapping_cover_ok,
     ),
 }
 
-_LEMMA_CONCLUSIONS = {
-    "4.10": ("F1", "F3", "F4"),
-    "4.11": ("F2", "F5", "F8"),
-    "4.12": ("F6", "F7", "F9"),
-}
+#: the lemma claims of ``verify_claim`` and the CLI
+LEMMA_CLAIMS = tuple(f"lemma{lemma_id}" for lemma_id in _LEMMAS)
+
+
+def _lemma_graphs(lemma_id):
+    """The candidates of a lemma that satisfy its hypothesis and are not
+    line graphs of the family."""
+    _names, candidates, hypothesis = _LEMMAS[lemma_id]
+    return [g for g in candidates() if hypothesis(g) and is_h_line(g) is None]
 
 
 def verify_lemma(lemma_id):
@@ -488,31 +551,26 @@ def verify_lemma(lemma_id):
     an induced subgraph.
     """
     t0 = time.time()
-    if lemma_id not in _LEMMA_BUNDLES:
+    if lemma_id not in _LEMMAS:
         raise HoffmanGraphError(f"unknown lemma id {lemma_id!r}")
-    names = _LEMMA_CONCLUSIONS[lemma_id]
+    names = _LEMMAS[lemma_id][0]
     targets = {name: family_graph(name) for name in names}  # TranscriptionMissing if absent
-    found = list(fat_hoffman_graphs(_LEMMA_BUNDLES[lemma_id]))
+    found = _lemma_graphs(lemma_id)
     counts = {"enumerated": len(found)}
-    if lemma_id in ("4.10", "4.11"):
-        got = {canonical_form(g) for g in found}
+    if lemma_id != "4.12":
         want = {canonical_form(g) for g in targets.values()}
-        ok = got == want
+        ok = {canonical_form(g) for g in found} == want
+        bad = next((g for g in found if canonical_form(g) not in want), None)
         details = {"expected": sorted(names)}
-        bad = None
-        if not ok:
-            extra = [g for g in found if canonical_form(g) not in want]
-            bad = extra[0].to_text() if extra else None
-        return _report(f"lemma{lemma_id}", ok, counts, t0, details, bad)
-    ok = True
-    bad = None
-    for g in found:
-        if not any(find_embedding(t, g) for t in targets.values()):
-            ok = False
-            bad = g.to_text()
-            break
-    details = {"containment_targets": sorted(names)}
-    return _report("lemma4.12", ok, counts, t0, details, bad)
+    else:
+        bad = next(
+            (g for g in found if not any(find_embedding(t, g) for t in targets.values())),
+            None,
+        )
+        ok = bad is None
+        details = {"containment_targets": sorted(names)}
+    bad = bad.to_text() if bad is not None else None
+    return _report(f"lemma{lemma_id}", ok, counts, t0, details, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +794,7 @@ def verify_claim(claim, catalog=None, n=None, sample_size=None, jobs=1):
         if catalog is None:
             raise HoffmanGraphError("table1 needs a catalog")
         return verify_table1(catalog)
-    if claim in ("lemma4.10", "lemma4.11", "lemma4.12"):
+    if claim in LEMMA_CLAIMS:
         return verify_lemma(claim.removeprefix("lemma"))
     if claim == "uniqueness":
         return verify_cover_uniqueness(n or 8, sample_size=sample_size, jobs=jobs)

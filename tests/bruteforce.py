@@ -4,13 +4,15 @@ Everything here recomputes results straight from definitions with no
 pruning insight shared with the production code: isomorphism by trying
 all colour-respecting permutations, embeddings by trying all injections,
 line-graph recognition by enumerating candidate covers and validating
-them end to end, and characteristic polynomials by permutation expansion
-of the determinant.
+them end to end, characteristic polynomials by permutation expansion
+of the determinant, and fat graphs by every multiset of fat
+neighbourhoods over every slim base.
 """
 
 import itertools
 
-from hoffline.core import HoffmanGraph
+from hoffline.core import HoffmanGraph, canonical_form
+from hoffline.enumeration import all_slim_graphs
 from hoffline.sums import validate_sum
 
 
@@ -179,6 +181,29 @@ def hline_bruteforce(g):
         if found:
             return True
     return False
+
+
+def fat_graphs_bruteforce(slim_count, fat_max):
+    """Connected graphs with ``slim_count`` slim and 1 .. ``fat_max`` fat
+    vertices, one per class: every multiset of non-empty fat
+    neighbourhoods over every slim graph, deduplicated by canonical form.
+    """
+    nonempty = range(1, 1 << slim_count)
+    seen = set()
+    for base in all_slim_graphs(slim_count):
+        for fcount in range(1, fat_max + 1):
+            for combo in itertools.combinations_with_replacement(nonempty, fcount):
+                adj = list(base.adj) + list(combo)
+                for i, m in enumerate(combo):
+                    for v in range(slim_count):
+                        if (m >> v) & 1:
+                            adj[v] |= 1 << (slim_count + i)
+                g = HoffmanGraph(slim_count, fcount, adj)
+                if g.is_connected():
+                    form = canonical_form(g)
+                    if form not in seen:
+                        seen.add(form)
+                        yield g
 
 
 def _poly_mul(a, b):

@@ -5,14 +5,13 @@ import itertools
 import networkx as nx
 import pytest
 
-from hoffline.core import HoffmanGraph, canonical_form, find_embedding
+from hoffline.core import HoffmanGraph, IndexOutOfRange, canonical_form, find_embedding
 from hoffline.enumeration import (
     EMPTY_GRAPH,
     _assemble_sum,
     _cell_partitions,
     _compose,
     _fat_neighbourhoods,
-    FatConstraints,
     MalformedHeader,
     NonCanonicalPadding,
     TruncatedPayload,
@@ -27,6 +26,9 @@ from hoffline.enumeration import (
 )
 from hoffline.families import family_graph
 from hoffline.sums import SharedFatConflict, validate_sum
+from hoffline.verify import _hub_graphs, _lemma_graphs
+
+from bruteforce import fat_graphs_bruteforce
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -158,28 +160,14 @@ def test_read_graph6_lines_skips_blanks():
 
 
 def test_two_slim_bundle_yields_exactly_f1_f3_f4():
-    out = list(
-        fat_hoffman_graphs(
-            FatConstraints(
-                slim_min=2, slim_max=2, fat_max=4, max_fat_degree=2,
-                nonadjacent_slim_pair=True, non_line=True,
-            )
-        )
-    )
+    out = _lemma_graphs("4.10")
     got = {canonical_form(g) for g in out}
     want = {canonical_form(family_graph(n)) for n in ("F1", "F3", "F4")}
     assert got == want
 
 
 def test_pivot_bundle_yields_exactly_f2_f5_f8():
-    out = list(
-        fat_hoffman_graphs(
-            FatConstraints(
-                slim_min=3, slim_max=4, fat_max=2,
-                pivot_structure=True, non_line=True,
-            )
-        )
-    )
+    out = _lemma_graphs("4.11")
     got = {canonical_form(g) for g in out}
     want = {canonical_form(family_graph(n)) for n in ("F2", "F5", "F8")}
     assert got == want
@@ -187,29 +175,50 @@ def test_pivot_bundle_yields_exactly_f2_f5_f8():
 
 def test_hub_bundle_members_contain_f6_f7_f9():
     targets = [family_graph(n) for n in ("F6", "F7", "F9")]
-    out = list(
-        fat_hoffman_graphs(
-            FatConstraints(
-                slim_min=3, slim_max=6, fat_min=1, fat_max=1,
-                exact_fat_degree=1, overlapping_cover_pair=True, non_line=True,
-            )
-        )
-    )
+    out = _lemma_graphs("4.12")
     assert out
     for g in out:
         assert any(find_embedding(t, g) is not None for t in targets)
 
 
 def test_fat_stream_is_unique_and_satisfies_constraints():
-    c = FatConstraints(slim_min=2, slim_max=3, fat_min=1, fat_max=2)
     forms = set()
-    for g in fat_hoffman_graphs(c):
-        f = canonical_form(g)
-        assert f not in forms
-        forms.add(f)
-        assert 2 <= g.slim_count <= 3
-        assert 1 <= g.fat_count <= 2
-        assert g.is_connected()
+    for s in (2, 3):
+        for g in fat_hoffman_graphs(s, 2):
+            f = canonical_form(g)
+            assert f not in forms
+            forms.add(f)
+            assert 2 <= g.slim_count <= 3
+            assert 1 <= g.fat_count <= 2
+            assert g.is_connected()
+
+
+@pytest.mark.parametrize("slim_count", [1, 2, 3, 4])
+def test_fat_augmentation_matches_multiset_generation(slim_count):
+    # one fat vertex at a time by canonical augmentation against every
+    # multiset of fat neighbourhoods, up to three fat vertices
+    got = [canonical_form(g) for g in fat_hoffman_graphs(slim_count, 3)]
+    assert len(got) == len(set(got))
+    assert set(got) == {canonical_form(g) for g in fat_graphs_bruteforce(slim_count, 3)}
+
+
+@pytest.mark.parametrize("slim_count", [3, 4, 5])
+def test_hub_graphs_are_the_fat_degree_one_graphs(slim_count):
+    # the lemma 4.12 candidates, built directly, are the one-fat graphs
+    # in which every slim vertex has fat degree exactly 1
+    hubs = [canonical_form(g) for g in _hub_graphs(slim_count)]
+    want = {
+        canonical_form(g)
+        for g in fat_hoffman_graphs(slim_count, 1)
+        if all(g.fat_neighbors(v).bit_count() == 1 for v in range(slim_count))
+    }
+    assert len(hubs) == len(set(hubs))
+    assert set(hubs) == want
+
+
+def test_fat_generation_is_capped_at_8_slim_vertices():
+    with pytest.raises(IndexOutOfRange):
+        next(fat_hoffman_graphs(9, 1))
 
 
 # -- sums ------------------------------------------------------------------

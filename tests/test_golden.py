@@ -22,7 +22,6 @@ import pytest
 from hoffline.cli import main
 from hoffline.core import HoffmanGraph, HoffmanGraphError, canonical_form
 from hoffline.enumeration import (
-    FatConstraints,
     connected_slim_graphs,
     enumerate_sums,
     fat_hoffman_graphs,
@@ -114,8 +113,7 @@ def test_is_h_line_first_cover_equals_enumeration_head():
 @pytest.fixture(scope="module")
 def fat_corpus():
     """Connected fat graphs with 1-4 slim and 1-3 fat vertices."""
-    constraints = FatConstraints(slim_min=1, slim_max=4, fat_min=1, fat_max=3)
-    return list(fat_hoffman_graphs(constraints))
+    return [g for s in range(1, 5) for g in fat_hoffman_graphs(s, 3)]
 
 
 def test_is_h_line_fat_inputs(fat_corpus):
