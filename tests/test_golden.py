@@ -50,7 +50,7 @@ CLI_DIGESTS = {
 SUM_GRAPHS_DIGEST = "e28c4d1cc8eea47ab8c8d36ee2bcf6a097cdc80785b857a02f077ddd2f7aab5a"
 ENUMERATE_SUMS_DIGEST = "7626865c0dcbb3c910c9e1196f3d366a4ff3d6555914d1157248de91b7295b1e"
 BUILD_SUM_DIGEST = "432be6663fb47dccfedcdd1fff25833c30249c9fbcc4a4ceeffa007bca619e36"
-FAT_COVERS_DIGEST = "3d65612518f1676a01274aab03b95005f53749d04a3dc2c61929b567be8a277e"
+FAT_COVERS_DIGEST = "cf5797bc49afc3809268d87999895b52af474a9aa87116c624fbb7da59aff4ef"
 FAT_CLASSES_DIGEST = "e9375da14a014d50aaba8584fe753e81ee280c37ae368634ac3e8f61c2bb45e9"
 DELETE_COVER_DIGEST = "6e5c4b78ef24023132e50e262fd4166777a367712d99890049a74ae1cd72004f"
 SPECTRAL_DIGEST = "bf909f0ea95bdb7f4c3143eb9b7bbc9261e38a9b26877aed1363855bb924cd9b"
