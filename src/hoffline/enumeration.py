@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+
 from .core import (
     EMPTY_GRAPH,
     HoffmanGraph,
@@ -149,14 +150,6 @@ def read_graph6_lines(stream):
 # ---------------------------------------------------------------------------
 
 
-def _orbit_id(orbits, n):
-    oid = [0] * n
-    for i, orb in enumerate(orbits):
-        for v in orb:
-            oid[v] = i
-    return oid
-
-
 def _extend(parent, nbhd_mask, fat=False):
     """Parent plus one new vertex adjacent to ``nbhd_mask``: a fat vertex,
     or a slim one when the parent is slim."""
@@ -200,8 +193,7 @@ def _canonical_children(parent, connected=True, fat=False):
             allowed = _noncut_mask(child) if connected else child.slim_mask
         pos = {v: i for i, v in enumerate(lab)}
         target = max(_iter_bits(allowed), key=pos.__getitem__)
-        oid = _orbit_id(orbits, new + 1)
-        if oid[new] == oid[target]:
+        if any(new in orb and target in orb for orb in orbits):
             emitted.add(form)
             yield child, form
 
