@@ -14,8 +14,8 @@ Two families of named graphs drive everything else:
 
   * ``F1 .. F9`` — the fat obstructions used by the sum-composition
     checks.  These are *derived*, not transcribed: each is the output of
-    one of the constrained fat-graph enumerations in
-    :mod:`hoffline.enumeration`, with the naming fixed by structural pins
+    one of the three fat-graph lemmas of :mod:`hoffline.verify` on
+    generated fat graphs, with the naming fixed by structural pins
     (fat counts and fat degrees for F1/F3/F4) and by matching the
     composition table's occurrence profiles (F6/F7/F9).  The test suite
     re-derives them from scratch and compares against these files.

@@ -19,9 +19,9 @@ Every sum host in the package is built by one function,
 of each part and the slim neighbourhood of each fat vertex, it *derives*
 the cross-part slim adjacency from rule (iv) — two slim vertices in
 different parts become adjacent exactly when they share one fat vertex,
-and sharing two or more is an error.  ``build_sum`` (components with
-glued fat vertices), the sums K and compositions F (+) K of
-``enumeration`` and the strict covers of ``recognition`` all call it.
+and sharing two or more is an error.  ``build_sum`` (glued components),
+the sums K and compositions F (+) K of ``enumeration``, and the strict
+covers of ``recognition`` and their vertex deletion all call it.
 
 ``decompose`` searches for all ways to split a host into parts whose
 isomorphism classes lie in a given set, by backtracking on the lowest
