@@ -416,9 +416,6 @@ def delete_vertex_from_cover(decomposition, x):
         raise VertexNotInGraph(f"{x} is not a slim vertex of the host")
     if not host.is_connected():
         raise NotConnected("the cover must be connected")
-    ok, why = validate_sum(host, parts)
-    if not ok:
-        raise HoffmanGraphError(f"the parts are not a sum: condition ({why}) fails")
     part_of = None
     part_classes = []
     for i, p in enumerate(parts):
@@ -431,6 +428,9 @@ def delete_vertex_from_cover(decomposition, x):
             part_of = i
     if part_of is None:
         raise VertexNotInGraph(f"{x} not covered by any part")
+    ok, why = validate_sum(host, parts)
+    if not ok:
+        raise HoffmanGraphError(f"the parts are not a sum: condition ({why}) fails")
 
     s = host.slim_count
     low = (1 << x) - 1
