@@ -7,8 +7,9 @@ fat-input covers: before the strict-cover search became plain
 generators; the spectral records: before the Sturm certification moved
 to integer arithmetic; the fat-graph classes and the cover deletions:
 before the fat graphs moved to canonical augmentation and the deletion
-host to the sum primitive), so a mismatch means some output changed byte
-for byte.  When a change alters an output on purpose, recompute the
+host to the sum primitive; the generation streams: before children that
+cannot be canonical were rejected ahead of their canonical labelling), so
+a mismatch means some output changed byte for byte.  When a change alters an output on purpose, recompute the
 digest (``_digest`` of the corpus) and say why in the commit.
 """
 
@@ -22,6 +23,7 @@ import pytest
 from hoffline.cli import main
 from hoffline.core import HoffmanGraph, HoffmanGraphError, canonical_form
 from hoffline.enumeration import (
+    all_slim_graphs,
     connected_slim_graphs,
     enumerate_sums,
     fat_hoffman_graphs,
@@ -53,6 +55,7 @@ BUILD_SUM_DIGEST = "432be6663fb47dccfedcdd1fff25833c30249c9fbcc4a4ceeffa007bca61
 FAT_COVERS_DIGEST = "cf5797bc49afc3809268d87999895b52af474a9aa87116c624fbb7da59aff4ef"
 FAT_CLASSES_DIGEST = "e9375da14a014d50aaba8584fe753e81ee280c37ae368634ac3e8f61c2bb45e9"
 DELETE_COVER_DIGEST = "6e5c4b78ef24023132e50e262fd4166777a367712d99890049a74ae1cd72004f"
+GEN_DIGEST = "73539522605e575ec669dc3303f6cc1cf57a3184495169a3f666ff54525ea71b"
 SPECTRAL_DIGEST = "bf909f0ea95bdb7f4c3143eb9b7bbc9261e38a9b26877aed1363855bb924cd9b"
 CATALOG8_CHECKSUM = "d6f66c950019c53a484eac3714198b77965f75c5811415d22bf04238fc78522b"
 
@@ -79,6 +82,15 @@ def test_cli_records_all_connected_graphs_upto_7(command, graph6_upto_7, monkeyp
     out = capsys.readouterr().out
     assert out.count("\n") == 996
     assert _digest(out.splitlines()) == CLI_DIGESTS[command]
+
+
+def test_generation_streams():
+    # the representative of every class and their order, as generated
+    lines = [
+        f"connected {write_graph6(g)}" for n in range(1, 8) for g in connected_slim_graphs(n)
+    ] + [f"all {write_graph6(g)}" for n in range(1, 7) for g in all_slim_graphs(n)]
+    assert len(lines) == 996 + 208
+    assert _digest(lines) == GEN_DIGEST
 
 
 def test_spectral_records(spectral_corpus):
