@@ -424,6 +424,17 @@ def _refine(adj, cells):
     return cells
 
 
+def _colour_cells(g):
+    """The partition canonical labelling starts from: the slim vertices,
+    then the fat ones, leaving out an empty cell."""
+    cells = []
+    if g.slim_count:
+        cells.append(list(range(g.slim_count)))
+    if g.fat_count:
+        cells.append(list(range(g.slim_count, g.n)))
+    return cells
+
+
 def _adjacency_key(adj, lab):
     """Upper-triangle adjacency bits under the labelling, packed to bytes."""
     n = len(lab)
@@ -511,13 +522,8 @@ def canonical_data(g):
     header = bytes([g.slim_count, g.fat_count])
     if n == 0:
         return header, [], []
-    cells = []
-    if g.slim_count:
-        cells.append(list(range(g.slim_count)))
-    if g.fat_count:
-        cells.append(list(range(g.slim_count, n)))
     search = _CanonSearch(g.adj)
-    search.run(cells, [])
+    search.run(_colour_cells(g), [])
     key, lab = search.best
     parent = list(range(n))
 

@@ -8,7 +8,11 @@ attachment subset, and the child survives only when the added vertex lies
 in the automorphism orbit of a canonical deletion target (the non-cut
 vertex latest in the canonical labelling).  Children of one parent are
 deduplicated by canonical form, which together with the orbit rule makes
-every class appear exactly once.  ``all_slim_graphs`` is the variant
+every class appear exactly once.  Only a child that can pass the orbit
+test is labelled: its colour partition is refined once, and the child is
+dropped when a refined cell after the new vertex's own holds a deletion
+target (``_target_cell``), because the labelling keeps the cell order
+and automorphisms keep every cell.  ``all_slim_graphs`` is the variant
 without the connectivity requirement; both run one augmentation step,
 ``_canonical_children``.  The catalog in ``verify`` applies that step to
 line-graph parents only, which is exhaustive because the class is
@@ -39,8 +43,10 @@ from .core import (
     HoffmanGraph,
     HoffmanGraphError,
     IndexOutOfRange,
+    _colour_cells,
     _iter_bits,
     _mask_of,
+    _refine,
     canonical_data,
     canonical_form,
 )
@@ -160,14 +166,46 @@ def _extend(parent, nbhd_mask, fat=False):
     return HoffmanGraph(parent.slim_count + (not fat), parent.fat_count + fat, adj, _checked=True)
 
 
-def _noncut_mask(g):
-    """Bitmask of vertices whose removal keeps the graph connected."""
+def _noncut_mask(g, mask):
+    """The vertices in ``mask`` whose removal keeps the graph connected."""
     full = g.slim_mask
     out = 0
-    for v in range(g.slim_count):
+    for v in _iter_bits(mask):
         if g._connected_within(full & ~(1 << v)):
             out |= 1 << v
     return out
+
+
+def _target_cell(child, connected, fat):
+    """The allowed deletion targets of ``child`` in the root cell of its
+    new vertex (the last one), or 0 when a later root cell holds one:
+    a child ``_canonical_children`` rejects before labelling it.
+
+    Why this is exact for McKay's rule there: ``canonical_data`` refines
+    the same colour cells at its root, and every partition of its search
+    refines the root one without reordering it, so a leaf labelling
+    lists the root cells in order and the target, the allowed vertex
+    latest in the labelling, lies in the last root cell that meets the
+    allowed set.  Refinement is label-invariant, so an automorphism maps
+    every root cell to itself and no orbit leaves its cell.  The new
+    vertex is allowed, since deleting it gives back the parent; so when
+    a cell after its own holds an allowed vertex, the target lies in
+    another cell and the orbit test fails.  Otherwise the target lies in
+    the new vertex's cell, and only that cell and the later ones need
+    the non-cut test.
+    """
+    new = child.n - 1
+    cells = _refine(child.adj, _colour_cells(child))
+    i = next(i for i, cell in enumerate(cells) if new in cell)
+    own = _mask_of(cells[i])
+    later = _mask_of(v for cell in cells[i + 1:] for v in cell)
+    if fat:
+        allowed = child.fat_mask
+    elif connected:
+        allowed = _noncut_mask(child, own | later)
+    else:
+        allowed = child.slim_mask
+    return 0 if allowed & later else allowed & own
 
 
 def _canonical_children(parent, connected=True, fat=False):
@@ -179,18 +217,18 @@ def _canonical_children(parent, connected=True, fat=False):
     fat vertex sees a non-empty set of slim vertices, and the deletion
     target ranges over the fat vertices: deleting a fat vertex always
     leaves a Hoffman graph, so every graph with a fat vertex has its
-    canonical parent one layer down."""
+    canonical parent one layer down.  Only the children that
+    ``_target_cell`` keeps get a canonical labelling."""
     new = parent.n
     emitted = set()
     for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
         child = _extend(parent, nbhd, fat)
+        allowed = _target_cell(child, connected, fat)
+        if not allowed:
+            continue
         form, lab, orbits = canonical_data(child)
         if form in emitted:
             continue
-        if fat:
-            allowed = child.fat_mask
-        else:
-            allowed = _noncut_mask(child) if connected else child.slim_mask
         pos = {v: i for i, v in enumerate(lab)}
         target = max(_iter_bits(allowed), key=pos.__getitem__)
         if any(new in orb and target in orb for orb in orbits):

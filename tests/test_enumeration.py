@@ -5,13 +5,24 @@ import itertools
 import networkx as nx
 import pytest
 
-from hoffline.core import HoffmanGraph, IndexOutOfRange, canonical_form, find_embedding
+from hoffline.core import (
+    HoffmanGraph,
+    IndexOutOfRange,
+    _iter_bits,
+    canonical_data,
+    canonical_form,
+    find_embedding,
+)
 from hoffline.enumeration import (
     EMPTY_GRAPH,
     _assemble_sum,
+    _canonical_children,
     _cell_partitions,
     _compose,
+    _extend,
     _fat_neighbourhoods,
+    _noncut_mask,
+    _target_cell,
     MalformedHeader,
     NonCanonicalPadding,
     TruncatedPayload,
@@ -91,6 +102,49 @@ def test_generation_agrees_with_published_atlas():
     for n in range(1, 8):
         native = {canonical_form(g) for g in connected_slim_graphs(n)}
         assert native == atlas[n]
+
+
+def _filter_parents():
+    """(parent, connected, fat): connected slim parents with n <= 6, all
+    slim parents with n <= 5, and every fat-augmentation parent with
+    s <= 3 and f <= 2."""
+    for n in range(1, 7):
+        yield from ((p, True, False) for p in connected_slim_graphs(n))
+    for n in range(1, 6):
+        yield from ((p, False, False) for p in all_slim_graphs(n))
+    for s in range(1, 4):
+        layer = list(all_slim_graphs(s))
+        for f in range(3):
+            if f:
+                layer = [c for p in layer for c, _form in _canonical_children(p, fat=True)]
+            yield from ((p, False, True) for p in layer)
+
+
+def test_target_cell_filter_matches_unpruned_orbit_test():
+    # the filter against McKay's orbit test with every child labelled:
+    # it never rejects an accepted child, it keeps the target of every
+    # child it passes, and it does reject children of every kind
+    rejected = {}
+    for parent, connected, fat in _filter_parents():
+        kind = "fat" if fat else ("connected" if connected else "all")
+        for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
+            child = _extend(parent, nbhd, fat)
+            if fat:
+                allowed = child.fat_mask
+            elif connected:
+                allowed = _noncut_mask(child, child.slim_mask)
+            else:
+                allowed = child.slim_mask
+            _form, lab, orbits = canonical_data(child)
+            target = max(_iter_bits(allowed), key=lab.index)
+            accepted = any(parent.n in orb and target in orb for orb in orbits)
+            kept = _target_cell(child, connected, fat)
+            if kept:
+                assert (kept >> target) & 1
+            else:
+                assert not accepted
+                rejected[kind] = rejected.get(kind, 0) + 1
+    assert set(rejected) == {"connected", "all", "fat"}
 
 
 # -- graph6 --------------------------------------------------------------
