@@ -6,11 +6,13 @@ not line graphs of the family although every one-vertex-deleted induced
 subgraph is.  ``build_catalog`` derives it from scratch for
 5 <= n <= n_max over line-graph layers: generation extends only the line
 graphs of each size, which is exhaustive because the class is hereditary
-(see ``_line_layers``).  It cross-checks two independent minimality
-filters (per-vertex deletion versus containment of a smaller member) on
-every candidate, and attaches per-member certificates: a strict cover of
-every one-vertex deletion and a certified smallest-eigenvalue interval
-with its threshold verdict.
+(see ``_layer``).  Each layer is built once per process and kept in a
+store keyed by its size, which ``verify_eigen_claims`` and
+``verify_cover_uniqueness`` read as well.  It cross-checks two
+independent minimality filters (per-vertex deletion versus containment
+of a smaller member) on every candidate, and attaches per-member
+certificates: a strict cover of every one-vertex deletion and a
+certified smallest-eigenvalue interval with its threshold verdict.
 
 ``screen`` decides line-graph membership purely by forbidden-subgraph
 containment, which the test suite checks against direct cover-search
@@ -220,30 +222,45 @@ def _pool_map(fn, items, jobs):
         return pool.map(fn, items, chunksize=64)
 
 
-def _line_layers(n_max, jobs=1):
-    """(n, line, non_line) for n = 1 .. n_max: the children of the line
-    graphs on n-1 vertices split by recognition, as (graph, form) lists.
+#: n -> ``_layer(n)``, filled on first use
+_LAYERS = {}
+
+
+def _layer(n, jobs=1):
+    """(line, non_line) for n vertices: the children of the line graphs
+    on n - 1 vertices split by recognition, as tuples of (graph, form).
 
     Why this reaches every line graph and minimal forbidden subgraph on
     n vertices (McKay's prune, J. Algorithms 26, 1998): a child is made
     only from its canonical parent, the child minus a non-cut vertex;
     every one-vertex deletion of a minimal forbidden subgraph is a line
     graph, and every induced subgraph of a line graph is one.
+
+    Each layer is built once per process and shared by ``build_catalog``,
+    ``verify_eigen_claims`` and ``verify_cover_uniqueness``.  A layer does
+    not depend on ``jobs``, which only sets how many processes recognize
+    the children of a layer not built yet.
     """
-    children = [(g, canonical_form(g)) for g in connected_slim_graphs(1)]
-    for n in range(1, n_max + 1):
-        if n > 1:
+    layer = _LAYERS.get(n)
+    if layer is None:
+        if n == 1:
+            children = [(g, canonical_form(g)) for g in connected_slim_graphs(1)]
+        else:
+            line = _layer(n - 1, jobs)[0]
             children = [c for parent, _ in line for c in _canonical_children(parent)]
         covers = _pool_map(is_h_line, [g for g, _ in children], jobs)
-        line = [c for c, cover in zip(children, covers) if cover is not None]
-        yield n, line, [c for c, cover in zip(children, covers) if cover is None]
+        layer = _LAYERS[n] = (
+            tuple(c for c, cover in zip(children, covers) if cover is not None),
+            tuple(c for c, cover in zip(children, covers) if cover is None),
+        )
+    return layer
 
 
 def build_catalog(n_max, jobs=1, progress=None):
     """Derive the catalog for 5 <= n <= n_max (5 <= n_max <= 9).
 
     For every size: take the children of the line graphs one size down
-    (see ``_line_layers``), keep the non-line ones whose one-vertex
+    (see ``_layer``), keep the non-line ones whose one-vertex
     deletions are all line graphs, and cross-check that filter against
     containment of a smaller member.  Results are deterministic and
     independent of ``jobs``.
@@ -253,9 +270,8 @@ def build_catalog(n_max, jobs=1, progress=None):
     cat = MfsCatalog(n_max=n_max)
     smaller = []
     t0 = time.time()
-    for n, line, non_line in _line_layers(n_max, jobs):
-        if n < 5:
-            continue
+    for n in range(5, n_max + 1):
+        line, non_line = _layer(n, jobs)
         entries = []
         for g, form in non_line:
             deletions = {}
@@ -412,7 +428,7 @@ def verify_eigen_claims(catalog, check_line_graphs_to=7):
     counts = {"below": len(below), "at_or_above": len(above)}
     ok = len(below) == 1 and below[0].graph.n == 5
     bad = None
-    line = [g for _n, layer, _ in _line_layers(check_line_graphs_to) for g, _ in layer]
+    line = [g for n in range(1, check_line_graphs_to + 1) for g, _ in _layer(n)[0]]
     for g in line:
         # the verdict needs only the polynomial, not a bisection bracket
         if count_eigenvalues_below_threshold(char_poly(special_matrix(g))):
@@ -438,9 +454,7 @@ def verify_cover_uniqueness(n, sample_size=None, seed=2026, jobs=1):
     t0 = time.time()
     if not 5 <= n <= 9:
         raise HoffmanGraphError("uniqueness audit covers 5 <= n <= 9")
-    for _n, line, _non_line in _line_layers(n, jobs):
-        pass
-    graphs = [g for g, _form in line]
+    graphs = [g for g, _form in _layer(n, jobs)[0]]
     if sample_size is not None and sample_size < len(graphs):
         rng = random.Random(seed)
         graphs = rng.sample(graphs, sample_size)

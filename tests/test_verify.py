@@ -7,11 +7,12 @@ import pytest
 from hoffline.core import canonical_form, slim_complete, slim_cycle
 from hoffline.enumeration import connected_slim_graphs, parse_graph6
 from hoffline.recognition import is_h_line
+from hoffline import verify
 from hoffline.spectral import Verdict
 from hoffline.verify import (
     IncompleteCatalog,
     MfsCatalog,
-    _line_layers,
+    _layer,
     build_catalog,
     screen,
     table1_label_groups,
@@ -33,7 +34,7 @@ from hoffline.verify import (
 def test_line_layers_match_unpruned_generation(n):
     # the layer extends line graphs only; the unpruned generator is the
     # reference for what that prune must still reach
-    *_, (_n, line, non_line) = _line_layers(n)
+    line, non_line = _layer(n)
     forms = {canonical_form(g): g for g in connected_slim_graphs(n)}
     recognized = {f for f, g in forms.items() if is_h_line(g) is not None}
     assert sorted(f for _, f in line) == sorted(recognized)
@@ -68,14 +69,27 @@ def test_catalog_members_form_an_antichain(catalog7):
                 assert find_embedding(a, b) is None or a.n == b.n
 
 
-def test_catalog_determinism(catalog7):
+def test_catalog_determinism(catalog7, monkeypatch):
+    # from an empty layer store, so the catalog is generated again
+    monkeypatch.setattr(verify, "_LAYERS", {})
     again = build_catalog(7)
     assert again.checksum() == catalog7.checksum()
 
 
-def test_catalog_parallel_build_matches(catalog7):
+def test_catalog_parallel_build_matches(catalog7, monkeypatch):
+    monkeypatch.setattr(verify, "_LAYERS", {})
     par = build_catalog(7, jobs=2)
     assert par.checksum() == catalog7.checksum()
+
+
+def test_layers_do_not_depend_on_jobs(monkeypatch):
+    # the store is keyed by n alone, so a layer built with a pool must
+    # equal the serial one, graphs, forms and order
+    built = {}
+    for jobs in (1, 2):
+        monkeypatch.setattr(verify, "_LAYERS", {})
+        built[jobs] = [_layer(n, jobs) for n in range(1, 8)]
+    assert built[1] == built[2]
 
 
 def test_catalog_save_load_round_trip(catalog7, tmp_path):
