@@ -9,10 +9,11 @@ in the automorphism orbit of a canonical deletion target (the non-cut
 vertex latest in the canonical labelling).  Children of one parent are
 deduplicated by canonical form, which together with the orbit rule makes
 every class appear exactly once.  Only a child that can pass the orbit
-test is labelled: its colour partition is refined once, and the child is
-dropped when a refined cell after the new vertex's own holds a deletion
-target (``_target_cell``), because the labelling keeps the cell order
-and automorphisms keep every cell.  ``all_slim_graphs`` is the variant
+test is labelled: the child is dropped when a deletion target of the new
+vertex's colour has a higher degree, or else when a cell after the new
+vertex's own in its refined colour partition holds one
+(``_target_cell``), because the labelling keeps the cell order and
+automorphisms keep every cell.  ``all_slim_graphs`` is the variant
 without the connectivity requirement; both run one augmentation step,
 ``_canonical_children``.  The catalog in ``verify`` applies that step to
 line-graph parents only, which is exhaustive because the class is
@@ -193,19 +194,27 @@ def _target_cell(child, connected, fat):
     another cell and the orbit test fails.  Otherwise the target lies in
     the new vertex's cell, and only that cell and the later ones need
     the non-cut test.
+
+    The first round of refinement splits the new vertex's colour cell
+    by degree alone and orders the parts by it, so a vertex of that
+    colour with a higher degree ends in a later root cell; checking
+    those first rejects most children without refining them.
     """
     new = child.n - 1
+
+    def allowed(mask):
+        return mask if fat or not connected else _noncut_mask(child, mask)
+
+    deg = child.adj[new].bit_count()
+    colour = child.fat_mask if fat else child.slim_mask
+    if allowed(_mask_of(v for v in _iter_bits(colour) if child.adj[v].bit_count() > deg)):
+        return 0
     cells = _refine(child.adj, _colour_cells(child))
     i = next(i for i, cell in enumerate(cells) if new in cell)
     own = _mask_of(cells[i])
     later = _mask_of(v for cell in cells[i + 1:] for v in cell)
-    if fat:
-        allowed = child.fat_mask
-    elif connected:
-        allowed = _noncut_mask(child, own | later)
-    else:
-        allowed = child.slim_mask
-    return 0 if allowed & later else allowed & own
+    targets = allowed(own | later)
+    return 0 if targets & later else targets & own
 
 
 def _canonical_children(parent, connected=True, fat=False):

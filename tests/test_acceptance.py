@@ -22,6 +22,7 @@ from hoffline.recognition import (
 )
 from hoffline.spectral import Verdict, equals_threshold, smallest_eigenvalue
 from hoffline.sums import decompose, validate_sum
+from hoffline import verify
 from hoffline.families import line_family_forms
 from hoffline.verify import (
     build_catalog,
@@ -64,7 +65,9 @@ def test_criterion_2_catalog_counts(catalog8):
     not os.environ.get("HOFFLINE_ACCEPT_N9"),
     reason="set HOFFLINE_ACCEPT_N9=1 for the n=9 run (hours)",
 )
-def test_criterion_2_catalog_counts_n9():
+def test_criterion_2_catalog_counts_n9(monkeypatch):
+    # from an empty layer store, so the progress lines time a full build
+    monkeypatch.setattr(verify, "_LAYERS", {})
     cat = build_catalog(9, progress=print)
     ok = cat.counts() == {5: 2, 6: 28, 7: 7, 8: 1, 9: 0} and cat.total() == 38
     _line(ok, f"criterion 2 (n=9): counts {cat.counts()}, total {cat.total()}")
@@ -72,7 +75,7 @@ def test_criterion_2_catalog_counts_n9():
 
 def test_criterion_2_catalog_counts_to_n9():
     # the headline claim, F9 = 0, in the default suite; built over
-    # line-graph layers, n=9 takes about a minute and a half
+    # line-graph layers, n=9 takes about a minute
     cat = build_catalog(9)
     ok = cat.counts() == {5: 2, 6: 28, 7: 7, 8: 1, 9: 0} and cat.total() == 38
     _line(ok, f"criterion 2 (n=9, default suite): counts {cat.counts()}, total {cat.total()}")
