@@ -117,7 +117,7 @@ def _filter_parents():
         for f in range(3):
             if f:
                 layer = [c for p in layer for c, _form in _canonical_children(p, fat=True)]
-            yield from ((p, False, True) for p in layer)
+            yield from ((p, True, True) for p in layer)
 
 
 def test_target_cell_filter_matches_unpruned_orbit_test():

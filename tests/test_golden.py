@@ -9,8 +9,9 @@ to integer arithmetic; the fat-graph classes and the cover deletions:
 before the fat graphs moved to canonical augmentation and the deletion
 host to the sum primitive; the generation streams: before children that
 cannot be canonical were rejected ahead of their canonical labelling), so
-a mismatch means some output changed byte for byte.  When a change alters an output on purpose, recompute the
-digest (``_digest`` of the corpus) and say why in the commit.
+a mismatch means some output changed byte for byte.  When a change alters
+an output on purpose, recompute the digest (``_digest`` of the corpus)
+and say why in the commit.
 """
 
 import hashlib
