@@ -26,9 +26,13 @@ def catalog8():
 
 
 @pytest.fixture(scope="session")
-def spectral_corpus():
-    """All 996 connected graphs with n <= 7, then the 200 stream inputs."""
-    graphs = [g for n in range(1, 8) for g in connected_slim_graphs(n)]
+def stream_graphs():
+    """The 200 stream inputs on 12-15 vertices."""
     with open(STREAM_G6) as fh:
-        graphs.extend(read_graph6_lines(fh))
-    return graphs
+        return list(read_graph6_lines(fh))
+
+
+@pytest.fixture(scope="session")
+def spectral_corpus(stream_graphs):
+    """All 996 connected graphs with n <= 7, then the 200 stream inputs."""
+    return [g for n in range(1, 8) for g in connected_slim_graphs(n)] + stream_graphs

@@ -8,10 +8,12 @@ generators; the spectral records: before the Sturm certification moved
 to integer arithmetic; the fat-graph classes and the cover deletions:
 before the fat graphs moved to canonical augmentation and the deletion
 host to the sum primitive; the generation streams: before children that
-cannot be canonical were rejected ahead of their canonical labelling), so
-a mismatch means some output changed byte for byte.  When a change alters
-an output on purpose, recompute the digest (``_digest`` of the corpus)
-and say why in the commit.
+cannot be canonical were rejected ahead of their canonical labelling; the
+stream covers: before the strict-cover search rejected cells whose
+vertices see different neighbours outside the cell), so a mismatch means
+some output changed byte for byte.  When a change alters an output on
+purpose, recompute the digest (``_digest`` of the corpus) and say why in
+the commit.
 """
 
 import hashlib
@@ -57,6 +59,7 @@ FAT_COVERS_DIGEST = "cf5797bc49afc3809268d87999895b52af474a9aa87116c624fbb7da59a
 FAT_CLASSES_DIGEST = "e9375da14a014d50aaba8584fe753e81ee280c37ae368634ac3e8f61c2bb45e9"
 DELETE_COVER_DIGEST = "6e5c4b78ef24023132e50e262fd4166777a367712d99890049a74ae1cd72004f"
 GEN_DIGEST = "73539522605e575ec669dc3303f6cc1cf57a3184495169a3f666ff54525ea71b"
+STREAM_COVERS_DIGEST = "ae0627833a319d8f48b7625c23b83bada4aee1646bd8f0bf47c17dff7470862a"
 SPECTRAL_DIGEST = "bf909f0ea95bdb7f4c3143eb9b7bbc9261e38a9b26877aed1363855bb924cd9b"
 CATALOG8_CHECKSUM = "d6f66c950019c53a484eac3714198b77965f75c5811415d22bf04238fc78522b"
 
@@ -108,6 +111,22 @@ def test_spectral_records(spectral_corpus):
         ]))
     assert len(lines) == 996 + 200
     assert _digest(lines) == SPECTRAL_DIGEST
+
+
+def test_stream_covers(stream_graphs):
+    # first cover and every cover class on 12-15 vertices, where the
+    # cell phase prunes most
+    lines = []
+    for g in stream_graphs:
+        first = is_h_line(g)
+        covers = enumerate_strict_covers(g)
+        lines.append(json.dumps([
+            first.to_json_dict() if first else None,
+            [c.to_json_dict() for c in covers],
+        ]))
+    assert len(lines) == 200
+    assert sum(json.loads(line)[0] is not None for line in lines) == 108
+    assert _digest(lines) == STREAM_COVERS_DIGEST
 
 
 def test_catalog8_checksum(catalog8):
