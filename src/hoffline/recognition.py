@@ -28,10 +28,15 @@ shape of any strict cover of a slim graph G:
 The search is one chain of generators, so it runs only as far as its
 consumer reads: ``_cover_structures`` grows the cell partition, lowest
 uncovered vertex first, and ``_fat_phase`` yields the fat blocks of each
-complete partition.  An H3 or H5 part having a single slot forces its
-whole D-neighbourhood into one clique, which prunes hard; a part whose
-slot is already spent is consistent only if that block covered all of
-its D-edges.  Afterwards only budget-2 cells carry uncovered edges and a
+complete partition.  Every cell must be *uniform*: its vertices have the
+same slim neighbours outside it, because the cells partition the slim
+vertices and a vertex of another cell sees all of the cell or none of
+it.  So a cell that is not uniform is rejected as soon as it is
+created, and two uniform cells joined by one edge are complete to each
+other.  An H3 or H5 part having a single slot forces its whole
+D-neighbourhood into one clique, which prunes hard; a part whose slot
+is already spent is consistent only if that block covered all of its
+D-edges.  Afterwards only budget-2 cells carry uncovered edges and a
 small exact clique-partition search finishes the job, branching on the
 lowest uncovered D-edge.  Blocks are opened and closed by one
 ``add``/``remove`` pair.  ``is_h_line`` takes the first cover of the
@@ -216,6 +221,13 @@ def _cover_structures(g):
     blocks -- per fat vertex of the cover (pinned input fats first),
               the tuple of part indices it spans; private padding fats
               are implied by the budgets and not listed.
+
+    Only uniform cells are created.  In a strict cover two cells are
+    complete or empty to each other and the cells partition the slim
+    vertices, so every vertex w outside a cell C lies in another cell and
+    sees all of C or none of it.  A partition holding a non-uniform cell
+    therefore yields nothing, and rejecting that cell when it is created
+    leaves the yielded sequence and its order unchanged.
     """
     s = g.slim_count
     smask = g.slim_mask
@@ -226,8 +238,14 @@ def _cover_structures(g):
     dadj = []
 
     def try_cell(verts):
-        """The cell's mask and D-row, or None if some earlier cell is
-        neither complete nor empty to it or an input fat splits it."""
+        """The cell's mask and D-row, or None if the cell is not uniform
+        or an input fat splits it.
+
+        Every earlier cell M is uniform too, so one edge cw (c in the
+        cell C, w in M) makes C and M complete: w sees c, hence all of C;
+        so each vertex of C sees w, hence all of M.  The D-row is thus
+        the set of earlier cells that some vertex of C sees.
+        """
         cm = _mask_of(verts)
         for pf in pinned:
             if cm & pf not in (0, cm):
@@ -236,11 +254,12 @@ def _cover_structures(g):
         for v in verts:
             seen_any |= sadj[v]
             seen_all &= sadj[v]
+        # some vertex outside the cell sees part of it but not all
+        if (seen_any ^ seen_all) & ~cm:
+            return None
         bits = 0
         for i, m in enumerate(masks):
             if seen_any & m:
-                if seen_all & m != m:
-                    return None
                 bits |= 1 << i
         return cm, bits
 
@@ -278,17 +297,25 @@ def _cover_structures(g):
             yield from rec(rest)
             pop(r[1])
 
-        # non-adjacent pair cells
+        # non-adjacent pair cells; neither vertex sees itself or the
+        # other, so the pair is uniform iff their neighbourhoods are equal
         for u in _iter_bits(rest & ~sadj[v]):
+            if sadj[u] != sadj[v]:
+                continue
             r = try_cell((v, u))
             if r:
                 push((v, u), *r)
                 yield from rec(rest & ~(1 << u))
                 pop(r[1])
 
-        # one-edge triple cells
+        # one-edge triple cells; in a uniform triple {v, a, b} the
+        # neighbourhoods of v and a can differ outside {v, a} only at b,
+        # so an a whose difference there has two bits fits no b
         pool = list(_iter_bits(rest))
         for ai, a in enumerate(pool):
+            diff = (sadj[v] ^ sadj[a]) & ~(1 << v | 1 << a)
+            if diff & (diff - 1):
+                continue
             va = (sadj[v] >> a) & 1
             for b in pool[ai + 1:]:
                 if va + ((sadj[v] >> b) & 1) + ((sadj[a] >> b) & 1) != 1:

@@ -7,12 +7,18 @@ line-graph recognition by enumerating candidate covers and validating
 them end to end, characteristic polynomials by permutation expansion
 of the determinant, and fat graphs by every multiset of fat
 neighbourhoods over every slim base.
+
+One oracle is a search, not a definition: ``cover_structures_unpruned``
+is the strict-cover cell search as it stood before cells were required
+to be uniform when created (it shares ``_fat_phase`` with the production
+code), the reference for that prune.
 """
 
 import itertools
 
-from hoffline.core import HoffmanGraph, canonical_form
+from hoffline.core import HoffmanGraph, _iter_bits, _mask_of, canonical_form
 from hoffline.enumeration import all_slim_graphs
+from hoffline.recognition import _fat_phase
 from hoffline.sums import validate_sum
 
 
@@ -241,3 +247,96 @@ def charpoly_bruteforce(matrix):
         for k, c in enumerate(term):
             total[k] += c
     return tuple(total)
+
+
+def cover_structures_unpruned(g):
+    """Yield (cells, blocks) pairs describing strict covers.
+
+    cells  -- tuple of vertex tuples partitioning the slim vertices
+    blocks -- per fat vertex of the cover (pinned input fats first),
+              the tuple of part indices it spans; private padding fats
+              are implied by the budgets and not listed.
+    """
+    s = g.slim_count
+    smask = g.slim_mask
+    sadj = [g.adj[v] & smask for v in range(s)]
+    pinned = [g.adj[f] & smask for f in range(s, g.n)]
+    cells = []
+    masks = []
+    dadj = []
+
+    def try_cell(verts):
+        """The cell's mask and D-row, or None if some earlier cell is
+        neither complete nor empty to it or an input fat splits it."""
+        cm = _mask_of(verts)
+        for pf in pinned:
+            if cm & pf not in (0, cm):
+                return None
+        seen_any, seen_all = 0, smask
+        for v in verts:
+            seen_any |= sadj[v]
+            seen_all &= sadj[v]
+        bits = 0
+        for i, m in enumerate(masks):
+            if seen_any & m:
+                if seen_all & m != m:
+                    return None
+                bits |= 1 << i
+        return cm, bits
+
+    def push(verts, cm, bits):
+        idx = len(cells)
+        cells.append(verts)
+        masks.append(cm)
+        for i in _iter_bits(bits):
+            dadj[i] |= 1 << idx
+        dadj.append(bits)
+
+    def pop(bits):
+        idx = len(cells) - 1
+        cells.pop()
+        masks.pop()
+        dadj.pop()
+        for i in _iter_bits(bits):
+            dadj[i] &= ~(1 << idx)
+
+    def rec(uncovered):
+        if not uncovered:
+            pinned_parts = [
+                tuple(i for i, m in enumerate(masks) if m & pf) for pf in pinned
+            ]
+            for blocks in _fat_phase(cells, dadj, pinned_parts):
+                yield tuple(cells), blocks
+            return
+        v = (uncovered & -uncovered).bit_length() - 1
+        rest = uncovered & ~(1 << v)
+
+        # singleton cell
+        r = try_cell((v,))
+        if r:
+            push((v,), *r)
+            yield from rec(rest)
+            pop(r[1])
+
+        # non-adjacent pair cells
+        for u in _iter_bits(rest & ~sadj[v]):
+            r = try_cell((v, u))
+            if r:
+                push((v, u), *r)
+                yield from rec(rest & ~(1 << u))
+                pop(r[1])
+
+        # one-edge triple cells
+        pool = list(_iter_bits(rest))
+        for ai, a in enumerate(pool):
+            va = (sadj[v] >> a) & 1
+            for b in pool[ai + 1:]:
+                if va + ((sadj[v] >> b) & 1) + ((sadj[a] >> b) & 1) != 1:
+                    continue
+                r = try_cell((v, a, b))
+                if r:
+                    push((v, a, b), *r)
+                    yield from rec(rest & ~(1 << a) & ~(1 << b))
+                    pop(r[1])
+
+    yield from rec((1 << s) - 1)

@@ -5,7 +5,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hoffline.enumeration import connected_slim_graphs, read_graph6_lines
+from hoffline.enumeration import (
+    connected_slim_graphs,
+    fat_hoffman_graphs,
+    read_graph6_lines,
+)
 from hoffline.verify import build_catalog
 
 #: the ``stream`` benchmark inputs of seeds 1 and 2: 200 graphs on 12-15
@@ -36,3 +40,9 @@ def stream_graphs():
 def spectral_corpus(stream_graphs):
     """All 996 connected graphs with n <= 7, then the 200 stream inputs."""
     return [g for n in range(1, 8) for g in connected_slim_graphs(n)] + stream_graphs
+
+
+@pytest.fixture(scope="session")
+def fat_corpus():
+    """Connected fat graphs with 1-4 slim and 1-3 fat vertices."""
+    return [g for s in range(1, 5) for g in fat_hoffman_graphs(s, 3)]

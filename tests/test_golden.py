@@ -29,7 +29,6 @@ from hoffline.enumeration import (
     all_slim_graphs,
     connected_slim_graphs,
     enumerate_sums,
-    fat_hoffman_graphs,
     sum_graphs,
     write_graph6,
 )
@@ -140,12 +139,6 @@ def test_is_h_line_first_cover_equals_enumeration_head():
         for g in connected_slim_graphs(n):
             covers = enumerate_strict_covers(g)
             assert is_h_line(g) == (covers[0] if covers else None)
-
-
-@pytest.fixture(scope="module")
-def fat_corpus():
-    """Connected fat graphs with 1-4 slim and 1-3 fat vertices."""
-    return [g for s in range(1, 5) for g in fat_hoffman_graphs(s, 3)]
 
 
 def test_is_h_line_fat_inputs(fat_corpus):

@@ -17,6 +17,7 @@ from hoffline.families import classify_part, family_graph
 from hoffline.recognition import (
     DifferentBase,
     VertexNotInGraph,
+    _cover_structures,
     covers_equivalent,
     delete_vertex_from_cover,
     enumerate_strict_covers,
@@ -24,7 +25,7 @@ from hoffline.recognition import (
 )
 from hoffline.sums import SumDecomposition, build_sum, validate_sum
 
-from bruteforce import hline_bruteforce
+from bruteforce import cover_structures_unpruned, hline_bruteforce
 
 
 def _sound(cover):
@@ -81,6 +82,15 @@ def test_agrees_with_definition_level_search():
         for g in connected_slim_graphs(n):
             got = is_h_line(g) is not None
             assert got == hline_bruteforce(g), sorted(g.edges())
+
+
+def test_uniform_cells_match_unpruned_search(fat_corpus, stream_graphs):
+    # rejecting non-uniform cells at creation drops only branches that
+    # yield nothing: same cells and blocks, in the same order
+    graphs = [g for n in range(1, 8) for g in connected_slim_graphs(n)]
+    for g in graphs + fat_corpus + stream_graphs:
+        got = list(_cover_structures(g))
+        assert got == list(cover_structures_unpruned(g)), (g.slim_count, list(g.adj))
 
 
 def test_closed_under_vertex_deletion():
