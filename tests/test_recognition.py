@@ -1,6 +1,7 @@
 """Recognition, cover enumeration, equivalence, vertex deletion."""
 
 import itertools
+import random
 
 import pytest
 
@@ -91,6 +92,44 @@ def test_uniform_cells_match_unpruned_search(fat_corpus, stream_graphs):
     for g in graphs + fat_corpus + stream_graphs:
         got = list(_cover_structures(g))
         assert got == list(cover_structures_unpruned(g)), (g.slim_count, list(g.adj))
+
+
+def _random_h_sum(rng):
+    """A sum of 5-9 parts from {H2, H3, H5} on 12-24 slim vertices, its
+    fat vertices glued at random in groups of two or three; a group can
+    break the rules of a sum."""
+    while True:
+        parts = [family_graph(rng.choice(("H2", "H3", "H5"))) for _ in range(rng.randint(5, 9))]
+        if 12 <= sum(p.slim_count for p in parts) <= 24:
+            break
+    slots = [(ci, fv) for ci, p in enumerate(parts) for fv in range(p.slim_count, p.n)]
+    rng.shuffle(slots)
+    glue = []
+    while len(slots) >= 2:
+        size = rng.randint(2, min(3, len(slots)))
+        glue.append(slots[:size])
+        slots = slots[size:]
+    return build_sum(parts, glue)
+
+
+def test_random_sums_are_found_among_covers():
+    # completeness at sizes the exhaustive tests cannot reach: the slim
+    # graph of every sum has that sum among its cover classes
+    rng = random.Random(9091)
+    checked = 0
+    for _ in range(80):
+        try:
+            host, _ = _random_h_sum(rng)
+        except HoffmanGraphError:  # SharedFatConflict among them
+            continue
+        nbhds = tuple(sorted(host.adj[f] & host.slim_mask for f in range(host.slim_count, host.n)))
+        covers = enumerate_strict_covers(host.slim_subgraph())
+        assert nbhds in {c.fat_neighborhoods() for c in covers}
+        for c in covers:
+            ok, why = validate_sum(c.host, c.parts)
+            assert ok, why
+        checked += 1
+    assert checked == 46
 
 
 def test_closed_under_vertex_deletion():
