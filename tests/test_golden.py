@@ -10,7 +10,9 @@ before the fat graphs moved to canonical augmentation and the deletion
 host to the sum primitive; the generation streams: before children that
 cannot be canonical were rejected ahead of their canonical labelling; the
 stream covers: before the strict-cover search rejected cells whose
-vertices see different neighbours outside the cell), so a mismatch means
+vertices see different neighbours outside the cell; the k = 5 sums:
+before cell partitions with a repeated multiset of classes were
+skipped), so a mismatch means
 some output changed byte for byte.  When a change alters an output on
 purpose, recompute the digest (``_digest`` of the corpus) and say why in
 the commit.
@@ -53,6 +55,7 @@ CLI_DIGESTS = {
 }
 SUM_GRAPHS_DIGEST = "e28c4d1cc8eea47ab8c8d36ee2bcf6a097cdc80785b857a02f077ddd2f7aab5a"
 ENUMERATE_SUMS_DIGEST = "7626865c0dcbb3c910c9e1196f3d366a4ff3d6555914d1157248de91b7295b1e"
+SUM_FAMILY5_DIGEST = "2d27834b31ebdec6dc1a30886d4ce519bb38306fb2b055e1203fcbe9d4c996da"
 BUILD_SUM_DIGEST = "432be6663fb47dccfedcdd1fff25833c30249c9fbcc4a4ceeffa007bca619e36"
 FAT_COVERS_DIGEST = "cf5797bc49afc3809268d87999895b52af474a9aa87116c624fbb7da59aff4ef"
 FAT_CLASSES_DIGEST = "e9375da14a014d50aaba8584fe753e81ee280c37ae368634ac3e8f61c2bb45e9"
@@ -196,6 +199,21 @@ def test_enumerate_sums_rows():
     ]
     assert len(lines) == 20 + 6 + 57
     assert _digest(lines) == ENUMERATE_SUMS_DIGEST
+
+
+def test_sum_family_5_and_rows():
+    # the k = 5 family, all and connected, and table-1 rows a, c, e and g
+    lines = [
+        json.dumps([c, g.slim_count, g.fat_count, list(g.adj), [sorted(p) for p in parts]])
+        for c in (None, 1)
+        for g, parts in sum_graphs(5, component_count=c)
+    ] + [
+        json.dumps([name, g.slim_count, g.fat_count, list(g.adj)])
+        for name, k, ck in (("F1", 5, 1), ("F3", 5, 1), ("F6", 4, 1), ("F9", 4, 1))
+        for g in enumerate_sums(family_graph(name), k, component_count_k=ck)
+    ]
+    assert len(lines) == 239 + 70 + 129 + 224 + 57 + 57
+    assert _digest(lines) == SUM_FAMILY5_DIGEST
 
 
 def _random_component(rng):
