@@ -8,16 +8,28 @@ them end to end, characteristic polynomials by permutation expansion
 of the determinant, and fat graphs by every multiset of fat
 neighbourhoods over every slim base.
 
-One oracle is a search, not a definition: ``cover_structures_unpruned``
-is the strict-cover cell search as it stood before cells were required
-to be uniform when created (it shares ``_fat_phase`` with the production
-code), the reference for that prune.
+Two oracles are searches, not definitions, each kept as the reference
+for a prune of the production search:
+
+- ``cover_structures_unpruned`` is the strict-cover cell search as it
+  stood before cells were required to be uniform when created (it shares
+  ``_fat_phase`` with the production code);
+- ``sum_family_unpruned`` is the sum-family loop as it stood before a
+  cell partition whose multiset of classes was already seen was skipped
+  (it shares the partition and assembly helpers with the production
+  code).
 """
 
 import itertools
 
 from hoffline.core import HoffmanGraph, _iter_bits, _mask_of, canonical_form
-from hoffline.enumeration import all_slim_graphs
+from hoffline.enumeration import (
+    EMPTY_GRAPH,
+    _assemble_sum,
+    _cell_partitions,
+    _fat_neighbourhoods,
+    all_slim_graphs,
+)
 from hoffline.recognition import _fat_phase
 from hoffline.sums import validate_sum
 
@@ -340,3 +352,37 @@ def cover_structures_unpruned(g):
                     pop(r[1])
 
     yield from rec((1 << s) - 1)
+
+
+def sum_family_unpruned(slim_count, classes, component_count):
+    """The sums K of ``sum_graphs``, one per class, over every typed cell
+    partition (no class-multiset key)."""
+    if slim_count == 0:
+        return ((EMPTY_GRAPH, ()),) if component_count in (None, 0) else ()
+    family = []
+    seen = set()
+    for cells in _cell_partitions(slim_count, classes):
+        # Within one cell partition the slim edges inside the parts are
+        # fixed and rule (iv) derives every other slim edge from the fat
+        # neighbourhoods; fat vertices are pairwise non-adjacent.  So the
+        # multiset of fat neighbourhoods fixes the graph up to a
+        # permutation of its fat vertices, and a repeated multiset is
+        # isomorphic to a structure already seen.  Across partitions the
+        # same multiset can belong to different graphs, hence one key set
+        # per partition.
+        keys = set()
+        for fat_nbhds in _fat_neighbourhoods(cells):
+            key = tuple(sorted(fat_nbhds))
+            if key in keys:
+                continue
+            keys.add(key)
+            g, parts = _assemble_sum(slim_count, cells, fat_nbhds)
+            if component_count is not None:
+                if len(g.connected_components()) != component_count:
+                    continue
+            form = canonical_form(g)
+            if form in seen:
+                continue
+            seen.add(form)
+            family.append((g, parts))
+    return tuple(family)

@@ -22,6 +22,7 @@ from hoffline.enumeration import (
     _extend,
     _fat_neighbourhoods,
     _noncut_mask,
+    _sum_family,
     _target_cell,
     MalformedHeader,
     NonCanonicalPadding,
@@ -39,7 +40,7 @@ from hoffline.families import family_graph
 from hoffline.sums import SharedFatConflict, validate_sum
 from hoffline.verify import _hub_graphs, _lemma_graphs
 
-from bruteforce import fat_graphs_bruteforce
+from bruteforce import fat_graphs_bruteforce, sum_family_unpruned
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -316,6 +317,21 @@ def test_sum_key_skip_matches_unpruned(k, component_count):
         assert g2 is g and parts2 is parts
         assert isinstance(parts, tuple)
         assert all(isinstance(p, frozenset) for p in parts)
+
+
+@pytest.mark.parametrize(
+    "classes,k_max",
+    [(("H1", "H2", "H3", "H5"), 5), (("H1", "H2", "H3"), 4), (("H2", "H3", "H5"), 4)],
+)
+def test_sum_family_matches_unpruned(classes, k_max):
+    # skipping a cell partition whose class multiset was seen drops only
+    # isomorphic repeats: same graphs and parts, in the same order
+    classes = frozenset(classes)
+    for k in range(k_max + 1):
+        for c in (None, 1, 2):
+            got = _sum_family.__wrapped__(k, classes, c)
+            want = sum_family_unpruned(k, classes, c)
+            assert [(g.adj, p) for g, p in got] == [(g.adj, p) for g, p in want], (k, c)
 
 
 def test_enumerate_sums_empty_f_gives_plain_sums():
