@@ -302,11 +302,14 @@ def fat_hoffman_graphs(slim_count, fat_max):
 # never let two parts share two fat vertices, so only gluing F can fail.
 #
 # ``_sum_family`` builds each family once per process (``functools.cache``;
-# table-1 rows a and c share k = 5, rows d, e and g share k = 4).  It sends
-# a structure through ``connected_components`` and ``canonical_form`` only
-# when its multiset of fat neighbourhoods is new within its cell
-# partition; the first member of every class is never skipped, so the
-# output is the same as without the key.
+# table-1 rows a and c share k = 5, rows d, e and g share k = 4).  It
+# expands a typed cell partition only when its multiset of class names is
+# new (k = 5: 16 of 292 partitions, k = 4: 11 of 67), and within one
+# partition it sends a structure through ``connected_components`` and
+# ``canonical_form`` only when its multiset of fat neighbourhoods is new.
+# Both keys skip only structures isomorphic to one handled before them, so
+# the first member of every class, and the order of the family, are the
+# same as without the keys.
 
 
 _CELL_KINDS = {"H1": 1, "H2": 2, "H3": 1, "H5": 1}
@@ -437,7 +440,20 @@ def _sum_family(slim_count, classes, component_count):
         return ((EMPTY_GRAPH, ()),) if component_count in (None, 0) else ()
     family = []
     seen = set()
+    seen_classes = set()
     for cells in _cell_partitions(slim_count, classes):
+        # Two partitions with the same multiset of class names are related
+        # by a permutation of the slim vertices that maps every cell onto
+        # a cell of the same class (an H5 cell's edge onto the other's
+        # edge).  Slot partitions depend only on which part owns each
+        # slot, so the permutation maps the slot partitions of the one
+        # onto those of the other, and every structure of the later
+        # partition is isomorphic to one of the earlier, whose class was
+        # already found or filtered by its component count.
+        class_key = tuple(sorted(cls for _cell, cls, _edges in cells))
+        if class_key in seen_classes:
+            continue
+        seen_classes.add(class_key)
         # Within one cell partition the slim edges inside the parts are
         # fixed and rule (iv) derives every other slim edge from the fat
         # neighbourhoods; fat vertices are pairwise non-adjacent.  So the
