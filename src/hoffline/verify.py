@@ -636,8 +636,14 @@ def table1_row_occurrence(row_id, catalog):
 
     occurrence = canonical forms of catalog members embedding into the
     slim part of at least one composed graph; uncovered = graph6 of the
-    first composed graph containing no member at all (None when the
-    row's guarantee holds).
+    slim part of the first composed graph containing no member at all
+    (None when the row's guarantee holds); n_graphs counts every
+    composed graph.
+
+    Isomorphic slim parts contain the same members, so the members are
+    tested only against the first slim part of each isomorphism class in
+    the row; a later one adds nothing to occurrence, and the first of an
+    uncovered class is the first uncovered graph.
     """
     fname, ck, vsk = TABLE1_ROWS[row_id]
     f_graph = family_graph(fname)
@@ -645,9 +651,14 @@ def table1_row_occurrence(row_id, catalog):
     occ = set()
     uncovered = None
     count = 0
+    slim_classes = set()
     for g in enumerate_sums(f_graph, vsk, component_count_k=ck):
         count += 1
         gs = g.slim_subgraph()
+        form = canonical_form(gs)
+        if form in slim_classes:
+            continue
+        slim_classes.add(form)
         hit = {
             m.form for m in members
             if m.graph.n <= gs.n and find_embedding(m.graph, gs) is not None

@@ -4,8 +4,14 @@ import os
 
 import pytest
 
-from hoffline.core import canonical_form, slim_complete, slim_cycle
-from hoffline.enumeration import connected_slim_graphs, parse_graph6
+from hoffline.core import canonical_form, find_embedding, slim_complete, slim_cycle
+from hoffline.enumeration import (
+    connected_slim_graphs,
+    enumerate_sums,
+    parse_graph6,
+    write_graph6,
+)
+from hoffline.families import family_graph
 from hoffline.recognition import is_h_line
 from hoffline import verify
 from hoffline.spectral import Verdict
@@ -174,6 +180,32 @@ def test_eigen_claims(catalog8):
     assert rep.counts["at_or_above"] == 37
     below = parse_graph6(rep.details["below_member_graph6"])
     assert below.slim_count == 5
+
+
+@pytest.mark.parametrize("row_id", sorted(verify.TABLE1_ROWS))
+def test_table1_row_matches_every_slim_part(row_id, catalog8, monkeypatch):
+    # testing the members once per slim class gives what testing them
+    # against every slim part gives, and never repeats a (member, class)
+    # containment test
+    fname, ck, vsk = verify.TABLE1_ROWS[row_id]
+    occ, uncovered, count = set(), None, 0
+    for g in enumerate_sums(family_graph(fname), vsk, component_count_k=ck):
+        count += 1
+        gs = g.slim_subgraph()
+        hit = {m.form for m in catalog8.members() if find_embedding(m.graph, gs) is not None}
+        if not hit and uncovered is None:
+            uncovered = write_graph6(gs)
+        occ |= hit
+
+    tested = []
+
+    def counting_find_embedding(pattern, host):
+        tested.append((canonical_form(pattern), canonical_form(host)))
+        return find_embedding(pattern, host)
+
+    monkeypatch.setattr(verify, "find_embedding", counting_find_embedding)
+    assert verify.table1_row_occurrence(row_id, catalog8) == (occ, uncovered, count)
+    assert len(tested) == len(set(tested))
 
 
 def test_label_groups_pin_the_five_vertex_members(catalog8):
