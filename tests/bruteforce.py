@@ -101,10 +101,12 @@ def hline_bruteforce(g):
     partitions of the slots into fat vertices.  During slot assignment
     only definitional constraints are applied (a part's fats are
     distinct, two parts share at most one fat, slim vertices joined
-    through a shared fat must be adjacent).  Each completed candidate is
-    materialized as a Hoffman graph and validated from scratch: the sum
-    conditions, part classes by brute-force isomorphism, and the slim
-    subgraph matching the input.
+    through a shared fat must be adjacent).  A completed assignment must
+    meet rule (iv) as a biconditional, checked on bitmasks: outside its
+    cell, a slim vertex is adjacent exactly to the cells that share a fat
+    with its own.  Each candidate that does is materialized as a Hoffman
+    graph and validated from scratch: the sum conditions, part classes by
+    brute-force isomorphism, and the slim subgraph matching the input.
     """
     assert g.fat_count == 0
     n = g.slim_count
@@ -154,6 +156,20 @@ def hline_bruteforce(g):
             count = 2 if len(cell) == 1 else 1
             slots_of.extend([ci] * count)
         nslots = len(slots_of)
+        cell_masks = [_mask_of(cell) for cell in cells]
+
+        def respects_iv(block_parts):
+            shared = [0] * len(cells)
+            for bp in block_parts:
+                for p in bp:
+                    for q in bp:
+                        if q != p:
+                            shared[p] |= cell_masks[q]
+            return all(
+                g.adj[x] & ~cell_masks[p] == shared[p]
+                for p, cell in enumerate(cells)
+                for x in cell
+            )
 
         found = []
 
@@ -161,7 +177,7 @@ def hline_bruteforce(g):
             if found:
                 return
             if i == nslots:
-                if check(cells, [tuple(b) for b in blocks]):
+                if respects_iv(block_parts) and check(cells, [tuple(b) for b in blocks]):
                     found.append(True)
                 return
             p = slots_of[i]
