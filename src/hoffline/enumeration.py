@@ -304,12 +304,12 @@ def fat_hoffman_graphs(slim_count, fat_max):
 # ``_sum_family`` builds each family once per process (``functools.cache``;
 # table-1 rows a and c share k = 5, rows d, e and g share k = 4).  It
 # expands a typed cell partition only when its multiset of class names is
-# new (k = 5: 16 of 292 partitions, k = 4: 11 of 67), and within one
-# partition it sends a structure through ``connected_components`` and
-# ``canonical_form`` only when its multiset of fat neighbourhoods is new.
-# Both keys skip only structures isomorphic to one handled before them, so
-# the first member of every class, and the order of the family, are the
-# same as without the keys.
+# new (with all four classes, k = 5: 16 of 292 partitions, k = 4: 11 of
+# 67), and within one partition it sends a structure through
+# ``connected_components`` and ``canonical_form`` only when its multiset
+# of fat neighbourhoods is new.  Both keys skip only structures isomorphic
+# to one handled before them, so the first member of every class, and the
+# order of the family, are the same as without the keys.
 
 
 _CELL_KINDS = {"H1": 1, "H2": 2, "H3": 1, "H5": 1}
