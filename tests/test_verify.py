@@ -199,11 +199,11 @@ def test_table1_row_matches_every_slim_part(row_id, catalog8, monkeypatch):
 
     tested = []
 
-    def counting_find_embedding(pattern, host):
+    def recording_find_embedding(pattern, host):
         tested.append((canonical_form(pattern), canonical_form(host)))
         return find_embedding(pattern, host)
 
-    monkeypatch.setattr(verify, "find_embedding", counting_find_embedding)
+    monkeypatch.setattr(verify, "find_embedding", recording_find_embedding)
     assert verify.table1_row_occurrence(row_id, catalog8) == (occ, uncovered, count)
     assert len(tested) == len(set(tested))
 
