@@ -8,7 +8,7 @@ them end to end, characteristic polynomials by permutation expansion
 of the determinant, and fat graphs by every multiset of fat
 neighbourhoods over every slim base.
 
-Two oracles are searches, not definitions, each kept as the reference
+Three oracles are searches, not definitions, each kept as the reference
 for a prune of the production search:
 
 - ``cover_structures_unpruned`` is the strict-cover cell search as it
@@ -17,12 +17,24 @@ for a prune of the production search:
 - ``sum_family_unpruned`` is the sum-family loop as it stood before a
   cell partition whose multiset of classes was already seen was skipped
   (it shares the partition and assembly helpers with the production
-  code).
+  code);
+- ``canonical_data_unpruned`` is the canonical labelling search as it
+  stood before refinement counted only into the cells of the previous
+  split and candidates were pruned by the orbits of the stored
+  automorphisms (it shares the starting partition and the leaf key with
+  the production code).
 """
 
 import itertools
 
-from hoffline.core import HoffmanGraph, _iter_bits, _mask_of, canonical_form
+from hoffline.core import (
+    HoffmanGraph,
+    _adjacency_key,
+    _colour_cells,
+    _iter_bits,
+    _mask_of,
+    canonical_form,
+)
 from hoffline.enumeration import (
     EMPTY_GRAPH,
     _assemble_sum,
@@ -402,3 +414,129 @@ def sum_family_unpruned(slim_count, classes, component_count):
             seen.add(form)
             family.append((g, parts))
     return tuple(family)
+
+
+def _refine(adj, cells):
+    """Equitable refinement of an ordered partition.
+
+    Cells split by their neighbour counts into every current cell; split
+    parts are ordered by count vector, which is label-invariant, so two
+    isomorphic graphs refine to corresponding partitions.
+    """
+    cells = [c[:] for c in cells]
+    changed = True
+    while changed:
+        changed = False
+        masks = [_mask_of(c) for c in cells]
+        new_cells = []
+        for c in cells:
+            if len(c) == 1:
+                new_cells.append(c)
+                continue
+            groups = {}
+            for v in c:
+                row = adj[v]
+                sig = tuple((row & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(c)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    new_cells.append(groups[sig])
+        cells = new_cells
+    return cells
+
+
+class _CanonSearch:
+    __slots__ = ("adj", "first", "best", "autos")
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.first = None
+        self.best = None
+        self.autos = []
+
+    def _record_auto(self, lab1, lab2):
+        n = len(lab1)
+        perm = [0] * n
+        for i in range(n):
+            perm[lab1[i]] = lab2[i]
+        if any(perm[i] != i for i in range(n)):
+            self.autos.append(perm)
+
+    def _leaf(self, cells):
+        lab = [c[0] for c in cells]
+        key = _adjacency_key(self.adj, lab)
+        if self.first is None:
+            self.first = (key, lab)
+            self.best = (key, lab)
+            return
+        if key == self.first[0]:
+            self._record_auto(self.first[1], lab)
+        if key < self.best[0]:
+            self.best = (key, lab)
+        elif key == self.best[0] and self.best is not self.first:
+            self._record_auto(self.best[1], lab)
+
+    def run(self, cells, fixed):
+        cells = _refine(self.adj, cells)
+        target = -1
+        for i, c in enumerate(cells):
+            if len(c) > 1:
+                target = i
+                break
+        if target < 0:
+            self._leaf(cells)
+            return
+        cell = cells[target]
+        rest_template = cells[:target]
+        tail = cells[target + 1:]
+        tried = []
+        for v in cell:
+            pruned = False
+            for a in self.autos:
+                if all(a[x] == x for x in fixed):
+                    for u in tried:
+                        if a[u] == v:
+                            pruned = True
+                            break
+                if pruned:
+                    break
+            if pruned:
+                continue
+            tried.append(v)
+            sub = rest_template + [[v], [u for u in cell if u != v]] + tail
+            fixed.append(v)
+            self.run(sub, fixed)
+            fixed.pop()
+
+
+def canonical_data_unpruned(g):
+    """(form, labelling, orbits) as ``core.canonical_data`` returns them,
+    computed by the reference search."""
+    n = g.n
+    header = bytes([g.slim_count, g.fat_count])
+    if n == 0:
+        return header, [], []
+    search = _CanonSearch(g.adj)
+    search.run(_colour_cells(g), [])
+    key, lab = search.best
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in search.autos:
+        for v in range(n):
+            ra, rb = find(v), find(a[v])
+            if ra != rb:
+                parent[ra] = rb
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    orbits = sorted(groups.values())
+    return header + key, lab, orbits

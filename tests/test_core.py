@@ -1,5 +1,6 @@
 """Data model, closures, canonical forms, embeddings, connectivity."""
 
+import itertools
 import random
 
 import networkx as nx
@@ -14,6 +15,7 @@ from hoffline.core import (
     IsolatedFat,
     NotConnected,
     automorphism_orbits,
+    canonical_data,
     canonical_form,
     find_embedding,
     isomorphic,
@@ -22,10 +24,35 @@ from hoffline.core import (
     slim_cycle,
     slim_path,
 )
-from hoffline.enumeration import connected_slim_graphs
+from hoffline.enumeration import connected_slim_graphs, fat_hoffman_graphs, parse_graph6
 from hoffline.families import family_graph
 
-from bruteforce import embed_bruteforce, iso_bruteforce
+from bruteforce import canonical_data_unpruned, embed_bruteforce, iso_bruteforce
+
+
+def _complete_minus_edge(n):
+    return HoffmanGraph.slim(n, [e for e in itertools.combinations(range(n), 2) if e != (0, 1)])
+
+
+def _cocktail_party(k):
+    """k copies of H3 on one fat vertex: the slim vertices 2i and 2i + 1
+    are the only non-adjacent pairs."""
+    n = 2 * k
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if v != u + 1 or u % 2]
+    return HoffmanGraph.build(n, 1, edges + [(v, n) for v in range(n)])
+
+
+def _line_graph_of_complete(m):
+    pairs = list(itertools.combinations(range(m), 2))
+    return HoffmanGraph.slim(
+        len(pairs),
+        [(i, j) for i, j in itertools.combinations(range(len(pairs)), 2) if set(pairs[i]) & set(pairs[j])],
+    )
+
+
+#: vertex-transitive on 14 vertices; the unpruned search stores 5,456
+#: automorphisms on it
+_TRANSITIVE14 = "M~^n}}~~~~^~~^~}_"
 
 
 # -- construction -----------------------------------------------------
@@ -179,8 +206,6 @@ def test_canonical_form_agrees_with_networkx():
 
 
 def test_automorphism_orbits_match_bruteforce():
-    import itertools
-
     for g in connected_slim_graphs(5):
         orbits = automorphism_orbits(g)
         # brute-force orbit partition
@@ -210,6 +235,51 @@ def test_automorphism_orbits_match_bruteforce():
         for v in range(n):
             expected.setdefault(find(v), []).append(v)
         assert sorted(expected.values()) == orbits
+
+
+def test_canonical_search_matches_unpruned(fat_corpus, stream_graphs):
+    # incremental refinement and orbit pruning change no form, labelling
+    # or orbit partition of the reference search
+    graphs = [g for n in range(1, 8) for g in connected_slim_graphs(n)]
+    graphs += fat_corpus + stream_graphs
+    graphs += [_complete_minus_edge(9), _cocktail_party(6), _line_graph_of_complete(6)]
+    for g in graphs:
+        assert canonical_data(g) == canonical_data_unpruned(g), (g.slim_count, list(g.adj))
+
+
+def _orbits_by_networkx(g):
+    """u and v share an orbit iff g with u marked is colour-isomorphic to
+    g with v marked."""
+
+    def marked(v):
+        h = nx.Graph()
+        h.add_nodes_from((u, {"c": (u >= g.slim_count, u == v)}) for u in range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    orbits = []
+    for v in range(g.n):
+        hv = marked(v)
+        for orbit in orbits:
+            if nx.vf2pp_is_isomorphic(marked(orbit[0]), hv, node_label="c"):
+                orbit.append(v)
+                break
+        else:
+            orbits.append([v])
+    return sorted(orbits)
+
+
+def test_automorphism_orbits_match_networkx():
+    graphs = [g for n in range(1, 8) for g in connected_slim_graphs(n)]
+    graphs += [g for s in range(1, 4) for g in fat_hoffman_graphs(s, 2)]
+    graphs += [
+        _complete_minus_edge(10),
+        _cocktail_party(8),
+        _line_graph_of_complete(7),
+        parse_graph6(_TRANSITIVE14),
+    ]
+    for g in graphs:
+        assert automorphism_orbits(g) == _orbits_by_networkx(g), (g.slim_count, list(g.adj))
 
 
 # -- embeddings --------------------------------------------------------
