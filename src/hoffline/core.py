@@ -384,26 +384,61 @@ _TEXT_MAX_VERTICES = 1000
 # ---------------------------------------------------------------------------
 #
 # Iterated colour refinement starting from the slim/fat partition, with
-# backtracking over the refined partition (individualization) and pruning
-# by the automorphisms discovered along the way.  The canonical form is the
-# minimal adjacency byte string over all leaves of the search tree; two
-# graphs get the same form exactly when a colour-preserving isomorphism
-# exists.  Graph sizes in this package stay below ~25 vertices, so no
-# external canonical labelling tool is needed.
+# backtracking over the refined partition (individualization).  The
+# canonical form is the minimal adjacency byte string over all leaves of
+# the search tree; two graphs get the same form exactly when a
+# colour-preserving isomorphism exists.  Graph sizes in this package stay
+# below ~25 vertices, so no external canonical labelling tool is needed.
+#
+# Incremental refinement.  A round splits each cell by its neighbour
+# counts into the cells the previous round created, not into every cell.
+# At the root every cell is new.  Below it, the partition was equitable
+# before the target cell split into [v] and the rest.  So every vertex of
+# a cell has the same count into every cell that did not change, and its
+# counts into the parts of a split cell add up to its count into the cell
+# before the split, which is the same for the whole cell.  The parts stand
+# next to each other in the order, so the count into the last part
+# follows from the others and never decides a comparison: the first round
+# counts into [v] alone.  After a round, every cell again has equal counts
+# into each cell of the partition the round started from, so the same
+# holds for the next round.  Therefore within a cell the counts into the
+# new cells group and order its vertices exactly as the full count vector
+# does, and ``_refine`` returns the ordered partition full refinement
+# gives; a round that splits nothing leaves it equitable.
+#
+# Orbit pruning (McKay, "Practical graph isomorphism", 1981).  At a node
+# with individualized prefix P, a union-find over the target cell holds
+# the orbits of the group generated by the stored automorphisms that fix
+# P pointwise; it takes in each automorphism stored while the node's
+# children run.  A candidate in the orbit of a tried vertex is skipped:
+# an element of that group fixes P and maps the tried child onto the
+# skipped one, so it maps the one subtree onto the other with equal leaf
+# keys, and the skipped subtree holds no smaller key and no earlier
+# occurrence of the least one.  The stored automorphisms still generate
+# the whole group, by induction up the first path: at its node with
+# prefix P and child w, those fixing P and w generate the stabilizer of
+# P and w; a vertex of the orbit of w under the stabilizer of P is either
+# tried, and a leaf below it with the first leaf's key records an
+# automorphism that maps w to it, or skipped as in the orbit of a tried
+# vertex.  So they generate the stabilizer of P, at the root the full
+# group, whose orbits ``canonical_data`` reports.
 
 
-def _refine(adj, cells):
+def _refine(adj, cells, fresh):
     """Equitable refinement of an ordered partition.
 
-    Cells split by their neighbour counts into every current cell; split
-    parts are ordered by count vector, which is label-invariant, so two
-    isomorphic graphs refine to corresponding partitions.
+    Each round splits every cell by its neighbour counts into the cells
+    of ``fresh`` and orders the parts by count vector, which is
+    label-invariant, so two isomorphic graphs refine to corresponding
+    partitions.  The next round counts into the parts of each split but
+    the last; refinement stops when a round splits nothing.  ``fresh``
+    must be every cell at the root and the new singleton below a split
+    of an equitable partition (see the block comment above).
     """
     cells = [c[:] for c in cells]
-    changed = True
-    while changed:
-        changed = False
-        masks = [_mask_of(c) for c in cells]
+    while fresh:
+        masks = [_mask_of(c) for c in fresh]
+        fresh = []
         new_cells = []
         for c in cells:
             if len(c) == 1:
@@ -417,9 +452,9 @@ def _refine(adj, cells):
             if len(groups) == 1:
                 new_cells.append(c)
             else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(groups[sig])
+                parts = [groups[sig] for sig in sorted(groups)]
+                new_cells.extend(parts)
+                fresh.extend(parts[:-1])
         cells = new_cells
     return cells
 
@@ -479,8 +514,8 @@ class _CanonSearch:
         elif key == self.best[0] and self.best is not self.first:
             self._record_auto(self.best[1], lab)
 
-    def run(self, cells, fixed):
-        cells = _refine(self.adj, cells)
+    def run(self, cells, fresh, fixed):
+        cells = _refine(self.adj, cells, fresh)
         target = -1
         for i, c in enumerate(cells):
             if len(c) > 1:
@@ -492,23 +527,33 @@ class _CanonSearch:
         cell = cells[target]
         rest_template = cells[:target]
         tail = cells[target + 1:]
+        # union-find over the target cell: the orbits of the group that
+        # the stored automorphisms fixing the prefix generate
+        parent = {v: v for v in cell}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        folded = 0
         tried = []
         for v in cell:
-            pruned = False
-            for a in self.autos:
+            for a in self.autos[folded:]:
                 if all(a[x] == x for x in fixed):
-                    for u in tried:
-                        if a[u] == v:
-                            pruned = True
-                            break
-                if pruned:
-                    break
-            if pruned:
+                    for u in cell:
+                        ru, ra = find(u), find(a[u])
+                        if ru != ra:
+                            parent[ru] = ra
+            folded = len(self.autos)
+            root = find(v)
+            if any(find(u) == root for u in tried):
                 continue
             tried.append(v)
             sub = rest_template + [[v], [u for u in cell if u != v]] + tail
             fixed.append(v)
-            self.run(sub, fixed)
+            self.run(sub, [[v]], fixed)
             fixed.pop()
 
 
@@ -523,7 +568,8 @@ def canonical_data(g):
     if n == 0:
         return header, [], []
     search = _CanonSearch(g.adj)
-    search.run(_colour_cells(g), [])
+    cells = _colour_cells(g)
+    search.run(cells, cells, [])
     key, lab = search.best
     parent = list(range(n))
 

@@ -209,7 +209,8 @@ def _target_cell(child, connected, fat):
     colour = child.fat_mask if fat else child.slim_mask
     if allowed(_mask_of(v for v in _iter_bits(colour) if child.adj[v].bit_count() > deg)):
         return 0
-    cells = _refine(child.adj, _colour_cells(child))
+    cells = _colour_cells(child)
+    cells = _refine(child.adj, cells, cells)
     i = next(i for i, cell in enumerate(cells) if new in cell)
     own = _mask_of(cells[i])
     later = _mask_of(v for cell in cells[i + 1:] for v in cell)
