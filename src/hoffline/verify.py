@@ -9,10 +9,11 @@ graphs of each size, which is exhaustive because the class is hereditary
 (see ``_layer``).  Each layer is built once per process and kept in a
 store keyed by its size, which ``verify_eigen_claims`` and
 ``verify_cover_uniqueness`` read as well.  It cross-checks two
-independent minimality filters (per-vertex deletion versus containment
-of a smaller member) on every candidate, and attaches per-member
-certificates: a strict cover of every one-vertex deletion and a
-certified smallest-eigenvalue interval with its threshold verdict.
+independent minimality filters (containment of a smaller member versus
+recognition of one-vertex deletions) on every candidate, and attaches
+per-member certificates: a strict cover of every one-vertex deletion
+and a certified smallest-eigenvalue interval with its threshold
+verdict.
 
 ``screen`` decides line-graph membership purely by forbidden-subgraph
 containment, which the test suite checks against direct cover-search
@@ -260,10 +261,17 @@ def build_catalog(n_max, jobs=1, progress=None):
     """Derive the catalog for 5 <= n <= n_max (5 <= n_max <= 9).
 
     For every size: take the children of the line graphs one size down
-    (see ``_layer``), keep the non-line ones whose one-vertex
-    deletions are all line graphs, and cross-check that filter against
-    containment of a smaller member.  Results are deterministic and
-    independent of ``jobs``.
+    (see ``_layer``) and keep the non-line ones whose one-vertex
+    deletions are all line graphs.  Two independent minimality filters
+    are cross-checked on every candidate.  Containment runs first: when
+    a smaller member embeds, the candidate is not minimal, and only the
+    deletion of one vertex outside the embedding's image is recognized.
+    That deletion still contains the member, and an induced subgraph of
+    a line graph is a line graph, so recognition must find no cover for
+    it.  When no member embeds, every deletion must be a line graph;
+    its cover becomes the member's witness.  Either disagreement raises
+    ``HoffmanGraphError``.  Results are deterministic and independent of
+    ``jobs``.
     """
     if not 5 <= n_max <= 9:
         raise HoffmanGraphError("catalog sizes run from 5 to 9")
@@ -274,23 +282,25 @@ def build_catalog(n_max, jobs=1, progress=None):
         line, non_line = _layer(n, jobs)
         entries = []
         for g, form in non_line:
+            embeddings = (find_embedding(m.graph, g) for m in smaller)
+            embedding = next((e for e in embeddings if e is not None), None)
+            if embedding is not None:
+                # g - v still contains the member, and an induced
+                # subgraph of a line graph is one, so it is no line graph
+                v = next(v for v in range(n) if v not in embedding)
+                if is_h_line(g.delete_slim({v})) is not None:
+                    raise HoffmanGraphError(
+                        "minimality filters disagree on " + write_graph6(g)
+                    )
+                continue
             deletions = {}
-            minimal = True
             for v in range(n):
                 cover = is_h_line(g.delete_slim({v}))
                 if cover is None:
-                    minimal = False
-                    break
+                    raise HoffmanGraphError(
+                        "minimality filters disagree on " + write_graph6(g)
+                    )
                 deletions[v] = cover.to_json_dict()
-            contains_smaller = any(
-                find_embedding(m.graph, g) is not None for m in smaller
-            )
-            if minimal == contains_smaller:
-                raise HoffmanGraphError(
-                    "minimality filters disagree on " + write_graph6(g)
-                )
-            if not minimal:
-                continue
             interval = smallest_eigenvalue(g)
             entries.append(
                 CatalogEntry(

@@ -4,7 +4,13 @@ import os
 
 import pytest
 
-from hoffline.core import canonical_form, find_embedding, slim_complete, slim_cycle
+from hoffline.core import (
+    HoffmanGraphError,
+    canonical_form,
+    find_embedding,
+    slim_complete,
+    slim_cycle,
+)
 from hoffline.enumeration import (
     connected_slim_graphs,
     enumerate_sums,
@@ -73,6 +79,43 @@ def test_catalog_members_form_an_antichain(catalog7):
         for b in ms:
             if a is not b:
                 assert find_embedding(a, b) is None or a.n == b.n
+
+
+def test_minimality_cross_check_rejects_a_false_cover(catalog7, monkeypatch):
+    # a recognizer that covers a deletion still containing a smaller
+    # member contradicts containment, and the build must stop
+    for n in range(1, 8):
+        _layer(n)
+    members = [e.graph for e in catalog7.members()]
+    real = verify.is_h_line
+
+    def false_cover(g):
+        if any(find_embedding(m, g) is not None for m in members):
+            return real(slim_complete(g.n))
+        return real(g)
+
+    monkeypatch.setattr(verify, "is_h_line", false_cover)
+    with pytest.raises(HoffmanGraphError, match="minimality filters disagree"):
+        build_catalog(7)
+
+
+def test_minimality_recognizes_one_deletion_per_non_minimal_candidate(catalog7, monkeypatch):
+    for n in range(1, 8):
+        _layer(n)
+    calls = []
+    real = verify.is_h_line
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(verify, "is_h_line", counted)
+    assert build_catalog(7).checksum() == catalog7.checksum()
+    expected = 0
+    for n in range(5, 8):
+        members = catalog7.counts()[n]
+        expected += len(_layer(n)[1]) - members + n * members
+    assert len(calls) == expected
 
 
 def test_catalog_determinism(catalog7, monkeypatch):
