@@ -26,9 +26,7 @@ Besides the data model this module provides:
   * a canonical form (colour refinement with individualization and
     automorphism pruning) deciding colour-preserving isomorphism;
   * an induced-subgraph embedding search (``find_embedding``);
-  * connectivity helpers and the non-adjacent deletable pair routine
-    (a connected graph that is neither complete nor a cycle always has a
-    non-adjacent pair whose removal keeps it connected);
+  * connectivity helpers;
   * a plain text interchange format and a DOT exporter.
 """
 
@@ -280,45 +278,6 @@ class HoffmanGraph:
             frontier = nxt & mask & ~comp
             comp |= frontier
         return comp == mask
-
-    def is_complete_slim(self):
-        """Is this a slim complete graph?"""
-        if self.fat_count:
-            return False
-        full = self.slim_mask
-        return all(self.adj[v] == full ^ (1 << v) for v in range(self.slim_count))
-
-    def is_cycle_slim(self):
-        """Is this a slim cycle (n >= 3, connected, 2-regular)?"""
-        if self.fat_count or self.slim_count < 3:
-            return False
-        if any(self.adj[v].bit_count() != 2 for v in range(self.slim_count)):
-            return False
-        return self.is_connected()
-
-    def find_deletable_nonadjacent_pair(self):
-        """A non-adjacent pair whose removal keeps the graph connected.
-
-        Defined for connected slim graphs.  Complete graphs and cycles have
-        no such pair and yield ``None``; every other connected graph has
-        one.  Returns the lexicographically first pair found.
-        """
-        if self.fat_count:
-            raise HoffmanGraphError("defined for slim graphs only")
-        if not self.is_connected():
-            raise NotConnected("input graph must be connected")
-        if self.is_complete_slim() or self.is_cycle_slim():
-            return None
-        full = self.slim_mask
-        for x in range(self.slim_count):
-            non = full & ~self.adj[x] & ~(1 << x)
-            for y in _iter_bits(non):
-                if y <= x:
-                    continue
-                rest = full & ~(1 << x) & ~(1 << y)
-                if self._connected_within(rest):
-                    return (x, y)
-        return None
 
     # -- text formats ----------------------------------------------------
 

@@ -14,6 +14,7 @@ from hoffline.core import (
     IndexOutOfRange,
     IsolatedFat,
     NotConnected,
+    _iter_bits,
     automorphism_orbits,
     canonical_data,
     canonical_form,
@@ -329,6 +330,52 @@ def test_embedding_respects_colors():
 
 
 # -- connectivity and the deletable pair --------------------------------
+#
+# A connected graph that is neither complete nor a cycle always has a
+# non-adjacent pair whose removal keeps it connected.  The package does
+# not use the routine; it is kept here with its checks.
+
+
+def _is_complete_slim(g):
+    """Is ``g`` a slim complete graph?"""
+    if g.fat_count:
+        return False
+    full = g.slim_mask
+    return all(g.adj[v] == full ^ (1 << v) for v in range(g.slim_count))
+
+
+def _is_cycle_slim(g):
+    """Is ``g`` a slim cycle (n >= 3, connected, 2-regular)?"""
+    if g.fat_count or g.slim_count < 3:
+        return False
+    if any(g.adj[v].bit_count() != 2 for v in range(g.slim_count)):
+        return False
+    return g.is_connected()
+
+
+def _find_deletable_nonadjacent_pair(g):
+    """A non-adjacent pair whose removal keeps the graph connected.
+
+    Defined for connected slim graphs.  Complete graphs and cycles have
+    no such pair and yield ``None``; every other connected graph has
+    one.  Returns the lexicographically first pair found.
+    """
+    if g.fat_count:
+        raise HoffmanGraphError("defined for slim graphs only")
+    if not g.is_connected():
+        raise NotConnected("input graph must be connected")
+    if _is_complete_slim(g) or _is_cycle_slim(g):
+        return None
+    full = g.slim_mask
+    for x in range(g.slim_count):
+        non = full & ~g.adj[x] & ~(1 << x)
+        for y in _iter_bits(non):
+            if y <= x:
+                continue
+            rest = full & ~(1 << x) & ~(1 << y)
+            if g._connected_within(rest):
+                return (x, y)
+    return None
 
 
 def test_connected_components_basic():
@@ -338,9 +385,9 @@ def test_connected_components_basic():
 
 
 def test_deletable_pair_examples():
-    assert slim_complete(4).find_deletable_nonadjacent_pair() is None
-    assert slim_cycle(6).find_deletable_nonadjacent_pair() is None
-    pair = slim_path(4).find_deletable_nonadjacent_pair()
+    assert _find_deletable_nonadjacent_pair(slim_complete(4)) is None
+    assert _find_deletable_nonadjacent_pair(slim_cycle(6)) is None
+    pair = _find_deletable_nonadjacent_pair(slim_path(4))
     assert pair is not None
     x, y = pair
     assert not slim_path(4).adjacent(x, y)
@@ -349,7 +396,7 @@ def test_deletable_pair_examples():
 def test_deletable_pair_requires_connected():
     g = HoffmanGraph.slim(4, [(0, 1), (2, 3)])
     with pytest.raises(NotConnected):
-        g.find_deletable_nonadjacent_pair()
+        _find_deletable_nonadjacent_pair(g)
 
 
 def test_deletable_pair_exhaustive_small():
@@ -357,8 +404,8 @@ def test_deletable_pair_exhaustive_small():
     # cycles, for every connected graph with at most 7 vertices
     for n in range(1, 8):
         for g in connected_slim_graphs(n):
-            pair = g.find_deletable_nonadjacent_pair()
-            special = g.is_complete_slim() or g.is_cycle_slim()
+            pair = _find_deletable_nonadjacent_pair(g)
+            special = _is_complete_slim(g) or _is_cycle_slim(g)
             if special:
                 assert pair is None
             else:
