@@ -442,6 +442,20 @@ def _adjacency_key(adj, lab):
     return bits.to_bytes((k + 7) // 8 or 1, "big")
 
 
+def _find(parent, x):
+    """The root of ``x`` in the union-find forest ``parent``."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y):
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[rx] = ry
+
+
 class _CanonSearch:
     __slots__ = ("adj", "first", "best", "autos")
 
@@ -486,28 +500,19 @@ class _CanonSearch:
         cell = cells[target]
         rest_template = cells[:target]
         tail = cells[target + 1:]
-        # union-find over the target cell: the orbits of the group that
-        # the stored automorphisms fixing the prefix generate
+        # the orbits on the target cell of the group that the stored
+        # automorphisms fixing the prefix generate
         parent = {v: v for v in cell}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         folded = 0
         tried = []
         for v in cell:
             for a in self.autos[folded:]:
                 if all(a[x] == x for x in fixed):
                     for u in cell:
-                        ru, ra = find(u), find(a[u])
-                        if ru != ra:
-                            parent[ru] = ra
+                        _union(parent, u, a[u])
             folded = len(self.autos)
-            root = find(v)
-            if any(find(u) == root for u in tried):
+            root = _find(parent, v)
+            if any(_find(parent, u) == root for u in tried):
                 continue
             tried.append(v)
             sub = rest_template + [[v], [u for u in cell if u != v]] + tail
@@ -531,21 +536,12 @@ def canonical_data(g):
     search.run(cells, cells, [])
     key, lab = search.best
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a in search.autos:
         for v in range(n):
-            ra, rb = find(v), find(a[v])
-            if ra != rb:
-                parent[ra] = rb
+            _union(parent, v, a[v])
     groups = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(parent, v), []).append(v)
     orbits = sorted(groups.values())
     return header + key, lab, orbits
 
