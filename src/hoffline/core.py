@@ -24,7 +24,7 @@ Besides the data model this module provides:
     neighbours, and ``delete_slim`` removes slim vertices (dropping fat
     vertices that lose their last slim neighbour);
   * a canonical form (colour refinement with individualization and
-    automorphism pruning) deciding colour-preserving isomorphism;
+    orbit pruning) deciding colour-preserving isomorphism;
   * an induced-subgraph embedding search (``find_embedding``);
   * connectivity helpers;
   * a plain text interchange format and a DOT exporter.
