@@ -8,7 +8,7 @@ them end to end, characteristic polynomials by permutation expansion
 of the determinant, and fat graphs by every multiset of fat
 neighbourhoods over every slim base.
 
-Three oracles are searches, not definitions, each kept as the reference
+Four oracles are searches, not definitions, each kept as the reference
 for a prune of the production search:
 
 - ``cover_structures_unpruned`` is the strict-cover cell search as it
@@ -22,23 +22,31 @@ for a prune of the production search:
   stood before refinement counted only into the cells of the previous
   split and candidates were pruned by the orbits of the stored
   automorphisms (it shares the starting partition and the leaf key with
-  the production code).
+  the production code);
+- ``canonical_children_unpruned`` is the canonical augmentation step as
+  it stood before a parent was extended once per orbit of its
+  automorphism group and its cut vertices were found once per parent
+  (it shares ``_extend``, refinement and ``canonical_data`` with the
+  production code).
 """
 
 import itertools
 
+from hoffline import core
 from hoffline.core import (
     HoffmanGraph,
     _adjacency_key,
     _colour_cells,
     _iter_bits,
     _mask_of,
+    canonical_data,
     canonical_form,
 )
 from hoffline.enumeration import (
     EMPTY_GRAPH,
     _assemble_sum,
     _cell_partitions,
+    _extend,
     _fat_neighbourhoods,
     all_slim_graphs,
 )
@@ -540,3 +548,82 @@ def canonical_data_unpruned(g):
         groups.setdefault(find(v), []).append(v)
     orbits = sorted(groups.values())
     return header + key, lab, orbits
+
+
+def _noncut_mask(g, mask):
+    """The vertices in ``mask`` whose removal keeps the graph connected."""
+    full = g.slim_mask
+    out = 0
+    for v in _iter_bits(mask):
+        if g._connected_within(full & ~(1 << v)):
+            out |= 1 << v
+    return out
+
+
+def _target_cell(child, connected, fat):
+    """The allowed deletion targets of ``child`` in the root cell of its
+    new vertex (the last one), or 0 when a later root cell holds one:
+    a child ``_canonical_children`` rejects before labelling it.
+
+    Why this is exact for McKay's rule there: ``canonical_data`` refines
+    the same colour cells at its root, and every partition of its search
+    refines the root one without reordering it, so a leaf labelling
+    lists the root cells in order and the target, the allowed vertex
+    latest in the labelling, lies in the last root cell that meets the
+    allowed set.  Refinement is label-invariant, so an automorphism maps
+    every root cell to itself and no orbit leaves its cell.  The new
+    vertex is allowed, since deleting it gives back the parent; so when
+    a cell after its own holds an allowed vertex, the target lies in
+    another cell and the orbit test fails.  Otherwise the target lies in
+    the new vertex's cell, and only that cell and the later ones need
+    the non-cut test.
+
+    The first round of refinement splits the new vertex's colour cell
+    by degree alone and orders the parts by it, so a vertex of that
+    colour with a higher degree ends in a later root cell; checking
+    those first rejects most children without refining them.
+    """
+    new = child.n - 1
+
+    def allowed(mask):
+        return mask if fat or not connected else _noncut_mask(child, mask)
+
+    deg = child.adj[new].bit_count()
+    colour = child.fat_mask if fat else child.slim_mask
+    if allowed(_mask_of(v for v in _iter_bits(colour) if child.adj[v].bit_count() > deg)):
+        return 0
+    cells = _colour_cells(child)
+    cells = core._refine(child.adj, cells, cells)
+    i = next(i for i, cell in enumerate(cells) if new in cell)
+    own = _mask_of(cells[i])
+    later = _mask_of(v for cell in cells[i + 1:] for v in cell)
+    targets = allowed(own | later)
+    return 0 if targets & later else targets & own
+
+
+def canonical_children_unpruned(parent, connected=True, fat=False):
+    """(child, canonical form) for the one-vertex extensions of
+    ``parent`` whose canonical parent it is, one per class.
+
+    A new slim vertex extends a slim parent, and the deletion target
+    ranges over non-cut vertices, or all when not ``connected``.  A new
+    fat vertex sees a non-empty set of slim vertices, and the deletion
+    target ranges over the fat vertices: deleting a fat vertex always
+    leaves a Hoffman graph, so every graph with a fat vertex has its
+    canonical parent one layer down.  Only the children that
+    ``_target_cell`` keeps get a canonical labelling."""
+    new = parent.n
+    emitted = set()
+    for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
+        child = _extend(parent, nbhd, fat)
+        allowed = _target_cell(child, connected, fat)
+        if not allowed:
+            continue
+        form, lab, orbits = canonical_data(child)
+        if form in emitted:
+            continue
+        pos = {v: i for i, v in enumerate(lab)}
+        target = max(_iter_bits(allowed), key=pos.__getitem__)
+        if any(new in orb and target in orb for orb in orbits):
+            emitted.add(form)
+            yield child, form

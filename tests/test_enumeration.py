@@ -1,6 +1,7 @@
 """Generation streams, graph6 I/O, fat families, sum composition."""
 
 import itertools
+import os
 
 import networkx as nx
 import pytest
@@ -38,9 +39,13 @@ from hoffline.enumeration import (
 )
 from hoffline.families import family_graph
 from hoffline.sums import SharedFatConflict, validate_sum
-from hoffline.verify import _hub_graphs, _lemma_graphs
+from hoffline.verify import _hub_graphs, _layer, _lemma_graphs
 
-from bruteforce import fat_graphs_bruteforce, sum_family_unpruned
+from bruteforce import (
+    canonical_children_unpruned,
+    fat_graphs_bruteforce,
+    sum_family_unpruned,
+)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -146,6 +151,29 @@ def test_target_cell_filter_matches_unpruned_orbit_test():
                 assert not accepted
                 rejected[kind] = rejected.get(kind, 0) + 1
     assert set(rejected) == {"connected", "all", "fat"}
+
+
+@pytest.mark.parametrize("parents", [
+    "filter",
+    7,
+    pytest.param(8, marks=pytest.mark.skipif(
+        not os.environ.get("HOFFLINE_ACCEPT_N9"),
+        reason="set HOFFLINE_ACCEPT_N9=1 to extend the line graphs on 8 vertices",
+    )),
+])
+def test_canonical_children_match_unpruned(parents):
+    # the same children, graph for graph and in the same order, as the
+    # step that extends every neighbourhood and labels every child that
+    # passes the cell filter; the line graphs on n vertices are the
+    # parents of the catalog layer on n + 1
+    if parents == "filter":
+        parents = list(_filter_parents())
+    else:
+        parents = [(p, True, False) for p, _form in _layer(parents)[0]]
+    for parent, connected, fat in parents:
+        got = [(c.adj, f) for c, f in _canonical_children(parent, connected, fat)]
+        want = [(c.adj, f) for c, f in canonical_children_unpruned(parent, connected, fat)]
+        assert got == want
 
 
 # -- graph6 --------------------------------------------------------------

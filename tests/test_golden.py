@@ -12,7 +12,9 @@ cannot be canonical were rejected ahead of their canonical labelling; the
 stream covers: before the strict-cover search rejected cells whose
 vertices see different neighbours outside the cell; the k = 5 sums:
 before cell partitions with a repeated multiset of classes were
-skipped), so a mismatch means
+skipped; the streams of all graphs on 7 vertices and of connected
+graphs on 8: before each parent was extended once per orbit of its
+automorphism group), so a mismatch means
 some output changed byte for byte.  When a change alters an output on
 purpose, recompute the digest (``_digest`` of the corpus) and say why in
 the commit.
@@ -21,6 +23,7 @@ the commit.
 import hashlib
 import io
 import json
+import os
 import random
 
 import pytest
@@ -61,6 +64,8 @@ FAT_COVERS_DIGEST = "cf5797bc49afc3809268d87999895b52af474a9aa87116c624fbb7da59a
 FAT_CLASSES_DIGEST = "e9375da14a014d50aaba8584fe753e81ee280c37ae368634ac3e8f61c2bb45e9"
 DELETE_COVER_DIGEST = "6e5c4b78ef24023132e50e262fd4166777a367712d99890049a74ae1cd72004f"
 GEN_DIGEST = "73539522605e575ec669dc3303f6cc1cf57a3184495169a3f666ff54525ea71b"
+ALL7_DIGEST = "a6b9e7c8979541199f3d8550b614e35fcecfd1b9be99d0e471aeb033021e3003"
+CONNECTED8_DIGEST = "90902d4b37ac55e5449aa6f14b2bb76ff2a5509ec6983210fa98536e05c5faa1"
 STREAM_COVERS_DIGEST = "ae0627833a319d8f48b7625c23b83bada4aee1646bd8f0bf47c17dff7470862a"
 SPECTRAL_DIGEST = "bf909f0ea95bdb7f4c3143eb9b7bbc9261e38a9b26877aed1363855bb924cd9b"
 CATALOG8_CHECKSUM = "d6f66c950019c53a484eac3714198b77965f75c5811415d22bf04238fc78522b"
@@ -97,6 +102,22 @@ def test_generation_streams():
     ] + [f"all {write_graph6(g)}" for n in range(1, 7) for g in all_slim_graphs(n)]
     assert len(lines) == 996 + 208
     assert _digest(lines) == GEN_DIGEST
+
+
+def test_all_graphs_7_stream():
+    lines = [write_graph6(g) for g in all_slim_graphs(7)]
+    assert len(lines) == 1044
+    assert _digest(lines) == ALL7_DIGEST
+
+
+@pytest.mark.skipif(
+    not os.environ.get("HOFFLINE_ACCEPT_N9"),
+    reason="set HOFFLINE_ACCEPT_N9=1 to pin the connected stream on 8 vertices",
+)
+def test_connected_graphs_8_stream():
+    lines = [write_graph6(g) for g in connected_slim_graphs(8)]
+    assert len(lines) == 11117
+    assert _digest(lines) == CONNECTED8_DIGEST
 
 
 def test_spectral_records(spectral_corpus):
