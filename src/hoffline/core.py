@@ -521,29 +521,46 @@ class _CanonSearch:
             fixed.pop()
 
 
-def canonical_data(g):
+def _canonical_search(g, cells=None):
+    """The canonical search of a non-empty ``g``: (form bytes, labelling,
+    stored automorphisms), which generate the colour-preserving
+    automorphism group (see the block comment above).
+
+    ``cells`` is the root partition, the colour cells as ``_refine``
+    leaves them, when the caller has refined them already; the search
+    then starts from it with no fresh cell, which ``_refine`` returns
+    unchanged.  By default it refines the colour cells itself.
+    """
+    fresh = []
+    if cells is None:
+        cells = fresh = _colour_cells(g)
+    search = _CanonSearch(g.adj)
+    search.run(cells, fresh, [])
+    key, lab = search.best
+    return bytes([g.slim_count, g.fat_count]) + key, lab, search.autos
+
+
+def canonical_data(g, cells=None):
     """Canonical labelling: (form bytes, labelling, automorphism orbits).
 
     The labelling maps canonical positions to original vertices.  Orbits
     are over the full vertex set under the discovered automorphism group.
+    ``cells`` is the refined root partition, when the caller has it (see
+    ``_canonical_search``).
     """
     n = g.n
-    header = bytes([g.slim_count, g.fat_count])
     if n == 0:
-        return header, [], []
-    search = _CanonSearch(g.adj)
-    cells = _colour_cells(g)
-    search.run(cells, cells, [])
-    key, lab = search.best
+        return bytes([g.slim_count, g.fat_count]), [], []
+    form, lab, autos = _canonical_search(g, cells)
     parent = list(range(n))
-    for a in search.autos:
+    for a in autos:
         for v in range(n):
             _union(parent, v, a[v])
     groups = {}
     for v in range(n):
         groups.setdefault(_find(parent, v), []).append(v)
     orbits = sorted(groups.values())
-    return header + key, lab, orbits
+    return form, lab, orbits
 
 
 def canonical_form(g):

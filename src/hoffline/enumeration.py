@@ -47,6 +47,7 @@ from .core import (
     _colour_cells,
     _iter_bits,
     _mask_of,
+    _canonical_search,
     _refine,
     canonical_data,
     canonical_form,
@@ -167,20 +168,35 @@ def _extend(parent, nbhd_mask, fat=False):
     return HoffmanGraph(parent.slim_count + (not fat), parent.fat_count + fat, adj, _checked=True)
 
 
-def _noncut_mask(g, mask):
-    """The vertices in ``mask`` whose removal keeps the graph connected."""
-    full = g.slim_mask
-    out = 0
-    for v in _iter_bits(mask):
-        if g._connected_within(full & ~(1 << v)):
-            out |= 1 << v
+def _cut_components(g):
+    """For each vertex v of the slim graph ``g``, the components of
+    ``g - v`` as bitmasks."""
+    out = []
+    for v in range(g.n):
+        rest = g.slim_mask & ~(1 << v)
+        comps = []
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                nxt = 0
+                for u in _iter_bits(frontier):
+                    nxt |= g.adj[u]
+                frontier = nxt & rest & ~comp
+                comp |= frontier
+            comps.append(comp)
+            rest ^= comp
+        out.append(comps)
     return out
 
 
-def _target_cell(child, connected, fat):
-    """The allowed deletion targets of ``child`` in the root cell of its
-    new vertex (the last one), or 0 when a later root cell holds one:
-    a child ``_canonical_children`` rejects before labelling it.
+def _target_cell(child, fat, cuts):
+    """(targets, cells): the allowed deletion targets of ``child`` in the
+    root cell of its new vertex (the last one) and the root partition,
+    or (0, None) when a later root cell holds one: a child
+    ``_canonical_children`` rejects before labelling it.  ``cuts`` is
+    ``_cut_components`` of the connected parent when the targets are
+    the non-cut vertices, and None when every vertex of the new
+    vertex's colour is one.
 
     Why this is exact for McKay's rule there: ``canonical_data`` refines
     the same colour cells at its root, and every partition of its search
@@ -191,9 +207,13 @@ def _target_cell(child, connected, fat):
     every root cell to itself and no orbit leaves its cell.  The new
     vertex is allowed, since deleting it gives back the parent; so when
     a cell after its own holds an allowed vertex, the target lies in
-    another cell and the orbit test fails.  Otherwise the target lies in
-    the new vertex's cell, and only that cell and the later ones need
-    the non-cut test.
+    another cell and the orbit test fails.
+
+    The non-cut vertices come from the parent's components: for a vertex
+    v other than the new one, ``child - v`` is ``parent - v`` plus the
+    new vertex joined to its neighbourhood N, so it is connected iff N
+    meets every component of ``parent - v``.  The new vertex is never a
+    cut vertex, because the parent is connected.
 
     The first round of refinement splits the new vertex's colour cell
     by degree alone and orders the parts by it, so a vertex of that
@@ -201,48 +221,109 @@ def _target_cell(child, connected, fat):
     those first rejects most children without refining them.
     """
     new = child.n - 1
-
-    def allowed(mask):
-        return mask if fat or not connected else _noncut_mask(child, mask)
-
-    deg = child.adj[new].bit_count()
-    colour = child.fat_mask if fat else child.slim_mask
-    if allowed(_mask_of(v for v in _iter_bits(colour) if child.adj[v].bit_count() > deg)):
-        return 0
+    nbhd = child.adj[new]
+    if cuts is None:
+        allowed = child.fat_mask if fat else child.slim_mask
+    else:
+        allowed = 1 << new
+        for v, comps in enumerate(cuts):
+            for comp in comps:
+                if not nbhd & comp:
+                    break
+            else:
+                allowed |= 1 << v
+    deg = nbhd.bit_count()
+    if any(child.adj[v].bit_count() > deg for v in _iter_bits(allowed)):
+        return 0, None
     cells = _colour_cells(child)
     cells = _refine(child.adj, cells, cells)
     i = next(i for i, cell in enumerate(cells) if new in cell)
-    own = _mask_of(cells[i])
-    later = _mask_of(v for cell in cells[i + 1:] for v in cell)
-    targets = allowed(own | later)
-    return 0 if targets & later else targets & own
+    if any(allowed >> v & 1 for cell in cells[i + 1:] for v in cell):
+        return 0, None
+    return allowed & _mask_of(cells[i]), cells
+
+
+def _orbit_representatives(parent, first):
+    """The neighbourhoods from ``first`` up that are the least member of
+    their orbit under the automorphism group of ``parent``, ascending.
+
+    The generators come from the parent's canonical search; an orbit is
+    closed under them, so it is found by applying them until nothing
+    new appears.  Each generator acts on the neighbourhoods through a
+    table of images, filled in ascending order from the image of the
+    mask without its lowest bit.
+    """
+    size = 1 << parent.slim_count
+    images = []
+    for a in _canonical_search(parent)[2]:
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << a[low.bit_length() - 1]
+        images.append(image)
+    if not images:
+        yield from range(first, size)
+        return
+    seen = bytearray(size)
+    for nbhd in range(first, size):
+        if seen[nbhd]:
+            continue
+        seen[nbhd] = 1
+        orbit = [nbhd]
+        for mask in orbit:
+            for image in images:
+                m = image[mask]
+                if not seen[m]:
+                    seen[m] = 1
+                    orbit.append(m)
+        yield nbhd
+
+
+# One neighbourhood per orbit (McKay, J. Algorithms 26, 1998).  Let s be
+# an automorphism of the parent P.  The children of P with new vertex
+# neighbourhoods N and s(N) are isomorphic by s extended to fix the new
+# vertex, and acceptance (the new vertex shares an orbit with the
+# canonical target) is invariant under isomorphism, so it is constant on
+# an orbit of neighbourhoods.  Conversely, let the children of N and N'
+# both be accepted and isomorphic by f.  The canonical labellings of the
+# two differ by an isomorphism that maps the one target to the other, so
+# f maps the first target into the orbit of the second.  In both
+# children the new vertex lies in the orbit of the target, so f maps it
+# into the orbit of the second child's new vertex, and f followed by an
+# automorphism of the second child fixes the new vertex.  That
+# isomorphism restricts to an automorphism of P mapping N onto N'.  So
+# accepted children from different orbits are never isomorphic, and in
+# ascending order the least member of an accepted orbit gives the first
+# child of its class.  Extending only the least members gives the same
+# children, in the same order, as extending every neighbourhood and
+# dropping a form already emitted, and no form repeats.
 
 
 def _canonical_children(parent, connected=True, fat=False):
     """(child, canonical form) for the one-vertex extensions of
     ``parent`` whose canonical parent it is, one per class.
 
-    A new slim vertex extends a slim parent, and the deletion target
-    ranges over non-cut vertices, or all when not ``connected``.  A new
-    fat vertex sees a non-empty set of slim vertices, and the deletion
-    target ranges over the fat vertices: deleting a fat vertex always
-    leaves a Hoffman graph, so every graph with a fat vertex has its
-    canonical parent one layer down.  Only the children that
-    ``_target_cell`` keeps get a canonical labelling."""
+    A new slim vertex extends a slim parent, connected when
+    ``connected``, and the deletion target ranges over non-cut vertices,
+    or all when not ``connected``.  A new fat vertex sees a non-empty set
+    of slim vertices, and the deletion target ranges over the fat
+    vertices: deleting a fat vertex always leaves a Hoffman graph, so
+    every graph with a fat vertex has its canonical parent one layer
+    down.  Only the least neighbourhood of each orbit of the parent's
+    automorphism group is extended (see the block comment above), and
+    only the children that ``_target_cell`` keeps get a canonical
+    labelling, which starts from the root partition it refined."""
     new = parent.n
-    emitted = set()
-    for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
+    cuts = _cut_components(parent) if connected and not fat else None
+    for nbhd in _orbit_representatives(parent, 1 if connected or fat else 0):
         child = _extend(parent, nbhd, fat)
-        allowed = _target_cell(child, connected, fat)
+        allowed, cells = _target_cell(child, fat, cuts)
         if not allowed:
             continue
-        form, lab, orbits = canonical_data(child)
-        if form in emitted:
-            continue
+        form, lab, orbits = canonical_data(child, cells)
         pos = {v: i for i, v in enumerate(lab)}
         target = max(_iter_bits(allowed), key=pos.__getitem__)
         if any(new in orb and target in orb for orb in orbits):
-            emitted.add(form)
             yield child, form
 
 

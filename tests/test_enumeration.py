@@ -20,9 +20,9 @@ from hoffline.enumeration import (
     _canonical_children,
     _cell_partitions,
     _compose,
+    _cut_components,
     _extend,
     _fat_neighbourhoods,
-    _noncut_mask,
     _sum_family,
     _target_cell,
     MalformedHeader,
@@ -42,6 +42,7 @@ from hoffline.sums import SharedFatConflict, validate_sum
 from hoffline.verify import _hub_graphs, _layer, _lemma_graphs
 
 from bruteforce import (
+    _noncut_mask,
     canonical_children_unpruned,
     fat_graphs_bruteforce,
     sum_family_unpruned,
@@ -133,6 +134,7 @@ def test_target_cell_filter_matches_unpruned_orbit_test():
     rejected = {}
     for parent, connected, fat in _filter_parents():
         kind = "fat" if fat else ("connected" if connected else "all")
+        cuts = _cut_components(parent) if kind == "connected" else None
         for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
             child = _extend(parent, nbhd, fat)
             if fat:
@@ -144,7 +146,7 @@ def test_target_cell_filter_matches_unpruned_orbit_test():
             _form, lab, orbits = canonical_data(child)
             target = max(_iter_bits(allowed), key=lab.index)
             accepted = any(parent.n in orb and target in orb for orb in orbits)
-            kept = _target_cell(child, connected, fat)
+            kept, _cells = _target_cell(child, fat, cuts)
             if kept:
                 assert (kept >> target) & 1
             else:
