@@ -477,8 +477,7 @@ class _CanonSearch:
         lab = [c[0] for c in cells]
         key = _adjacency_key(self.adj, lab)
         if self.first is None:
-            self.first = (key, lab)
-            self.best = (key, lab)
+            self.first = self.best = (key, lab)
             return
         if key == self.first[0]:
             self._record_auto(self.first[1], lab)
