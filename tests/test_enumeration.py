@@ -6,10 +6,12 @@ import os
 import networkx as nx
 import pytest
 
+from hoffline import enumeration
 from hoffline.core import (
     HoffmanGraph,
     IndexOutOfRange,
     _iter_bits,
+    _mask_of,
     canonical_data,
     canonical_form,
     find_embedding,
@@ -153,6 +155,44 @@ def test_target_cell_filter_matches_unpruned_orbit_test():
                 assert not accepted
                 rejected[kind] = rejected.get(kind, 0) + 1
     assert set(rejected) == {"connected", "all", "fat"}
+
+
+def _colour_automorphisms(g):
+    """Every colour-preserving automorphism of ``g``, as a vertex list,
+    by trying all permutations of the slim and of the fat vertices."""
+    slim, fat = range(g.slim_count), range(g.slim_count, g.n)
+    for ps, pf in itertools.product(itertools.permutations(slim), itertools.permutations(fat)):
+        perm = ps + pf
+        if all(
+            g.adj[perm[v]] == sum(1 << perm[u] for u in _iter_bits(g.adj[v]))
+            for v in range(g.n)
+        ):
+            yield perm
+
+
+def test_extended_neighbourhoods_are_orbit_minima(monkeypatch):
+    # the neighbourhoods extended are exactly the least of each orbit
+    # under every colour-preserving automorphism of the parent
+    extended = []
+
+    def recording_extend(parent, nbhd, fat=False):
+        extended.append(nbhd)
+        return _extend(parent, nbhd, fat)
+
+    monkeypatch.setattr(enumeration, "_extend", recording_extend)
+    pruned = 0
+    for parent, connected, fat in _filter_parents():
+        autos = list(_colour_automorphisms(parent))
+        nbhds = range(1 if connected or fat else 0, 1 << parent.slim_count)
+        want = [
+            nbhd for nbhd in nbhds
+            if all(_mask_of(a[v] for v in _iter_bits(nbhd)) >= nbhd for a in autos)
+        ]
+        pruned += len(want) < len(nbhds)
+        extended.clear()
+        list(_canonical_children(parent, connected, fat))
+        assert extended == want
+    assert pruned
 
 
 @pytest.mark.parametrize("parents", [
