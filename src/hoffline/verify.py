@@ -786,37 +786,6 @@ def verify_table1(catalog):
     return _report("table1", status_ok, counts, t0, details, first_uncovered)
 
 
-def table1_label_groups(catalog):
-    """The published-name correspondence as far as the table pins it.
-
-    Returns a list of (sorted label tuple, sorted graph6 tuple) pairs:
-    each published name in the first component maps to one of the member
-    graphs in the second (a bijection within every group).  Singleton
-    groups are exact identifications.
-    """
-    occs = {r: occ for r, (occ, _u, _c) in _table1_rows(catalog).items()}
-    exact = TABLE1_EXACT_ROWS
-    below = {e.form for e in catalog.members() if e.verdict is Verdict.BELOW}
-    groups = {}
-    for label in ALL_MEMBER_LABELS:
-        sig = "".join(r for r in exact if label in TABLE1_LABELS[r])
-        spectral = "below" if label == "G5,2" else ("above" if label == "G5,1" else "")
-        groups.setdefault((_label_size(label), sig, spectral), [[], []])[0].append(label)
-    by_form = {}
-    for e in catalog.members():
-        sig = "".join(r for r in exact if e.form in occs[r])
-        spectral = ""
-        if e.graph.n == 5:
-            spectral = "below" if e.form in below else "above"
-        key = (e.graph.n, sig, spectral)
-        if key in groups:
-            groups[key][1].append(write_graph6(e.graph))
-    return [
-        (tuple(sorted(v[0])), tuple(sorted(v[1])))
-        for k, v in sorted(groups.items())
-    ]
-
-
 def verify_claim(claim, catalog=None, n=None, sample_size=None, jobs=1):
     """Dispatch a named claim to its checker."""
     if claim == "eq2":

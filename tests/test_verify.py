@@ -22,12 +22,16 @@ from hoffline.recognition import is_h_line
 from hoffline import verify
 from hoffline.spectral import Verdict
 from hoffline.verify import (
+    ALL_MEMBER_LABELS,
+    TABLE1_EXACT_ROWS,
+    TABLE1_LABELS,
     IncompleteCatalog,
     MfsCatalog,
+    _label_size,
     _layer,
+    _table1_rows,
     build_catalog,
     screen,
-    table1_label_groups,
     verify_claim,
     verify_cover_uniqueness,
     verify_eq2,
@@ -248,6 +252,36 @@ def test_table1_row_matches_every_slim_part(row_id, catalog8, monkeypatch):
     monkeypatch.setattr(verify, "find_embedding", recording_find_embedding)
     assert verify.table1_row_occurrence(row_id, catalog8) == (occ, uncovered, count)
     assert len(tested) == len(set(tested))
+
+
+def table1_label_groups(catalog):
+    """The published-name correspondence as far as the table pins it.
+
+    Returns a list of (sorted label tuple, sorted graph6 tuple) pairs:
+    each published name in the first component maps to one of the member
+    graphs in the second (a bijection within every group).  Singleton
+    groups are exact identifications.
+    """
+    occs = {r: occ for r, (occ, _u, _c) in _table1_rows(catalog).items()}
+    exact = TABLE1_EXACT_ROWS
+    below = {e.form for e in catalog.members() if e.verdict is Verdict.BELOW}
+    groups = {}
+    for label in ALL_MEMBER_LABELS:
+        sig = "".join(r for r in exact if label in TABLE1_LABELS[r])
+        spectral = "below" if label == "G5,2" else ("above" if label == "G5,1" else "")
+        groups.setdefault((_label_size(label), sig, spectral), [[], []])[0].append(label)
+    for e in catalog.members():
+        sig = "".join(r for r in exact if e.form in occs[r])
+        spectral = ""
+        if e.graph.n == 5:
+            spectral = "below" if e.form in below else "above"
+        key = (e.graph.n, sig, spectral)
+        if key in groups:
+            groups[key][1].append(write_graph6(e.graph))
+    return [
+        (tuple(sorted(v[0])), tuple(sorted(v[1])))
+        for _key, v in sorted(groups.items())
+    ]
 
 
 def test_label_groups_pin_the_five_vertex_members(catalog8):
