@@ -3,17 +3,21 @@ I/O, and sum composition.
 
 ``connected_slim_graphs(n)`` yields exactly one representative per
 isomorphism class of connected n-vertex graphs, generated by canonical
-augmentation: an (n-1)-vertex parent is extended by one vertex for every
-attachment subset, and the child survives only when the added vertex lies
-in the automorphism orbit of a canonical deletion target (the non-cut
-vertex latest in the canonical labelling).  Children of one parent are
-deduplicated by canonical form, which together with the orbit rule makes
-every class appear exactly once.  Only a child that can pass the orbit
-test is labelled: the child is dropped when a deletion target of the new
+augmentation: an (n-1)-vertex parent is extended by one vertex for the
+least attachment subset of each orbit of the parent's automorphism
+group, and the child survives only when the added vertex lies in the
+automorphism orbit of a canonical deletion target (the non-cut vertex
+latest in the canonical labelling).  Isomorphic children of one parent
+come from one orbit, which together with the orbit rule makes every
+class appear exactly once.  Only a child that can pass the orbit test is
+labelled: the child is dropped when a deletion target of the new
 vertex's colour has a higher degree, or else when a cell after the new
 vertex's own in its refined colour partition holds one
 (``_target_cell``), because the labelling keeps the cell order and
-automorphisms keep every cell.  ``all_slim_graphs`` is the variant
+automorphisms keep every cell.  The non-cut vertices of a child come
+from the components of the parent minus each vertex, found once per
+parent, and the labelling starts from the refined partition the filter
+made.  ``all_slim_graphs`` is the variant
 without the connectivity requirement; both run one augmentation step,
 ``_canonical_children``.  The catalog in ``verify`` applies that step to
 line-graph parents only, which is exhaustive because the class is
