@@ -240,44 +240,28 @@ class HoffmanGraph:
 
     # -- connectivity ---------------------------------------------------
 
-    def connected_components(self):
-        """Partition of the vertices into components (sorted vertex lists)."""
-        seen = 0
+    def _components_within(self, mask):
+        """The components of the subgraph induced on the bitmask ``mask``,
+        as bitmasks, in the order of their least vertices."""
         out = []
-        for v in range(self.n):
-            if (seen >> v) & 1:
-                continue
-            comp = 1 << v
-            frontier = comp
+        while mask:
+            comp = frontier = mask & -mask
             while frontier:
                 nxt = 0
                 for u in _iter_bits(frontier):
                     nxt |= self.adj[u]
-                frontier = nxt & ~comp
+                frontier = nxt & mask & ~comp
                 comp |= frontier
-            seen |= comp
-            out.append(list(_iter_bits(comp)))
+            out.append(comp)
+            mask ^= comp
         return out
 
-    def is_connected(self):
-        if self.n == 0:
-            return True
-        return len(self.connected_components()) == 1
+    def connected_components(self):
+        """Partition of the vertices into components (sorted vertex lists)."""
+        return [list(_iter_bits(c)) for c in self._components_within((1 << self.n) - 1)]
 
-    def _connected_within(self, mask):
-        """Is the induced subgraph on the bitmask ``mask`` connected?"""
-        if mask == 0:
-            return True
-        start = mask & -mask
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for u in _iter_bits(frontier):
-                nxt |= self.adj[u]
-            frontier = nxt & mask & ~comp
-            comp |= frontier
-        return comp == mask
+    def is_connected(self):
+        return len(self._components_within((1 << self.n) - 1)) <= 1
 
     # -- text formats ----------------------------------------------------
 

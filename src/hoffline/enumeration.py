@@ -48,10 +48,10 @@ from .core import (
     HoffmanGraph,
     HoffmanGraphError,
     IndexOutOfRange,
+    _canonical_search,
     _colour_cells,
     _iter_bits,
     _mask_of,
-    _canonical_search,
     _refine,
     canonical_data,
     canonical_form,
@@ -175,22 +175,7 @@ def _extend(parent, nbhd_mask, fat=False):
 def _cut_components(g):
     """For each vertex v of the slim graph ``g``, the components of
     ``g - v`` as bitmasks."""
-    out = []
-    for v in range(g.n):
-        rest = g.slim_mask & ~(1 << v)
-        comps = []
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                nxt = 0
-                for u in _iter_bits(frontier):
-                    nxt |= g.adj[u]
-                frontier = nxt & rest & ~comp
-                comp |= frontier
-            comps.append(comp)
-            rest ^= comp
-        out.append(comps)
-    return out
+    return [g._components_within(g.slim_mask & ~(1 << v)) for v in range(g.n)]
 
 
 def _target_cell(child, fat, cuts):

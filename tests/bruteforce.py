@@ -555,7 +555,7 @@ def _noncut_mask(g, mask):
     full = g.slim_mask
     out = 0
     for v in _iter_bits(mask):
-        if g._connected_within(full & ~(1 << v)):
+        if len(g._components_within(full & ~(1 << v))) <= 1:
             out |= 1 << v
     return out
 

@@ -373,7 +373,7 @@ def _find_deletable_nonadjacent_pair(g):
             if y <= x:
                 continue
             rest = full & ~(1 << x) & ~(1 << y)
-            if g._connected_within(rest):
+            if len(g._components_within(rest)) <= 1:
                 return (x, y)
     return None
 
@@ -413,7 +413,7 @@ def test_deletable_pair_exhaustive_small():
                 x, y = pair
                 assert not g.adjacent(x, y)
                 rest = g.slim_mask & ~(1 << x) & ~(1 << y)
-                assert g._connected_within(rest)
+                assert len(g._components_within(rest)) <= 1
 
 
 # -- text formats -------------------------------------------------------
