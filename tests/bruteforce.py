@@ -28,9 +28,15 @@ for a prune of the production search:
   automorphism group and its cut vertices were found once per parent
   (it shares ``_extend``, refinement and ``canonical_data`` with the
   production code).
+
+Two more are the production kernels as they stood before their per-call
+set-up was taken out, kept as references for the mappings and intervals
+the rewritten kernels must reproduce exactly: ``find_embedding_per_call``
+and ``smallest_root_interval_fractions`` (see the end of this module).
 """
 
 import itertools
+from fractions import Fraction
 
 from hoffline import core
 from hoffline.core import (
@@ -51,6 +57,18 @@ from hoffline.enumeration import (
     all_slim_graphs,
 )
 from hoffline.recognition import _fat_phase
+from hoffline.spectral import (
+    DEFAULT_TOLERANCE,
+    EmptyGraph,
+    _degree,
+    _integer_roots,
+    _require,
+    _sign_at,
+    _sign_at_neg_inf,
+    _variations,
+    square_free,
+    sturm_chain,
+)
 from hoffline.sums import validate_sum
 
 
@@ -627,3 +645,116 @@ def canonical_children_unpruned(parent, connected=True, fat=False):
         if any(new in orb and target in orb for orb in orbits):
             emitted.add(form)
             yield child, form
+
+
+# -- the two kernels as they stood before their per-call set-up moved ------
+#
+# Copied word for word but for their names: ``find_embedding_per_call``
+# builds the pattern's domains and order on every call, and
+# ``smallest_root_interval_fractions`` bisects on ``Fraction``s, counting
+# roots with the whole Sturm chain at every midpoint.
+
+
+def find_embedding_per_call(pattern, host):
+    """An injective colour-preserving induced embedding, or ``None``.
+
+    Both adjacency and non-adjacency are preserved (induced subgraph
+    semantics).  Uses degree/colour pruning and bitset domain filtering.
+    Returns a tuple ``m`` with ``m[v]`` the host vertex of pattern
+    vertex ``v``.
+    """
+    pn = pattern.n
+    if pn == 0:
+        return ()
+    if pattern.slim_count > host.slim_count or pattern.fat_count > host.fat_count:
+        return None
+    host_slim = host.slim_mask
+    host_fat = host.fat_mask
+    domains = []
+    for v in range(pn):
+        color_mask = host_slim if v < pattern.slim_count else host_fat
+        deg = pattern.degree(v)
+        dom = 0
+        for w in _iter_bits(color_mask):
+            if host.adj[w].bit_count() >= deg:
+                dom |= 1 << w
+        if not dom:
+            return None
+        domains.append(dom)
+    order = sorted(range(pn), key=lambda v: (-pattern.degree(v), v))
+    padj = pattern.adj
+    hadj = host.adj
+    full = (1 << host.n) - 1
+    mapping = [-1] * pn
+
+    def rec(i, doms):
+        if i == pn:
+            return True
+        v = order[i]
+        cand = doms[v]
+        later = order[i + 1:]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            mapping[v] = w
+            ok = True
+            new = list(doms)
+            for u in later:
+                if (padj[v] >> u) & 1:
+                    d = new[u] & hadj[w]
+                else:
+                    d = new[u] & ~hadj[w] & full & ~low
+                if not d:
+                    ok = False
+                    break
+                new[u] = d
+            if ok and rec(i + 1, new):
+                return True
+            mapping[v] = -1
+        return False
+
+    if rec(0, domains):
+        return tuple(mapping)
+    return None
+
+
+def _count_leq(chain, x):
+    """Roots <= x of the square-free polynomial behind ``chain``, for a
+    rational x that is not itself a root."""
+    signs = [_sign_at(q, x.numerator, x.denominator) for q in chain]
+    _require(signs[0] != 0, "a bisection point is a root")
+    return _variations([_sign_at_neg_inf(q) for q in chain]) - _variations(signs)
+
+
+def smallest_root_interval_fractions(poly, tolerance=DEFAULT_TOLERANCE):
+    """Bracket the smallest real root of a monic integer polynomial whose
+    roots are all real.  Width <= tolerance (zero when the root is an
+    integer)."""
+    p = square_free(poly)
+    if _degree(p) == 0:
+        raise EmptyGraph("constant polynomial has no roots")
+    # Cauchy: every root lies strictly inside (-bound, bound)
+    bound = 1 + max(abs(c) for c in p[:-1])
+    # split off integer roots: a monic integer polynomial has no other
+    # rational roots, so the remaining bisection never meets one
+    int_roots, work = _integer_roots(p, bound)
+    best_int = int_roots[0] if int_roots else None
+    if _degree(work) == 0:
+        _require(best_int is not None, "constant polynomial left without a root")
+        return Fraction(best_int), Fraction(best_int)
+    chain = sturm_chain(work)
+    lo, hi = Fraction(-bound - 1), Fraction(bound + 1)
+    _require(_count_leq(chain, lo) == 0, "a root lies below the lower root bound")
+    _require(_count_leq(chain, hi) >= 1, "no root lies below the upper root bound")
+    # decide exactly which side of the integer root the irrational
+    # minimum lies on; they can never coincide
+    if best_int is not None and _count_leq(chain, Fraction(best_int)) == 0:
+        return Fraction(best_int), Fraction(best_int)
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2
+        if _count_leq(chain, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
