@@ -25,7 +25,10 @@ Besides the data model this module provides:
     vertices that lose their last slim neighbour);
   * a canonical form (colour refinement with individualization and
     orbit pruning) deciding colour-preserving isomorphism;
-  * an induced-subgraph embedding search (``find_embedding``);
+  * an induced-subgraph embedding search (``find_embedding``), whose
+    pattern side (vertex order, adjacency to later vertices, colour and
+    degree keys) is built once per pattern and memoized on it, like the
+    canonical form;
   * connectivity helpers;
   * a plain text interchange format and a DOT exporter.
 """
@@ -77,7 +80,7 @@ class HoffmanGraph:
     and ``v`` are adjacent.
     """
 
-    __slots__ = ("slim_count", "fat_count", "adj", "_canon", "_hash")
+    __slots__ = ("slim_count", "fat_count", "adj", "_canon", "_hash", "_plan")
 
     def __init__(self, slim_count, fat_count, adj, _checked=False):
         self.slim_count = slim_count
@@ -85,6 +88,7 @@ class HoffmanGraph:
         self.adj = tuple(adj)
         self._canon = None
         self._hash = None
+        self._plan = None
         if not _checked:
             self._validate()
 
@@ -550,7 +554,10 @@ def canonical_form(g):
     """Byte string equal for two graphs iff they are colour-preserving
     isomorphic (slim maps to slim, fat to fat)."""
     if g._canon is None:
-        g._canon = canonical_data(g)[0]
+        if g.n:
+            g._canon = _canonical_search(g)[0]
+        else:
+            g._canon = bytes([g.slim_count, g.fat_count])
     return g._canon
 
 
@@ -581,6 +588,26 @@ def relabeled(g, perm):
 # ---------------------------------------------------------------------------
 
 
+def _embedding_plan(pattern):
+    """The pattern side of ``find_embedding``, built once per pattern:
+    (vertex order, steps, keys).  The order is by decreasing degree, then
+    by index; step ``i`` lists ``(j, adjacent)`` for each later position
+    ``j``, ``adjacent`` telling whether the pattern vertices at ``i`` and
+    ``j`` are joined; key ``i`` is (fat?, degree) of the vertex at ``i``."""
+    plan = pattern._plan
+    if plan is None:
+        padj = pattern.adj
+        pn = len(padj)
+        order = tuple(sorted(range(pn), key=lambda v: (-padj[v].bit_count(), v)))
+        steps = tuple(
+            tuple((j, (padj[v] >> order[j]) & 1 == 1) for j in range(i + 1, pn))
+            for i, v in enumerate(order)
+        )
+        keys = tuple((v >= pattern.slim_count, padj[v].bit_count()) for v in order)
+        plan = pattern._plan = (order, steps, keys)
+    return plan
+
+
 def find_embedding(pattern, host):
     """An injective colour-preserving induced embedding, or ``None``.
 
@@ -588,56 +615,67 @@ def find_embedding(pattern, host):
     semantics).  Uses degree/colour pruning and bitset domain filtering.
     Returns a tuple ``m`` with ``m[v]`` the host vertex of pattern
     vertex ``v``.
+
+    The pattern side, its vertex order, the adjacency of each vertex to
+    the later ones and the (colour, degree) key of each, is built on the
+    first call and memoized on the pattern (``_embedding_plan``), since
+    one pattern is tested against many hosts.  Per call the host gets
+    one domain per distinct key, the host vertices of that colour with
+    at least that degree, and one non-neighbour mask per candidate.
+    Candidates are tried in increasing order, so the result is the first
+    embedding in that order.
     """
     pn = pattern.n
     if pn == 0:
         return ()
     if pattern.slim_count > host.slim_count or pattern.fat_count > host.fat_count:
         return None
-    host_slim = host.slim_mask
-    host_fat = host.fat_mask
-    domains = []
-    for v in range(pn):
-        color_mask = host_slim if v < pattern.slim_count else host_fat
-        deg = pattern.degree(v)
-        dom = 0
-        for w in _iter_bits(color_mask):
-            if host.adj[w].bit_count() >= deg:
-                dom |= 1 << w
-        if not dom:
-            return None
-        domains.append(dom)
-    order = sorted(range(pn), key=lambda v: (-pattern.degree(v), v))
-    padj = pattern.adj
+    order, steps, keys = _embedding_plan(pattern)
     hadj = host.adj
+    hs = host.slim_count
+    degrees = [row.bit_count() for row in hadj]
+    by_key = {}
+    domains = []
+    for key in keys:
+        dom = by_key.get(key)
+        if dom is None:
+            fat, deg = key
+            dom = 0
+            for w in range(hs, len(hadj)) if fat else range(hs):
+                if degrees[w] >= deg:
+                    dom |= 1 << w
+            if not dom:
+                return None
+            by_key[key] = dom
+        domains.append(dom)
     full = (1 << host.n) - 1
     mapping = [-1] * pn
 
+    last = pn - 1
+
     def rec(i, doms):
-        if i == pn:
+        cand = doms[i]
+        if i == last:
+            # the domain of the last vertex is filtered against all others
+            mapping[order[i]] = (cand & -cand).bit_length() - 1
             return True
-        v = order[i]
-        cand = doms[v]
-        later = order[i + 1:]
+        step = steps[i]
         while cand:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
-            mapping[v] = w
-            ok = True
-            new = list(doms)
-            for u in later:
-                if (padj[v] >> u) & 1:
-                    d = new[u] & hadj[w]
-                else:
-                    d = new[u] & ~hadj[w] & full & ~low
+            near = hadj[w]
+            far = full ^ (near | low)
+            new = doms[:]
+            for j, adjacent in step:
+                d = new[j] & (near if adjacent else far)
                 if not d:
-                    ok = False
                     break
-                new[u] = d
-            if ok and rec(i + 1, new):
-                return True
-            mapping[v] = -1
+                new[j] = d
+            else:
+                if rec(i + 1, new):
+                    mapping[order[i]] = w
+                    return True
         return False
 
     if rec(0, domains):

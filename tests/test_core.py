@@ -25,10 +25,16 @@ from hoffline.core import (
     slim_cycle,
     slim_path,
 )
+from hoffline import verify
 from hoffline.enumeration import connected_slim_graphs, fat_hoffman_graphs, parse_graph6
 from hoffline.families import family_graph
 
-from bruteforce import canonical_data_unpruned, embed_bruteforce, iso_bruteforce
+from bruteforce import (
+    canonical_data_unpruned,
+    embed_bruteforce,
+    find_embedding_per_call,
+    iso_bruteforce,
+)
 
 
 def _complete_minus_edge(n):
@@ -322,6 +328,56 @@ def test_embedding_matches_bruteforce():
             for u in range(np_):
                 for v in range(u + 1, np_):
                     assert pattern.adjacent(u, v) == host.adjacent(got[u], got[v])
+
+
+def test_embedding_matches_per_call_reference(catalog8, spectral_corpus, monkeypatch):
+    # the same mapping tuple as the search that built the pattern side on
+    # every call: on the containment tests build_catalog(7) makes, and on
+    # the 38 members against all connected graphs with n <= 7 and the
+    # stream inputs
+    calls = []
+
+    def recording_find_embedding(pattern, host):
+        calls.append((pattern, host))
+        return find_embedding(pattern, host)
+
+    monkeypatch.setattr(verify, "find_embedding", recording_find_embedding)
+    verify.build_catalog(7)
+    monkeypatch.undo()
+    assert calls
+    members = [m.graph for m in catalog8.members()]
+    calls += [(m, g) for g in spectral_corpus for m in members]
+    found = 0
+    for pattern, host in calls:
+        got = find_embedding(pattern, host)
+        assert got == find_embedding_per_call(pattern, host), (pattern.adj, host.adj)
+        found += got is not None
+    assert 0 < found < len(calls)
+
+
+def _assert_embedding(pattern, host, m):
+    assert len(set(m)) == pattern.n
+    for u in range(pattern.n):
+        assert (u < pattern.slim_count) == (m[u] < host.slim_count)
+        for v in range(u + 1, pattern.n):
+            assert pattern.adjacent(u, v) == host.adjacent(m[u], m[v])
+
+
+def test_embedding_matches_bruteforce_on_fat_graphs(fat_corpus):
+    rng = random.Random(11)
+    pairs = [(rng.choice(fat_corpus), rng.choice(fat_corpus)) for _ in range(400)]
+    # too large in one colour or the other
+    pairs += [(slim_path(5), fat_corpus[-1]), (family_graph("H2"), family_graph("H3"))]
+    pairs += [(EMPTY_GRAPH, g) for g in fat_corpus[:5]]
+    found = 0
+    for pattern, host in pairs:
+        got = find_embedding(pattern, host)
+        want = embed_bruteforce(pattern, host)
+        assert (got is None) == (want is None), (pattern.adj, host.adj)
+        if got is not None:
+            _assert_embedding(pattern, host, got)
+            found += 1
+    assert 0 < found < len(pairs)
 
 
 def test_embedding_respects_colors():
