@@ -50,10 +50,11 @@ from .core import (
     IndexOutOfRange,
     _canonical_search,
     _colour_cells,
+    _find,
     _iter_bits,
     _mask_of,
     _refine,
-    canonical_data,
+    _union,
     canonical_form,
 )
 from .sums import SharedFatConflict, _sum_adjacency
@@ -187,7 +188,7 @@ def _target_cell(child, fat, cuts):
     the non-cut vertices, and None when every vertex of the new
     vertex's colour is one.
 
-    Why this is exact for McKay's rule there: ``canonical_data`` refines
+    Why this is exact for McKay's rule there: the canonical search refines
     the same colour cells at its root, and every partition of its search
     refines the root one without reordering it, so a leaf labelling
     lists the root cells in order and the target, the allowed vertex
@@ -309,10 +310,15 @@ def _canonical_children(parent, connected=True, fat=False):
         allowed, cells = _target_cell(child, fat, cuts)
         if not allowed:
             continue
-        form, lab, orbits = canonical_data(child, cells)
-        pos = {v: i for i, v in enumerate(lab)}
-        target = max(_iter_bits(allowed), key=pos.__getitem__)
-        if any(new in orb and target in orb for orb in orbits):
+        form, lab, autos = _canonical_search(child, cells)
+        target = next(v for v in reversed(lab) if allowed >> v & 1)
+        # the stored automorphisms generate the group (see ``core``), so
+        # their union-find joins exactly the vertices of one orbit
+        orbit_of = list(range(child.n))
+        for a in autos:
+            for v, image in enumerate(a):
+                _union(orbit_of, v, image)
+        if _find(orbit_of, new) == _find(orbit_of, target):
             yield child, form
 
 
