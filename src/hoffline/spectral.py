@@ -21,15 +21,23 @@ divides the square-free part, tau is an eigenvalue (equality witness).
 of configurable width (default 1e-9).  The integer roots, the only
 rational ones of a monic integer polynomial, are split off first by a
 scan that Newton's identities bound; the rest is bisected from the
-Cauchy bound with homogenised integer Horner, never landing on a root.
-Floating point is never consulted; the test suite cross-checks the
-intervals against a floating eigensolver.
+Cauchy bound at dyadic points, a numerator over 2^k, with homogenised
+integer Horner, never landing on a root.  The bisection counts roots
+with the Sturm chain only until one root is left in the interval; from
+then on the sign of the polynomial at each midpoint against its sign at
+the lower end decides the side, which is exact because that root is
+simple.  Floating point is never consulted; the test suite cross-checks
+the intervals against a floating eigensolver.  The square-free part of
+the last few polynomials is memoized, since the bracket and the
+threshold comparisons of one graph all start from it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,16 +93,16 @@ def char_poly(matrix):
     n = len(matrix)
     if n == 0:
         return (1,)
+    mul = operator.mul
     vec = [1, -matrix[0][0]]  # leading-first for the recurrence
     for i in range(1, n):
         row = matrix[i][:i]
-        col = [matrix[r][i] for r in range(i)]
         sub = [matrix[r][:i] for r in range(i)]
-        t = [1, -matrix[i][i]]
-        v = col[:]
-        for _ in range(i):
-            t.append(-sum(row[j] * v[j] for j in range(i)))
-            v = [sum(sub[r][c] * v[c] for c in range(i)) for r in range(i)]
+        v = [matrix[r][i] for r in range(i)]
+        t = [1, -matrix[i][i], -sum(map(mul, row, v))]
+        for _ in range(i - 1):
+            v = [sum(map(mul, s, v)) for s in sub]
+            t.append(-sum(map(mul, row, v)))
         new = [0] * (i + 2)
         for k in range(i + 2):
             acc = 0
@@ -236,7 +244,7 @@ def count_eigenvalues_below_threshold(poly):
     Exact: if tau is itself a root, the square-free part is deflated by
     x^2 + 2x - 1 first (the other root -1 + sqrt(2) lies above tau).
     """
-    p = square_free(poly)
+    p = _radical(tuple(poly))
     if _eval_at_tau(p) == (0, 0):
         p, r = _divmod_poly(p, _TAU_MIN_POLY)
         _require(not any(r), "x^2 + 2x - 1 does not divide a polynomial vanishing at tau")
@@ -282,10 +290,10 @@ class EigenInterval:
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
 
 
-def _count_leq(chain, x):
-    """Roots <= x of the square-free polynomial behind ``chain``, for a
-    rational x that is not itself a root."""
-    signs = [_sign_at(q, x.numerator, x.denominator) for q in chain]
+def _count_leq(chain, num, den):
+    """Roots <= num/den (den > 0) of the square-free polynomial behind
+    ``chain``, for a point that is not itself a root."""
+    signs = [_sign_at(q, num, den) for q in chain]
     _require(signs[0] != 0, "a bisection point is a root")
     return _variations([_sign_at_neg_inf(q) for q in chain]) - _variations(signs)
 
@@ -310,11 +318,42 @@ def _integer_roots(p, bound):
     return roots, work
 
 
+# Bisection in two phases.  The interval is (lo/2^k, (lo + width)/2^k]
+# for integers lo and k and the fixed integer width 2 * (bound + 1), so
+# every midpoint is (2 lo + width)/2^(k+1), a dyadic number that the
+# integer Horner of ``_sign_at`` evaluates without fractions.  No root
+# lies at or below the lower end, which moves only to a midpoint that
+# has no root at or below it.
+#
+# The counting phase keeps the number of roots at or below the upper
+# end, from the Sturm chain, and moves the upper end to a midpoint with
+# at least one.  Once that number is 1, the sign phase decides each
+# midpoint by the sign of ``work`` alone.  Why this gives the same
+# decisions: ``work`` is square-free, so its one root in the interval
+# is simple and ``work`` changes sign there and nowhere else in it.  It
+# has no rational roots, so no midpoint is that root.  Hence a midpoint
+# has a root at or below it exactly when the sign of ``work`` there
+# differs from its sign at the lower end, which stays the same because
+# the lower end only moves to points of that sign.  Both phases
+# ``_require`` that no midpoint is a root: a scan that missed a rational
+# root would otherwise give a wrong count or a wrong side.
+
+
+@functools.lru_cache(maxsize=32)
+def _radical(poly):
+    """``square_free`` of the tuple ``poly``, as a tuple.  Memoized for
+    the last few polynomials: ``smallest_root_interval`` and then
+    ``compare_threshold`` and ``equals_threshold`` all start from the
+    radical of the same characteristic polynomial."""
+    return tuple(square_free(poly))
+
+
 def smallest_root_interval(poly, tolerance=DEFAULT_TOLERANCE):
     """Bracket the smallest real root of a monic integer polynomial whose
     roots are all real.  Width <= tolerance (zero when the root is an
     integer)."""
-    p = square_free(poly)
+    tolerance = Fraction(tolerance)
+    p = _radical(tuple(poly))
     if _degree(p) == 0:
         raise EmptyGraph("constant polynomial has no roots")
     # Cauchy: every root lies strictly inside (-bound, bound)
@@ -327,20 +366,33 @@ def smallest_root_interval(poly, tolerance=DEFAULT_TOLERANCE):
         _require(best_int is not None, "constant polynomial left without a root")
         return Fraction(best_int), Fraction(best_int)
     chain = sturm_chain(work)
-    lo, hi = Fraction(-bound - 1), Fraction(bound + 1)
-    _require(_count_leq(chain, lo) == 0, "a root lies below the lower root bound")
-    _require(_count_leq(chain, hi) >= 1, "no root lies below the upper root bound")
+    lo, width, k = -bound - 1, 2 * (bound + 1), 0
+    _require(_count_leq(chain, lo, 1) == 0, "a root lies below the lower root bound")
+    count = _count_leq(chain, lo + width, 1)
+    _require(count >= 1, "no root lies below the upper root bound")
     # decide exactly which side of the integer root the irrational
     # minimum lies on; they can never coincide
-    if best_int is not None and _count_leq(chain, Fraction(best_int)) == 0:
+    if best_int is not None and _count_leq(chain, best_int, 1) == 0:
         return Fraction(best_int), Fraction(best_int)
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        if _count_leq(chain, mid) >= 1:
-            hi = mid
+    # the sign of work at the lower end, non-zero in the sign phase only
+    # (see the block comment above)
+    lo_sign = _sign_at(work, lo) if count == 1 else 0
+    tol_num, tol_den = tolerance.numerator, tolerance.denominator
+    while width * tol_den > tol_num << k:
+        lo, k = lo << 1, k + 1
+        mid, den = lo + width, 1 << k
+        if lo_sign:
+            sign = _sign_at(work, mid, den)
+            _require(sign != 0, "a bisection point is a root")
+            if sign == lo_sign:
+                lo = mid
         else:
-            lo = mid
-    return lo, hi
+            count = _count_leq(chain, mid, den)
+            if count == 0:
+                lo = mid
+            elif count == 1:
+                lo_sign = _sign_at(work, lo, den)
+    return Fraction(lo, 1 << k), Fraction(lo + width, 1 << k)
 
 
 def smallest_eigenvalue(g, tolerance=DEFAULT_TOLERANCE):

@@ -1,12 +1,17 @@
 """Exact characteristic polynomials, Sturm certification, threshold."""
 
+import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hoffline
 from hoffline.core import HoffmanGraph, slim_complete, slim_cycle, slim_path
 from hoffline.families import family_graph
 from hoffline import spectral
@@ -24,7 +29,7 @@ from hoffline.spectral import (
     threshold_is_root,
 )
 
-from bruteforce import charpoly_bruteforce
+from bruteforce import charpoly_bruteforce, smallest_root_interval_fractions
 
 TAU = -1 - math.sqrt(2)
 
@@ -213,13 +218,15 @@ def test_family_alpha_labels():
 
 def test_failed_certification_check_raises(monkeypatch):
     # an explicit raise, so the check also holds under python -O
-    monkeypatch.setattr(spectral, "_count_leq", lambda chain, x: 1)
+    monkeypatch.setattr(spectral, "_count_leq", lambda chain, num, den: 1)
     with pytest.raises(CertificationError):
         spectral.smallest_root_interval((-2, 0, 1))
 
 
 def test_inexact_integer_division_raises(monkeypatch):
-    # a divisor that does not divide: 2x + 1 into x^2 - 1
+    # a divisor that does not divide: 2x + 1 into x^2 - 1; the radical of
+    # x^2 - 1 may be memoized from an earlier test, so the memo is emptied
+    spectral._radical.cache_clear()
     monkeypatch.setattr(spectral, "sturm_chain", lambda p: [[1, 2]])
     with pytest.raises(CertificationError):
         spectral.smallest_root_interval((-1, 0, 1))
@@ -231,6 +238,101 @@ def test_bisection_point_at_a_root_raises(monkeypatch):
     monkeypatch.setattr(spectral, "_integer_roots", lambda p, bound: ([], p))
     with pytest.raises(CertificationError):
         spectral.smallest_root_interval((0, -1, 1))
+
+
+def test_sign_phase_point_at_a_root_raises(monkeypatch):
+    # a scan that missed the roots -3 and 2 of x^2 + x - 6: the count at
+    # the first midpoint, 0, is 1, so [-8, 0] is bisected by sign alone;
+    # its third midpoint, -3, is a root, which raises instead of picking
+    # a side
+    monkeypatch.setattr(spectral, "_integer_roots", lambda p, bound: ([], p))
+    counted = []
+    count_leq = spectral._count_leq
+
+    def recording_count_leq(chain, num, den):
+        counted.append(Fraction(num, den))
+        return count_leq(chain, num, den)
+
+    monkeypatch.setattr(spectral, "_count_leq", recording_count_leq)
+    with pytest.raises(CertificationError):
+        spectral.smallest_root_interval((-6, 1, 1))
+    assert counted == [-8, 8, 0]
+
+
+_FAILURES_UNDER_O = """
+import json, sys
+from hoffline import spectral
+
+def raises(poly, **patches):
+    saved = {name: getattr(spectral, name) for name in patches}
+    for name, value in patches.items():
+        setattr(spectral, name, value)
+    try:
+        spectral.smallest_root_interval(poly)
+    except spectral.CertificationError:
+        return True
+    finally:
+        for name, value in saved.items():
+            setattr(spectral, name, value)
+    return False
+
+no_scan = lambda p, bound: ([], p)
+print(json.dumps({
+    "optimize": sys.flags.optimize,
+    "lower_bound": raises((-2, 0, 1), _count_leq=lambda chain, num, den: 1),
+    "counting_phase_root": raises((0, -1, 1), _integer_roots=no_scan),
+    "sign_phase_root": raises((-6, 1, 1), _integer_roots=no_scan),
+}))
+"""
+
+
+def test_certification_checks_hold_under_python_O():
+    # python -O strips asserts; the checks are explicit raises, so the
+    # three failures above still raise there
+    src = str(Path(hoffline.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAILURES_UNDER_O],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "optimize": 1,
+        "lower_bound": True,
+        "counting_phase_root": True,
+        "sign_phase_root": True,
+    }
+
+
+# -- dyadic bisection against the Fraction bisection it replaced -------------
+
+
+@pytest.fixture(scope="module")
+def corpus_polys(spectral_corpus, fat_corpus):
+    """The distinct characteristic polynomials of both corpora."""
+    return sorted({char_poly(special_matrix(g)) for g in spectral_corpus + fat_corpus})
+
+
+@pytest.mark.parametrize(
+    "tolerance",
+    [Fraction(1), Fraction(1, 2**10), Fraction(1, 10**9), Fraction(1, 10**40)],
+    ids=["1", "2^-10", "10^-9", "10^-40"],
+)
+def test_interval_matches_fraction_bisection(corpus_polys, tolerance):
+    for poly in corpus_polys:
+        want = smallest_root_interval_fractions(poly, tolerance)
+        assert spectral.smallest_root_interval(poly, tolerance) == want, poly
+
+
+def test_float_tolerance_matches_fraction_bisection(stream_graphs):
+    # a float tolerance is taken at its exact binary value, as the
+    # Fraction bisection compared it
+    for g in stream_graphs[:40]:
+        poly = char_poly(special_matrix(g))
+        want = smallest_root_interval_fractions(poly, 1e-9)
+        assert spectral.smallest_root_interval(poly, 1e-9) == want
 
 
 # -- the Newton-bounded integer-root scan against the full Cauchy range ------

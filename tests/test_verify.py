@@ -251,6 +251,7 @@ def test_table1_row_matches_every_slim_part(row_id, catalog8, monkeypatch):
 
     monkeypatch.setattr(verify, "find_embedding", recording_find_embedding)
     assert verify.table1_row_occurrence(row_id, catalog8) == (occ, uncovered, count)
+    assert tested
     assert len(tested) == len(set(tested))
 
 
