@@ -444,6 +444,16 @@ def _union(parent, x, y):
         parent[rx] = ry
 
 
+def _orbit_forest(n, autos):
+    """A union-find forest on ``range(n)`` whose trees are the orbits of
+    the group that the permutations ``autos`` generate."""
+    parent = list(range(n))
+    for a in autos:
+        for v in range(n):
+            _union(parent, v, a[v])
+    return parent
+
+
 class _CanonSearch:
     __slots__ = ("adj", "first", "best", "autos")
 
@@ -539,10 +549,7 @@ def canonical_data(g, cells=None):
     if n == 0:
         return bytes([g.slim_count, g.fat_count]), [], []
     form, lab, autos = _canonical_search(g, cells)
-    parent = list(range(n))
-    for a in autos:
-        for v in range(n):
-            _union(parent, v, a[v])
+    parent = _orbit_forest(n, autos)
     groups = {}
     for v in range(n):
         groups.setdefault(_find(parent, v), []).append(v)
@@ -616,14 +623,13 @@ def find_embedding(pattern, host):
     Returns a tuple ``m`` with ``m[v]`` the host vertex of pattern
     vertex ``v``.
 
-    The pattern side, its vertex order, the adjacency of each vertex to
-    the later ones and the (colour, degree) key of each, is built on the
-    first call and memoized on the pattern (``_embedding_plan``), since
-    one pattern is tested against many hosts.  Per call the host gets
-    one domain per distinct key, the host vertices of that colour with
-    at least that degree, and one non-neighbour mask per candidate.
-    Candidates are tried in increasing order, so the result is the first
-    embedding in that order.
+    The pattern side (``_embedding_plan``) is built on the first call
+    and memoized on the pattern, since one pattern is tested against
+    many hosts.  Per call the host gets one domain per distinct key, the
+    host vertices of that colour with at least that degree, and one
+    non-neighbour mask per candidate.  Candidates are tried in
+    increasing order, so the result is the first embedding in that
+    order.
     """
     pn = pattern.n
     if pn == 0:
@@ -650,7 +656,6 @@ def find_embedding(pattern, host):
         domains.append(dom)
     full = (1 << host.n) - 1
     mapping = [-1] * pn
-
     last = pn - 1
 
     def rec(i, doms):

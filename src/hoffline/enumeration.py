@@ -53,8 +53,8 @@ from .core import (
     _find,
     _iter_bits,
     _mask_of,
+    _orbit_forest,
     _refine,
-    _union,
     canonical_form,
 )
 from .sums import SharedFatConflict, _sum_adjacency
@@ -312,13 +312,9 @@ def _canonical_children(parent, connected=True, fat=False):
             continue
         form, lab, autos = _canonical_search(child, cells)
         target = next(v for v in reversed(lab) if allowed >> v & 1)
-        # the stored automorphisms generate the group (see ``core``), so
-        # their union-find joins exactly the vertices of one orbit
-        orbit_of = list(range(child.n))
-        for a in autos:
-            for v, image in enumerate(a):
-                _union(orbit_of, v, image)
-        if _find(orbit_of, new) == _find(orbit_of, target):
+        # the stored automorphisms generate the group (see ``core``)
+        orbits = _orbit_forest(child.n, autos)
+        if _find(orbits, new) == _find(orbits, target):
             yield child, form
 
 
