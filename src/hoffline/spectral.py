@@ -318,6 +318,15 @@ def _integer_roots(p, bound):
     return roots, work
 
 
+@functools.lru_cache(maxsize=32)
+def _radical(poly):
+    """``square_free`` of the tuple ``poly``, as a tuple.  Memoized for
+    the last few polynomials: ``smallest_root_interval`` and then
+    ``compare_threshold`` and ``equals_threshold`` all start from the
+    radical of the same characteristic polynomial."""
+    return tuple(square_free(poly))
+
+
 # Bisection in two phases.  The interval is (lo/2^k, (lo + width)/2^k]
 # for integers lo and k and the fixed integer width 2 * (bound + 1), so
 # every midpoint is (2 lo + width)/2^(k+1), a dyadic number that the
@@ -337,15 +346,6 @@ def _integer_roots(p, bound):
 # the lower end only moves to points of that sign.  Both phases
 # ``_require`` that no midpoint is a root: a scan that missed a rational
 # root would otherwise give a wrong count or a wrong side.
-
-
-@functools.lru_cache(maxsize=32)
-def _radical(poly):
-    """``square_free`` of the tuple ``poly``, as a tuple.  Memoized for
-    the last few polynomials: ``smallest_root_interval`` and then
-    ``compare_threshold`` and ``equals_threshold`` all start from the
-    radical of the same characteristic polynomial."""
-    return tuple(square_free(poly))
 
 
 def smallest_root_interval(poly, tolerance=DEFAULT_TOLERANCE):

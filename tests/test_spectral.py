@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -295,7 +296,7 @@ def test_certification_checks_hold_under_python_O():
         capture_output=True,
         text=True,
         timeout=120,
-        env={"PYTHONPATH": src, "PATH": ""},
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
