@@ -16,18 +16,23 @@ for a prune of the production search:
   ``_fat_phase`` with the production code);
 - ``sum_family_unpruned`` is the sum-family loop as it stood before a
   cell partition whose multiset of classes was already seen was skipped
-  (it shares the partition and assembly helpers with the production
-  code);
+  (it shares the cell partitions and the assembly with the production
+  code, and runs on ``fat_neighbourhoods_labelled``, the slot
+  partitions as they stood before interchangeable slots and blocks
+  were told apart);
 - ``canonical_data_unpruned`` is the canonical labelling search as it
   stood before refinement counted only into the cells of the previous
   split and candidates were pruned by the orbits of the stored
   automorphisms (it shares the starting partition and the leaf key with
   the production code);
+- ``canonical_search_lists`` is the canonical search as it stood before
+  its cells became bitmasks, orbit pruning and incremental refinement
+  included;
 - ``canonical_children_unpruned`` is the canonical augmentation step as
   it stood before a parent was extended once per orbit of its
   automorphism group and its cut vertices were found once per parent
-  (it shares ``_extend``, refinement and ``canonical_data`` with the
-  production code).
+  (it shares ``_extend`` and ``canonical_data`` with the production
+  code, and refines the root partition with the list-cell copy).
 
 Two more are the production kernels as they stood before their per-call
 set-up was taken out, kept as references for the mappings and intervals
@@ -38,22 +43,22 @@ and ``smallest_root_interval_fractions`` (see the end of this module).
 import itertools
 from fractions import Fraction
 
-from hoffline import core
 from hoffline.core import (
     HoffmanGraph,
     _adjacency_key,
-    _colour_cells,
+    _find,
     _iter_bits,
     _mask_of,
+    _union,
     canonical_data,
     canonical_form,
 )
 from hoffline.enumeration import (
+    _CELL_KINDS,
     EMPTY_GRAPH,
     _assemble_sum,
     _cell_partitions,
     _extend,
-    _fat_neighbourhoods,
     all_slim_graphs,
 )
 from hoffline.recognition import _fat_phase
@@ -408,6 +413,64 @@ def cover_structures_unpruned(g):
     yield from rec((1 << s) - 1)
 
 
+# -- the slot partitions as they stood before symmetry breaking -----------
+#
+# Copied word for word but for their names: every labelled set partition
+# of the fat slots, so the two slots of an H2 cell and two blocks with
+# the same parts are told apart.
+
+
+def slot_partitions_labelled(slot_parts):
+    """Partition fat slots into blocks: at most one slot per part per
+    block, and two parts never share more than one block."""
+    nslots = len(slot_parts)
+    nparts = max(slot_parts) + 1 if nslots else 0
+
+    def rec(i, blocks, block_parts, pair_used):
+        if i == nslots:
+            yield [tuple(b) for b in blocks]
+            return
+        p = slot_parts[i]
+        for bi in range(len(blocks)):
+            bp = block_parts[bi]
+            if p in bp:
+                continue
+            pairs = [(min(p, q), max(p, q)) for q in bp]
+            if any(pr in pair_used for pr in pairs):
+                continue
+            blocks[bi].append(i)
+            bp.add(p)
+            pair_used.update(pairs)
+            yield from rec(i + 1, blocks, block_parts, pair_used)
+            pair_used.difference_update(pairs)
+            bp.remove(p)
+            blocks[bi].pop()
+        blocks.append([i])
+        block_parts.append({p})
+        yield from rec(i + 1, blocks, block_parts, pair_used)
+        block_parts.pop()
+        blocks.pop()
+
+    yield from rec(0, [], [], set())
+
+
+def fat_neighbourhoods_labelled(cells):
+    """Yield the slim neighbourhoods of the fat vertices, one list per way
+    to merge the fat slots of ``cells`` into fat vertices."""
+    masks = [_mask_of(cell) for cell, _cls, _edges in cells]
+    slot_parts = [
+        p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_KINDS[cls])
+    ]
+    for blocks in slot_partitions_labelled(slot_parts):
+        fat_nbhds = []
+        for block in blocks:
+            nbhd = 0
+            for slot in block:
+                nbhd |= masks[slot_parts[slot]]
+            fat_nbhds.append(nbhd)
+        yield fat_nbhds
+
+
 def sum_family_unpruned(slim_count, classes, component_count):
     """The sums K of ``sum_graphs``, one per class, over every typed cell
     partition (no class-multiset key)."""
@@ -425,7 +488,7 @@ def sum_family_unpruned(slim_count, classes, component_count):
         # same multiset can belong to different graphs, hence one key set
         # per partition.
         keys = set()
-        for fat_nbhds in _fat_neighbourhoods(cells):
+        for fat_nbhds in fat_neighbourhoods_labelled(cells):
             key = tuple(sorted(fat_nbhds))
             if key in keys:
                 continue
@@ -546,7 +609,7 @@ def canonical_data_unpruned(g):
     if n == 0:
         return header, [], []
     search = _CanonSearch(g.adj)
-    search.run(_colour_cells(g), [])
+    search.run(_colour_cells_lists(g), [])
     key, lab = search.best
     parent = list(range(n))
 
@@ -568,6 +631,143 @@ def canonical_data_unpruned(g):
     return header + key, lab, orbits
 
 
+# -- the canonical search as it stood before its cells became bitmasks -----
+#
+# Copied word for word but for their names, so the block comments their
+# docstrings point to are those of ``core``: an ordered partition is a
+# list of ascending vertex lists, and refinement groups each cell by its
+# tuple of counts into the fresh cells.
+
+
+def _refine_lists(adj, cells, fresh):
+    """Equitable refinement of an ordered partition.
+
+    Each round splits every cell by its neighbour counts into the cells
+    of ``fresh`` and orders the parts by count vector, which is
+    label-invariant, so two isomorphic graphs refine to corresponding
+    partitions.  The next round counts into the parts of each split but
+    the last; refinement stops when a round splits nothing.  ``fresh``
+    must be every cell at the root and the new singleton below a split
+    of an equitable partition (see the block comment above).
+    """
+    cells = [c[:] for c in cells]
+    while fresh:
+        masks = [_mask_of(c) for c in fresh]
+        fresh = []
+        new_cells = []
+        for c in cells:
+            if len(c) == 1:
+                new_cells.append(c)
+                continue
+            groups = {}
+            for v in c:
+                row = adj[v]
+                sig = tuple((row & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(c)
+            else:
+                parts = [groups[sig] for sig in sorted(groups)]
+                new_cells.extend(parts)
+                fresh.extend(parts[:-1])
+        cells = new_cells
+    return cells
+
+
+def _colour_cells_lists(g):
+    """The partition canonical labelling starts from: the slim vertices,
+    then the fat ones, leaving out an empty cell."""
+    cells = []
+    if g.slim_count:
+        cells.append(list(range(g.slim_count)))
+    if g.fat_count:
+        cells.append(list(range(g.slim_count, g.n)))
+    return cells
+
+
+class _CanonSearchLists:
+    __slots__ = ("adj", "first", "best", "autos")
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.first = None
+        self.best = None
+        self.autos = []
+
+    def _record_auto(self, lab1, lab2):
+        n = len(lab1)
+        perm = [0] * n
+        for i in range(n):
+            perm[lab1[i]] = lab2[i]
+        if any(perm[i] != i for i in range(n)):
+            self.autos.append(perm)
+
+    def _leaf(self, cells):
+        lab = [c[0] for c in cells]
+        key = _adjacency_key(self.adj, lab)
+        if self.first is None:
+            self.first = self.best = (key, lab)
+            return
+        if key == self.first[0]:
+            self._record_auto(self.first[1], lab)
+        if key < self.best[0]:
+            self.best = (key, lab)
+        elif key == self.best[0] and self.best is not self.first:
+            self._record_auto(self.best[1], lab)
+
+    def run(self, cells, fresh, fixed):
+        cells = _refine_lists(self.adj, cells, fresh)
+        target = -1
+        for i, c in enumerate(cells):
+            if len(c) > 1:
+                target = i
+                break
+        if target < 0:
+            self._leaf(cells)
+            return
+        cell = cells[target]
+        rest_template = cells[:target]
+        tail = cells[target + 1:]
+        # the orbits on the target cell of the group that the stored
+        # automorphisms fixing the prefix generate
+        parent = {v: v for v in cell}
+        folded = 0
+        tried = []
+        for v in cell:
+            for a in self.autos[folded:]:
+                if all(a[x] == x for x in fixed):
+                    for u in cell:
+                        _union(parent, u, a[u])
+            folded = len(self.autos)
+            root = _find(parent, v)
+            if any(_find(parent, u) == root for u in tried):
+                continue
+            tried.append(v)
+            sub = rest_template + [[v], [u for u in cell if u != v]] + tail
+            fixed.append(v)
+            self.run(sub, [[v]], fixed)
+            fixed.pop()
+
+
+def canonical_search_lists(g, cells=None):
+    """The canonical search of a non-empty ``g``: (form bytes, labelling,
+    stored automorphisms), which generate the colour-preserving
+    automorphism group (see the block comment above).
+
+    ``cells`` is the root partition, the colour cells as ``_refine``
+    leaves them, when the caller has refined them already; the search
+    then starts from it with no fresh cell, which ``_refine`` returns
+    unchanged.  By default it refines the colour cells itself.
+    """
+    fresh = []
+    if cells is None:
+        cells = fresh = _colour_cells_lists(g)
+    search = _CanonSearchLists(g.adj)
+    search.run(cells, fresh, [])
+    key, lab = search.best
+    return bytes([g.slim_count, g.fat_count]) + key, lab, search.autos
+
+
 def _noncut_mask(g, mask):
     """The vertices in ``mask`` whose removal keeps the graph connected."""
     full = g.slim_mask
@@ -579,9 +779,10 @@ def _noncut_mask(g, mask):
 
 
 def _target_cell(child, connected, fat):
-    """The allowed deletion targets of ``child`` in the root cell of its
-    new vertex (the last one), or 0 when a later root cell holds one:
-    a child ``_canonical_children`` rejects before labelling it.
+    """(targets, cells): the allowed deletion targets of ``child`` in the
+    root cell of its new vertex (the last one) and the root partition,
+    as vertex lists, or (0, None) when a later root cell holds one: a
+    child ``_canonical_children`` rejects before labelling it.
 
     Why this is exact for McKay's rule there: ``canonical_data`` refines
     the same colour cells at its root, and every partition of its search
@@ -609,14 +810,14 @@ def _target_cell(child, connected, fat):
     deg = child.adj[new].bit_count()
     colour = child.fat_mask if fat else child.slim_mask
     if allowed(_mask_of(v for v in _iter_bits(colour) if child.adj[v].bit_count() > deg)):
-        return 0
-    cells = _colour_cells(child)
-    cells = core._refine(child.adj, cells, cells)
+        return 0, None
+    cells = _colour_cells_lists(child)
+    cells = _refine_lists(child.adj, cells, cells)
     i = next(i for i, cell in enumerate(cells) if new in cell)
     own = _mask_of(cells[i])
     later = _mask_of(v for cell in cells[i + 1:] for v in cell)
     targets = allowed(own | later)
-    return 0 if targets & later else targets & own
+    return (0, None) if targets & later else (targets & own, cells)
 
 
 def canonical_children_unpruned(parent, connected=True, fat=False):
@@ -634,7 +835,7 @@ def canonical_children_unpruned(parent, connected=True, fat=False):
     emitted = set()
     for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
         child = _extend(parent, nbhd, fat)
-        allowed = _target_cell(child, connected, fat)
+        allowed, _cells = _target_cell(child, connected, fat)
         if not allowed:
             continue
         form, lab, orbits = canonical_data(child)

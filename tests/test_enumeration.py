@@ -24,7 +24,6 @@ from hoffline.enumeration import (
     _compose,
     _cut_components,
     _extend,
-    _fat_neighbourhoods,
     _sum_family,
     _target_cell,
     MalformedHeader,
@@ -47,6 +46,7 @@ from bruteforce import (
     _noncut_mask,
     canonical_children_unpruned,
     fat_graphs_bruteforce,
+    fat_neighbourhoods_labelled,
     sum_family_unpruned,
 )
 
@@ -367,7 +367,7 @@ def _unpruned_sum_forms(k, component_count):
     assembled structure (no multiset key)."""
     forms = []
     for cells in _cell_partitions(k, frozenset(("H1", "H2", "H3", "H5"))):
-        for fat_nbhds in _fat_neighbourhoods(cells):
+        for fat_nbhds in fat_neighbourhoods_labelled(cells):
             g, _parts = _assemble_sum(k, cells, fat_nbhds)
             if component_count is None or len(g.connected_components()) == component_count:
                 forms.append(canonical_form(g))
