@@ -382,7 +382,12 @@ def fat_hoffman_graphs(slim_count, fat_max):
 # ``connected_components`` and ``canonical_form`` only when its multiset
 # of fat neighbourhoods is new.  Both keys skip only structures isomorphic
 # to one handled before them, so the first member of every class, and the
-# order of the family, are the same as without the keys.
+# order of the family, are the same as without the keys.  The slot
+# partitions behind the second key break two symmetries before the key
+# sees them: the two slots of an H2 cell go to blocks in increasing
+# order, and a slot joins only the first of several blocks with the same
+# parts (see ``_slot_partitions``), so most repeats of a multiset are
+# never built (k <= 5: 10,633 instead of 78,165 partitions).
 
 
 _CELL_KINDS = {"H1": 1, "H2": 2, "H3": 1, "H5": 1}
@@ -427,43 +432,85 @@ def _cell_partitions(k, classes):
     yield from rec(list(range(k)), [])
 
 
+# One slot partition per multiset of blocks (McKay, J. Algorithms 26,
+# 1998).  ``_sum_family`` keys a slot partition by the multiset of the
+# part sets of its blocks, and keeps the first of each key.  The search
+# below assigns slot i to an existing block, in the order of the blocks'
+# first slots, or else to a new block, so it meets the partitions in the
+# lexicographic order of the block each slot gets.  Two rules cut
+# branches.
+#
+# (1) When slots i - 1 and i belong to one part, slot i goes only to a
+# block after the one holding slot i - 1.  Take a partition P in which
+# slot i joins an earlier block b, and swap slots i - 1 and i.  They own
+# the same part, so every block keeps its part set and the result P' is
+# a valid partition with the same key.  P' agrees with P before slot
+# i - 1, and puts slot i - 1 into b, which is earlier than the block P
+# puts it into (an existing one after b, or a new one).
+#
+# (2) A slot joins only the first of the existing blocks that hold one
+# set of parts.  Take a partition P in which slot i joins a later block
+# b2 with the same part set as an earlier block b1.  Each part of that
+# set owns one slot in each of the two blocks; exchange those slots,
+# part by part.  Again every slot keeps its part, so the result P' is a
+# valid partition with the same key.  Before slot i it is the same set
+# partition, since b1 and b2 only trade their contents, and at slot i it
+# joins b1, which comes earlier.
+#
+# So every partition that a rule cuts has a twin with the same key that
+# the unpruned search meets earlier, and the first partition of every
+# key survives.  Survivors keep their order, so ``_sum_family`` keeps
+# the same structures in the same order.
+
+
 def _slot_partitions(slot_parts):
     """Partition fat slots into blocks: at most one slot per part per
-    block, and two parts never share more than one block."""
+    block, and two parts never share more than one block.  Yields the
+    blocks in the order of their first slots, each as the bitmask of the
+    parts owning its slots; at least the first partition of every
+    multiset of blocks comes (see the block comment above)."""
     nslots = len(slot_parts)
-    nparts = max(slot_parts) + 1 if nslots else 0
+    blocks = []
+    where = [0] * nslots
+    # the parts that share a block with each part so far
+    shared = [0] * (max(slot_parts, default=-1) + 1)
 
-    def rec(i, blocks, block_parts, pair_used):
+    def rec(i):
         if i == nslots:
-            yield [tuple(b) for b in blocks]
+            yield blocks[:]
             return
         p = slot_parts[i]
-        for bi in range(len(blocks)):
-            bp = block_parts[bi]
-            if p in bp:
+        bit = 1 << p
+        start = where[i - 1] + 1 if i and slot_parts[i - 1] == p else 0
+        seen = set()
+        for bi, bp in enumerate(blocks):
+            if bp in seen:
                 continue
-            pairs = [(min(p, q), max(p, q)) for q in bp]
-            if any(pr in pair_used for pr in pairs):
+            seen.add(bp)
+            if bi < start or bp & (bit | shared[p]):
                 continue
-            blocks[bi].append(i)
-            bp.add(p)
-            pair_used.update(pairs)
-            yield from rec(i + 1, blocks, block_parts, pair_used)
-            pair_used.difference_update(pairs)
-            bp.remove(p)
-            blocks[bi].pop()
-        blocks.append([i])
-        block_parts.append({p})
-        yield from rec(i + 1, blocks, block_parts, pair_used)
-        block_parts.pop()
+            blocks[bi] = bp | bit
+            shared[p] |= bp
+            for q in _iter_bits(bp):
+                shared[q] |= bit
+            where[i] = bi
+            yield from rec(i + 1)
+            for q in _iter_bits(bp):
+                shared[q] ^= bit
+            shared[p] ^= bp
+            blocks[bi] = bp
+        where[i] = len(blocks)
+        blocks.append(bit)
+        yield from rec(i + 1)
         blocks.pop()
 
-    yield from rec(0, [], [], set())
+    yield from rec(0)
 
 
 def _fat_neighbourhoods(cells):
     """Yield the slim neighbourhoods of the fat vertices, one list per way
-    to merge the fat slots of ``cells`` into fat vertices."""
+    to merge the fat slots of ``cells`` into fat vertices that
+    ``_slot_partitions`` yields."""
     masks = [_mask_of(cell) for cell, _cls, _edges in cells]
     slot_parts = [
         p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_KINDS[cls])
@@ -472,8 +519,8 @@ def _fat_neighbourhoods(cells):
         fat_nbhds = []
         for block in blocks:
             nbhd = 0
-            for slot in block:
-                nbhd |= masks[slot_parts[slot]]
+            for p in _iter_bits(block):
+                nbhd |= masks[p]
             fat_nbhds.append(nbhd)
         yield fat_nbhds
 

@@ -24,6 +24,7 @@ from hoffline.enumeration import (
     _compose,
     _cut_components,
     _extend,
+    _fat_neighbourhoods,
     _sum_family,
     _target_cell,
     MalformedHeader,
@@ -387,6 +388,36 @@ def test_sum_key_skip_matches_unpruned(k, component_count):
         assert g2 is g and parts2 is parts
         assert isinstance(parts, tuple)
         assert all(isinstance(p, frozenset) for p in parts)
+
+
+def _first_per_key(nbhd_lists):
+    """The first fat-neighbourhood list of each multiset, in order."""
+    first = {}
+    for fat_nbhds in nbhd_lists:
+        first.setdefault(tuple(sorted(fat_nbhds)), fat_nbhds)
+    return list(first.values())
+
+
+def test_slot_partitions_keep_first_of_each_multiset():
+    # breaking the symmetry of interchangeable slots and blocks keeps the
+    # first slot partition of every multiset of blocks, in order, and
+    # skips the labelled repeats
+    checked = set()
+    kept = labelled = 0
+    for classes in (("H1", "H2", "H3", "H5"), ("H1", "H2", "H3"), ("H2", "H3", "H5")):
+        for k in range(1, 6):
+            for cells in _cell_partitions(k, frozenset(classes)):
+                # the fat neighbourhoods do not depend on the edge of an H5 cell
+                key = tuple((cell, cls) for cell, cls, _edges in cells)
+                if key in checked:
+                    continue
+                checked.add(key)
+                got = list(_fat_neighbourhoods(cells))
+                want = list(fat_neighbourhoods_labelled(cells))
+                assert _first_per_key(got) == _first_per_key(want), cells
+                kept += len(got)
+                labelled += len(want)
+    assert kept < labelled
 
 
 @pytest.mark.parametrize(
