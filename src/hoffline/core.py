@@ -337,6 +337,16 @@ _TEXT_MAX_VERTICES = 1000
 # colour-preserving isomorphism exists.  Graph sizes in this package stay
 # below ~25 vertices, so no external canonical labelling tool is needed.
 #
+# Bitmask cells (as in McKay & Piperno, J. Symbolic Computation 60,
+# 2014).  A cell is the int mask of its vertices, read in ascending
+# order.  Every cell is ascending anyway: the colour cells are, a split
+# keeps the order within each part, and individualizing v leaves [v] and
+# the rest of the cell in order.  A cell splits by its counts into the
+# fresh cells one fresh cell at a time, each split stable and ordered by
+# count; that orders the parts by count vector, first fresh cell first,
+# as sorting the vectors would.  A fresh singleton {u} splits a cell
+# into its non-neighbours and neighbours of u, two mask operations.
+#
 # Incremental refinement.  A round splits each cell by its neighbour
 # counts into the cells the previous round created, not into every cell.
 # At the root every cell is new.  Below it, the partition was equitable
@@ -372,7 +382,7 @@ _TEXT_MAX_VERTICES = 1000
 
 
 def _refine(adj, cells, fresh):
-    """Equitable refinement of an ordered partition.
+    """Equitable refinement of an ordered partition of bitmask cells.
 
     Each round splits every cell by its neighbour counts into the cells
     of ``fresh`` and orders the parts by count vector, which is
@@ -382,39 +392,47 @@ def _refine(adj, cells, fresh):
     must be every cell at the root and the new singleton below a split
     of an equitable partition (see the block comment above).
     """
-    cells = [c[:] for c in cells]
+    cells = list(cells)
     while fresh:
-        masks = [_mask_of(c) for c in fresh]
-        fresh = []
         new_cells = []
+        next_fresh = []
         for c in cells:
-            if len(c) == 1:
+            if not c & (c - 1):
                 new_cells.append(c)
                 continue
-            groups = {}
-            for v in c:
-                row = adj[v]
-                sig = tuple((row & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
-            if len(groups) == 1:
-                new_cells.append(c)
-            else:
-                parts = [groups[sig] for sig in sorted(groups)]
-                new_cells.extend(parts)
-                fresh.extend(parts[:-1])
+            parts = [c]
+            for m in fresh:
+                split = []
+                if not m & (m - 1):
+                    row = adj[m.bit_length() - 1]
+                    for part in parts:
+                        far = part & ~row
+                        if far:
+                            split.append(far)
+                        if far != part:
+                            split.append(part & row)
+                else:
+                    for part in parts:
+                        if not part & (part - 1):
+                            split.append(part)
+                            continue
+                        groups = {}
+                        for v in _iter_bits(part):
+                            count = (adj[v] & m).bit_count()
+                            groups[count] = groups.get(count, 0) | 1 << v
+                        split.extend(groups[count] for count in sorted(groups))
+                parts = split
+            new_cells.extend(parts)
+            next_fresh.extend(parts[:-1])
         cells = new_cells
+        fresh = next_fresh
     return cells
 
 
 def _colour_cells(g):
     """The partition canonical labelling starts from: the slim vertices,
     then the fat ones, leaving out an empty cell."""
-    cells = []
-    if g.slim_count:
-        cells.append(list(range(g.slim_count)))
-    if g.fat_count:
-        cells.append(list(range(g.slim_count, g.n)))
-    return cells
+    return [c for c in (g.slim_mask, g.fat_mask) if c]
 
 
 def _adjacency_key(adj, lab):
@@ -472,7 +490,7 @@ class _CanonSearch:
             self.autos.append(perm)
 
     def _leaf(self, cells):
-        lab = [c[0] for c in cells]
+        lab = [c.bit_length() - 1 for c in cells]
         key = _adjacency_key(self.adj, lab)
         if self.first is None:
             self.first = self.best = (key, lab)
@@ -488,33 +506,34 @@ class _CanonSearch:
         cells = _refine(self.adj, cells, fresh)
         target = -1
         for i, c in enumerate(cells):
-            if len(c) > 1:
+            if c & (c - 1):
                 target = i
                 break
         if target < 0:
             self._leaf(cells)
             return
         cell = cells[target]
+        members = list(_iter_bits(cell))
         rest_template = cells[:target]
         tail = cells[target + 1:]
         # the orbits on the target cell of the group that the stored
         # automorphisms fixing the prefix generate
-        parent = {v: v for v in cell}
+        parent = {v: v for v in members}
         folded = 0
         tried = []
-        for v in cell:
+        for v in members:
             for a in self.autos[folded:]:
                 if all(a[x] == x for x in fixed):
-                    for u in cell:
+                    for u in members:
                         _union(parent, u, a[u])
             folded = len(self.autos)
             root = _find(parent, v)
             if any(_find(parent, u) == root for u in tried):
                 continue
             tried.append(v)
-            sub = rest_template + [[v], [u for u in cell if u != v]] + tail
+            bit = 1 << v
             fixed.append(v)
-            self.run(sub, [[v]], fixed)
+            self.run(rest_template + [bit, cell ^ bit] + tail, [bit], fixed)
             fixed.pop()
 
 
@@ -524,7 +543,7 @@ def _canonical_search(g, cells=None):
     automorphism group (see the block comment above).
 
     ``cells`` is the root partition, the colour cells as ``_refine``
-    leaves them, when the caller has refined them already; the search
+    leaves them (bitmasks), when the caller has refined them; the search
     then starts from it with no fresh cell, which ``_refine`` returns
     unchanged.  By default it refines the colour cells itself.
     """

@@ -182,7 +182,7 @@ def _cut_components(g):
 def _target_cell(child, fat, cuts):
     """(targets, cells): the allowed deletion targets of ``child`` in the
     root cell of its new vertex (the last one) and the root partition,
-    or (0, None) when a later root cell holds one: a child
+    as bitmasks, or (0, None) when a later root cell holds one: a child
     ``_canonical_children`` rejects before labelling it.  ``cuts`` is
     ``_cut_components`` of the connected parent when the targets are
     the non-cut vertices, and None when every vertex of the new
@@ -227,10 +227,11 @@ def _target_cell(child, fat, cuts):
         return 0, None
     cells = _colour_cells(child)
     cells = _refine(child.adj, cells, cells)
-    i = next(i for i, cell in enumerate(cells) if new in cell)
-    if any(allowed >> v & 1 for cell in cells[i + 1:] for v in cell):
-        return 0, None
-    return allowed & _mask_of(cells[i]), cells
+    i = next(i for i, cell in enumerate(cells) if cell >> new & 1)
+    for cell in cells[i + 1:]:
+        if allowed & cell:
+            return 0, None
+    return allowed & cells[i], cells
 
 
 def _orbit_representatives(parent, first):

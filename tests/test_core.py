@@ -14,6 +14,7 @@ from hoffline.core import (
     IndexOutOfRange,
     IsolatedFat,
     NotConnected,
+    _canonical_search,
     _iter_bits,
     automorphism_orbits,
     canonical_data,
@@ -26,11 +27,18 @@ from hoffline.core import (
     slim_path,
 )
 from hoffline import verify
-from hoffline.enumeration import connected_slim_graphs, fat_hoffman_graphs, parse_graph6
+from hoffline.enumeration import (
+    all_slim_graphs,
+    connected_slim_graphs,
+    fat_hoffman_graphs,
+    parse_graph6,
+    sum_graphs,
+)
 from hoffline.families import family_graph
 
 from bruteforce import (
     canonical_data_unpruned,
+    canonical_search_lists,
     embed_bruteforce,
     find_embedding_per_call,
     iso_bruteforce,
@@ -252,6 +260,17 @@ def test_canonical_search_matches_unpruned(fat_corpus, stream_graphs):
     graphs += [_complete_minus_edge(9), _cocktail_party(6), _line_graph_of_complete(6)]
     for g in graphs:
         assert canonical_data(g) == canonical_data_unpruned(g), (g.slim_count, list(g.adj))
+
+
+def test_mask_search_matches_list_search(fat_corpus, stream_graphs):
+    # bitmask cells change no form, labelling or stored automorphism of
+    # the search on list cells
+    graphs = [g for n in range(1, 8) for g in all_slim_graphs(n)]
+    graphs += fat_corpus + stream_graphs
+    graphs += [g for k in range(1, 6) for g, _parts in sum_graphs(k)]
+    graphs.append(parse_graph6(_TRANSITIVE14))
+    for g in graphs:
+        assert _canonical_search(g) == canonical_search_lists(g), (g.slim_count, list(g.adj))
 
 
 def _orbits_by_networkx(g):

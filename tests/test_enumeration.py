@@ -45,6 +45,7 @@ from hoffline.verify import _hub_graphs, _layer, _lemma_graphs
 
 from bruteforce import (
     _noncut_mask,
+    _target_cell as _target_cell_lists,
     canonical_children_unpruned,
     fat_graphs_bruteforce,
     fat_neighbourhoods_labelled,
@@ -156,6 +157,19 @@ def test_target_cell_filter_matches_unpruned_orbit_test():
                 assert not accepted
                 rejected[kind] = rejected.get(kind, 0) + 1
     assert set(rejected) == {"connected", "all", "fat"}
+
+
+def test_target_cell_matches_list_cells():
+    # bitmask cells change no target set and no root partition of the
+    # filter on list cells
+    for parent, connected, fat in _filter_parents():
+        cuts = _cut_components(parent) if connected and not fat else None
+        for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
+            child = _extend(parent, nbhd, fat)
+            targets, cells = _target_cell_lists(child, connected, fat)
+            if cells is not None:
+                cells = [_mask_of(cell) for cell in cells]
+            assert _target_cell(child, fat, cuts) == (targets, cells)
 
 
 def _colour_automorphisms(g):
