@@ -351,7 +351,10 @@ def _radical(poly):
 def smallest_root_interval(poly, tolerance=DEFAULT_TOLERANCE):
     """Bracket the smallest real root of a monic integer polynomial whose
     roots are all real.  Width <= tolerance (zero when the root is an
-    integer)."""
+    integer); a tolerance that is not a positive finite number raises
+    HoffmanGraphError, since the bisection would never end."""
+    if not 0 < tolerance < math.inf:
+        raise HoffmanGraphError("the tolerance must be a positive finite number")
     tolerance = Fraction(tolerance)
     p = _radical(tuple(poly))
     if _degree(p) == 0:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hoffline
-from hoffline.core import HoffmanGraph, slim_complete, slim_cycle, slim_path
+from hoffline.core import HoffmanGraph, HoffmanGraphError, slim_complete, slim_cycle, slim_path
 from hoffline.families import family_graph
 from hoffline import spectral
 from hoffline.spectral import (
@@ -110,6 +110,15 @@ def test_empty_graph_raises():
 def test_default_tolerance_width():
     e = smallest_eigenvalue(slim_path(5))
     assert e.width <= Fraction(1, 10**9)
+
+
+@pytest.mark.parametrize("tolerance", [0, -1e-9, float("nan"), float("inf")])
+def test_tolerance_must_be_positive_and_finite(tolerance):
+    # a bisection down to a width of 0 or less would never end
+    with pytest.raises(HoffmanGraphError):
+        smallest_eigenvalue(slim_path(5), tolerance)
+    with pytest.raises(HoffmanGraphError):
+        spectral.smallest_root_interval((-2, 0, 1), tolerance)
 
 
 def test_interval_brackets_numpy_on_random_graphs():
