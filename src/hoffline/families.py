@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .core import HoffmanGraph, HoffmanGraphError, canonical_form
+from .core import HoffmanGraph, HoffmanGraphError
 
 
 class TranscriptionMissing(HoffmanGraphError):
@@ -68,16 +68,6 @@ def have_family_graph(name: str) -> bool:
         return True
     except TranscriptionMissing:
         return False
-
-
-def line_family():
-    """The three host graphs H2, H3, H5 of the recognition family."""
-    return tuple(family_graph(n) for n in LINE_FAMILY_NAMES)
-
-
-def line_family_forms():
-    """Canonical forms of {H2, H3, H5}, for decomposition class filters."""
-    return frozenset(canonical_form(g) for g in line_family())
 
 
 def classify_part(g: HoffmanGraph):

@@ -21,18 +21,13 @@ the cross-part slim adjacency from rule (iv) — two slim vertices in
 different parts become adjacent exactly when they share one fat vertex,
 and sharing two or more is an error.  ``build_sum`` (glued components),
 the sums K and compositions F (+) K of ``enumeration``, and the strict
-covers of ``recognition`` and their vertex deletion all call it.
-
-``decompose`` searches for all ways to split a host into parts whose
-isomorphism classes lie in a given set, by backtracking on the lowest
-uncovered slim vertex.  Over the class set {H2, H3, H5} a host has at
-most one decomposition; that uniqueness is a verified property of the
-test suite, not an assumption of the search.
+covers of ``recognition`` and their vertex deletion all call it, and
+``validate_sum`` checks rule (iv) by deriving the slim adjacency of the
+host again with it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -42,7 +37,6 @@ from .core import (
     IndexOutOfRange,
     _iter_bits,
     _mask_of,
-    canonical_form,
 )
 
 
@@ -120,7 +114,15 @@ def validate_sum(host, parts):
         for v in p:
             if v < slim and host.fat_neighbors(v) & ~mask:
                 return False, "iii"
-    if not _cells_respect_iv(host, slim_sets):
+    # rule (iv) holds iff no two slim vertices of different parts share
+    # two fat vertices and those sharing one are exactly the adjacent ones
+    try:
+        adj, _parts = _sum_adjacency(
+            host.adj[:slim], [_mask_of(c) for c in slim_sets], host.adj[slim:]
+        )
+    except SharedFatConflict:
+        return False, "iv"
+    if tuple(adj[:slim]) != host.adj[:slim]:
         return False, "iv"
     return True, None
 
@@ -219,67 +221,3 @@ def _sum_adjacency(slim_rows, cells, fat_nbhds):
     for x in range(s):
         adj[x] |= cross[x]
     return adj, [frozenset(_iter_bits(m)) for m in part_masks]
-
-
-def _cells_respect_iv(host, cells):
-    """Condition (iv) across slim cells of a candidate decomposition."""
-    for a, b in itertools.combinations(cells, 2):
-        for x in a:
-            fx = host.fat_neighbors(x)
-            for y in b:
-                common = (fx & host.fat_neighbors(y)).bit_count()
-                if common > 1:
-                    return False
-                if (common == 1) != host.adjacent(x, y):
-                    return False
-    return True
-
-
-def decompose(host, allowed_classes):
-    """All decompositions of ``host`` into parts with isomorphism class in
-    ``allowed_classes`` (a set of canonical forms), up to part order.
-
-    Every part is the closure of its slim cell, so the search partitions
-    the slim vertex set; a part's class is checked by canonical form.
-    An empty result means the host is not decomposable over the classes.
-    """
-    allowed = {bytes(c) for c in allowed_classes}
-    if not allowed:
-        raise HoffmanGraphError("allowed_classes must be nonempty")
-    sizes = sorted({c[0] for c in allowed})
-    if host.slim_count == 0:
-        if host.fat_count == 0:
-            return [SumDecomposition(host, ())]
-        return []
-    slim = host.slim_count
-    results = []
-
-    def rec(uncovered, cells):
-        if not uncovered:
-            if _cells_respect_iv(host, cells):
-                parts = [
-                    frozenset(host.closure_vertices(c)) for c in cells
-                ]
-                results.append(SumDecomposition.normalized(host, parts))
-            return
-        v = min(uncovered)
-        rest = sorted(uncovered - {v})
-        for size in sizes:
-            if size == 0 or size - 1 > len(rest):
-                continue
-            for extra in itertools.combinations(rest, size - 1):
-                cell = (v,) + extra
-                part = host.induced_slim_closure(cell)
-                if canonical_form(part) not in allowed:
-                    continue
-                cells.append(cell)
-                rec(uncovered - set(cell), cells)
-                cells.pop()
-
-    rec(frozenset(range(slim)), [])
-    uniq = {}
-    for d in results:
-        uniq.setdefault(d.parts, d)
-    return sorted(
-        uniq.values(), key=lambda d: tuple(sorted(tuple(sorted(p)) for p in d.parts))
-    )

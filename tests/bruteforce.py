@@ -5,10 +5,12 @@ pruning insight shared with the production code: isomorphism by trying
 all colour-respecting permutations, embeddings by trying all injections,
 line-graph recognition by enumerating candidate covers and validating
 them end to end, characteristic polynomials by permutation expansion
-of the determinant, and fat graphs by every multiset of fat
-neighbourhoods over every slim base.
+of the determinant, fat graphs by every multiset of fat
+neighbourhoods over every slim base, and sum decompositions by every
+partition of the slim vertices into closures of the allowed classes,
+with rule (iv) checked pair by pair (``decompose``).
 
-Four oracles are searches, not definitions, each kept as the reference
+Five oracles are searches, not definitions, each kept as the reference
 for a prune of the production search:
 
 - ``cover_structures_unpruned`` is the strict-cover cell search as it
@@ -45,6 +47,7 @@ from fractions import Fraction
 
 from hoffline.core import (
     HoffmanGraph,
+    HoffmanGraphError,
     _adjacency_key,
     _find,
     _iter_bits,
@@ -61,6 +64,7 @@ from hoffline.enumeration import (
     _extend,
     all_slim_graphs,
 )
+from hoffline.families import LINE_FAMILY_NAMES, family_graph
 from hoffline.recognition import _fat_phase
 from hoffline.spectral import (
     DEFAULT_TOLERANCE,
@@ -74,7 +78,7 @@ from hoffline.spectral import (
     square_free,
     sturm_chain,
 )
-from hoffline.sums import validate_sum
+from hoffline.sums import SumDecomposition, validate_sum
 
 
 def iso_bruteforce(g, h):
@@ -959,3 +963,81 @@ def smallest_root_interval_fractions(poly, tolerance=DEFAULT_TOLERANCE):
         else:
             lo = mid
     return lo, hi
+
+
+# -- decomposition into parts from a class set ------------------------------
+#
+# A definition-level reference for the sum conditions: ``decompose``
+# tries every partition of the slim vertices into closures whose classes
+# lie in a given set, and ``_cells_respect_iv`` checks rule (iv) pair by
+# pair.  Over {H2, H3, H5} a host has at most one decomposition; the tests
+# verify that uniqueness on the strict covers.
+
+
+def line_family_forms():
+    """Canonical forms of {H2, H3, H5}, for decomposition class filters."""
+    return frozenset(canonical_form(family_graph(name)) for name in LINE_FAMILY_NAMES)
+
+
+def _cells_respect_iv(host, cells):
+    """Condition (iv) across slim cells of a candidate decomposition."""
+    for a, b in itertools.combinations(cells, 2):
+        for x in a:
+            fx = host.fat_neighbors(x)
+            for y in b:
+                common = (fx & host.fat_neighbors(y)).bit_count()
+                if common > 1:
+                    return False
+                if (common == 1) != host.adjacent(x, y):
+                    return False
+    return True
+
+
+def decompose(host, allowed_classes):
+    """All decompositions of ``host`` into parts with isomorphism class in
+    ``allowed_classes`` (a set of canonical forms), up to part order.
+
+    Every part is the closure of its slim cell, so the search partitions
+    the slim vertex set; a part's class is checked by canonical form.
+    An empty result means the host is not decomposable over the classes.
+    """
+    allowed = {bytes(c) for c in allowed_classes}
+    if not allowed:
+        raise HoffmanGraphError("allowed_classes must be nonempty")
+    sizes = sorted({c[0] for c in allowed})
+    if host.slim_count == 0:
+        if host.fat_count == 0:
+            return [SumDecomposition(host, ())]
+        return []
+    slim = host.slim_count
+    results = []
+
+    def rec(uncovered, cells):
+        if not uncovered:
+            if _cells_respect_iv(host, cells):
+                parts = [
+                    frozenset(host.closure_vertices(c)) for c in cells
+                ]
+                results.append(SumDecomposition.normalized(host, parts))
+            return
+        v = min(uncovered)
+        rest = sorted(uncovered - {v})
+        for size in sizes:
+            if size == 0 or size - 1 > len(rest):
+                continue
+            for extra in itertools.combinations(rest, size - 1):
+                cell = (v,) + extra
+                part = host.induced_slim_closure(cell)
+                if canonical_form(part) not in allowed:
+                    continue
+                cells.append(cell)
+                rec(uncovered - set(cell), cells)
+                cells.pop()
+
+    rec(frozenset(range(slim)), [])
+    uniq = {}
+    for d in results:
+        uniq.setdefault(d.parts, d)
+    return sorted(
+        uniq.values(), key=lambda d: tuple(sorted(tuple(sorted(p)) for p in d.parts))
+    )

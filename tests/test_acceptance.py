@@ -21,9 +21,8 @@ from hoffline.recognition import (
     is_h_line,
 )
 from hoffline.spectral import Verdict, equals_threshold, smallest_eigenvalue
-from hoffline.sums import decompose, validate_sum
+from hoffline.sums import validate_sum
 from hoffline import verify
-from hoffline.families import line_family_forms
 from hoffline.verify import (
     build_catalog,
     screen,
@@ -32,6 +31,8 @@ from hoffline.verify import (
     verify_lemma,
     verify_table1,
 )
+
+from bruteforce import decompose, line_family_forms
 
 
 def _line(ok, label):

@@ -3,16 +3,17 @@
 import pytest
 
 from hoffline.core import HoffmanGraph, HoffmanGraphError, canonical_form
-from hoffline.enumeration import connected_slim_graphs
-from hoffline.families import classify_part, family_graph, line_family_forms
+from hoffline.enumeration import connected_slim_graphs, fat_hoffman_graphs
+from hoffline.families import classify_part, family_graph
 from hoffline.recognition import enumerate_strict_covers
 from hoffline.sums import (
     SharedFatConflict,
     SumDecomposition,
     build_sum,
-    decompose,
     validate_sum,
 )
+
+from bruteforce import _cells_respect_iv, _partitions_upto3, decompose, line_family_forms
 
 
 def _h1():
@@ -133,7 +134,21 @@ def test_build_sum_validate_round_trip_random():
         assert ok, why
 
 
-# -- decompose -----------------------------------------------------------
+def test_validate_sum_rule_iv_matches_pairwise_check():
+    # closures of a partition of the slim vertices meet (i)-(iii), so
+    # validate_sum accepts them exactly when rule (iv) holds pair by pair
+    rejected = 0
+    for s in range(1, 5):
+        for host in fat_hoffman_graphs(s, 2):
+            for cells in _partitions_upto3(list(range(s))):
+                parts = [host.closure_vertices(c) for c in cells]
+                want = _cells_respect_iv(host, cells)
+                assert validate_sum(host, parts) == ((True, None) if want else (False, "iv"))
+                rejected += not want
+    assert rejected
+
+
+# -- decompose (the reference in bruteforce) -------------------------------
 
 
 def test_decompose_h3_single_part():
