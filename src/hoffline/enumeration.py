@@ -517,13 +517,8 @@ def _fat_neighbourhoods(cells):
         p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_KINDS[cls])
     ]
     for blocks in _slot_partitions(slot_parts):
-        fat_nbhds = []
-        for block in blocks:
-            nbhd = 0
-            for p in _iter_bits(block):
-                nbhd |= masks[p]
-            fat_nbhds.append(nbhd)
-        yield fat_nbhds
+        # the cells are disjoint, so a block's neighbourhood is the sum
+        yield [sum(masks[p] for p in _iter_bits(block)) for block in blocks]
 
 
 def _assemble_sum(k, cells, fat_nbhds):
