@@ -388,7 +388,8 @@ def fat_hoffman_graphs(slim_count, fat_max):
 # sees them: the two slots of an H2 cell go to blocks in increasing
 # order, and a slot joins only the first of several blocks with the same
 # parts (see ``_slot_partitions``), so most repeats of a multiset are
-# never built (k <= 5: 10,633 instead of 78,165 partitions).
+# never built (10,633 instead of 78,165 slot partitions over every typed
+# cell partition of at most 5 slim vertices).
 
 
 _CELL_KINDS = {"H1": 1, "H2": 2, "H3": 1, "H5": 1}
@@ -444,10 +445,11 @@ def _cell_partitions(k, classes):
 # (1) When slots i - 1 and i belong to one part, slot i goes only to a
 # block after the one holding slot i - 1.  Take a partition P in which
 # slot i joins an earlier block b, and swap slots i - 1 and i.  They own
-# the same part, so every block keeps its part set and the result P' is
-# a valid partition with the same key.  P' agrees with P before slot
-# i - 1, and puts slot i - 1 into b, which is earlier than the block P
-# puts it into (an existing one after b, or a new one).
+# the same part, so every block keeps its part set, on which both the
+# two conditions and the key depend: the result P' is a valid partition
+# with the same key.  P' agrees with P before slot i - 1, and puts slot
+# i - 1 into b, which is earlier than the block P puts it into (an
+# existing one after b, or a new one).
 #
 # (2) A slot joins only the first of the existing blocks that hold one
 # set of parts.  Take a partition P in which slot i joins a later block
