@@ -35,8 +35,6 @@ Besides the data model this module provides:
 
 from __future__ import annotations
 
-import itertools
-
 
 class HoffmanGraphError(Exception):
     """Base class for errors raised by this package."""
@@ -587,26 +585,8 @@ def canonical_form(g):
     return g._canon
 
 
-def automorphism_orbits(g):
-    """Vertex orbits of the automorphism group (colour preserving)."""
-    return canonical_data(g)[2]
-
-
 def isomorphic(g, h):
     return canonical_form(g) == canonical_form(h)
-
-
-def relabeled(g, perm):
-    """Copy of ``g`` with vertex ``v`` renamed to ``perm[v]``.
-
-    ``perm`` must map slim vertices to slim indices and fat to fat.
-    """
-    n = g.n
-    adj = [0] * n
-    for v in range(n):
-        for u in _iter_bits(g.adj[v]):
-            adj[perm[v]] |= 1 << perm[u]
-    return HoffmanGraph(g.slim_count, g.fat_count, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -705,20 +685,3 @@ def find_embedding(pattern, host):
     if rec(0, domains):
         return tuple(mapping)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Small constructors used across the package and its tests
-# ---------------------------------------------------------------------------
-
-
-def slim_complete(n):
-    return HoffmanGraph.slim(n, itertools.combinations(range(n), 2))
-
-
-def slim_cycle(n):
-    return HoffmanGraph.slim(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def slim_path(n):
-    return HoffmanGraph.slim(n, [(i, i + 1) for i in range(n - 1)])

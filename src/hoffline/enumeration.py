@@ -377,101 +377,122 @@ def fat_hoffman_graphs(slim_count, fat_max):
 #
 # ``_sum_family`` builds each family once per process (``functools.cache``;
 # table-1 rows a and c share k = 5, rows d, e and g share k = 4).  It
-# expands a typed cell partition only when its multiset of class names is
-# new (with all four classes, k = 5: 16 of 292 partitions, k = 4: 11 of
-# 67), and within one partition it sends a structure through
-# ``connected_components`` and ``canonical_form`` only when its multiset
-# of fat neighbourhoods is new.  Both keys skip only structures isomorphic
-# to one handled before them, so the first member of every class, and the
-# order of the family, are the same as without the keys.  The slot
-# partitions behind the second key break two symmetries before the key
-# sees them: the two slots of an H2 cell go to blocks in increasing
-# order, and a slot joins only the first of several blocks with the same
-# parts (see ``_slot_partitions``), so most repeats of a multiset are
-# never built (10,633 instead of 78,165 slot partitions over every typed
-# cell partition of at most 5 slim vertices).
+# assembles one structure per cell layout (``_cell_layouts``) and slot
+# partition (``_slot_partitions``), and no two of them are equal: the
+# layouts have different multisets of classes, and the slot partitions
+# of one layout different multisets of blocks.  ``canonical_form`` keeps
+# the first of each isomorphism class, since a permutation of the parts
+# can still map one multiset of blocks onto another.
 
 
-_CELL_KINDS = {"H1": 1, "H2": 2, "H3": 1, "H5": 1}
+#: slim vertices and fat slots of a cell of each class, in layout order
+_CELL_SHAPES = {"H1": (1, 1), "H2": (1, 2), "H3": (2, 1), "H5": (3, 1)}
 
 
-def _cell_partitions(k, classes):
-    """Yield typed slim-cell partitions of range(k).
+# One cell layout per multiset of classes.  Two typed cell partitions of
+# the slim vertices with the same multiset of classes are related by a
+# permutation of the vertices that maps every cell onto a cell of the
+# same class (an H5 cell's edge onto the other's edge).  Slot partitions
+# depend only on which part owns each slot, so the permutation maps the
+# structures of the one onto those of the other, and one partition per
+# multiset reaches every class of sums.
+#
+# The layout puts the cells on consecutive vertices in the class order
+# H1, H2, H3, H5, and joins the last two vertices of an H5 cell.  Take
+# the depth-first search over every typed cell partition that gives the
+# lowest free vertex v an H1 cell, then an H2 cell, then an H3 cell {v,
+# u} for each later u in turn, then an H5 cell {v, u, w} for each later
+# u < w, with the edge uw first (the tests keep it as the reference).
+# Any multiset of cells fits on any set of free vertices of its size, so
+# the first branch that reaches a multiset gives v the least class left
+# in it, on v and the free vertices right after it: the search meets
+# the layout first among the partitions of its multiset.  Two layouts
+# first differ in the class of one cell, where the search tries the
+# lower class first, so it meets the multisets in the lexicographic
+# order of their sorted class names, the order in which the layouts
+# come.  The family over the layouts is therefore the family over every
+# typed cell partition, with the same members in the same order.
+
+
+def _cell_layouts(k, classes):
+    """Yield one typed cell partition of range(k) per multiset of
+    ``classes`` (see the block comment above).
 
     Each item: list of (cell_tuple, class_name, internal_edges) where
     internal_edges is a tuple of slim edges inside the cell (only H5
     cells have one).
     """
-    singles = [cl for cl in ("H1", "H2") if cl in classes]
+    names = [cl for cl in _CELL_SHAPES if cl in classes]
 
-    def rec(remaining, acc):
-        if not remaining:
+    def rec(v, first, acc):
+        if v == k:
             yield list(acc)
             return
-        v = remaining[0]
-        rest = remaining[1:]
-        for cl in singles:
-            acc.append(((v,), cl, ()))
-            yield from rec(rest, acc)
+        for j in range(first, len(names)):
+            cl = names[j]
+            size = _CELL_SHAPES[cl][0]
+            if v + size > k:
+                break  # the sizes grow along the class order
+            cell = tuple(range(v, v + size))
+            acc.append((cell, cl, (cell[1:],) if cl == "H5" else ()))
+            yield from rec(v + size, j, acc)
             acc.pop()
-        if "H3" in classes:
-            for i, u in enumerate(rest):
-                acc.append(((v, u), "H3", ()))
-                yield from rec(rest[:i] + rest[i + 1:], acc)
-                acc.pop()
-        if "H5" in classes:
-            for i, u in enumerate(rest):
-                for j in range(i + 1, len(rest)):
-                    w = rest[j]
-                    cell = (v, u, w)
-                    others = rest[:i] + rest[i + 1: j] + rest[j + 1:]
-                    for edge in ((u, w), (v, u), (v, w)):
-                        acc.append((cell, "H5", (edge,)))
-                        yield from rec(others, acc)
-                        acc.pop()
-        return
 
-    yield from rec(list(range(k)), [])
+    yield from rec(0, 0, [])
 
 
 # One slot partition per multiset of blocks (McKay, J. Algorithms 26,
-# 1998).  ``_sum_family`` keys a slot partition by the multiset of the
-# part sets of its blocks, and keeps the first of each key.  The search
-# below assigns slot i to an existing block, in the order of the blocks'
-# first slots, or else to a new block, so it meets the partitions in the
-# lexicographic order of the block each slot gets.  Two rules cut
-# branches.
+# 1998).  The search below assigns slot i to an existing block, in the
+# order of the blocks' first slots, or else to a new block, so it meets
+# the partitions in the lexicographic order of the block each slot gets.
+# Two rules cut branches.
 #
 # (1) When slots i - 1 and i belong to one part, slot i goes only to a
 # block after the one holding slot i - 1.  Take a partition P in which
 # slot i joins an earlier block b, and swap slots i - 1 and i.  They own
 # the same part, so every block keeps its part set, on which both the
-# two conditions and the key depend: the result P' is a valid partition
-# with the same key.  P' agrees with P before slot i - 1, and puts slot
-# i - 1 into b, which is earlier than the block P puts it into (an
-# existing one after b, or a new one).
+# two conditions and the multiset depend: the result P' is a valid
+# partition with the same multiset.  P' agrees with P before slot i - 1,
+# and puts slot i - 1 into b, which is earlier than the block P puts it
+# into (an existing one after b, or a new one).
 #
 # (2) A slot joins only the first of the existing blocks that hold one
 # set of parts.  Take a partition P in which slot i joins a later block
 # b2 with the same part set as an earlier block b1.  Each part of that
 # set owns one slot in each of the two blocks; exchange those slots,
 # part by part.  Again every slot keeps its part, so the result P' is a
-# valid partition with the same key.  Before slot i it is the same set
-# partition, since b1 and b2 only trade their contents, and at slot i it
-# joins b1, which comes earlier.
+# valid partition with the same multiset.  Before slot i it is the same
+# set partition, since b1 and b2 only trade their contents, and at slot
+# i it joins b1, which comes earlier.
 #
-# So every partition that a rule cuts has a twin with the same key that
-# the unpruned search meets earlier, and the first partition of every
-# key survives.  Survivors keep their order, so ``_sum_family`` keeps
-# the same structures in the same order.
+# So every partition that a rule cuts has a twin with the same multiset
+# that the unpruned search meets earlier, and the first partition of
+# every multiset survives.  It is the only one.  The slots come part by
+# part, so when a slot of part p is placed, each block holds the parts
+# before p of its final part set (and p, in the block of p's first
+# slot).  Let P be the first partition of a multiset and Q another, and
+# let slot i of part p be the first that they place differently: into
+# block b in P and c in Q.  P comes first, so b < c: b is not new, and
+# it holds no slot of p.  P survives, so no block before b holds the
+# same parts as b.
+#
+# - When p has one slot, it lies in the one block of the multiset that
+#   holds p.  When i is p's second slot, the block of p's first slot,
+#   which P and Q share, has the parts before p of one of p's two blocks
+#   of the multiset, so slot i goes to a block with those of the other.
+#   Either way b and c hold the same parts so far, and rule (2) cuts Q.
+# - Otherwise i is p's first slot, and p's two blocks of the multiset
+#   hold different parts before p, so Q puts p's second slot into a
+#   block with b's parts so far.  Rule (1) cuts Q if that block is b,
+#   which comes before c, and rule (2) if it is a later one.
 
 
 def _slot_partitions(slot_parts):
     """Partition fat slots into blocks: at most one slot per part per
     block, and two parts never share more than one block.  Yields the
     blocks in the order of their first slots, each as the bitmask of the
-    parts owning its slots; at least the first partition of every
-    multiset of blocks comes (see the block comment above)."""
+    parts owning its slots, once per multiset of blocks (see the block
+    comment above)."""
     nslots = len(slot_parts)
     blocks = []
     where = [0] * nslots
@@ -516,7 +537,7 @@ def _fat_neighbourhoods(cells):
     ``_slot_partitions`` yields."""
     masks = [_mask_of(cell) for cell, _cls, _edges in cells]
     slot_parts = [
-        p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_KINDS[cls])
+        p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_SHAPES[cls][1])
     ]
     for blocks in _slot_partitions(slot_parts):
         # the cells are disjoint, so a block's neighbourhood is the sum
@@ -547,8 +568,11 @@ def sum_graphs(slim_count, classes=("H1", "H2", "H3", "H5"), component_count=Non
     Yields (graph, parts), parts a tuple of frozensets.  The family is
     built once per process and shared by every caller.
     """
-    if slim_count > 6:
-        raise IndexOutOfRange("sum enumeration capped at 6 slim vertices")
+    if not 0 <= slim_count <= 6:
+        raise IndexOutOfRange("sum enumeration supports 0 <= slim_count <= 6")
+    unknown = sorted(set(classes) - _CELL_SHAPES.keys())
+    if unknown:
+        raise HoffmanGraphError(f"unknown part classes {unknown}: expected H1, H2, H3, H5")
     yield from _sum_family(slim_count, frozenset(classes), component_count)
 
 
@@ -558,34 +582,8 @@ def _sum_family(slim_count, classes, component_count):
         return ((EMPTY_GRAPH, ()),) if component_count in (None, 0) else ()
     family = []
     seen = set()
-    seen_classes = set()
-    for cells in _cell_partitions(slim_count, classes):
-        # Two partitions with the same multiset of class names are related
-        # by a permutation of the slim vertices that maps every cell onto
-        # a cell of the same class (an H5 cell's edge onto the other's
-        # edge).  Slot partitions depend only on which part owns each
-        # slot, so the permutation maps the slot partitions of the one
-        # onto those of the other, and every structure of the later
-        # partition is isomorphic to one of the earlier, whose class was
-        # already found or filtered by its component count.
-        class_key = tuple(sorted(cls for _cell, cls, _edges in cells))
-        if class_key in seen_classes:
-            continue
-        seen_classes.add(class_key)
-        # Within one cell partition the slim edges inside the parts are
-        # fixed and rule (iv) derives every other slim edge from the fat
-        # neighbourhoods; fat vertices are pairwise non-adjacent.  So the
-        # multiset of fat neighbourhoods fixes the graph up to a
-        # permutation of its fat vertices, and a repeated multiset is
-        # isomorphic to a structure already seen.  Across partitions the
-        # same multiset can belong to different graphs, hence one key set
-        # per partition.
-        keys = set()
+    for cells in _cell_layouts(slim_count, classes):
         for fat_nbhds in _fat_neighbourhoods(cells):
-            key = tuple(sorted(fat_nbhds))
-            if key in keys:
-                continue
-            keys.add(key)
             g, parts = _assemble_sum(slim_count, cells, fat_nbhds)
             if component_count is not None:
                 if len(g.connected_components()) != component_count:
@@ -626,20 +624,15 @@ def enumerate_sums(
     components; every fat vertex of F is identified with a fat vertex of
     K (the fat set of F embeds into that of K) in all ways compatible
     with the sum conditions.  Gluings that would make a slim pair share
-    two fat vertices are skipped, not raised.
+    two fat vertices are skipped, not raised.  The arguments of K are
+    checked by ``sum_graphs`` before any work.
     """
-    if slim_count_k > 6:
-        raise IndexOutOfRange("sum enumeration capped at 6 slim vertices")
-    nf = f_graph.fat_count
     seen = set()
     for k_graph, _parts in sum_graphs(slim_count_k, classes, component_count_k):
         kfats = range(k_graph.slim_count, k_graph.n)
-        if nf == 0:
-            candidates = [()]
-        else:
-            candidates = itertools.permutations(kfats, nf)
         local = set()
-        for fat_map in candidates:
+        # with no fat vertex in F, the one gluing is the empty tuple
+        for fat_map in itertools.permutations(kfats, f_graph.fat_count):
             try:
                 g = _compose(f_graph, k_graph, fat_map)
             except SharedFatConflict:

@@ -62,14 +62,6 @@ def family_graph(name: str) -> HoffmanGraph:
     return _cache[key]
 
 
-def have_family_graph(name: str) -> bool:
-    try:
-        family_graph(name)
-        return True
-    except TranscriptionMissing:
-        return False
-
-
 def classify_part(g: HoffmanGraph):
     """Name the class of a sum component: H1, H2, H3 or H5, else ``None``.
 

@@ -81,10 +81,6 @@ from .families import classify_part
 from .sums import SumDecomposition, _sum_adjacency, validate_sum
 
 
-class DifferentBase(HoffmanGraphError):
-    """The two covers do not cover the same graph."""
-
-
 class VertexNotInGraph(HoffmanGraphError):
     pass
 
@@ -399,18 +395,6 @@ def enumerate_strict_covers(g):
     if g.fat_count:
         raise HoffmanGraphError("strict cover enumeration expects a slim graph")
     return list(_strict_covers(g))
-
-
-def covers_equivalent(a, b):
-    """Equivalence of two strict covers of the same graph.
-
-    With every covered vertex pinned, an isomorphism between covers is a
-    fat-vertex bijection matching slim neighbourhoods, so equivalence is
-    equality of fat-neighbourhood multisets.
-    """
-    if a.base != b.base:
-        raise DifferentBase("covers of different graphs")
-    return a.fat_neighborhoods() == b.fat_neighborhoods()
 
 
 # ---------------------------------------------------------------------------

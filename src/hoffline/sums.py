@@ -77,16 +77,6 @@ class SumDecomposition:
         }
         return json.dumps(doc, sort_keys=True)
 
-    @staticmethod
-    def from_json(text):
-        doc = json.loads(text)
-        host = HoffmanGraph.build(
-            doc["host"]["slim_count"],
-            doc["host"]["fat_count"],
-            [tuple(e) for e in doc["host"]["edges"]],
-        )
-        return SumDecomposition(host, tuple(frozenset(p) for p in doc["parts"]))
-
 
 def validate_sum(host, parts):
     """Check conditions (i)-(iv); returns (ok, first_violated_or_None).

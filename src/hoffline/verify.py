@@ -464,6 +464,9 @@ def verify_cover_uniqueness(n, sample_size=None, seed=2026, jobs=1):
     t0 = time.time()
     if not 5 <= n <= 9:
         raise HoffmanGraphError("uniqueness audit covers 5 <= n <= 9")
+    if sample_size is not None and sample_size < 1:
+        # an audit of no graphs would confirm the claim with nothing checked
+        raise HoffmanGraphError(f"uniqueness audit needs a sample size >= 1, got {sample_size}")
     graphs = [g for g, _form in _layer(n, jobs)[0]]
     if sample_size is not None and sample_size < len(graphs):
         rng = random.Random(seed)

@@ -18,10 +18,11 @@ for a prune of the production search:
   ``_fat_phase`` with the production code);
 - ``sum_family_unpruned`` is the sum-family loop as it stood before a
   cell partition whose multiset of classes was already seen was skipped
-  (it shares the cell partitions and the assembly with the production
-  code, and runs on ``fat_neighbourhoods_labelled``, the slot
-  partitions as they stood before interchangeable slots and blocks
-  were told apart);
+  (it shares the assembly with the production code, and runs on
+  ``_cell_partitions``, every typed cell partition as it stood before
+  one layout per class multiset was built, and on
+  ``fat_neighbourhoods_labelled``, the slot partitions as they stood
+  before interchangeable slots and blocks were told apart);
 - ``canonical_data_unpruned`` is the canonical labelling search as it
   stood before refinement counted only into the cells of the previous
   split and candidates were pruned by the orbits of the stored
@@ -57,10 +58,8 @@ from hoffline.core import (
     canonical_form,
 )
 from hoffline.enumeration import (
-    _CELL_KINDS,
     EMPTY_GRAPH,
     _assemble_sum,
-    _cell_partitions,
     _extend,
     all_slim_graphs,
 )
@@ -415,6 +414,54 @@ def cover_structures_unpruned(g):
                     pop(r[1])
 
     yield from rec((1 << s) - 1)
+
+
+# -- the typed cell partitions as they stood before one layout per class ---
+#
+# Copied word for word: every partition of range(k) into typed cells,
+# with the fat-slot count of each class.
+
+
+_CELL_KINDS = {"H1": 1, "H2": 2, "H3": 1, "H5": 1}
+
+
+def _cell_partitions(k, classes):
+    """Yield typed slim-cell partitions of range(k).
+
+    Each item: list of (cell_tuple, class_name, internal_edges) where
+    internal_edges is a tuple of slim edges inside the cell (only H5
+    cells have one).
+    """
+    singles = [cl for cl in ("H1", "H2") if cl in classes]
+
+    def rec(remaining, acc):
+        if not remaining:
+            yield list(acc)
+            return
+        v = remaining[0]
+        rest = remaining[1:]
+        for cl in singles:
+            acc.append(((v,), cl, ()))
+            yield from rec(rest, acc)
+            acc.pop()
+        if "H3" in classes:
+            for i, u in enumerate(rest):
+                acc.append(((v, u), "H3", ()))
+                yield from rec(rest[:i] + rest[i + 1:], acc)
+                acc.pop()
+        if "H5" in classes:
+            for i, u in enumerate(rest):
+                for j in range(i + 1, len(rest)):
+                    w = rest[j]
+                    cell = (v, u, w)
+                    others = rest[:i] + rest[i + 1: j] + rest[j + 1:]
+                    for edge in ((u, w), (v, u), (v, w)):
+                        acc.append((cell, "H5", (edge,)))
+                        yield from rec(others, acc)
+                        acc.pop()
+        return
+
+    yield from rec(list(range(k)), [])
 
 
 # -- the slot partitions as they stood before symmetry breaking -----------

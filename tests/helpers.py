@@ -1,0 +1,73 @@
+"""Small constructors and checks that only the tests use."""
+
+import itertools
+import json
+
+from hoffline.core import HoffmanGraph, HoffmanGraphError, _iter_bits, canonical_data
+from hoffline.families import TranscriptionMissing, family_graph
+from hoffline.sums import SumDecomposition
+
+
+def slim_complete(n):
+    return HoffmanGraph.slim(n, itertools.combinations(range(n), 2))
+
+
+def slim_cycle(n):
+    return HoffmanGraph.slim(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def slim_path(n):
+    return HoffmanGraph.slim(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def relabeled(g, perm):
+    """Copy of ``g`` with vertex ``v`` renamed to ``perm[v]``.
+
+    ``perm`` must map slim vertices to slim indices and fat to fat.
+    """
+    n = g.n
+    adj = [0] * n
+    for v in range(n):
+        for u in _iter_bits(g.adj[v]):
+            adj[perm[v]] |= 1 << perm[u]
+    return HoffmanGraph(g.slim_count, g.fat_count, adj)
+
+
+def automorphism_orbits(g):
+    """Vertex orbits of the automorphism group (colour preserving)."""
+    return canonical_data(g)[2]
+
+
+class DifferentBase(HoffmanGraphError):
+    """The two covers do not cover the same graph."""
+
+
+def covers_equivalent(a, b):
+    """Equivalence of two strict covers of the same graph.
+
+    With every covered vertex pinned, an isomorphism between covers is a
+    fat-vertex bijection matching slim neighbourhoods, so equivalence is
+    equality of fat-neighbourhood multisets.
+    """
+    if a.base != b.base:
+        raise DifferentBase("covers of different graphs")
+    return a.fat_neighborhoods() == b.fat_neighborhoods()
+
+
+def have_family_graph(name: str) -> bool:
+    try:
+        family_graph(name)
+        return True
+    except TranscriptionMissing:
+        return False
+
+
+def sum_decomposition_from_json(text):
+    """The inverse of ``SumDecomposition.to_json``."""
+    doc = json.loads(text)
+    host = HoffmanGraph.build(
+        doc["host"]["slim_count"],
+        doc["host"]["fat_count"],
+        [tuple(e) for e in doc["host"]["edges"]],
+    )
+    return SumDecomposition(host, tuple(frozenset(p) for p in doc["parts"]))

@@ -14,7 +14,7 @@ import pytest
 
 from hoffline.core import canonical_form
 from hoffline.enumeration import connected_slim_graphs, parse_graph6, write_graph6
-from hoffline.families import family_graph, have_family_graph
+from hoffline.families import family_graph
 from hoffline.recognition import (
     delete_vertex_from_cover,
     enumerate_strict_covers,
@@ -33,6 +33,7 @@ from hoffline.verify import (
 )
 
 from bruteforce import decompose, line_family_forms
+from helpers import have_family_graph, relabeled
 
 
 def _line(ok, label):
@@ -64,7 +65,7 @@ def test_criterion_2_catalog_counts(catalog8):
 
 @pytest.mark.skipif(
     not os.environ.get("HOFFLINE_ACCEPT_N9"),
-    reason="set HOFFLINE_ACCEPT_N9=1 for the n=9 run (hours)",
+    reason="set HOFFLINE_ACCEPT_N9=1 for a second n=9 build with progress output",
 )
 def test_criterion_2_catalog_counts_n9(monkeypatch):
     # from an empty layer store, so the progress lines time a full build
@@ -223,7 +224,7 @@ def test_criterion_8_property_suites():
     # canonical-form stability under 1000 random relabelings
     import random
 
-    from hoffline.core import HoffmanGraph, relabeled
+    from hoffline.core import HoffmanGraph
 
     rng = random.Random(42)
     for _ in range(1000):

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from hoffline.cli import main
-from hoffline.core import slim_complete
 from hoffline.enumeration import write_graph6
+
+from helpers import slim_complete
 
 
 def _run(args, stdin=""):
@@ -175,3 +176,22 @@ def test_screen_partial_catalog_exit_two(tmp_path, catalog7):
     out = _run(["screen", "--catalog", str(cat)], stdin="DsW\n")
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--slim-k", "-1"], "slim_count"),
+    (["--slim-k", "2", "--classes", "H1,H9"], "H9"),
+    (["--slim-k", "2", "--classes", ""], "unknown part classes"),
+])
+def test_sums_bad_size_or_class_exit_two(tmp_path, args, message):
+    f = tmp_path / "h1.hg"
+    f.write_text("s=1 f=1\n0 1\n")
+    out = _run(["sums", "--F", str(f), *args])
+    assert out.returncode == 2 and not out.stdout
+    assert "Traceback" not in out.stderr and "error:" in out.stderr and message in out.stderr
+
+
+def test_verify_uniqueness_bad_sample_exit_two():
+    out = _run(["verify", "--claim", "uniqueness", "--n", "5", "--sample", "-1", "--jobs", "1"])
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "sample size" in out.stderr

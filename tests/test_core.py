@@ -16,15 +16,10 @@ from hoffline.core import (
     NotConnected,
     _canonical_search,
     _iter_bits,
-    automorphism_orbits,
     canonical_data,
     canonical_form,
     find_embedding,
     isomorphic,
-    relabeled,
-    slim_complete,
-    slim_cycle,
-    slim_path,
 )
 from hoffline import verify
 from hoffline.enumeration import (
@@ -36,6 +31,7 @@ from hoffline.enumeration import (
 )
 from hoffline.families import family_graph
 
+from helpers import automorphism_orbits, relabeled, slim_complete, slim_cycle, slim_path
 from bruteforce import (
     canonical_data_unpruned,
     canonical_search_lists,

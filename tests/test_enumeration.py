@@ -9,6 +9,7 @@ import pytest
 from hoffline import enumeration
 from hoffline.core import (
     HoffmanGraph,
+    HoffmanGraphError,
     IndexOutOfRange,
     _iter_bits,
     _mask_of,
@@ -20,7 +21,7 @@ from hoffline.enumeration import (
     EMPTY_GRAPH,
     _assemble_sum,
     _canonical_children,
-    _cell_partitions,
+    _cell_layouts,
     _compose,
     _cut_components,
     _extend,
@@ -44,6 +45,7 @@ from hoffline.sums import SharedFatConflict, validate_sum
 from hoffline.verify import _hub_graphs, _layer, _lemma_graphs
 
 from bruteforce import (
+    _cell_partitions,
     _noncut_mask,
     _target_cell as _target_cell_lists,
     canonical_children_unpruned,
@@ -361,6 +363,15 @@ def test_fat_generation_is_capped_at_8_slim_vertices():
         next(fat_hoffman_graphs(9, 1))
 
 
+def test_sum_arguments_are_checked_first():
+    for k in (-1, 7):
+        with pytest.raises(IndexOutOfRange):
+            next(sum_graphs(k))
+    for classes in (("H1", "H9"), ("",), "H1"):
+        with pytest.raises(HoffmanGraphError, match="unknown part classes"):
+            next(enumerate_sums(EMPTY_GRAPH, 2, classes=classes))
+
+
 # -- sums ------------------------------------------------------------------
 
 
@@ -432,6 +443,39 @@ def test_slot_partitions_keep_first_of_each_multiset():
                 kept += len(got)
                 labelled += len(want)
     assert kept < labelled
+
+
+#: every non-empty set of part classes
+CLASS_SUBSETS = [
+    frozenset(c) for r in range(1, 5) for c in itertools.combinations(("H1", "H2", "H3", "H5"), r)
+]
+
+
+def test_slot_partitions_once_per_multiset():
+    # the two slot rules leave exactly one slot partition per multiset of
+    # blocks, so no structure of a layout repeats; the canonical-form set
+    # of the sum family would hide a repeat.  The layouts of every set of
+    # classes are among those of all four.
+    # The cells are disjoint, so the fat neighbourhoods of the blocks
+    # repeat exactly when the blocks do.
+    total = 0
+    for k in range(1, 7):
+        for cells in _cell_layouts(k, frozenset(("H1", "H2", "H3", "H5"))):
+            keys = [tuple(sorted(nbhds)) for nbhds in _fat_neighbourhoods(cells)]
+            assert len(set(keys)) == len(keys), cells
+            total += len(keys)
+    assert total == 25335
+
+
+def test_cell_layouts_are_first_of_each_multiset():
+    # one layout per class multiset: the first typed cell partition of
+    # that multiset in the order of every partition, in the same order
+    for classes in CLASS_SUBSETS:
+        for k in range(7):
+            first = {}
+            for cells in _cell_partitions(k, classes):
+                first.setdefault(tuple(sorted(cls for _c, cls, _e in cells)), cells)
+            assert list(_cell_layouts(k, classes)) == list(first.values()), (classes, k)
 
 
 @pytest.mark.parametrize(

@@ -49,7 +49,9 @@ from hoffline.spectral import (
     equals_threshold,
     smallest_eigenvalue,
 )
-from hoffline.sums import SumDecomposition, build_sum, validate_sum
+from hoffline.sums import build_sum, validate_sum
+
+from helpers import sum_decomposition_from_json
 
 CLI_DIGESTS = {
     "recognize": "ed28d70a29bd7a5410ab48e1a5694efbd645e1b764bd5ad2b0e9e061da9cd75e",
@@ -262,7 +264,7 @@ def _build_sum_record(rng):
         host, dec = build_sum(comps, glue)
     except HoffmanGraphError as exc:
         return json.dumps(["raised", type(exc).__name__])
-    again = SumDecomposition.from_json(dec.to_json())
+    again = sum_decomposition_from_json(dec.to_json())
     assert again == dec
     return json.dumps([
         host.slim_count,

@@ -9,17 +9,12 @@ from hoffline.core import (
     EMPTY_GRAPH,
     HoffmanGraph,
     HoffmanGraphError,
-    slim_complete,
-    slim_cycle,
-    slim_path,
 )
 from hoffline.enumeration import connected_slim_graphs
 from hoffline.families import classify_part, family_graph
 from hoffline.recognition import (
-    DifferentBase,
     VertexNotInGraph,
     _cover_structures,
-    covers_equivalent,
     delete_vertex_from_cover,
     enumerate_strict_covers,
     is_h_line,
@@ -27,6 +22,7 @@ from hoffline.recognition import (
 from hoffline.sums import SumDecomposition, build_sum, validate_sum
 
 from bruteforce import cover_structures_unpruned, hline_bruteforce
+from helpers import DifferentBase, covers_equivalent, slim_complete, slim_cycle, slim_path
 
 
 def _sound(cover):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hoffline
-from hoffline.core import HoffmanGraph, HoffmanGraphError, slim_complete, slim_cycle, slim_path
+from hoffline.core import HoffmanGraph, HoffmanGraphError
 from hoffline.families import family_graph
 from hoffline import spectral
 from hoffline.spectral import (
@@ -31,6 +31,7 @@ from hoffline.spectral import (
 )
 
 from bruteforce import charpoly_bruteforce, smallest_root_interval_fractions
+from helpers import slim_complete, slim_cycle, slim_path
 
 TAU = -1 - math.sqrt(2)
 

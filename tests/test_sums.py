@@ -8,12 +8,12 @@ from hoffline.families import classify_part, family_graph
 from hoffline.recognition import enumerate_strict_covers
 from hoffline.sums import (
     SharedFatConflict,
-    SumDecomposition,
     build_sum,
     validate_sum,
 )
 
 from bruteforce import _cells_respect_iv, _partitions_upto3, decompose, line_family_forms
+from helpers import sum_decomposition_from_json
 
 
 def _h1():
@@ -260,7 +260,7 @@ def test_restriction_commutes_with_sum():
 def test_decomposition_json_round_trip():
     host, dec = build_sum([_h3(), _h3()], [[(0, 2), (1, 2)]])
     text = dec.to_json()
-    back = SumDecomposition.from_json(text)
+    back = sum_decomposition_from_json(text)
     assert back.host == dec.host
     assert set(back.parts) == set(dec.parts)
     assert back.to_json() == text

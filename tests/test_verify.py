@@ -8,8 +8,6 @@ from hoffline.core import (
     HoffmanGraphError,
     canonical_form,
     find_embedding,
-    slim_complete,
-    slim_cycle,
 )
 from hoffline.enumeration import (
     connected_slim_graphs,
@@ -38,6 +36,8 @@ from hoffline.verify import (
     verify_lemma,
     verify_prop21,
 )
+
+from helpers import slim_complete, slim_cycle
 
 
 @pytest.mark.parametrize("n", [
