@@ -57,7 +57,7 @@ from .core import (
     _refine,
     canonical_form,
 )
-from .sums import SharedFatConflict, _sum_adjacency
+from .sums import SharedFatConflict, _block_sum, _sum_adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +371,22 @@ def fat_hoffman_graphs(slim_count, fat_max):
 # adjacent to all slim vertices of that part, so cross-part slim adjacency
 # is forced: two slim vertices in different parts are adjacent exactly
 # when their parts share a fat vertex, and sharing two is never allowed.
-# ``sums._sum_adjacency`` derives that adjacency, for K from its cells and
-# blocks and for F (+) K from the two cells F-slim and K-slim.  Blocks
-# never let two parts share two fat vertices, so only gluing F can fail.
+# ``sums._sum_adjacency`` derives that adjacency: ``sums._block_sum``
+# calls it for K, whose fat vertices are blocks (bitmasks of the parts
+# owning their slots), and ``_compose`` for F (+) K, with the two cells
+# F-slim and K-slim.  Blocks never let two parts share two fat vertices,
+# so only gluing F can fail.
 #
 # ``_sum_family`` builds each family once per process (``functools.cache``;
-# table-1 rows a and c share k = 5, rows d, e and g share k = 4).  It
-# assembles one structure per cell layout (``_cell_layouts``) and slot
-# partition (``_slot_partitions``), and no two of them are equal: the
-# layouts have different multisets of classes, and the slot partitions
-# of one layout different multisets of blocks.  ``canonical_form`` keeps
-# the first of each isomorphism class, since a permutation of the parts
-# can still map one multiset of blocks onto another.
+# table-1 rows a and c share k = 5, rows d, e and g share k = 4).  For
+# each cell layout (``_cell_layouts``) it finds the cell masks, the slim
+# edges and the owner of each fat slot once, and it assembles one
+# structure per slot partition (``_slot_partitions``).  No two of the
+# structures are equal: the layouts have different multisets of classes,
+# and the slot partitions of one layout different multisets of blocks.
+# ``canonical_form`` keeps the first of each isomorphism class, since a
+# permutation of the parts can still map one multiset of blocks onto
+# another.
 
 
 #: slim vertices and fat slots of a cell of each class, in layout order
@@ -531,35 +535,6 @@ def _slot_partitions(slot_parts):
     yield from rec(0)
 
 
-def _fat_neighbourhoods(cells):
-    """Yield the slim neighbourhoods of the fat vertices, one list per way
-    to merge the fat slots of ``cells`` into fat vertices that
-    ``_slot_partitions`` yields."""
-    masks = [_mask_of(cell) for cell, _cls, _edges in cells]
-    slot_parts = [
-        p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_SHAPES[cls][1])
-    ]
-    for blocks in _slot_partitions(slot_parts):
-        # the cells are disjoint, so a block's neighbourhood is the sum
-        yield [sum(masks[p] for p in _iter_bits(block)) for block in blocks]
-
-
-def _assemble_sum(k, cells, fat_nbhds):
-    """Build the Hoffman graph of a typed cell partition whose fat
-    vertices have the slim neighbourhoods ``fat_nbhds``.
-
-    Returns (graph, parts) with parts the vertex sets of the summands.
-    """
-    slim_rows = [0] * k
-    for _cell, _cls, edges in cells:
-        for u, v in edges:
-            slim_rows[u] |= 1 << v
-            slim_rows[v] |= 1 << u
-    masks = [_mask_of(cell) for cell, _cls, _edges in cells]
-    adj, parts = _sum_adjacency(slim_rows, masks, fat_nbhds)
-    return HoffmanGraph(k, len(fat_nbhds), adj, _checked=True), tuple(parts)
-
-
 def sum_graphs(slim_count, classes=("H1", "H2", "H3", "H5"), component_count=None):
     """All sums K with parts from ``classes`` and ``slim_count`` slim
     vertices, one per isomorphism class; optionally filter by the number
@@ -570,6 +545,8 @@ def sum_graphs(slim_count, classes=("H1", "H2", "H3", "H5"), component_count=Non
     """
     if not 0 <= slim_count <= 6:
         raise IndexOutOfRange("sum enumeration supports 0 <= slim_count <= 6")
+    if component_count is not None and component_count < 0:
+        raise HoffmanGraphError(f"component_count {component_count} is negative")
     unknown = sorted(set(classes) - _CELL_SHAPES.keys())
     if unknown:
         raise HoffmanGraphError(f"unknown part classes {unknown}: expected H1, H2, H3, H5")
@@ -583,8 +560,17 @@ def _sum_family(slim_count, classes, component_count):
     family = []
     seen = set()
     for cells in _cell_layouts(slim_count, classes):
-        for fat_nbhds in _fat_neighbourhoods(cells):
-            g, parts = _assemble_sum(slim_count, cells, fat_nbhds)
+        masks = [_mask_of(cell) for cell, _cls, _edges in cells]
+        slim_rows = [0] * slim_count
+        for _cell, _cls, edges in cells:
+            for u, v in edges:
+                slim_rows[u] |= 1 << v
+                slim_rows[v] |= 1 << u
+        slot_parts = [
+            p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_SHAPES[cls][1])
+        ]
+        for blocks in _slot_partitions(slot_parts):
+            g, parts = _block_sum(slim_rows, masks, blocks)
             if component_count is not None:
                 if len(g.connected_components()) != component_count:
                     continue

@@ -28,12 +28,13 @@ shape of any strict cover of a slim graph G:
 The search is one chain of generators, so it runs only as far as its
 consumer reads: ``_cover_structures`` grows the cell partition, lowest
 uncovered vertex first, and ``_fat_phase`` yields the fat blocks of each
-complete partition.  Every cell must be *uniform*: its vertices have the
-same slim neighbours outside it, because the cells partition the slim
-vertices and a vertex of another cell sees all of the cell or none of
-it.  So a cell that is not uniform is rejected as soon as it is
-created, and two uniform cells joined by one edge are complete to each
-other.  An H3 or H5 part having a single slot forces its whole
+complete partition.  A cell is held as the bitmask of its slim
+vertices and a fat block as the bitmask of the parts it spans.  Every
+cell must be *uniform*: its vertices have the same slim neighbours
+outside it, because the cells partition the slim vertices and a vertex
+of another cell sees all of the cell or none of it.  So a cell that is
+not uniform is rejected as soon as it is created, and two uniform cells
+joined by one edge are complete to each other.  An H3 or H5 part having a single slot forces its whole
 D-neighbourhood into one clique, which prunes hard; a part whose slot
 is already spent is consistent only if that block covered all of its
 D-edges.  Afterwards only budget-2 cells carry uncovered edges and a
@@ -42,10 +43,10 @@ lowest uncovered D-edge.  Blocks are opened and closed by one
 ``add``/``remove`` pair.  ``is_h_line`` takes the first cover of the
 search and ``enumerate_strict_covers`` drains it.
 
-``_cover_fats`` turns a solution into the cover's fat neighbourhoods in
-host order (pinned input fats, new shared cliques sorted, then private
-padding for unused slots), and the one sum primitive of ``sums``,
-``_sum_adjacency``, builds the host from them.
+``_strict_covers`` puts a solution's blocks in host order (pinned input
+fats, new shared cliques sorted, then one-part blocks padding the unused
+slots), and ``sums._block_sum`` builds the host from the cells and
+blocks.
 
 The same machinery recognizes inputs that already carry fat vertices:
 each input fat vertex pins one fat vertex of the cover exactly (its slim
@@ -62,8 +63,8 @@ isomorphism between them restricts to the identity on the covered graph.
 Fat vertices are pairwise non-adjacent, so with all slim vertices pinned
 such an isomorphism is precisely a fat-vertex bijection preserving slim
 neighbourhoods: covers are equivalent iff their multisets of fat
-neighbourhoods agree, and enumeration deduplicates on that multiset,
-read from ``_cover_fats`` before the host is built.
+neighbourhoods agree.  The search meets each multiset once (see the
+comment above ``_strict_covers``), so enumeration needs no dedupe.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from .core import (
     _mask_of,
 )
 from .families import classify_part
-from .sums import SumDecomposition, _sum_adjacency, validate_sum
+from .sums import SumDecomposition, _block_sum, _sum_adjacency, validate_sum
 
 
 class VertexNotInGraph(HoffmanGraphError):
@@ -125,58 +126,61 @@ class StrictCover:
 # ---------------------------------------------------------------------------
 
 
-def _fat_phase(cells, dadj, pinned_parts):
+def _fat_phase(masks, dadj, pinned_parts):
     """Assign fat vertices to a complete cell partition.
 
-    cells       -- the cells; a singleton owns two fat slots, others one
-    dadj        -- per part: bitmask of cross-complete partner parts
-    pinned_parts-- per input fat vertex, the tuple of parts it must span
+    masks        -- the cells' slim masks; a singleton owns two fat
+                    slots, others one
+    dadj         -- per part: bitmask of cross-complete partner parts
+    pinned_parts -- per input fat vertex, the bitmask of the parts it
+                    must span
 
-    Yields block tuples: ``blocks[i]`` for i < len(pinned_parts) realizes
-    input fat i; later entries are new shared blocks.  Private padding is
-    left to ``_cover_fats``.
+    Yields tuples of blocks, each the bitmask of the parts one fat vertex
+    spans: ``blocks[i]`` for i < len(pinned_parts) realizes input fat i;
+    later entries are new shared blocks.  Private padding is left to the
+    caller.
     """
-    p = len(cells)
-    budget = [2 if len(c) == 1 else 1 for c in cells]
+    p = len(masks)
+    budget = [1 if m & (m - 1) else 2 for m in masks]
     covered = [0] * p
     blocks = []
 
-    def add(members):
-        """Open a fat vertex spanning ``members`` if every member has a
-        free slot and every pair of them is an uncovered D-edge."""
-        m = _mask_of(members)
+    def add(block):
+        """Open a fat vertex spanning ``block`` if every member has a
+        free slot and every pair of them is an uncovered D-edge; returns
+        the members, or None."""
+        members = [*_iter_bits(block)]
         for a in members:
-            if budget[a] <= 0 or m & ~(1 << a) & (covered[a] | ~dadj[a]):
-                return False
+            if budget[a] <= 0 or block & ~(1 << a) & (covered[a] | ~dadj[a]):
+                return None
         for a in members:
             budget[a] -= 1
-            covered[a] |= m & ~(1 << a)
-        blocks.append(tuple(members))
-        return True
+            covered[a] |= block & ~(1 << a)
+        blocks.append(block)
+        return members
 
-    def remove():
-        members = blocks.pop()
-        m = _mask_of(members)
+    def remove(members):
+        block = blocks.pop()
         for a in members:
             budget[a] += 1
-            covered[a] &= ~m
+            covered[a] &= ~block
 
     # pinned fat vertices of the input, in original order; a pinned
     # private fat is a one-member block
-    for members in pinned_parts:
-        if not add(members):
+    for block in pinned_parts:
+        if not add(block):
             return
 
     # forced blocks: a budget-1 part's single slot must cover all its
     # edges, so a part whose slot is already spent is consistent iff that
     # block covered its whole D-neighbourhood
-    for part in range(p):
-        if len(cells[part]) == 1 or dadj[part] == 0:
+    for part, m in enumerate(masks):
+        if not m & (m - 1) or dadj[part] == 0:
             continue
         if budget[part] == 0:
             if covered[part] != dadj[part]:
                 return
-        elif not add(sorted({part, *_iter_bits(dadj[part])})):
+        elif not add(1 << part | dadj[part]):
             return
 
     # exact clique partition of the remaining edges (budget-2 parts only)
@@ -195,27 +199,28 @@ def _fat_phase(cells, dadj, pinned_parts):
         # D-neighbours that still have a free slot
         candidates = [k for k in _iter_bits(dadj[i] & dadj[j]) if budget[k] > 0]
 
-        def grow(members, start):
-            if add(members):
+        def grow(block, start):
+            members = add(block)
+            if members:
                 yield from bt()
-                remove()
-            m = _mask_of(members)
+                remove(members)
             for ci in range(start, len(candidates)):
                 k = candidates[ci]
-                if not m & (covered[k] | ~dadj[k]):
-                    yield from grow(members + [k], ci + 1)
+                if not block & (covered[k] | ~dadj[k]):
+                    yield from grow(block | 1 << k, ci + 1)
 
-        yield from grow([i, j], 0)
+        yield from grow(1 << i | 1 << j, 0)
 
     yield from bt()
 
 
 def _cover_structures(g):
-    """Yield (cells, blocks) pairs describing strict covers.
+    """Yield (masks, blocks) pairs describing strict covers.
 
-    cells  -- tuple of vertex tuples partitioning the slim vertices
+    masks  -- tuple of cell masks partitioning the slim vertices, by
+              least vertex
     blocks -- per fat vertex of the cover (pinned input fats first),
-              the tuple of part indices it spans; private padding fats
+              the bitmask of the parts it spans; private padding fats
               are implied by the budgets and not listed.
 
     Only uniform cells are created.  In a strict cover two cells are
@@ -229,47 +234,38 @@ def _cover_structures(g):
     smask = g.slim_mask
     sadj = [g.adj[v] & smask for v in range(s)]
     pinned = [g.adj[f] & smask for f in range(s, g.n)]
-    cells = []
     masks = []
     dadj = []
 
-    def try_cell(verts):
-        """The cell's mask and D-row, or None if the cell is not uniform
-        or an input fat splits it.
+    def place(cm, uncovered):
+        """Search on with the cell ``cm`` added, unless the cell is not
+        uniform or an input fat splits it.
 
         Every earlier cell M is uniform too, so one edge cw (c in the
         cell C, w in M) makes C and M complete: w sees c, hence all of C;
         so each vertex of C sees w, hence all of M.  The D-row is thus
         the set of earlier cells that some vertex of C sees.
         """
-        cm = _mask_of(verts)
         for pf in pinned:
             if cm & pf not in (0, cm):
-                return None
+                return
         seen_any, seen_all = 0, smask
-        for v in verts:
+        for v in _iter_bits(cm):
             seen_any |= sadj[v]
             seen_all &= sadj[v]
         # some vertex outside the cell sees part of it but not all
         if (seen_any ^ seen_all) & ~cm:
-            return None
+            return
         bits = 0
         for i, m in enumerate(masks):
             if seen_any & m:
                 bits |= 1 << i
-        return cm, bits
-
-    def push(verts, cm, bits):
-        idx = len(cells)
-        cells.append(verts)
-        masks.append(cm)
+        idx = len(masks)
         for i in _iter_bits(bits):
             dadj[i] |= 1 << idx
+        masks.append(cm)
         dadj.append(bits)
-
-    def pop(bits):
-        idx = len(cells) - 1
-        cells.pop()
+        yield from rec(uncovered & ~cm)
         masks.pop()
         dadj.pop()
         for i in _iter_bits(bits):
@@ -278,31 +274,22 @@ def _cover_structures(g):
     def rec(uncovered):
         if not uncovered:
             pinned_parts = [
-                tuple(i for i, m in enumerate(masks) if m & pf) for pf in pinned
+                sum(1 << i for i, m in enumerate(masks) if m & pf) for pf in pinned
             ]
-            for blocks in _fat_phase(cells, dadj, pinned_parts):
-                yield tuple(cells), blocks
+            for blocks in _fat_phase(masks, dadj, pinned_parts):
+                yield tuple(masks), blocks
             return
         v = (uncovered & -uncovered).bit_length() - 1
         rest = uncovered & ~(1 << v)
 
         # singleton cell
-        r = try_cell((v,))
-        if r:
-            push((v,), *r)
-            yield from rec(rest)
-            pop(r[1])
+        yield from place(1 << v, uncovered)
 
         # non-adjacent pair cells; neither vertex sees itself or the
         # other, so the pair is uniform iff their neighbourhoods are equal
         for u in _iter_bits(rest & ~sadj[v]):
-            if sadj[u] != sadj[v]:
-                continue
-            r = try_cell((v, u))
-            if r:
-                push((v, u), *r)
-                yield from rec(rest & ~(1 << u))
-                pop(r[1])
+            if sadj[u] == sadj[v]:
+                yield from place(1 << v | 1 << u, uncovered)
 
         # one-edge triple cells; in a uniform triple {v, a, b} the
         # neighbourhoods of v and a can differ outside {v, a} only at b,
@@ -314,63 +301,65 @@ def _cover_structures(g):
                 continue
             va = (sadj[v] >> a) & 1
             for b in pool[ai + 1:]:
-                if va + ((sadj[v] >> b) & 1) + ((sadj[a] >> b) & 1) != 1:
-                    continue
-                r = try_cell((v, a, b))
-                if r:
-                    push((v, a, b), *r)
-                    yield from rec(rest & ~(1 << a) & ~(1 << b))
-                    pop(r[1])
+                if va + ((sadj[v] >> b) & 1) + ((sadj[a] >> b) & 1) == 1:
+                    yield from place(1 << v | 1 << a | 1 << b, uncovered)
 
     yield from rec((1 << s) - 1)
 
 
-def _cover_fats(g, cells, blocks, allow_h1):
-    """Cell masks and the cover's fat neighbourhoods in host order: the
-    pinned input fats, the new shared blocks sorted, then private padding
-    filling each part's fat slots."""
-    masks = [_mask_of(verts) for verts in cells]
-    count = [0] * len(cells)
-    for members in blocks:
-        for part in members:
-            count[part] += 1
-    pinned = g.fat_count
-    fat_nbhds = []
-    for members in list(blocks[:pinned]) + sorted(blocks[pinned:]):
-        nbhd = 0
-        for part in members:
-            nbhd |= masks[part]
-        fat_nbhds.append(nbhd)
-    for part, verts in enumerate(cells):
-        want = (2 if not allow_h1 else max(1, count[part])) if len(verts) == 1 else 1
-        fat_nbhds.extend([masks[part]] * (want - count[part]))
-    return masks, fat_nbhds
-
-
-def _materialize(g, cells, masks, fat_nbhds):
-    """Build the StrictCover from the output of ``_cover_fats``."""
-    adj, parts = _sum_adjacency(g.adj[: g.slim_count], masks, fat_nbhds)
-    classes = []
-    for part, verts in zip(parts, cells):
-        if len(verts) == 1:
-            classes.append("H2" if len(part) == 3 else "H1")
-        else:
-            classes.append("H3" if len(verts) == 2 else "H5")
-    host = HoffmanGraph(g.slim_count, len(fat_nbhds), adj, _checked=True)
-    return StrictCover(g, host, tuple(parts), tuple(classes))
+# One structure per equivalence class.  Two covers are equivalent iff
+# their multisets of fat neighbourhoods agree (see the module docstring),
+# and no two structures of ``_cover_structures(g)`` give the same
+# multiset, so every structure becomes a cover and nothing is skipped.
+#
+# (1) The multiset fixes the cells.  A slim vertex x sees exactly the fat
+# vertices of its part: two for an H2 part, one for H1, H3 and H5.  So a
+# vertex in two of the neighbourhoods is an H2 singleton cell.  Let f be
+# a neighbourhood and S the vertices in f and in no other; a second fat
+# vertex with neighbourhood f would give them two, so they all see one
+# fat vertex.  Two of them in different parts share it, so by rule (iv)
+# they are adjacent in g; inside a part, an H3 pair is non-adjacent and
+# an H5 triple has one edge of three.  So in the complement of g on S
+# the cells are exactly the components: an H3 or H5 cell is connected
+# there, and no complement edge leaves a cell.  A lone vertex is an H1
+# part, which is admitted only for inputs with fat vertices.  The cell
+# search reaches each partition once, with its cells ordered by least
+# vertex, so equal multisets mean equal ``masks``.
+#
+# (2) For fixed cells the multiset fixes the blocks: the cells are
+# disjoint, so a neighbourhood is the union of the cells of exactly one
+# set of parts.  The cells fix the pinned and forced blocks, and padding
+# spans one part, so the multiset fixes the blocks that ``bt`` opens,
+# each spanning at least two parts.  Two parts share at most one fat
+# vertex, so no two of these span the same parts.  ``bt`` branches on the
+# lowest uncovered D-edge ij, each branch opening a different block
+# through i and j, and no later block holds both.  So two leaves of
+# ``bt`` open different sets of blocks.
 
 
 def _strict_covers(g):
     """Strict covers of ``g`` in search order, one per equivalence class
-    (the first of each fat-neighbourhood multiset)."""
-    allow_h1 = g.fat_count > 0
-    seen = set()
-    for cells, blocks in _cover_structures(g):
-        masks, fat_nbhds = _cover_fats(g, cells, blocks, allow_h1)
-        key = tuple(sorted(fat_nbhds))
-        if key not in seen:
-            seen.add(key)
-            yield _materialize(g, cells, masks, fat_nbhds)
+    (see the block comment above).  Host fat order: the pinned input
+    fats, the new shared blocks ordered by their sorted parts, then
+    private padding filling each part's fat slots."""
+    s, pinned = g.slim_count, g.fat_count
+    for masks, blocks in _cover_structures(g):
+        count = [0] * len(masks)
+        for block in blocks:
+            for part in _iter_bits(block):
+                count[part] += 1
+        padding, classes = [], []
+        for part, m in enumerate(masks):
+            if m & (m - 1):
+                want = 1
+                classes.append("H3" if m.bit_count() == 2 else "H5")
+            else:
+                want = max(1, count[part]) if pinned else 2
+                classes.append("H2" if want == 2 else "H1")
+            padding += [1 << part] * (want - count[part])
+        shared = sorted(blocks[pinned:], key=lambda b: tuple(_iter_bits(b)))
+        host, parts = _block_sum(g.adj[:s], masks, [*blocks[:pinned], *shared, *padding])
+        yield StrictCover(g, host, parts, tuple(classes))
 
 
 def is_h_line(g):
@@ -389,8 +378,9 @@ def is_h_line(g):
 def enumerate_strict_covers(g):
     """All strict covers of a slim graph up to equivalence.
 
-    Deterministic order; deduplicated by fat-neighbourhood multiset,
-    which characterizes cover equivalence.
+    Deterministic order; one cover per fat-neighbourhood multiset, which
+    characterizes cover equivalence, since the search meets each multiset
+    once.
     """
     if g.fat_count:
         raise HoffmanGraphError("strict cover enumeration expects a slim graph")

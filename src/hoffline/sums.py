@@ -20,10 +20,12 @@ of each part and the slim neighbourhood of each fat vertex, it *derives*
 the cross-part slim adjacency from rule (iv) — two slim vertices in
 different parts become adjacent exactly when they share one fat vertex,
 and sharing two or more is an error.  ``build_sum`` (glued components),
-the sums K and compositions F (+) K of ``enumeration``, and the strict
-covers of ``recognition`` and their vertex deletion all call it, and
-``validate_sum`` checks rule (iv) by deriving the slim adjacency of the
-host again with it.
+the compositions F (+) K of ``enumeration``, the vertex deletion of
+``recognition`` and ``validate_sum``, which checks rule (iv) by deriving
+the slim adjacency of the host again, call it directly.  When every fat
+vertex sees whole cells, as in the sums K of ``enumeration`` and the
+strict covers of ``recognition``, a fat vertex is the bitmask of the
+parts it spans and ``_block_sum`` builds the host from those blocks.
 """
 
 from __future__ import annotations
@@ -211,3 +213,13 @@ def _sum_adjacency(slim_rows, cells, fat_nbhds):
     for x in range(s):
         adj[x] |= cross[x]
     return adj, [frozenset(_iter_bits(m)) for m in part_masks]
+
+
+def _block_sum(slim_rows, cells, blocks):
+    """(host, parts) of the sum whose parts have the slim masks ``cells``
+    and whose fat vertices, in host order, span the parts in each bitmask
+    of ``blocks``; ``slim_rows`` as for ``_sum_adjacency``."""
+    # the cells are disjoint, so a block's neighbourhood is their sum
+    fat_nbhds = [sum(cells[p] for p in _iter_bits(block)) for block in blocks]
+    adj, parts = _sum_adjacency(slim_rows, cells, fat_nbhds)
+    return HoffmanGraph(len(slim_rows), len(blocks), adj, _checked=True), tuple(parts)

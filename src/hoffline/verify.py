@@ -70,7 +70,7 @@ from .enumeration import (
     parse_graph6,
     write_graph6,
 )
-from .families import TranscriptionMissing, classify_part, family_graph
+from .families import classify_part, family_graph
 from .recognition import enumerate_strict_covers, is_h_line
 from .spectral import (
     EigenInterval,
@@ -427,18 +427,22 @@ def verify_prop21(catalog):
     return _report("prop2.1", ok, counts, t0, details, bad)
 
 
-def verify_eigen_claims(catalog, check_line_graphs_to=7):
+#: ``verify_eigen_claims`` checks the line graphs up to this many vertices
+_EIGEN_LINE_GRAPHS_TO = 7
+
+
+def verify_eigen_claims(catalog):
     """Exactly one catalog member certifies smallest eigenvalue below
     -1-sqrt(2), and it has 5 vertices; all others certify at-or-above.
-    Line graphs of the family up to the given size all certify
-    at-or-above as well."""
+    Line graphs of the family up to ``_EIGEN_LINE_GRAPHS_TO`` vertices
+    all certify at-or-above as well."""
     t0 = time.time()
     below = [e for e in catalog.members() if e.verdict is Verdict.BELOW]
     above = [e for e in catalog.members() if e.verdict is Verdict.AT_OR_ABOVE]
     counts = {"below": len(below), "at_or_above": len(above)}
     ok = len(below) == 1 and below[0].graph.n == 5
     bad = None
-    line = [g for n in range(1, check_line_graphs_to + 1) for g, _ in _layer(n)[0]]
+    line = [g for n in range(1, _EIGEN_LINE_GRAPHS_TO + 1) for g, _ in _layer(n)[0]]
     for g in line:
         # the verdict needs only the polynomial, not a bisection bracket
         if count_eigenvalues_below_threshold(char_poly(special_matrix(g))):

@@ -14,11 +14,13 @@ Five oracles are searches, not definitions, each kept as the reference
 for a prune of the production search:
 
 - ``cover_structures_unpruned`` is the strict-cover cell search as it
-  stood before cells were required to be uniform when created (it shares
-  ``_fat_phase`` with the production code);
+  stood before cells were required to be uniform when created (it runs
+  on ``_fat_phase``, the fat phase as it stood before its cells and
+  blocks became bitmasks);
 - ``sum_family_unpruned`` is the sum-family loop as it stood before a
   cell partition whose multiset of classes was already seen was skipped
-  (it shares the assembly with the production code, and runs on
+  (it builds each host with ``_assemble_sum``, the assembly as it stood
+  before sums were built from blocks, and runs on
   ``_cell_partitions``, every typed cell partition as it stood before
   one layout per class multiset was built, and on
   ``fat_neighbourhoods_labelled``, the slot partitions as they stood
@@ -59,12 +61,10 @@ from hoffline.core import (
 )
 from hoffline.enumeration import (
     EMPTY_GRAPH,
-    _assemble_sum,
     _extend,
     all_slim_graphs,
 )
 from hoffline.families import LINE_FAMILY_NAMES, family_graph
-from hoffline.recognition import _fat_phase
 from hoffline.spectral import (
     DEFAULT_TOLERANCE,
     EmptyGraph,
@@ -77,7 +77,7 @@ from hoffline.spectral import (
     square_free,
     sturm_chain,
 )
-from hoffline.sums import SumDecomposition, validate_sum
+from hoffline.sums import SumDecomposition, _sum_adjacency, validate_sum
 
 
 def iso_bruteforce(g, h):
@@ -323,6 +323,97 @@ def charpoly_bruteforce(matrix):
     return tuple(total)
 
 
+# -- the fat phase as it stood before its blocks became bitmasks ---------
+#
+# Copied word for word: cells as vertex tuples, blocks as tuples of part
+# indices.  ``_cover_fats`` was the padding step of recognition then.
+
+
+def _fat_phase(cells, dadj, pinned_parts):
+    """Assign fat vertices to a complete cell partition.
+
+    cells       -- the cells; a singleton owns two fat slots, others one
+    dadj        -- per part: bitmask of cross-complete partner parts
+    pinned_parts-- per input fat vertex, the tuple of parts it must span
+
+    Yields block tuples: ``blocks[i]`` for i < len(pinned_parts) realizes
+    input fat i; later entries are new shared blocks.  Private padding is
+    left to ``_cover_fats``.
+    """
+    p = len(cells)
+    budget = [2 if len(c) == 1 else 1 for c in cells]
+    covered = [0] * p
+    blocks = []
+
+    def add(members):
+        """Open a fat vertex spanning ``members`` if every member has a
+        free slot and every pair of them is an uncovered D-edge."""
+        m = _mask_of(members)
+        for a in members:
+            if budget[a] <= 0 or m & ~(1 << a) & (covered[a] | ~dadj[a]):
+                return False
+        for a in members:
+            budget[a] -= 1
+            covered[a] |= m & ~(1 << a)
+        blocks.append(tuple(members))
+        return True
+
+    def remove():
+        members = blocks.pop()
+        m = _mask_of(members)
+        for a in members:
+            budget[a] += 1
+            covered[a] &= ~m
+
+    # pinned fat vertices of the input, in original order; a pinned
+    # private fat is a one-member block
+    for members in pinned_parts:
+        if not add(members):
+            return
+
+    # forced blocks: a budget-1 part's single slot must cover all its
+    # edges, so a part whose slot is already spent is consistent iff that
+    # block covered its whole D-neighbourhood
+    for part in range(p):
+        if len(cells[part]) == 1 or dadj[part] == 0:
+            continue
+        if budget[part] == 0:
+            if covered[part] != dadj[part]:
+                return
+        elif not add(sorted({part, *_iter_bits(dadj[part])})):
+            return
+
+    # exact clique partition of the remaining edges (budget-2 parts only)
+    def bt():
+        for i in range(p):
+            rem = dadj[i] & ~covered[i] & ~((2 << i) - 1)
+            if rem:
+                break
+        else:
+            yield tuple(blocks)
+            return
+        j = (rem & -rem).bit_length() - 1
+        if budget[i] <= 0 or budget[j] <= 0:
+            return
+        # edge ij goes into exactly one new block: ij plus some common
+        # D-neighbours that still have a free slot
+        candidates = [k for k in _iter_bits(dadj[i] & dadj[j]) if budget[k] > 0]
+
+        def grow(members, start):
+            if add(members):
+                yield from bt()
+                remove()
+            m = _mask_of(members)
+            for ci in range(start, len(candidates)):
+                k = candidates[ci]
+                if not m & (covered[k] | ~dadj[k]):
+                    yield from grow(members + [k], ci + 1)
+
+        yield from grow([i, j], 0)
+
+    yield from bt()
+
+
 def cover_structures_unpruned(g):
     """Yield (cells, blocks) pairs describing strict covers.
 
@@ -520,6 +611,28 @@ def fat_neighbourhoods_labelled(cells):
                 nbhd |= masks[slot_parts[slot]]
             fat_nbhds.append(nbhd)
         yield fat_nbhds
+
+
+# -- the sum assembly as it stood before sums were built from blocks ----
+#
+# Copied word for word: a typed cell partition and the slim neighbourhoods
+# of its fat vertices make the host.
+
+
+def _assemble_sum(k, cells, fat_nbhds):
+    """Build the Hoffman graph of a typed cell partition whose fat
+    vertices have the slim neighbourhoods ``fat_nbhds``.
+
+    Returns (graph, parts) with parts the vertex sets of the summands.
+    """
+    slim_rows = [0] * k
+    for _cell, _cls, edges in cells:
+        for u, v in edges:
+            slim_rows[u] |= 1 << v
+            slim_rows[v] |= 1 << u
+    masks = [_mask_of(cell) for cell, _cls, _edges in cells]
+    adj, parts = _sum_adjacency(slim_rows, masks, fat_nbhds)
+    return HoffmanGraph(k, len(fat_nbhds), adj, _checked=True), tuple(parts)
 
 
 def sum_family_unpruned(slim_count, classes, component_count):

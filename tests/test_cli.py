@@ -182,6 +182,7 @@ def test_screen_partial_catalog_exit_two(tmp_path, catalog7):
     (["--slim-k", "-1"], "slim_count"),
     (["--slim-k", "2", "--classes", "H1,H9"], "H9"),
     (["--slim-k", "2", "--classes", ""], "unknown part classes"),
+    (["--slim-k", "2", "--ck", "-1"], "component_count"),
 ])
 def test_sums_bad_size_or_class_exit_two(tmp_path, args, message):
     f = tmp_path / "h1.hg"

@@ -19,13 +19,13 @@ from hoffline.core import (
 )
 from hoffline.enumeration import (
     EMPTY_GRAPH,
-    _assemble_sum,
+    _CELL_SHAPES,
     _canonical_children,
     _cell_layouts,
     _compose,
     _cut_components,
     _extend,
-    _fat_neighbourhoods,
+    _slot_partitions,
     _sum_family,
     _target_cell,
     MalformedHeader,
@@ -45,6 +45,7 @@ from hoffline.sums import SharedFatConflict, validate_sum
 from hoffline.verify import _hub_graphs, _layer, _lemma_graphs
 
 from bruteforce import (
+    _assemble_sum,
     _cell_partitions,
     _noncut_mask,
     _target_cell as _target_cell_lists,
@@ -367,6 +368,8 @@ def test_sum_arguments_are_checked_first():
     for k in (-1, 7):
         with pytest.raises(IndexOutOfRange):
             next(sum_graphs(k))
+    with pytest.raises(HoffmanGraphError, match="component_count"):
+        next(sum_graphs(3, component_count=-1))
     for classes in (("H1", "H9"), ("",), "H1"):
         with pytest.raises(HoffmanGraphError, match="unknown part classes"):
             next(enumerate_sums(EMPTY_GRAPH, 2, classes=classes))
@@ -423,6 +426,11 @@ def _first_per_key(nbhd_lists):
     return list(first.values())
 
 
+def _slot_parts(cells):
+    """The part owning each fat slot of a typed cell partition."""
+    return [p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_SHAPES[cls][1])]
+
+
 def test_slot_partitions_keep_first_of_each_multiset():
     # breaking the symmetry of interchangeable slots and blocks keeps the
     # first slot partition of every multiset of blocks, in order, and
@@ -437,7 +445,11 @@ def test_slot_partitions_keep_first_of_each_multiset():
                 if key in checked:
                     continue
                 checked.add(key)
-                got = list(_fat_neighbourhoods(cells))
+                masks = [_mask_of(cell) for cell, _cls, _edges in cells]
+                got = [
+                    [sum(masks[p] for p in _iter_bits(block)) for block in blocks]
+                    for blocks in _slot_partitions(_slot_parts(cells))
+                ]
                 want = list(fat_neighbourhoods_labelled(cells))
                 assert _first_per_key(got) == _first_per_key(want), cells
                 kept += len(got)
@@ -461,7 +473,7 @@ def test_slot_partitions_once_per_multiset():
     total = 0
     for k in range(1, 7):
         for cells in _cell_layouts(k, frozenset(("H1", "H2", "H3", "H5"))):
-            keys = [tuple(sorted(nbhds)) for nbhds in _fat_neighbourhoods(cells)]
+            keys = [tuple(sorted(blocks)) for blocks in _slot_partitions(_slot_parts(cells))]
             assert len(set(keys)) == len(keys), cells
             total += len(keys)
     assert total == 25335

@@ -9,12 +9,14 @@ from hoffline.core import (
     EMPTY_GRAPH,
     HoffmanGraph,
     HoffmanGraphError,
+    _iter_bits,
 )
 from hoffline.enumeration import connected_slim_graphs
 from hoffline.families import classify_part, family_graph
 from hoffline.recognition import (
     VertexNotInGraph,
     _cover_structures,
+    _strict_covers,
     delete_vertex_from_cover,
     enumerate_strict_covers,
     is_h_line,
@@ -81,13 +83,40 @@ def test_agrees_with_definition_level_search():
             assert got == hline_bruteforce(g), sorted(g.edges())
 
 
+def _tuples(masks):
+    return tuple(tuple(_iter_bits(m)) for m in masks)
+
+
 def test_uniform_cells_match_unpruned_search(fat_corpus, stream_graphs):
     # rejecting non-uniform cells at creation drops only branches that
-    # yield nothing: same cells and blocks, in the same order
+    # yield nothing, and holding cells and blocks as bitmasks changes
+    # nothing: same cells and blocks, in the same order
     graphs = [g for n in range(1, 8) for g in connected_slim_graphs(n)]
     for g in graphs + fat_corpus + stream_graphs:
-        got = list(_cover_structures(g))
+        got = [(_tuples(masks), _tuples(blocks)) for masks, blocks in _cover_structures(g)]
         assert got == list(cover_structures_unpruned(g)), (g.slim_count, list(g.adj))
+
+
+def _cocktail_party(k):
+    """CP(k): 2k vertices, the pairs 2i, 2i + 1 the only non-edges."""
+    n = 2 * k
+    return HoffmanGraph.slim(
+        n, [(u, v) for u, v in itertools.combinations(range(n), 2) if v != u + 1 or u % 2]
+    )
+
+
+def test_cover_structures_once_per_class(fat_corpus, stream_graphs):
+    # every structure of ``_cover_structures`` becomes one cover, with no
+    # dedupe set; the proof above ``_strict_covers`` shows that no two of
+    # them share a fat-neighbourhood multiset, i.e. an equivalence class
+    graphs = [g for n in range(1, 8) for g in connected_slim_graphs(n)]
+    graphs += fat_corpus + stream_graphs + [_cocktail_party(k) for k in range(1, 7)]
+    several = 0
+    for g in graphs:
+        keys = [cover.fat_neighborhoods() for cover in _strict_covers(g)]
+        assert len(set(keys)) == len(keys), (g.slim_count, list(g.adj))
+        several += len(keys) > 1
+    assert several
 
 
 def _random_h_sum(rng):
