@@ -51,7 +51,7 @@ def _load_or_build_catalog(args, need=8):
     if path and os.path.exists(os.path.join(path, "catalog.json")):
         return MfsCatalog.load(path)
     nmax = max(getattr(args, "nmax", None) or need, need)
-    cat = build_catalog(nmax, jobs=args.jobs, progress=lambda m: print(m, file=sys.stderr))
+    cat = build_catalog(nmax, progress=lambda m: print(m, file=sys.stderr))
     if path:
         cat.save(path)
         print(f"catalog saved to {path}", file=sys.stderr)
@@ -132,9 +132,7 @@ def _cmd_spectral(args):
 
 
 def _cmd_catalog(args):
-    cat = build_catalog(
-        args.nmax, jobs=args.jobs, progress=lambda m: print(m, file=sys.stderr)
-    )
+    cat = build_catalog(args.nmax, progress=lambda m: print(m, file=sys.stderr))
     cat.save(args.out)
     _emit(
         {"counts": cat.counts(), "total": cat.total(), "checksum": cat.checksum()},
@@ -177,13 +175,10 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indented JSON output")
-    pooled = argparse.ArgumentParser(add_help=False)
-    pooled.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for bulk runs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, *parents, **kw):
-        return sub.add_parser(name, parents=[common, *parents], **kw)
+    def add(name, **kw):
+        return sub.add_parser(name, parents=[common], **kw)
 
     # gen prints graph6, text or dot, never JSON, so it takes no --pretty
     g = sub.add_parser("gen", help="generate slim graphs up to isomorphism")
@@ -209,18 +204,20 @@ def build_parser():
     e = add("spectral", help="smallest-eigenvalue certification, graph6 on stdin")
     e.set_defaults(func=_cmd_spectral)
 
-    k = add("catalog", pooled, help="build the forbidden-subgraph catalog")
+    k = add("catalog", help="build the forbidden-subgraph catalog")
     k.add_argument("action", choices=("build",))
     k.add_argument("--nmax", type=int, default=8)
     k.add_argument("--out", required=True)
     k.set_defaults(func=_cmd_catalog)
 
-    sc = add("screen", pooled, help="membership by forbidden-subgraph containment")
+    sc = add("screen", help="membership by forbidden-subgraph containment")
     sc.add_argument("--catalog", default=None)
     sc.add_argument("--nmax", type=int, default=None)
     sc.set_defaults(func=_cmd_screen)
 
-    v = add("verify", pooled, help="run a published-claim checker")
+    v = add("verify", help="run a published-claim checker")
+    v.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker processes for the uniqueness audit")
     v.add_argument("--claim", choices=CLAIMS, required=True)
     v.add_argument("--nmax", type=int, default=None)
     v.add_argument("--n", type=int, default=None, help="size for the uniqueness audit")

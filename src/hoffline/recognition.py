@@ -65,6 +65,14 @@ such an isomorphism is precisely a fat-vertex bijection preserving slim
 neighbourhoods: covers are equivalent iff their multisets of fat
 neighbourhoods agree.  The search meets each multiset once (see the
 comment above ``_strict_covers``), so enumeration needs no dedupe.
+
+``_extensions`` finds covers without a search: from the cover classes
+of a graph P it reads those of every one-vertex extension P + v by mask
+tests, running the deletion lemma (``delete_vertex_from_cover``, cases
+i-iv) backwards, in the way ILIGRA builds a line-graph root one vertex
+at a time (Degiorgi & Simon, WG 1995).  The layer store of ``verify``
+recognizes every generated child this way; ``is_h_line`` and
+``enumerate_strict_covers`` stay the reference.
 """
 
 from __future__ import annotations
@@ -110,6 +118,13 @@ class StrictCover:
         return tuple(
             sorted(self.host.adj[f] & sm for f in range(self.host.slim_count, self.host.n))
         )
+
+    def cover_class(self):
+        """(cells, fats): the slim masks of the parts by least vertex and
+        ``fat_neighborhoods()``, the form ``_extensions`` works on."""
+        s = self.host.slim_count
+        cells = (_mask_of(v for v in p if v < s) for p in self.parts)
+        return tuple(sorted(cells, key=lambda m: m & -m)), self.fat_neighborhoods()
 
     def to_json_dict(self):
         return {
@@ -467,3 +482,124 @@ def delete_vertex_from_cover(decomposition, x):
     base = host.delete_slim({x})
     cover = StrictCover(base, new_host, tuple(new_parts), tuple(classes))
     return cover, case
+
+
+# ---------------------------------------------------------------------------
+# Extension by one vertex: the deletion lemma run backwards
+# ---------------------------------------------------------------------------
+
+# ``_extensions`` finds every cover class of C = P + v from the classes
+# of P, where v is the highest slim vertex; it runs no cell search and
+# no fat phase.  A class is held as (cells, fats), the form
+# ``StrictCover.cover_class`` returns.
+#
+# Every class of C is found.  Let K be a strict cover of C.  Deleting v
+# from K as ``delete_vertex_from_cover`` does gives a strict cover K' of
+# P (its four cases need no connected host), and K' is equivalent to one
+# class of P, with the same fats: the fat-neighbourhood multiset fixes
+# the cells and the blocks (see the comment above ``_strict_covers``).
+# So K is K' with v put back, one of four ways by v's part in K:
+#   i    v is an H2 singleton.  Each of its two fats is a pad {v} or
+#        g + v for a fat g of K'.  v shares a fat with exactly the cells
+#        it sees and at most one fat with any cell, so the g's are
+#        disjoint and their union is N(v).
+#   ii   v and u form an H3 cell.  In K', u is an H2 singleton with a
+#        pad {u} and one other fat g, the cell's fat less v;
+#        N(v) = g - u.
+#   iii  v is the isolated vertex of an H5 cell {a, b, v}.  In K', a and
+#        b are H2 singletons, each with a pad and with the other fat h,
+#        the cell's fat less v; N(v) = h - a - b.
+#   iv   v is an end of the edge of an H5 cell {a, w, v}, v adjacent to
+#        a.  In K', {a, w} is an H3 cell with the fat f, the cell's fat
+#        less v; N(v) = f - w.
+# ``_extensions`` makes each of these from every class of P that
+# satisfies its mask test.
+#
+# Each is a strict cover of C.  Every cell keeps its class's slot count:
+# an H2 singleton lies in two fats, any other cell in one, and a dropped
+# pad belonged to a cell that is merged into a one-fat cell.  A grown
+# fat is still a union of cells.  Pairs of cells of P keep their shared
+# fats, so only v's adjacency is new, and the mask test makes it the
+# sum's: in i, v shares one fat with each cell of g1 and of g2 and none
+# with the others; in ii-iv, v shares the cell's one fat with the other
+# cells of that fat and sees none of its own cell but a in iv, so the
+# H3 cell has no edge and the H5 cell exactly one.
+#
+# No class is made twice.  Deleting v from a result gives back the fats
+# of the class of P it came from, and v's part in the result names the
+# case and the choice: the fats v joined in i, u in ii, {a, b} in iii,
+# {a, w} and a in iv.  The classes of P have different fats, and the
+# choices run over fat values, not fat vertices.  Only the two pads of
+# an isolated H2 singleton have the same value, and either choice gives
+# the same result.
+
+
+def _extensions(classes, v):
+    """The cover classes of every one-vertex extension of a slim graph P
+    on the vertices below ``v``, from the (cells, fats) classes of P: a
+    dict from the slim neighbourhood of the new vertex ``v`` to the
+    classes of P + v, each once (see the block comment above).  A
+    neighbourhood that is no key gives no line graph.
+    """
+    bit = 1 << v
+    table = {}
+
+    def emit(nbhd, cells, fats):
+        table.setdefault(nbhd, []).append((cells, tuple(sorted(fats))))
+
+    def grow(fats, old, new):
+        """``fats`` with one copy of each fat in ``old`` dropped and the
+        masks ``new`` added."""
+        rest = list(fats)
+        for g in old:
+            rest.remove(g)
+        return rest + list(new)
+
+    for cells, fats in classes:
+        # inverse of i: a new singleton in at most two disjoint fats,
+        # padded to two
+        single = cells + (bit,)
+        emit(0, single, (*fats, bit, bit))
+        distinct = sorted(set(fats))
+        for gi, g in enumerate(distinct):
+            emit(g, single, grow(fats, (g,), (g | bit, bit)))
+            for h in distinct[gi + 1:]:
+                if not g & h:
+                    emit(g | h, single, grow(fats, (g, h), (g | bit, h | bit)))
+
+        # H2 singletons with a pad, by their other fat
+        padded = {}
+        for ci, c in enumerate(cells):
+            own = [g for g in fats if g & c]
+            singleton = not c & (c - 1)
+            if len(own) != 1 + singleton:
+                raise HoffmanGraphError("not a cover class: a cell has the wrong fat count")
+            if singleton:
+                if c in own:
+                    own.remove(c)
+                    padded.setdefault(own[0], []).append(ci)
+            elif c.bit_count() == 2:
+                # inverse of iv: v sees the H3 cell's fat but for w
+                f = own[0]
+                for w in _iter_bits(c):
+                    grown = cells[:ci] + (c | bit,) + cells[ci + 1:]
+                    emit(f & ~(1 << w), grown, grow(fats, (f,), (f | bit,)))
+
+        for g, members in padded.items():
+            # inverse of ii: v a non-adjacent twin of a padded singleton
+            for ci in members:
+                u = cells[ci]
+                grown = cells[:ci] + (u | bit,) + cells[ci + 1:]
+                emit(g & ~u, grown, grow(fats, (u, g), (g | bit,)))
+            # inverse of iii: v sees the common fat of two padded
+            # singletons but neither of them.  Inside ``verify._layer``
+            # this never fires: a and b see v's neighbours and each
+            # other, so neither is a cut vertex and both have a higher
+            # degree than v, and ``enumeration._target_cell`` drops the
+            # child.  It is kept so that the step is exact for any P + v.
+            for i, ai in enumerate(members):
+                for bi in members[i + 1:]:
+                    a, b = cells[ai], cells[bi]
+                    merged = cells[:ai] + (a | b | bit,) + cells[ai + 1:bi] + cells[bi + 1:]
+                    emit(g & ~(a | b), merged, grow(fats, (a, b, g), (g | bit,)))
+    return table

@@ -71,7 +71,7 @@ from .enumeration import (
     write_graph6,
 )
 from .families import classify_part, family_graph
-from .recognition import enumerate_strict_covers, is_h_line
+from .recognition import _extensions, enumerate_strict_covers, is_h_line
 from .spectral import (
     EigenInterval,
     Verdict,
@@ -227,9 +227,11 @@ def _pool_map(fn, items, jobs):
 _LAYERS = {}
 
 
-def _layer(n, jobs=1):
-    """(line, non_line) for n vertices: the children of the line graphs
-    on n - 1 vertices split by recognition, as tuples of (graph, form).
+def _layer(n):
+    """(line, non_line, classes) for n vertices: the children of the line
+    graphs on n - 1 vertices as tuples of (graph, form), split by whether
+    they have a strict cover, and the cover classes of each line graph,
+    in the order of ``line``, as tuples of (cells, fats).
 
     Why this reaches every line graph and minimal forbidden subgraph on
     n vertices (McKay's prune, J. Algorithms 26, 1998): a child is made
@@ -237,22 +239,34 @@ def _layer(n, jobs=1):
     every one-vertex deletion of a minimal forbidden subgraph is a line
     graph, and every induced subgraph of a line graph is one.
 
+    A child is its parent plus one last vertex, so its classes are read
+    from the parent's by ``recognition._extensions``, which runs the
+    deletion lemma backwards and finds every class of the child with
+    mask tests alone.  A child with no class is no line graph.  Layer 1
+    is K1, whose one class comes from ``enumerate_strict_covers``.
+
     Each layer is built once per process and shared by ``build_catalog``,
-    ``verify_eigen_claims`` and ``verify_cover_uniqueness``.  A layer does
-    not depend on ``jobs``, which only sets how many processes recognize
-    the children of a layer not built yet.
+    ``verify_eigen_claims`` and ``verify_cover_uniqueness``.
     """
     layer = _LAYERS.get(n)
     if layer is None:
         if n == 1:
             children = [(g, canonical_form(g)) for g in connected_slim_graphs(1)]
+            found = [
+                tuple(c.cover_class() for c in enumerate_strict_covers(g)) for g, _ in children
+            ]
         else:
-            line = _layer(n - 1, jobs)[0]
-            children = [c for parent, _ in line for c in _canonical_children(parent)]
-        covers = _pool_map(is_h_line, [g for g, _ in children], jobs)
+            line, _, classes = _layer(n - 1)
+            children, found = [], []
+            for (parent, _), parent_classes in zip(line, classes):
+                table = _extensions(parent_classes, n - 1)
+                for child, form in _canonical_children(parent):
+                    children.append((child, form))
+                    found.append(tuple(table.get(child.adj[n - 1], ())))
         layer = _LAYERS[n] = (
-            tuple(c for c, cover in zip(children, covers) if cover is not None),
-            tuple(c for c, cover in zip(children, covers) if cover is None),
+            tuple(c for c, k in zip(children, found) if k),
+            tuple(c for c, k in zip(children, found) if not k),
+            tuple(k for k in found if k),
         )
     return layer
 
@@ -269,17 +283,24 @@ def build_catalog(n_max, jobs=1, progress=None):
     That deletion still contains the member, and an induced subgraph of
     a line graph is a line graph, so recognition must find no cover for
     it.  When no member embeds, every deletion must be a line graph;
-    its cover becomes the member's witness.  Either disagreement raises
-    ``HoffmanGraphError``.  Results are deterministic and independent of
-    ``jobs``.
+    its cover becomes the member's witness.  The deletions are
+    recognized by the full search ``is_h_line``, not by the layer store,
+    so the two filters stay independent.  Either disagreement raises
+    ``HoffmanGraphError``.  Results are deterministic.
+
+    The build runs in one process.  ``jobs`` is kept only so that
+    positional callers of ``build_catalog(n_max, 1, progress)`` keep
+    working, and must be 1.
     """
     if not 5 <= n_max <= 9:
         raise HoffmanGraphError("catalog sizes run from 5 to 9")
+    if jobs != 1:
+        raise HoffmanGraphError("the catalog is built in one process; jobs must be 1")
     cat = MfsCatalog(n_max=n_max)
     smaller = []
     t0 = time.time()
     for n in range(5, n_max + 1):
-        line, non_line = _layer(n, jobs)
+        line, non_line, _ = _layer(n)
         entries = []
         for g, form in non_line:
             embeddings = (find_embedding(m.graph, g) for m in smaller)
@@ -471,17 +492,24 @@ def verify_cover_uniqueness(n, sample_size=None, seed=2026, jobs=1):
     if sample_size is not None and sample_size < 1:
         # an audit of no graphs would confirm the claim with nothing checked
         raise HoffmanGraphError(f"uniqueness audit needs a sample size >= 1, got {sample_size}")
-    graphs = [g for g, _form in _layer(n, jobs)[0]]
-    if sample_size is not None and sample_size < len(graphs):
+    line, _, classes = _layer(n)
+    audited = [(g, len(k)) for (g, _form), k in zip(line, classes)]
+    if sample_size is not None and sample_size < len(audited):
         rng = random.Random(seed)
-        graphs = rng.sample(graphs, sample_size)
+        audited = rng.sample(audited, sample_size)
+    graphs = [g for g, _stored in audited]
     class_counts = _pool_map(_cover_class_count, graphs, jobs)
     dist = {}
     for k in class_counts:
         dist[k] = dist.get(k, 0) + 1
-    # every audited graph was recognized, so it must have a cover
+    # every audited graph was recognized, so it must have a cover, and
+    # the full search must count the classes the layer store holds
     bad = next(
-        (write_graph6(g) for g, k in zip(graphs, class_counts) if k == 0 or (n >= 8 and k > 1)),
+        (
+            write_graph6(g)
+            for (g, stored), k in zip(audited, class_counts)
+            if k == 0 or (n >= 8 and k > 1) or k != stored
+        ),
         None,
     )
     counts = {"line_graphs": len(graphs), "classes_distribution": dict(sorted(dist.items()))}

@@ -114,6 +114,18 @@ def test_screen_with_catalog_dir(tmp_path, catalog7):
     assert [l["is_line"] for l in lines] == [True, False]
 
 
+@pytest.mark.parametrize("command", [
+    ["catalog", "build", "--nmax", "5", "--out", "unused"],
+    ["screen"],
+])
+def test_jobs_only_on_verify_exit_two(command):
+    # the catalog is built in one process, so only the uniqueness audit
+    # of ``verify`` takes --jobs
+    out = _run([*command, "--jobs", "2"])
+    assert out.returncode == 2
+    assert "unrecognized arguments: --jobs" in out.stderr
+
+
 def test_catalog_build_writes_directory(tmp_path):
     out = _run(["catalog", "build", "--nmax", "5", "--out", str(tmp_path / "c5")])
     assert out.returncode == 0

@@ -4,6 +4,9 @@ Two kinds of dead code fail the suite: an import that a module never
 uses, and a private top-level function that no module of the package
 refers to (a helper only the tests need belongs in the tests).
 ``__init__`` re-exports its imports and is left out of the first check.
+Any ``assert`` statement in the package fails the suite as well:
+``python -O`` strips it, and an exactness check must survive that, so
+the package raises instead.
 """
 
 import ast
@@ -52,3 +55,9 @@ def test_private_functions_are_called_from_src():
         and not any(node.name in r for other, r in zip(tops, refs) if other is not node)
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_assert_statements(module):
+    lines = [node.lineno for node in ast.walk(MODULES[module]) if isinstance(node, ast.Assert)]
+    assert lines == []

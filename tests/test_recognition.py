@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,11 +12,12 @@ from hoffline.core import (
     HoffmanGraphError,
     _iter_bits,
 )
-from hoffline.enumeration import connected_slim_graphs
+from hoffline.enumeration import all_slim_graphs, connected_slim_graphs
 from hoffline.families import classify_part, family_graph
 from hoffline.recognition import (
     VertexNotInGraph,
     _cover_structures,
+    _extensions,
     _strict_covers,
     delete_vertex_from_cover,
     enumerate_strict_covers,
@@ -24,7 +26,14 @@ from hoffline.recognition import (
 from hoffline.sums import SumDecomposition, build_sum, validate_sum
 
 from bruteforce import cover_structures_unpruned, hline_bruteforce
-from helpers import DifferentBase, covers_equivalent, slim_complete, slim_cycle, slim_path
+from helpers import (
+    DifferentBase,
+    covers_equivalent,
+    relabeled,
+    slim_complete,
+    slim_cycle,
+    slim_path,
+)
 
 
 def _sound(cover):
@@ -337,3 +346,68 @@ def test_delete_rejects_a_decomposition_that_is_not_a_sum():
     assert validate_sum(host, parts) == (False, "iv")
     with pytest.raises(HoffmanGraphError, match=r"\(iv\)"):
         delete_vertex_from_cover(SumDecomposition(host, parts), 2)
+
+
+# -- extension by one vertex --------------------------------------------
+
+
+def _classes(g):
+    return sorted(c.cover_class() for c in enumerate_strict_covers(g))
+
+
+def _moved_last(g, v):
+    """``g`` with vertex ``v`` renumbered last, the others kept in order."""
+    return relabeled(g, [g.n - 1 if u == v else u - (u > v) for u in range(g.n)])
+
+
+def _extended(c):
+    """The classes of ``c`` that ``_extensions`` reads from those of
+    ``c`` minus its last vertex."""
+    v = c.n - 1
+    parent = [k.cover_class() for k in enumerate_strict_covers(c.delete_slim({v}))]
+    return sorted(_extensions(parent, v).get(c.adj[v], []))
+
+
+def _inverse_case(c, cells):
+    """The deletion-lemma case of the last vertex of ``c`` in a class."""
+    v = c.n - 1
+    rest = next(m for m in cells if m >> v & 1) & ~(1 << v)
+    if not rest:
+        return "i"
+    if not rest & (rest - 1):
+        return "ii"
+    a, b = _iter_bits(rest)
+    return "iii" if c.adjacent(a, b) else "iv"
+
+
+def test_extension_matches_full_enumeration():
+    # every connected C with n <= 7 and every v with C - v connected:
+    # the classes of C - v extended by v are those of C, each once
+    pairs, cases = 0, Counter()
+    for n in range(2, 8):
+        for g in connected_slim_graphs(n):
+            for v in range(n):
+                c = _moved_last(g, v)
+                if not c.delete_slim({n - 1}).is_connected():
+                    continue
+                pairs += 1
+                got = _extended(c)
+                assert got == _classes(c)
+                cases.update(_inverse_case(c, cells) for cells, _fats in got)
+    assert pairs == 6098
+    assert cases == {"i": 989, "ii": 250, "iii": 43, "iv": 86}
+
+
+def test_extension_of_every_small_graph():
+    # disconnected graphs too: an isolated new vertex, and the two equal
+    # pads of an isolated singleton
+    for n in range(1, 7):
+        for g in all_slim_graphs(n):
+            for v in range(n):
+                c = _moved_last(g, v)
+                assert _extended(c) == _classes(c)
+
+
+def test_extension_rejects_a_singleton_with_one_fat():
+    with pytest.raises(HoffmanGraphError, match="wrong fat count"):
+        _extensions([((1,), (1,))], 1)

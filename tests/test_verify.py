@@ -16,7 +16,11 @@ from hoffline.enumeration import (
     write_graph6,
 )
 from hoffline.families import family_graph
-from hoffline.recognition import is_h_line
+from hoffline.recognition import (
+    delete_vertex_from_cover,
+    enumerate_strict_covers,
+    is_h_line,
+)
 from hoffline import verify
 from hoffline.spectral import Verdict
 from hoffline.verify import (
@@ -50,7 +54,7 @@ from helpers import slim_complete, slim_cycle
 def test_line_layers_match_unpruned_generation(n):
     # the layer extends line graphs only; the unpruned generator is the
     # reference for what that prune must still reach
-    line, non_line = _layer(n)
+    line, non_line, _ = _layer(n)
     forms = {canonical_form(g): g for g in connected_slim_graphs(n)}
     recognized = {f for f, g in forms.items() if is_h_line(g) is not None}
     assert sorted(f for _, f in line) == sorted(recognized)
@@ -128,20 +132,51 @@ def test_catalog_determinism(catalog7, monkeypatch):
     assert again.checksum() == catalog7.checksum()
 
 
-def test_catalog_parallel_build_matches(catalog7, monkeypatch):
-    monkeypatch.setattr(verify, "_LAYERS", {})
-    par = build_catalog(7, jobs=2)
-    assert par.checksum() == catalog7.checksum()
+def test_catalog_refuses_jobs_other_than_one():
+    with pytest.raises(HoffmanGraphError, match="one process"):
+        build_catalog(5, jobs=2)
 
 
-def test_layers_do_not_depend_on_jobs(monkeypatch):
-    # the store is keyed by n alone, so a layer built with a pool must
-    # equal the serial one, graphs, forms and order
-    built = {}
-    for jobs in (1, 2):
-        monkeypatch.setattr(verify, "_LAYERS", {})
-        built[jobs] = [_layer(n, jobs) for n in range(1, 8)]
-    assert built[1] == built[2]
+_GATED_N9 = pytest.mark.skipif(
+    not os.environ.get("HOFFLINE_ACCEPT_N9"),
+    reason="set HOFFLINE_ACCEPT_N9=1 to check the classes of layer 9",
+)
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=_GATED_N9)])
+def test_layer_classes_match_full_enumeration(n):
+    # the store reads each child's classes from its parent's; the full
+    # search is the reference, on line and non-line children alike
+    line, non_line, classes = _layer(n)
+    assert len(classes) == len(line)
+    for (g, _form), stored in zip(line, classes):
+        assert sorted(stored) == sorted(c.cover_class() for c in enumerate_strict_covers(g))
+    for g, _form in non_line:
+        assert is_h_line(g) is None
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_deleting_the_new_vertex_gives_a_stored_parent_class(n):
+    # each child is its parent plus vertex n - 1, so the deletion lemma
+    # must map every cover of a line child onto a class of that parent
+    line, _, classes = _layer(n - 1)
+    parents = {g.adj: k for (g, _form), k in zip(line, classes)}
+    for g, _form in _layer(n)[0]:
+        stored = {fats for _cells, fats in parents[g.delete_slim({n - 1}).adj]}
+        for cover in enumerate_strict_covers(g):
+            out, _case = delete_vertex_from_cover(cover, n - 1)
+            assert out.fat_neighborhoods() in stored
+
+
+def test_uniqueness_audit_cross_checks_the_layer_store(monkeypatch):
+    line, non_line, classes = _layer(6)
+    assert verify_cover_uniqueness(6).ok
+    # one stored class too many for the first line graph
+    tampered = (classes[0] * 2, *classes[1:])
+    monkeypatch.setitem(verify._LAYERS, 6, (line, non_line, tampered))
+    rep = verify_cover_uniqueness(6)
+    assert not rep.ok
+    assert rep.counterexample == write_graph6(line[0][0])
 
 
 def test_catalog_save_load_round_trip(catalog7, tmp_path):
