@@ -34,13 +34,20 @@ from .enumeration import (
 )
 from .recognition import enumerate_strict_covers, is_h_line
 from .spectral import compare_threshold, equals_threshold, smallest_eigenvalue
-from .verify import LEMMA_CLAIMS, MfsCatalog, build_catalog, screen, verify_claim
-
-CLAIMS = ("eq2", "prop2.1", "table1", *LEMMA_CLAIMS, "uniqueness", "eigen")
+from .verify import CATALOG_CLAIMS, CLAIMS, MfsCatalog, build_catalog, screen, verify_claim
 
 
 def _emit(doc, pretty):
     print(json.dumps(doc, indent=2 if pretty else None, sort_keys=True))
+
+
+def _make_out_dir(path):
+    """Create the directory a built catalog is saved to, before the
+    build, so that a path that cannot be written fails at once."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise HoffmanGraphError(f"cannot write catalog {path}: {exc!r}") from None
 
 
 def _load_or_build_catalog(args, need=8):
@@ -50,6 +57,8 @@ def _load_or_build_catalog(args, need=8):
     path = args.catalog or os.environ.get("HOFFLINE_CATALOG")
     if path and os.path.exists(os.path.join(path, "catalog.json")):
         return MfsCatalog.load(path)
+    if path:
+        _make_out_dir(path)
     nmax = max(getattr(args, "nmax", None) or need, need)
     cat = build_catalog(nmax, progress=lambda m: print(m, file=sys.stderr))
     if path:
@@ -132,6 +141,7 @@ def _cmd_spectral(args):
 
 
 def _cmd_catalog(args):
+    _make_out_dir(args.out)
     cat = build_catalog(args.nmax, progress=lambda m: print(m, file=sys.stderr))
     cat.save(args.out)
     _emit(
@@ -154,15 +164,9 @@ def _cmd_screen(args):
 
 def _cmd_verify(args):
     catalog = None
-    if args.claim in ("prop2.1", "table1", "eigen"):
+    if args.claim in CATALOG_CLAIMS:
         catalog = _load_or_build_catalog(args, need=min(args.nmax or 8, 9))
-    report = verify_claim(
-        args.claim,
-        catalog=catalog,
-        n=args.n,
-        sample_size=args.sample,
-        jobs=args.jobs,
-    )
+    report = verify_claim(args.claim, catalog=catalog, n=args.n)
     print(report.to_json(pretty=args.pretty))
     return 0 if report.ok else 1
 
@@ -216,13 +220,9 @@ def build_parser():
     sc.set_defaults(func=_cmd_screen)
 
     v = add("verify", help="run a published-claim checker")
-    v.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for the uniqueness audit")
     v.add_argument("--claim", choices=CLAIMS, required=True)
     v.add_argument("--nmax", type=int, default=None)
     v.add_argument("--n", type=int, default=None, help="size for the uniqueness audit")
-    v.add_argument("--sample", type=int, default=None,
-                   help="sample size for the uniqueness audit")
     v.add_argument("--catalog", default=None)
     v.set_defaults(func=_cmd_verify)
 

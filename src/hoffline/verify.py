@@ -44,9 +44,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
-import random
 import re
 import time
 from collections import Counter
@@ -144,48 +142,63 @@ class MfsCatalog:
     # -- persistence: catalog.json + g6/ + witness/ ---------------------
 
     def save(self, directory):
-        os.makedirs(directory, exist_ok=True)
-        g6dir = os.path.join(directory, "g6")
-        wdir = os.path.join(directory, "witness")
-        os.makedirs(g6dir, exist_ok=True)
-        os.makedirs(wdir, exist_ok=True)
-        for n, entries in sorted(self.entries.items()):
-            with open(os.path.join(g6dir, f"mfs{n}.g6"), "w") as fh:
-                for e in entries:
-                    fh.write(write_graph6(e.graph) + "\n")
-            for i, e in enumerate(entries):
-                doc = {
-                    "graph6": write_graph6(e.graph),
-                    "eigen": {
-                        "lower": str(e.eigen.lower),
-                        "upper": str(e.eigen.upper),
-                        "char_poly": list(e.eigen.poly),
-                        "verdict": e.verdict.value,
-                        "equals_threshold": e.equals_threshold,
-                    },
-                    "deletions": {str(v): w for v, w in sorted(e.witnesses.items())},
-                }
-                with open(os.path.join(wdir, f"mfs{n}_{i}.json"), "w") as fh:
-                    json.dump(doc, fh, indent=1, sort_keys=True)
-        meta = {
-            "n_max": self.n_max,
-            "counts": {str(n): c for n, c in self.counts().items()},
-            "total": self.total(),
-            "checksum": self.checksum(),
-        }
-        with open(os.path.join(directory, "catalog.json"), "w") as fh:
-            json.dump(meta, fh, indent=1, sort_keys=True)
+        try:
+            g6dir = os.path.join(directory, "g6")
+            wdir = os.path.join(directory, "witness")
+            os.makedirs(g6dir, exist_ok=True)
+            os.makedirs(wdir, exist_ok=True)
+            for n, entries in sorted(self.entries.items()):
+                with open(os.path.join(g6dir, f"mfs{n}.g6"), "w") as fh:
+                    for e in entries:
+                        fh.write(write_graph6(e.graph) + "\n")
+                for i, e in enumerate(entries):
+                    doc = {
+                        "graph6": write_graph6(e.graph),
+                        "eigen": {
+                            "lower": str(e.eigen.lower),
+                            "upper": str(e.eigen.upper),
+                            "char_poly": list(e.eigen.poly),
+                            "verdict": e.verdict.value,
+                            "equals_threshold": e.equals_threshold,
+                        },
+                        "deletions": {str(v): w for v, w in sorted(e.witnesses.items())},
+                    }
+                    with open(os.path.join(wdir, f"mfs{n}_{i}.json"), "w") as fh:
+                        json.dump(doc, fh, indent=1, sort_keys=True)
+            meta = {
+                "n_max": self.n_max,
+                "counts": {str(n): c for n, c in self.counts().items()},
+                "total": self.total(),
+                "checksum": self.checksum(),
+            }
+            with open(os.path.join(directory, "catalog.json"), "w") as fh:
+                json.dump(meta, fh, indent=1, sort_keys=True)
+        except OSError as exc:
+            raise HoffmanGraphError(f"cannot write catalog {directory}: {exc!r}") from None
 
     @staticmethod
     def load(directory):
         try:
             with open(os.path.join(directory, "catalog.json")) as fh:
                 meta = json.load(fh)
-            cat = MfsCatalog(n_max=meta["n_max"])
-            for n_str in sorted(meta["counts"], key=int):
-                n = int(n_str)
+            n_max, counts = meta["n_max"], meta["counts"]
+            # ``screen`` trusts n_max for completeness, and the checksum
+            # covers the members only, so the sizes are checked here
+            if type(n_max) is not int or not 5 <= n_max <= 9:
+                raise HoffmanGraphError(
+                    f"unreadable catalog {directory}: n_max must be an integer "
+                    f"from 5 to 9, got {n_max!r}"
+                )
+            if not isinstance(counts, dict) or set(counts) != {
+                str(n) for n in range(5, n_max + 1)
+            }:
+                raise HoffmanGraphError(
+                    f"unreadable catalog {directory}: counts must list the sizes 5 to {n_max}"
+                )
+            cat = MfsCatalog(n_max=n_max)
+            for n in range(5, n_max + 1):
                 entries = []
-                for i in range(meta["counts"][n_str]):
+                for i in range(counts[str(n)]):
                     with open(os.path.join(directory, "witness", f"mfs{n}_{i}.json")) as fh:
                         doc = json.load(fh)
                     g = parse_graph6(doc["graph6"])
@@ -214,13 +227,6 @@ class MfsCatalog:
         ) as exc:
             raise HoffmanGraphError(f"unreadable catalog {directory}: {exc!r}") from None
         return cat
-
-
-def _pool_map(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(fn, items, chunksize=64)
 
 
 #: n -> ``_layer(n)``, filled on first use
@@ -477,28 +483,17 @@ def verify_eigen_claims(catalog):
     return _report("eigen", ok, counts, t0, details, bad)
 
 
-def _cover_class_count(g):
-    return len(enumerate_strict_covers(g))
-
-
-def verify_cover_uniqueness(n, sample_size=None, seed=2026, jobs=1):
-    """Strict-cover equivalence-class counts over connected line graphs
-    with ``n`` vertices (a sample of them when ``sample_size`` is given).
-    The published uniqueness claim applies from 8 vertices on; below
-    that the distribution is only reported."""
+def verify_cover_uniqueness(n):
+    """Strict-cover equivalence-class counts over every connected line
+    graph with ``n`` vertices, each counted by the full cover search and
+    compared with the classes the layer store holds.  The published
+    uniqueness claim applies from 8 vertices on; below that the
+    distribution is only reported."""
     t0 = time.time()
     if not 5 <= n <= 9:
         raise HoffmanGraphError("uniqueness audit covers 5 <= n <= 9")
-    if sample_size is not None and sample_size < 1:
-        # an audit of no graphs would confirm the claim with nothing checked
-        raise HoffmanGraphError(f"uniqueness audit needs a sample size >= 1, got {sample_size}")
     line, _, classes = _layer(n)
-    audited = [(g, len(k)) for (g, _form), k in zip(line, classes)]
-    if sample_size is not None and sample_size < len(audited):
-        rng = random.Random(seed)
-        audited = rng.sample(audited, sample_size)
-    graphs = [g for g, _stored in audited]
-    class_counts = _pool_map(_cover_class_count, graphs, jobs)
+    class_counts = [len(enumerate_strict_covers(g)) for g, _form in line]
     dist = {}
     for k in class_counts:
         dist[k] = dist.get(k, 0) + 1
@@ -507,13 +502,13 @@ def verify_cover_uniqueness(n, sample_size=None, seed=2026, jobs=1):
     bad = next(
         (
             write_graph6(g)
-            for (g, stored), k in zip(audited, class_counts)
-            if k == 0 or (n >= 8 and k > 1) or k != stored
+            for (g, _form), stored, k in zip(line, classes, class_counts)
+            if k == 0 or (n >= 8 and k > 1) or k != len(stored)
         ),
         None,
     )
-    counts = {"line_graphs": len(graphs), "classes_distribution": dict(sorted(dist.items()))}
-    details = {"n": n, "sampled": sample_size is not None, "max_classes": max(class_counts, default=0)}
+    counts = {"line_graphs": len(line), "classes_distribution": dict(sorted(dist.items()))}
+    details = {"n": n, "max_classes": max(class_counts, default=0)}
     return _report("uniqueness", bad is None, counts, t0, details, bad)
 
 
@@ -821,24 +816,26 @@ def verify_table1(catalog):
     return _report("table1", status_ok, counts, t0, details, first_uncovered)
 
 
-def verify_claim(claim, catalog=None, n=None, sample_size=None, jobs=1):
+#: every claim name, in the order ``hoffline verify --claim`` lists them
+CLAIMS = ("eq2", "prop2.1", "table1", *LEMMA_CLAIMS, "uniqueness", "eigen")
+#: the claims whose checkers read a catalog
+CATALOG_CLAIMS = ("prop2.1", "table1", "eigen")
+
+
+def verify_claim(claim, catalog=None, n=None):
     """Dispatch a named claim to its checker."""
+    if claim in CATALOG_CLAIMS and catalog is None:
+        raise HoffmanGraphError(f"{claim} needs a catalog")
     if claim == "eq2":
         return verify_eq2()
     if claim == "prop2.1":
-        if catalog is None:
-            raise HoffmanGraphError("prop2.1 needs a catalog")
         return verify_prop21(catalog)
     if claim == "table1":
-        if catalog is None:
-            raise HoffmanGraphError("table1 needs a catalog")
         return verify_table1(catalog)
     if claim in LEMMA_CLAIMS:
         return verify_lemma(claim.removeprefix("lemma"))
     if claim == "uniqueness":
-        return verify_cover_uniqueness(n or 8, sample_size=sample_size, jobs=jobs)
+        return verify_cover_uniqueness(n or 8)
     if claim == "eigen":
-        if catalog is None:
-            raise HoffmanGraphError("eigen needs a catalog")
         return verify_eigen_claims(catalog)
     raise HoffmanGraphError(f"unknown claim {claim!r}")

@@ -1,13 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from hoffline.cli import main
+from hoffline.cli import build_parser, main
 from hoffline.enumeration import write_graph6
+from hoffline.verify import CLAIMS
 
 from helpers import slim_complete
 
@@ -114,16 +116,36 @@ def test_screen_with_catalog_dir(tmp_path, catalog7):
     assert [l["is_line"] for l in lines] == [True, False]
 
 
-@pytest.mark.parametrize("command", [
-    ["catalog", "build", "--nmax", "5", "--out", "unused"],
-    ["screen"],
-])
-def test_jobs_only_on_verify_exit_two(command):
-    # the catalog is built in one process, so only the uniqueness audit
-    # of ``verify`` takes --jobs
-    out = _run([*command, "--jobs", "2"])
+@pytest.mark.parametrize("command,option", [
+    (["catalog", "build", "--nmax", "5", "--out", "unused"], "--jobs"),
+    (["screen"], "--jobs"),
+    (["verify", "--claim", "uniqueness", "--n", "5"], "--jobs"),
+    (["verify", "--claim", "uniqueness", "--n", "5"], "--sample"),
+], ids=["catalog-jobs", "screen-jobs", "verify-jobs", "verify-sample"])
+def test_no_pool_or_sample_options_exit_two(command, option):
+    # every subcommand runs in one process over all of its inputs
+    out = _run([*command, option, "2"])
     assert out.returncode == 2
-    assert "unrecognized arguments: --jobs" in out.stderr
+    assert f"unrecognized arguments: {option}" in out.stderr
+
+
+def test_verify_claim_choices_are_the_verify_claims():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    claim = next(a for a in sub.choices["verify"]._actions if a.dest == "claim")
+    assert claim.choices == CLAIMS
+
+
+@pytest.mark.parametrize("command", [
+    ["catalog", "build", "--nmax", "5", "--out"],
+    ["screen", "--catalog"],
+], ids=["catalog", "screen"])
+def test_unwritable_out_exit_two_before_the_build(tmp_path, command):
+    (tmp_path / "file").write_text("")
+    out = _run([*command, str(tmp_path / "file" / "sub")], stdin="DsW\n")
+    assert out.returncode == 2 and not out.stdout
+    assert "Traceback" not in out.stderr and "error: cannot write catalog" in out.stderr
+    assert "n=5:" not in out.stderr
 
 
 def test_catalog_build_writes_directory(tmp_path):
@@ -204,7 +226,15 @@ def test_sums_bad_size_or_class_exit_two(tmp_path, args, message):
     assert "Traceback" not in out.stderr and "error:" in out.stderr and message in out.stderr
 
 
-def test_verify_uniqueness_bad_sample_exit_two():
-    out = _run(["verify", "--claim", "uniqueness", "--n", "5", "--sample", "-1", "--jobs", "1"])
-    assert out.returncode == 2
-    assert "Traceback" not in out.stderr and "sample size" in out.stderr
+@pytest.mark.parametrize(
+    "n_max", [10, "8", 4, None, 9], ids=["ten", "string", "four", "null", "raised"]
+)
+def test_catalog_with_bad_n_max_exit_two(tmp_path, catalog7, n_max):
+    cat = tmp_path / "cat"
+    catalog7.save(str(cat))
+    meta = json.loads((cat / "catalog.json").read_text())
+    (cat / "catalog.json").write_text(json.dumps({**meta, "n_max": n_max}))
+    for command in (["verify", "--claim", "prop2.1"], ["screen"]):
+        out = _run([*command, "--catalog", str(cat)], stdin="DsW\n")
+        assert out.returncode == 2 and not out.stdout
+        assert "Traceback" not in out.stderr and "error: unreadable catalog" in out.stderr

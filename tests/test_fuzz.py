@@ -180,3 +180,37 @@ def test_catalog_load_refuses_bad_witness(saved_catalog, tmp_path, edit):
     path.write_text(edit(path.read_text()))
     with pytest.raises(HoffmanGraphError):
         MfsCatalog.load(str(work))
+
+
+def _meta_edit(**changes):
+    def edit(doc):
+        doc.update(changes)
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _meta_edit(n_max=10),
+        _meta_edit(n_max=10, counts={"5": 2, **{str(n): 0 for n in range(6, 11)}}),
+        _meta_edit(n_max="5"),
+        _meta_edit(n_max=4),
+        _meta_edit(n_max=None),
+        _meta_edit(n_max=True),
+        _meta_edit(n_max=6),
+        _meta_edit(counts={"5": 2, "6": 0}),
+        _meta_edit(counts=[2]),
+    ],
+    ids=["ten", "ten-listed", "string", "four", "null", "bool", "raised", "extra-size", "counts-list"],
+)
+def test_catalog_load_refuses_bad_sizes(saved_catalog, tmp_path, edit):
+    # the checksum covers the members only, so n_max and the sizes
+    # listed in counts are checked on their own
+    work = tmp_path / "cat"
+    shutil.copytree(saved_catalog, work)
+    path = work / "catalog.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(HoffmanGraphError, match="unreadable catalog"):
+        MfsCatalog.load(str(work))

@@ -25,6 +25,7 @@ from hoffline import verify
 from hoffline.spectral import Verdict
 from hoffline.verify import (
     ALL_MEMBER_LABELS,
+    CATALOG_CLAIMS,
     TABLE1_EXACT_ROWS,
     TABLE1_LABELS,
     IncompleteCatalog,
@@ -191,6 +192,12 @@ def test_catalog_save_load_round_trip(catalog7, tmp_path):
         assert a.eigen.lower == b.eigen.lower
 
 
+def test_catalog_save_to_unwritable_path_raises(catalog7, tmp_path):
+    (tmp_path / "file").write_text("")
+    with pytest.raises(HoffmanGraphError, match="cannot write catalog"):
+        catalog7.save(str(tmp_path / "file" / "sub"))
+
+
 def test_screen_known_graphs(catalog7):
     assert screen(slim_complete(6), catalog7)
     assert screen(slim_cycle(7), catalog7)
@@ -241,10 +248,10 @@ def test_verify_uniqueness_small_reports_distribution():
     assert max(dist) > 1  # some small graph has inequivalent covers
 
 
-def test_verify_uniqueness_sample_is_deterministic():
-    a = verify_cover_uniqueness(6, sample_size=20, seed=5)
-    b = verify_cover_uniqueness(6, sample_size=20, seed=5)
-    assert a.counts == b.counts
+@pytest.mark.parametrize("claim", CATALOG_CLAIMS)
+def test_verify_claim_refuses_catalog_claims_without_a_catalog(claim):
+    with pytest.raises(HoffmanGraphError, match=f"{claim} needs a catalog"):
+        verify_claim(claim)
 
 
 def test_verify_dispatch_unknown():
