@@ -4,79 +4,65 @@ A graph G is a line graph of the family when it is an induced subgraph of
 a sum whose parts are copies of H2, H3 or H5.  A *strict cover* of G is
 such a sum H with the same slim vertex set; for slim inputs a strict
 cover exists exactly when G is a line graph of the family, so recognition
-searches for strict covers.
+looks for strict covers.
 
-The search exploits the structure of the three hosts.  Every fat vertex
-of a part is adjacent to all slim vertices of that part, which forces the
-shape of any strict cover of a slim graph G:
+Every fat vertex of a part is adjacent to all slim vertices of that
+part, which forces the shape of any strict cover of a slim graph G:
 
   * the slim vertices split into *cells*, one per part: a singleton
     (an H2 part), a non-adjacent pair (H3), or a triple carrying exactly
     one edge (H5);
-  * between two different cells, G induces either a complete or an empty
-    bipartite graph — cross-part adjacency is equivalent to the two parts
-    sharing a fat vertex, and a shared fat vertex sees all slim vertices
-    of both parts;
-  * writing D for the graph on the cells whose edges are the
-    cross-complete pairs, the fat vertices of a cover are exactly an edge
-    partition of D into cliques (each clique is one shared fat vertex,
-    and every D-edge lies in exactly one clique because two parts share
-    at most one fat vertex), subject to a slot budget: an H2 part owns
-    two fat slots, H3 and H5 parts own one; slots not consumed by shared
-    cliques become private fat vertices.
-
-The search is one chain of generators, so it runs only as far as its
-consumer reads: ``_cover_structures`` grows the cell partition, lowest
-uncovered vertex first, and ``_fat_phase`` yields the fat blocks of each
-complete partition.  A cell is held as the bitmask of its slim
-vertices and a fat block as the bitmask of the parts it spans.  Every
-cell must be *uniform*: its vertices have the same slim neighbours
-outside it, because the cells partition the slim vertices and a vertex
-of another cell sees all of the cell or none of it.  So a cell that is
-not uniform is rejected as soon as it is created, and two uniform cells
-joined by one edge are complete to each other.  An H3 or H5 part having a single slot forces its whole
-D-neighbourhood into one clique, which prunes hard; a part whose slot
-is already spent is consistent only if that block covered all of its
-D-edges.  Afterwards only budget-2 cells carry uncovered edges and a
-small exact clique-partition search finishes the job, branching on the
-lowest uncovered D-edge.  Blocks are opened and closed by one
-``add``/``remove`` pair.  ``is_h_line`` takes the first cover of the
-search and ``enumerate_strict_covers`` drains it.
-
-``_strict_covers`` puts a solution's blocks in host order (pinned input
-fats, new shared cliques sorted, then one-part blocks padding the unused
-slots), and ``sums._block_sum`` builds the host from the cells and
-blocks.
-
-The same machinery recognizes inputs that already carry fat vertices:
-each input fat vertex pins one fat vertex of the cover exactly (its slim
-neighbourhood must be a union of cells forming one clique block), H1
-parts become admissible for singleton cells, and the budget accounting
-absorbs the pinned blocks.  A cover with an H1 part extends to one with
-an H2 part by adding a private fat vertex, so admitting H1 does not
-change the recognized class; this matches the shape obtained by
-restricting any cover of a larger graph to the slim vertices of the
-input.
+  * a singleton lies in two fat vertices and any other cell in one, and
+    every fat neighbourhood is a union of cells;
+  * slim vertices of different parts are adjacent iff their parts share
+    a fat vertex, and two parts share at most one (rule (iv) of a sum).
 
 Two strict covers of the same graph are *equivalent* when some
 isomorphism between them restricts to the identity on the covered graph.
 Fat vertices are pairwise non-adjacent, so with all slim vertices pinned
 such an isomorphism is precisely a fat-vertex bijection preserving slim
 neighbourhoods: covers are equivalent iff their multisets of fat
-neighbourhoods agree.  The search meets each multiset once (see the
-comment above ``_strict_covers``), so enumeration needs no dedupe.
+neighbourhoods agree.  A *class* is held as (cells, fats): the cell masks
+by least vertex and the sorted fat neighbourhoods, the form that
+``StrictCover.cover_class`` returns.
 
-``_extensions`` finds covers without a search: from the cover classes
-of a graph P it reads those of every one-vertex extension P + v by mask
-tests, running the deletion lemma (``delete_vertex_from_cover``, cases
-i-iv) backwards, in the way ILIGRA builds a line-graph root one vertex
-at a time (Degiorgi & Simon, WG 1995).  The layer store of ``verify``
-recognizes every generated child this way; ``is_h_line`` and
-``enumerate_strict_covers`` stay the reference.
+The fats fix the cells.  A vertex in two of the neighbourhoods is an H2
+singleton.  Let f be a neighbourhood and T the vertices in f and in no
+other; a second fat vertex with neighbourhood f would give them two, so
+they all see one fat vertex.  Two of them in different parts share it,
+so by rule (iv) they are adjacent in G; inside a part, an H3 pair is
+non-adjacent and an H5 triple has one edge of three.  So in the
+complement of G on T the cells are exactly the components.
+
+Recognition builds the classes one vertex at a time.  The class of line
+graphs is hereditary, and ``delete_vertex_from_cover`` applies the
+deletion lemma (cases i-iv) to turn a cover of G into one of G - x.
+``_extensions`` runs it backwards: from the classes of a graph P it
+reads those of P + v by mask tests, in the way ILIGRA builds a
+line-graph root one vertex at a time (Degiorgi & Simon, WG 1995).
+``_classes`` runs it over the prefixes of an input, from the one class
+``((), ())`` of the empty graph; the layer store of ``verify`` runs it
+once per generated child.  ``_search_key`` fixes the order in which
+classes are listed, and ``_cover`` builds the host of a class with
+``sums._sum_adjacency``.  ``enumerate_strict_covers`` lists every class
+and ``is_h_line`` takes the first one, component by component.
+
+Inputs that carry fat vertices are recognized through the classes of
+their slim part S.  Such an input G has a strict cover with parts in
+{H1, H2, H3, H5} keeping its fat vertices iff some class of S holds the
+slim neighbourhood of every fat vertex of G among its fats, as a
+multiset.  Given the cover, one private fat vertex more on each H1 part
+makes it an H2 part, which gives such a class of S.  Conversely, such a
+class pins each input fat vertex to one of its fats with the same
+neighbourhood, and ``_cover`` keeps the other fats that span two or
+more cells and pads each cell to its slots; a singleton gets
+``max(1, count)`` fats, so one that holds at most one fat besides its
+pads becomes an H1 part.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -87,7 +73,7 @@ from .core import (
     _mask_of,
 )
 from .families import classify_part
-from .sums import SumDecomposition, _block_sum, _sum_adjacency, validate_sum
+from .sums import SumDecomposition, _sum_adjacency, validate_sum
 
 
 class VertexNotInGraph(HoffmanGraphError):
@@ -134,272 +120,6 @@ class StrictCover:
             "parts": [sorted(p) for p in self.parts],
             "classes": list(self.classes),
         }
-
-
-# ---------------------------------------------------------------------------
-# Search
-# ---------------------------------------------------------------------------
-
-
-def _fat_phase(masks, dadj, pinned_parts):
-    """Assign fat vertices to a complete cell partition.
-
-    masks        -- the cells' slim masks; a singleton owns two fat
-                    slots, others one
-    dadj         -- per part: bitmask of cross-complete partner parts
-    pinned_parts -- per input fat vertex, the bitmask of the parts it
-                    must span
-
-    Yields tuples of blocks, each the bitmask of the parts one fat vertex
-    spans: ``blocks[i]`` for i < len(pinned_parts) realizes input fat i;
-    later entries are new shared blocks.  Private padding is left to the
-    caller.
-    """
-    p = len(masks)
-    budget = [1 if m & (m - 1) else 2 for m in masks]
-    covered = [0] * p
-    blocks = []
-
-    def add(block):
-        """Open a fat vertex spanning ``block`` if every member has a
-        free slot and every pair of them is an uncovered D-edge; returns
-        the members, or None."""
-        members = [*_iter_bits(block)]
-        for a in members:
-            if budget[a] <= 0 or block & ~(1 << a) & (covered[a] | ~dadj[a]):
-                return None
-        for a in members:
-            budget[a] -= 1
-            covered[a] |= block & ~(1 << a)
-        blocks.append(block)
-        return members
-
-    def remove(members):
-        block = blocks.pop()
-        for a in members:
-            budget[a] += 1
-            covered[a] &= ~block
-
-    # pinned fat vertices of the input, in original order; a pinned
-    # private fat is a one-member block
-    for block in pinned_parts:
-        if not add(block):
-            return
-
-    # forced blocks: a budget-1 part's single slot must cover all its
-    # edges, so a part whose slot is already spent is consistent iff that
-    # block covered its whole D-neighbourhood
-    for part, m in enumerate(masks):
-        if not m & (m - 1) or dadj[part] == 0:
-            continue
-        if budget[part] == 0:
-            if covered[part] != dadj[part]:
-                return
-        elif not add(1 << part | dadj[part]):
-            return
-
-    # exact clique partition of the remaining edges (budget-2 parts only)
-    def bt():
-        for i in range(p):
-            rem = dadj[i] & ~covered[i] & ~((2 << i) - 1)
-            if rem:
-                break
-        else:
-            yield tuple(blocks)
-            return
-        j = (rem & -rem).bit_length() - 1
-        if budget[i] <= 0 or budget[j] <= 0:
-            return
-        # edge ij goes into exactly one new block: ij plus some common
-        # D-neighbours that still have a free slot
-        candidates = [k for k in _iter_bits(dadj[i] & dadj[j]) if budget[k] > 0]
-
-        def grow(block, start):
-            members = add(block)
-            if members:
-                yield from bt()
-                remove(members)
-            for ci in range(start, len(candidates)):
-                k = candidates[ci]
-                if not block & (covered[k] | ~dadj[k]):
-                    yield from grow(block | 1 << k, ci + 1)
-
-        yield from grow(1 << i | 1 << j, 0)
-
-    yield from bt()
-
-
-def _cover_structures(g):
-    """Yield (masks, blocks) pairs describing strict covers.
-
-    masks  -- tuple of cell masks partitioning the slim vertices, by
-              least vertex
-    blocks -- per fat vertex of the cover (pinned input fats first),
-              the bitmask of the parts it spans; private padding fats
-              are implied by the budgets and not listed.
-
-    Only uniform cells are created.  In a strict cover two cells are
-    complete or empty to each other and the cells partition the slim
-    vertices, so every vertex w outside a cell C lies in another cell and
-    sees all of C or none of it.  A partition holding a non-uniform cell
-    therefore yields nothing, and rejecting that cell when it is created
-    leaves the yielded sequence and its order unchanged.
-    """
-    s = g.slim_count
-    smask = g.slim_mask
-    sadj = [g.adj[v] & smask for v in range(s)]
-    pinned = [g.adj[f] & smask for f in range(s, g.n)]
-    masks = []
-    dadj = []
-
-    def place(cm, uncovered):
-        """Search on with the cell ``cm`` added, unless the cell is not
-        uniform or an input fat splits it.
-
-        Every earlier cell M is uniform too, so one edge cw (c in the
-        cell C, w in M) makes C and M complete: w sees c, hence all of C;
-        so each vertex of C sees w, hence all of M.  The D-row is thus
-        the set of earlier cells that some vertex of C sees.
-        """
-        for pf in pinned:
-            if cm & pf not in (0, cm):
-                return
-        seen_any, seen_all = 0, smask
-        for v in _iter_bits(cm):
-            seen_any |= sadj[v]
-            seen_all &= sadj[v]
-        # some vertex outside the cell sees part of it but not all
-        if (seen_any ^ seen_all) & ~cm:
-            return
-        bits = 0
-        for i, m in enumerate(masks):
-            if seen_any & m:
-                bits |= 1 << i
-        idx = len(masks)
-        for i in _iter_bits(bits):
-            dadj[i] |= 1 << idx
-        masks.append(cm)
-        dadj.append(bits)
-        yield from rec(uncovered & ~cm)
-        masks.pop()
-        dadj.pop()
-        for i in _iter_bits(bits):
-            dadj[i] &= ~(1 << idx)
-
-    def rec(uncovered):
-        if not uncovered:
-            pinned_parts = [
-                sum(1 << i for i, m in enumerate(masks) if m & pf) for pf in pinned
-            ]
-            for blocks in _fat_phase(masks, dadj, pinned_parts):
-                yield tuple(masks), blocks
-            return
-        v = (uncovered & -uncovered).bit_length() - 1
-        rest = uncovered & ~(1 << v)
-
-        # singleton cell
-        yield from place(1 << v, uncovered)
-
-        # non-adjacent pair cells; neither vertex sees itself or the
-        # other, so the pair is uniform iff their neighbourhoods are equal
-        for u in _iter_bits(rest & ~sadj[v]):
-            if sadj[u] == sadj[v]:
-                yield from place(1 << v | 1 << u, uncovered)
-
-        # one-edge triple cells; in a uniform triple {v, a, b} the
-        # neighbourhoods of v and a can differ outside {v, a} only at b,
-        # so an a whose difference there has two bits fits no b
-        pool = list(_iter_bits(rest))
-        for ai, a in enumerate(pool):
-            diff = (sadj[v] ^ sadj[a]) & ~(1 << v | 1 << a)
-            if diff & (diff - 1):
-                continue
-            va = (sadj[v] >> a) & 1
-            for b in pool[ai + 1:]:
-                if va + ((sadj[v] >> b) & 1) + ((sadj[a] >> b) & 1) == 1:
-                    yield from place(1 << v | 1 << a | 1 << b, uncovered)
-
-    yield from rec((1 << s) - 1)
-
-
-# One structure per equivalence class.  Two covers are equivalent iff
-# their multisets of fat neighbourhoods agree (see the module docstring),
-# and no two structures of ``_cover_structures(g)`` give the same
-# multiset, so every structure becomes a cover and nothing is skipped.
-#
-# (1) The multiset fixes the cells.  A slim vertex x sees exactly the fat
-# vertices of its part: two for an H2 part, one for H1, H3 and H5.  So a
-# vertex in two of the neighbourhoods is an H2 singleton cell.  Let f be
-# a neighbourhood and S the vertices in f and in no other; a second fat
-# vertex with neighbourhood f would give them two, so they all see one
-# fat vertex.  Two of them in different parts share it, so by rule (iv)
-# they are adjacent in g; inside a part, an H3 pair is non-adjacent and
-# an H5 triple has one edge of three.  So in the complement of g on S
-# the cells are exactly the components: an H3 or H5 cell is connected
-# there, and no complement edge leaves a cell.  A lone vertex is an H1
-# part, which is admitted only for inputs with fat vertices.  The cell
-# search reaches each partition once, with its cells ordered by least
-# vertex, so equal multisets mean equal ``masks``.
-#
-# (2) For fixed cells the multiset fixes the blocks: the cells are
-# disjoint, so a neighbourhood is the union of the cells of exactly one
-# set of parts.  The cells fix the pinned and forced blocks, and padding
-# spans one part, so the multiset fixes the blocks that ``bt`` opens,
-# each spanning at least two parts.  Two parts share at most one fat
-# vertex, so no two of these span the same parts.  ``bt`` branches on the
-# lowest uncovered D-edge ij, each branch opening a different block
-# through i and j, and no later block holds both.  So two leaves of
-# ``bt`` open different sets of blocks.
-
-
-def _strict_covers(g):
-    """Strict covers of ``g`` in search order, one per equivalence class
-    (see the block comment above).  Host fat order: the pinned input
-    fats, the new shared blocks ordered by their sorted parts, then
-    private padding filling each part's fat slots."""
-    s, pinned = g.slim_count, g.fat_count
-    for masks, blocks in _cover_structures(g):
-        count = [0] * len(masks)
-        for block in blocks:
-            for part in _iter_bits(block):
-                count[part] += 1
-        padding, classes = [], []
-        for part, m in enumerate(masks):
-            if m & (m - 1):
-                want = 1
-                classes.append("H3" if m.bit_count() == 2 else "H5")
-            else:
-                want = max(1, count[part]) if pinned else 2
-                classes.append("H2" if want == 2 else "H1")
-            padding += [1 << part] * (want - count[part])
-        shared = sorted(blocks[pinned:], key=lambda b: tuple(_iter_bits(b)))
-        host, parts = _block_sum(g.adj[:s], masks, [*blocks[:pinned], *shared, *padding])
-        yield StrictCover(g, host, parts, tuple(classes))
-
-
-def is_h_line(g):
-    """A strict cover of ``g`` over {H2, H3, H5}, or ``None``.
-
-    For slim inputs this decides membership in the class of slim
-    {H2, H3, H5}-line graphs.  Inputs with fat vertices are searched for
-    a cover with parts from {H1, H2, H3, H5} pinning the input's fat
-    vertices, which exists iff the input is a line graph of the family.
-    Returns the first cover in deterministic search order; for a slim
-    input that is the first one ``enumerate_strict_covers`` lists.
-    """
-    return next(_strict_covers(g), None)
-
-
-def enumerate_strict_covers(g):
-    """All strict covers of a slim graph up to equivalence.
-
-    Deterministic order; one cover per fat-neighbourhood multiset, which
-    characterizes cover equivalence, since the search meets each multiset
-    once.
-    """
-    if g.fat_count:
-        raise HoffmanGraphError("strict cover enumeration expects a slim graph")
-    return list(_strict_covers(g))
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +208,15 @@ def delete_vertex_from_cover(decomposition, x):
 # Extension by one vertex: the deletion lemma run backwards
 # ---------------------------------------------------------------------------
 
-# ``_extensions`` finds every cover class of C = P + v from the classes
-# of P, where v is the highest slim vertex; it runs no cell search and
-# no fat phase.  A class is held as (cells, fats), the form
-# ``StrictCover.cover_class`` returns.
+# ``_extensions`` finds the cover classes of C = P + v from the classes
+# of P, where v is the highest slim vertex and N(v) its given slim
+# neighbourhood.
 #
 # Every class of C is found.  Let K be a strict cover of C.  Deleting v
 # from K as ``delete_vertex_from_cover`` does gives a strict cover K' of
-# P (its four cases need no connected host), and K' is equivalent to one
-# class of P, with the same fats: the fat-neighbourhood multiset fixes
-# the cells and the blocks (see the comment above ``_strict_covers``).
-# So K is K' with v put back, one of four ways by v's part in K:
+# P (its four cases need no connected host), and K' is in one class of
+# P, with the same fats, which fix the cells (see the module docstring).  So K is K' with v put back, one of four ways by
+# v's part in K:
 #   i    v is an H2 singleton.  Each of its two fats is a pad {v} or
 #        g + v for a fat g of K'.  v shares a fat with exactly the cells
 #        it sees and at most one fat with any cell, so the g's are
@@ -534,38 +252,37 @@ def delete_vertex_from_cover(decomposition, x):
 # the same result.
 
 
-def _extensions(classes, v):
-    """The cover classes of every one-vertex extension of a slim graph P
-    on the vertices below ``v``, from the (cells, fats) classes of P: a
-    dict from the slim neighbourhood of the new vertex ``v`` to the
-    classes of P + v, each once (see the block comment above).  A
-    neighbourhood that is no key gives no line graph.
+def _extensions(classes, v, nbhd):
+    """The cover classes of P + v, where P is a slim graph on the
+    vertices below ``v`` with the (cells, fats) classes ``classes`` and
+    the new vertex ``v`` has the slim neighbourhood ``nbhd``; each class
+    once (see the block comment above).  An empty list means P + v is
+    no line graph.
     """
     bit = 1 << v
-    table = {}
+    out = []
 
-    def emit(nbhd, cells, fats):
-        table.setdefault(nbhd, []).append((cells, tuple(sorted(fats))))
-
-    def grow(fats, old, new):
-        """``fats`` with one copy of each fat in ``old`` dropped and the
-        masks ``new`` added."""
+    def emit(cells, fats, old, new):
+        """The class with ``cells`` whose fats are ``fats`` with one copy
+        of each fat in ``old`` dropped and the masks ``new`` added."""
         rest = list(fats)
         for g in old:
             rest.remove(g)
-        return rest + list(new)
+        out.append((cells, tuple(sorted(rest + list(new)))))
 
     for cells, fats in classes:
         # inverse of i: a new singleton in at most two disjoint fats,
         # padded to two
         single = cells + (bit,)
-        emit(0, single, (*fats, bit, bit))
-        distinct = sorted(set(fats))
-        for gi, g in enumerate(distinct):
-            emit(g, single, grow(fats, (g,), (g | bit, bit)))
-            for h in distinct[gi + 1:]:
-                if not g & h:
-                    emit(g | h, single, grow(fats, (g, h), (g | bit, h | bit)))
+        if not nbhd:
+            emit(single, fats, (), (bit, bit))
+        distinct = set(fats)
+        if nbhd in distinct:
+            emit(single, fats, (nbhd,), (nbhd | bit, bit))
+        for g in distinct:
+            h = nbhd & ~g
+            if g < h and nbhd & g == g and h in distinct:
+                emit(single, fats, (g, h), (g | bit, h | bit))
 
         # H2 singletons with a pad, by their other fat
         padded = {}
@@ -582,15 +299,17 @@ def _extensions(classes, v):
                 # inverse of iv: v sees the H3 cell's fat but for w
                 f = own[0]
                 for w in _iter_bits(c):
-                    grown = cells[:ci] + (c | bit,) + cells[ci + 1:]
-                    emit(f & ~(1 << w), grown, grow(fats, (f,), (f | bit,)))
+                    if nbhd == f & ~(1 << w):
+                        grown = cells[:ci] + (c | bit,) + cells[ci + 1:]
+                        emit(grown, fats, (f,), (f | bit,))
 
         for g, members in padded.items():
             # inverse of ii: v a non-adjacent twin of a padded singleton
             for ci in members:
                 u = cells[ci]
-                grown = cells[:ci] + (u | bit,) + cells[ci + 1:]
-                emit(g & ~u, grown, grow(fats, (u, g), (g | bit,)))
+                if nbhd == g & ~u:
+                    grown = cells[:ci] + (u | bit,) + cells[ci + 1:]
+                    emit(grown, fats, (u, g), (g | bit,))
             # inverse of iii: v sees the common fat of two padded
             # singletons but neither of them.  Inside ``verify._layer``
             # this never fires: a and b see v's neighbours and each
@@ -600,6 +319,205 @@ def _extensions(classes, v):
             for i, ai in enumerate(members):
                 for bi in members[i + 1:]:
                     a, b = cells[ai], cells[bi]
-                    merged = cells[:ai] + (a | b | bit,) + cells[ai + 1:bi] + cells[bi + 1:]
-                    emit(g & ~(a | b), merged, grow(fats, (a, b, g), (g | bit,)))
-    return table
+                    if nbhd == g & ~(a | b):
+                        merged = cells[:ai] + (a | b | bit,) + cells[ai + 1:bi] + cells[bi + 1:]
+                        emit(merged, fats, (a, b, g), (g | bit,))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Recognition: the extension over the prefixes of the input
+# ---------------------------------------------------------------------------
+
+
+def _classes(g, mask, pinned):
+    """Every class of the slim graph that ``g`` induces on ``mask`` whose
+    fats hold the masks ``pinned`` as a multiset, in the order of
+    ``_search_key``.
+
+    The classes are built by ``_extensions`` one vertex at a time, from
+    the one class of the empty graph.  Each class of a prefix plus one
+    vertex comes from a class of the prefix (see the block comment above
+    ``_extensions``), so this finds every class; when a prefix has none,
+    neither has the whole graph, and the run stops.  The vertices are
+    relabelled in the order they are added, so that each new one is the
+    highest: the slim components largest first, breadth-first inside
+    each.  Every prefix is then one connected graph beside whole
+    components, and a component that is no line graph ends the run
+    before the many classes of isolated vertices are built (m of them
+    have one class per involution of the m vertices).
+
+    The pinned fats are checked at every prefix.  Deleting a slim vertex
+    x from a cover turns each fat f into f - x, dropped when empty, and
+    adds pads only; the fat vertices stay distinct.  So the class that a
+    class K of the whole graph leaves on a prefix holds, as a multiset,
+    f cut down to the prefix for every fat f of K that meets it.  A
+    class of a prefix that lacks one of the cut-down pinned fats
+    therefore extends to no class holding ``pinned``, and dropping it
+    loses nothing.
+    """
+    order = []
+    for comp in sorted(g._components_within(mask), key=int.bit_count, reverse=True):
+        seen = comp & -comp
+        queue = [seen.bit_length() - 1]
+        for u in queue:
+            new = g.adj[u] & comp & ~seen
+            seen |= new
+            queue += _iter_bits(new)
+        order += queue
+    label = {u: i for i, u in enumerate(order)}
+
+    def relabel(m):
+        return sum(1 << label[u] for u in _iter_bits(m))
+
+    def restore(m):
+        return sum(1 << order[i] for i in _iter_bits(m))
+
+    pins = [relabel(f) for f in pinned]
+    classes = [((), ())]
+    for v, u in enumerate(order):
+        classes = _extensions(classes, v, relabel(g.adj[u] & mask) & ((1 << v) - 1))
+        if pins:
+            prefix = (2 << v) - 1
+            need = Counter(f & prefix for f in pins if f & prefix)
+            classes = [k for k in classes if not need - Counter(k[1])]
+        if not classes:
+            return []
+    found = (
+        (tuple(sorted(map(restore, cells), key=lambda c: c & -c)), tuple(sorted(map(restore, fats))))
+        for cells, fats in classes
+    )
+    return sorted(found, key=_search_key(pinned))
+
+
+# ``_search_key`` lists the classes of a graph in one fixed order: the
+# order in which a backtracking search meets them that first splits the
+# slim vertices into cells, lowest uncovered vertex first, and then
+# partitions the edges between singletons into fat blocks, lowest
+# uncovered edge first (``cover_structures_unpruned`` of the tests is
+# that search).  The key is (cells, blocks).
+#
+# Cells compare by least vertex, each cell as (size, sorted members).
+# Two classes that agree on their first k cells cover the same vertices
+# with them, so their next cells hold the same least vertex u, the
+# lowest uncovered one.  There the search tries the singleton, then the
+# pairs by their second vertex, then the triples by their other two
+# vertices, which is the order of (size, members).
+#
+# Blocks are compared only between classes with the same cells.  Then
+# every fat but the blocks is fixed: a pinned fat is given, the one fat
+# of an H3 or H5 cell spans the cell and every cell complete to it, and
+# pads fill the remaining slots.  The blocks are the other fats that
+# span two or more cells, all of them singletons: a partition into
+# cliques of the edges between singletons that no other fat covers.  So
+# the key drops one copy of each pinned fat and keeps the fats of two
+# or more singleton vertices, each as its sorted vertex tuple, the list
+# sorted.  As the singletons' parts are ordered by their vertices, this
+# is the order of the tuples of parts.  The search opens a block at the
+# lowest uncovered edge ij, trying ij first and then adding common
+# neighbours k in increasing order, each choice extended before the
+# next.  Every k it can add has k > j, since an uncovered edge ik or jk
+# with k < j would be lower than ij.  So each block it opens is larger
+# than those opened before it, and at each step the choices run in
+# tuple order, where a prefix comes first: the search meets block lists
+# in the sorted order of the lists.  Two classes with the same cells
+# partition the same edges, so neither list is a proper prefix of the
+# other.
+
+
+def _search_key(pinned):
+    """The sort key on the (cells, fats) classes of a graph whose input
+    fats have the neighbourhoods ``pinned`` (see the block comment
+    above)."""
+
+    def key(cls):
+        cells, fats = cls
+        singles = sum(c for c in cells if not c & (c - 1))
+        blocks = list(fats)
+        for f in pinned:
+            blocks.remove(f)
+        return (
+            tuple((c.bit_count(), tuple(_iter_bits(c))) for c in cells),
+            sorted(tuple(_iter_bits(f)) for f in blocks if f & (f - 1) and not f & ~singles),
+        )
+
+    return key
+
+
+def _cover(g, cells, fats):
+    """The strict cover of ``g`` in the class (cells, fats) of its slim
+    part, which holds the neighbourhoods of ``g``'s fat vertices.  Host
+    fat order: the input fats, the other fats that span two or more
+    cells ordered by their sorted parts, then pads filling each cell's
+    fat slots.  A singleton has two slots, or ``max(1, count)`` when
+    ``g`` has fat vertices, where count is the number of those fats it
+    lies in; any other cell has one."""
+    s = g.slim_count
+    pinned = [g.adj[f] & g.slim_mask for f in range(s, g.n)]
+    rest = list(fats)
+    for f in pinned:
+        rest.remove(f)
+
+    def spans(f):
+        return tuple(p for p, c in enumerate(cells) if c & f)
+
+    shared = sorted((f for f in rest if len(spans(f)) > 1), key=spans)
+    count = Counter(p for f in (*pinned, *shared) for p in spans(f))
+    padding, classes = [], []
+    for p, c in enumerate(cells):
+        if c & (c - 1):
+            want = 1
+            classes.append("H3" if c.bit_count() == 2 else "H5")
+        else:
+            want = max(1, count[p]) if pinned else 2
+            classes.append("H2" if want == 2 else "H1")
+        padding += [c] * (want - count[p])
+    fat_nbhds = [*pinned, *shared, *padding]
+    adj, parts = _sum_adjacency(g.adj[:s], cells, fat_nbhds)
+    host = HoffmanGraph(s, len(fat_nbhds), adj, _checked=True)
+    return StrictCover(g, host, tuple(parts), tuple(classes))
+
+
+def is_h_line(g):
+    """A strict cover of ``g`` over {H2, H3, H5}, or ``None``.
+
+    For slim inputs this decides membership in the class of slim
+    {H2, H3, H5}-line graphs.  Inputs with fat vertices get a cover with
+    parts from {H1, H2, H3, H5} keeping the input's fat vertices, which
+    exists iff the input is a line graph of the family.  Returns the
+    cover of the first class in the order of ``_search_key``; for a slim
+    input that is the first one ``enumerate_strict_covers`` lists.
+
+    Each component of ``g`` is recognized on its own, and the cover is
+    built from the union of their first classes.  That union is the
+    first class of ``g``.  A cell of a class can meet two components
+    only if its vertices see the same slim vertices outside it, which
+    then must be none, and no fat vertex of ``g``, which sees all of a
+    cell or none of it: the cell pairs isolated vertices, or a bare K2
+    with an isolated vertex.  Its vertices as singletons make a class
+    too, smaller at that cell, so the first class has no such cell.  A
+    class without one is a union of one class per component, since a
+    fat spanning two cells joins them.  Among these unions, replacing
+    the class of one component by a smaller one gives a smaller union:
+    the first cell where they differ lies in that component, and with
+    equal cells the blocks of the other components are merged into both
+    block lists alike, neither of which is a proper prefix of the other.
+    """
+    s = g.slim_count
+    cells, fats = [], []
+    for comp in g._components_within((1 << g.n) - 1):
+        pinned = [g.adj[f] & g.slim_mask for f in _iter_bits(comp >> s << s)]
+        found = _classes(g, comp & g.slim_mask, pinned)
+        if not found:
+            return None
+        cells += found[0][0]
+        fats += found[0][1]
+    return _cover(g, tuple(sorted(cells, key=lambda c: c & -c)), tuple(sorted(fats)))
+
+
+def enumerate_strict_covers(g):
+    """All strict covers of a slim graph up to equivalence, one per
+    class, in the order of ``_search_key``."""
+    if g.fat_count:
+        raise HoffmanGraphError("strict cover enumeration expects a slim graph")
+    return [_cover(g, *cls) for cls in _classes(g, g.slim_mask, [])]

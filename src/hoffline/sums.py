@@ -20,12 +20,12 @@ of each part and the slim neighbourhood of each fat vertex, it *derives*
 the cross-part slim adjacency from rule (iv) — two slim vertices in
 different parts become adjacent exactly when they share one fat vertex,
 and sharing two or more is an error.  ``build_sum`` (glued components),
-the compositions F (+) K of ``enumeration``, the vertex deletion of
-``recognition`` and ``validate_sum``, which checks rule (iv) by deriving
-the slim adjacency of the host again, call it directly.  When every fat
-vertex sees whole cells, as in the sums K of ``enumeration`` and the
-strict covers of ``recognition``, a fat vertex is the bitmask of the
-parts it spans and ``_block_sum`` builds the host from those blocks.
+the compositions F (+) K of ``enumeration``, the strict covers and the
+vertex deletion of ``recognition`` and ``validate_sum``, which checks
+rule (iv) by deriving the slim adjacency of the host again, call it
+directly.  When every fat vertex sees whole cells, as in the sums K of
+``enumeration``, a fat vertex is the bitmask of the parts it spans and
+``_block_sum`` builds the host from those blocks.
 """
 
 from __future__ import annotations

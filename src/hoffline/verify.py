@@ -16,8 +16,8 @@ and a certified smallest-eigenvalue interval with its threshold
 verdict.
 
 ``screen`` decides line-graph membership purely by forbidden-subgraph
-containment, which the test suite checks against direct cover-search
-recognition on every connected graph up to 7 vertices.
+containment, which the test suite checks against ``is_h_line`` on every
+connected graph up to 7 vertices.
 
 The ``verify_*`` functions reproduce the published computational claims:
 per-size counts of the catalog (2 / 28 / 7 / 1 / 0 for n = 5..9), the
@@ -249,7 +249,8 @@ def _layer(n):
     from the parent's by ``recognition._extensions``, which runs the
     deletion lemma backwards and finds every class of the child with
     mask tests alone.  A child with no class is no line graph.  Layer 1
-    is K1, whose one class comes from ``enumerate_strict_covers``.
+    is K1, whose one class is the extension of the empty graph's class
+    ``((), ())``.
 
     Each layer is built once per process and shared by ``build_catalog``,
     ``verify_eigen_claims`` and ``verify_cover_uniqueness``.
@@ -258,17 +259,14 @@ def _layer(n):
     if layer is None:
         if n == 1:
             children = [(g, canonical_form(g)) for g in connected_slim_graphs(1)]
-            found = [
-                tuple(c.cover_class() for c in enumerate_strict_covers(g)) for g, _ in children
-            ]
+            found = [tuple(_extensions([((), ())], 0, 0))]
         else:
             line, _, classes = _layer(n - 1)
             children, found = [], []
             for (parent, _), parent_classes in zip(line, classes):
-                table = _extensions(parent_classes, n - 1)
                 for child, form in _canonical_children(parent):
                     children.append((child, form))
-                    found.append(tuple(table.get(child.adj[n - 1], ())))
+                    found.append(tuple(_extensions(parent_classes, n - 1, child.adj[n - 1])))
         layer = _LAYERS[n] = (
             tuple(c for c, k in zip(children, found) if k),
             tuple(c for c, k in zip(children, found) if not k),
@@ -290,9 +288,11 @@ def build_catalog(n_max, jobs=1, progress=None):
     a line graph is a line graph, so recognition must find no cover for
     it.  When no member embeds, every deletion must be a line graph;
     its cover becomes the member's witness.  The deletions are
-    recognized by the full search ``is_h_line``, not by the layer store,
-    so the two filters stay independent.  Either disagreement raises
-    ``HoffmanGraphError``.  Results are deterministic.
+    recognized by ``is_h_line``, which shares the extension step of
+    ``recognition`` with the layer store; the two filters stay
+    independent because containment (``find_embedding``) uses no
+    recognition code.  Either disagreement raises ``HoffmanGraphError``.
+    Results are deterministic.
 
     The build runs in one process.  ``jobs`` is kept only so that
     positional callers of ``build_catalog(n_max, 1, progress)`` keep
@@ -485,10 +485,13 @@ def verify_eigen_claims(catalog):
 
 def verify_cover_uniqueness(n):
     """Strict-cover equivalence-class counts over every connected line
-    graph with ``n`` vertices, each counted by the full cover search and
-    compared with the classes the layer store holds.  The published
-    uniqueness claim applies from 8 vertices on; below that the
-    distribution is only reported."""
+    graph with ``n`` vertices, each counted by ``enumerate_strict_covers``
+    and compared with the classes the layer store holds.  The two meet
+    the same extension step in different vertex orders: the store adds
+    the generated child's last vertex to its parent's classes, and
+    ``enumerate_strict_covers`` builds the classes again from the empty
+    graph, breadth-first.  The published uniqueness claim applies from 8
+    vertices on; below that the distribution is only reported."""
     t0 = time.time()
     if not 5 <= n <= 9:
         raise HoffmanGraphError("uniqueness audit covers 5 <= n <= 9")
@@ -498,7 +501,7 @@ def verify_cover_uniqueness(n):
     for k in class_counts:
         dist[k] = dist.get(k, 0) + 1
     # every audited graph was recognized, so it must have a cover, and
-    # the full search must count the classes the layer store holds
+    # enumeration must count the classes the layer store holds
     bad = next(
         (
             write_graph6(g)

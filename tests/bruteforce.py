@@ -16,7 +16,11 @@ for a prune of the production search:
 - ``cover_structures_unpruned`` is the strict-cover cell search as it
   stood before cells were required to be uniform when created (it runs
   on ``_fat_phase``, the fat phase as it stood before its cells and
-  blocks became bitmasks);
+  blocks became bitmasks).  Recognition no longer searches: it builds
+  the cover classes one vertex at a time.  ``strict_covers_reference``
+  turns the structures of this search into covers as recognition did
+  when it searched, and the tests hold ``enumerate_strict_covers`` and
+  ``is_h_line`` to it, order included;
 - ``sum_family_unpruned`` is the sum-family loop as it stood before a
   cell partition whose multiset of classes was already seen was skipped
   (it builds each host with ``_assemble_sum``, the assembly as it stood
@@ -46,6 +50,7 @@ and ``smallest_root_interval_fractions`` (see the end of this module).
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from hoffline.core import (
@@ -77,7 +82,8 @@ from hoffline.spectral import (
     square_free,
     sturm_chain,
 )
-from hoffline.sums import SumDecomposition, _sum_adjacency, validate_sum
+from hoffline.recognition import StrictCover
+from hoffline.sums import SumDecomposition, _block_sum, _sum_adjacency, validate_sum
 
 
 def iso_bruteforce(g, h):
@@ -505,6 +511,29 @@ def cover_structures_unpruned(g):
                     pop(r[1])
 
     yield from rec((1 << s) - 1)
+
+
+def strict_covers_reference(g):
+    """The strict covers of ``cover_structures_unpruned(g)``, one per
+    structure and in its order.  Host fat order: the pinned input fats,
+    the new shared blocks ordered by their sorted parts, then private
+    padding filling each part's fat slots; a singleton owns two slots,
+    or ``max(1, blocks)`` when ``g`` has fat vertices."""
+    s, pinned = g.slim_count, g.fat_count
+    for cells, blocks in cover_structures_unpruned(g):
+        count = Counter(part for block in blocks for part in block)
+        padding, classes = [], []
+        for part, cell in enumerate(cells):
+            if len(cell) > 1:
+                want = 1
+                classes.append("H3" if len(cell) == 2 else "H5")
+            else:
+                want = max(1, count[part]) if pinned else 2
+                classes.append("H2" if want == 2 else "H1")
+            padding += [(part,)] * (want - count[part])
+        fats = [*blocks[:pinned], *sorted(blocks[pinned:]), *padding]
+        host, parts = _block_sum(g.adj[:s], [_mask_of(c) for c in cells], [_mask_of(b) for b in fats])
+        yield StrictCover(g, host, parts, tuple(classes))
 
 
 # -- the typed cell partitions as they stood before one layout per class ---

@@ -12,20 +12,18 @@ from hoffline.core import (
     HoffmanGraphError,
     _iter_bits,
 )
-from hoffline.enumeration import all_slim_graphs, connected_slim_graphs
+from hoffline.enumeration import all_slim_graphs, connected_slim_graphs, fat_hoffman_graphs
 from hoffline.families import classify_part, family_graph
 from hoffline.recognition import (
     VertexNotInGraph,
-    _cover_structures,
     _extensions,
-    _strict_covers,
     delete_vertex_from_cover,
     enumerate_strict_covers,
     is_h_line,
 )
 from hoffline.sums import SumDecomposition, build_sum, validate_sum
 
-from bruteforce import cover_structures_unpruned, hline_bruteforce
+from bruteforce import hline_bruteforce, strict_covers_reference
 from helpers import (
     DifferentBase,
     covers_equivalent,
@@ -92,20 +90,6 @@ def test_agrees_with_definition_level_search():
             assert got == hline_bruteforce(g), sorted(g.edges())
 
 
-def _tuples(masks):
-    return tuple(tuple(_iter_bits(m)) for m in masks)
-
-
-def test_uniform_cells_match_unpruned_search(fat_corpus, stream_graphs):
-    # rejecting non-uniform cells at creation drops only branches that
-    # yield nothing, and holding cells and blocks as bitmasks changes
-    # nothing: same cells and blocks, in the same order
-    graphs = [g for n in range(1, 8) for g in connected_slim_graphs(n)]
-    for g in graphs + fat_corpus + stream_graphs:
-        got = [(_tuples(masks), _tuples(blocks)) for masks, blocks in _cover_structures(g)]
-        assert got == list(cover_structures_unpruned(g)), (g.slim_count, list(g.adj))
-
-
 def _cocktail_party(k):
     """CP(k): 2k vertices, the pairs 2i, 2i + 1 the only non-edges."""
     n = 2 * k
@@ -114,18 +98,76 @@ def _cocktail_party(k):
     )
 
 
-def test_cover_structures_once_per_class(fat_corpus, stream_graphs):
-    # every structure of ``_cover_structures`` becomes one cover, with no
-    # dedupe set; the proof above ``_strict_covers`` shows that no two of
-    # them share a fat-neighbourhood multiset, i.e. an equivalence class
-    graphs = [g for n in range(1, 8) for g in connected_slim_graphs(n)]
-    graphs += fat_corpus + stream_graphs + [_cocktail_party(k) for k in range(1, 7)]
+def test_uniform_cells_match_unpruned_search(fat_corpus, stream_graphs):
+    # the covers built one vertex at a time are those of the unpruned
+    # cell and fat-block search, in its order
+    graphs = [g for n in range(1, 8) for g in all_slim_graphs(n)]
+    graphs += stream_graphs + [_cocktail_party(k) for k in range(1, 8)]
+    for g in graphs:
+        assert enumerate_strict_covers(g) == list(strict_covers_reference(g)), (
+            g.slim_count,
+            list(g.adj),
+        )
+    for g in fat_corpus + list(fat_hoffman_graphs(5, 2)):
+        assert is_h_line(g) == next(strict_covers_reference(g), None), (g.slim_count, list(g.adj))
+
+
+def test_cover_structures_once_per_class(stream_graphs):
+    # every class of the extension becomes one cover, with no dedupe set:
+    # no two covers share a fat-neighbourhood multiset
+    graphs = [g for n in range(1, 8) for g in all_slim_graphs(n)]
+    graphs += stream_graphs + [_cocktail_party(k) for k in range(1, 8)]
     several = 0
     for g in graphs:
-        keys = [cover.fat_neighborhoods() for cover in _strict_covers(g)]
+        keys = [cover.fat_neighborhoods() for cover in enumerate_strict_covers(g)]
         assert len(set(keys)) == len(keys), (g.slim_count, list(g.adj))
         several += len(keys) > 1
     assert several
+
+
+def _disjoint(graphs):
+    """The disjoint union of ``graphs``, slim vertices first, each
+    graph's vertices in its own order."""
+    s = sum(g.slim_count for g in graphs)
+    edges, slim_at, fat_at = [], 0, s
+    for g in graphs:
+        at = [slim_at + v if v < g.slim_count else fat_at + v - g.slim_count for v in range(g.n)]
+        edges += [(at[u], at[v]) for u, v in g.edges()]
+        slim_at += g.slim_count
+        fat_at += g.fat_count
+    return HoffmanGraph.build(s, fat_at - s, edges)
+
+
+def test_one_fat_vertex_over_many_non_adjacent_vertices():
+    # a cell search tries every pairing of the 24 slim vertices before
+    # the fat vertex refuses each; the pinned fat, cut down to each
+    # prefix, ends the run at the third vertex
+    m = 24
+    g = HoffmanGraph.build(m, 1, [(v, m) for v in range(m)])
+    assert is_h_line(g) is None
+
+
+def test_non_line_component_after_many_isolated_vertices(catalog7):
+    # a 5-vertex member after 30 isolated vertices: the largest
+    # component goes first, so the involutions of the isolated vertices
+    # are never built
+    member = catalog7.entries[5][0].graph
+    g = _disjoint([HoffmanGraph.slim(1, [])] * 30 + [member])
+    assert is_h_line(g) is None
+    assert enumerate_strict_covers(g) == []
+
+
+def test_many_components_match_reference_search():
+    # each component takes its first class; the union is the first class
+    # of the whole graph
+    for g in (
+        HoffmanGraph.slim(40, []),
+        _disjoint([family_graph("H1")] * 30),
+        _disjoint([slim_path(2), HoffmanGraph.slim(1, []), family_graph("H1"), slim_path(3)] * 3),
+    ):
+        cover = is_h_line(g)
+        assert cover == next(strict_covers_reference(g))
+        _sound(cover)
 
 
 def _random_h_sum(rng):
@@ -178,12 +220,7 @@ def test_closed_under_vertex_deletion():
 def test_closed_under_disjoint_union():
     picks = [slim_path(3), slim_cycle(5), slim_complete(4)]
     for a, b in itertools.combinations(picks, 2):
-        n = a.slim_count + b.slim_count
-        edges = list(a.edges()) + [
-            (u + a.slim_count, v + a.slim_count) for u, v in b.edges()
-        ]
-        union = HoffmanGraph.slim(n, edges)
-        cover = is_h_line(union)
+        cover = is_h_line(_disjoint([a, b]))
         assert cover is not None
         _sound(cover)
 
@@ -352,7 +389,8 @@ def test_delete_rejects_a_decomposition_that_is_not_a_sum():
 
 
 def _classes(g):
-    return sorted(c.cover_class() for c in enumerate_strict_covers(g))
+    """The classes of ``g`` by the reference search."""
+    return sorted(c.cover_class() for c in strict_covers_reference(g))
 
 
 def _moved_last(g, v):
@@ -364,8 +402,7 @@ def _extended(c):
     """The classes of ``c`` that ``_extensions`` reads from those of
     ``c`` minus its last vertex."""
     v = c.n - 1
-    parent = [k.cover_class() for k in enumerate_strict_covers(c.delete_slim({v}))]
-    return sorted(_extensions(parent, v).get(c.adj[v], []))
+    return sorted(_extensions(_classes(c.delete_slim({v})), v, c.adj[v]))
 
 
 def _inverse_case(c, cells):
@@ -410,4 +447,4 @@ def test_extension_of_every_small_graph():
 
 def test_extension_rejects_a_singleton_with_one_fat():
     with pytest.raises(HoffmanGraphError, match="wrong fat count"):
-        _extensions([((1,), (1,))], 1)
+        _extensions([((1,), (1,))], 1, 0)
