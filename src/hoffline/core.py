@@ -129,11 +129,6 @@ class HoffmanGraph:
             adj[v] |= 1 << u
         return cls(slim_count, fat_count, adj)
 
-    @classmethod
-    def slim(cls, n, edges):
-        """Build a slim graph (no fat vertices) on ``n`` vertices."""
-        return cls.build(n, 0, edges)
-
     # -- basic accessors ----------------------------------------------
 
     @property
@@ -147,9 +142,6 @@ class HoffmanGraph:
     @property
     def fat_mask(self):
         return ((1 << self.n) - 1) ^ self.slim_mask
-
-    def degree(self, v):
-        return self.adj[v].bit_count()
 
     def slim_neighbors(self, v):
         return self.adj[v] & self.slim_mask
@@ -554,18 +546,16 @@ def _canonical_search(g, cells=None):
     return bytes([g.slim_count, g.fat_count]) + key, lab, search.autos
 
 
-def canonical_data(g, cells=None):
+def canonical_data(g):
     """Canonical labelling: (form bytes, labelling, automorphism orbits).
 
     The labelling maps canonical positions to original vertices.  Orbits
     are over the full vertex set under the discovered automorphism group.
-    ``cells`` is the refined root partition, when the caller has it (see
-    ``_canonical_search``).
     """
     n = g.n
     if n == 0:
         return bytes([g.slim_count, g.fat_count]), [], []
-    form, lab, autos = _canonical_search(g, cells)
+    form, lab, autos = _canonical_search(g)
     parent = _orbit_forest(n, autos)
     groups = {}
     for v in range(n):

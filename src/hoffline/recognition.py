@@ -23,8 +23,7 @@ Fat vertices are pairwise non-adjacent, so with all slim vertices pinned
 such an isomorphism is precisely a fat-vertex bijection preserving slim
 neighbourhoods: covers are equivalent iff their multisets of fat
 neighbourhoods agree.  A *class* is held as (cells, fats): the cell masks
-by least vertex and the sorted fat neighbourhoods, the form that
-``StrictCover.cover_class`` returns.
+by least vertex and the sorted fat neighbourhoods.
 
 The fats fix the cells.  A vertex in two of the neighbourhoods is an H2
 singleton.  Let f be a neighbourhood and T the vertices in f and in no
@@ -98,25 +97,11 @@ class StrictCover:
     def decomposition(self):
         return SumDecomposition(self.host, self.parts)
 
-    def fat_neighborhoods(self):
-        """Sorted slim-neighbourhood masks of the host's fat vertices."""
-        sm = self.host.slim_mask
-        return tuple(
-            sorted(self.host.adj[f] & sm for f in range(self.host.slim_count, self.host.n))
-        )
-
-    def cover_class(self):
-        """(cells, fats): the slim masks of the parts by least vertex and
-        ``fat_neighborhoods()``, the form ``_extensions`` works on."""
-        s = self.host.slim_count
-        cells = (_mask_of(v for v in p if v < s) for p in self.parts)
-        return tuple(sorted(cells, key=lambda m: m & -m)), self.fat_neighborhoods()
-
     def to_json_dict(self):
         return {
             "slim_count": self.host.slim_count,
             "fat_count": self.host.fat_count,
-            "edges": sorted(self.host.edges()),
+            "edges": [list(e) for e in sorted(self.host.edges())],
             "parts": [sorted(p) for p in self.parts],
             "classes": list(self.classes),
         }

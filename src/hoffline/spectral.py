@@ -282,10 +282,6 @@ class EigenInterval:
     upper: Fraction
     poly: tuple[int, ...]
 
-    @property
-    def width(self):
-        return self.upper - self.lower
-
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
 

@@ -13,7 +13,11 @@ independent minimality filters (containment of a smaller member versus
 recognition of one-vertex deletions) on every candidate, and attaches
 per-member certificates: a strict cover of every one-vertex deletion
 and a certified smallest-eigenvalue interval with its threshold
-verdict.
+verdict.  ``_member`` is the one code path that makes a member with its
+certificates: the build calls it on every candidate that passes
+containment, and ``MfsCatalog.load`` calls it on every stored graph6
+string and refuses a catalog whose witness files differ from what it
+derives, so no stored certificate is trusted.
 
 ``screen`` decides line-graph membership purely by forbidden-subgraph
 containment, which the test suite checks against ``is_h_line`` on every
@@ -45,11 +49,9 @@ import hashlib
 import itertools
 import json
 import os
-import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import (
     HoffmanGraph,
@@ -101,16 +103,42 @@ class CatalogEntry:
     witnesses: dict  # deleted vertex -> strict cover json dict of the deletion
 
 
-_STORED_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
+def _member(g, form):
+    """The catalog entry of ``g``, a minimal forbidden subgraph with
+    canonical form ``form``: a strict cover of every one-vertex deletion
+    as its witness, and its certified smallest eigenvalue with the
+    threshold verdict.  A deletion with no cover means that the
+    minimality filters disagree, which raises ``HoffmanGraphError``."""
+    deletions = {}
+    for v in range(g.n):
+        cover = is_h_line(g.delete_slim({v}))
+        if cover is None:
+            raise HoffmanGraphError("minimality filters disagree on " + write_graph6(g))
+        deletions[v] = cover.to_json_dict()
+    interval = smallest_eigenvalue(g)
+    return CatalogEntry(
+        graph=g,
+        form=form,
+        eigen=interval,
+        verdict=compare_threshold(interval),
+        equals_threshold=equals_threshold(interval),
+        witnesses=deletions,
+    )
 
 
-def _stored_fraction(text):
-    """A bound as ``MfsCatalog.save`` writes it, ``p`` or ``p/q``.  Other
-    forms ``Fraction`` accepts are refused: expanding ``1e10000000``
-    alone takes seconds."""
-    if not isinstance(text, str) or not _STORED_FRACTION.fullmatch(text):
-        raise ValueError(f"bad stored fraction {text!r}")
-    return Fraction(text)
+def _member_doc(entry):
+    """The witness file of ``entry``, as ``json.load`` reads it back."""
+    return {
+        "graph6": write_graph6(entry.graph),
+        "eigen": {
+            "lower": str(entry.eigen.lower),
+            "upper": str(entry.eigen.upper),
+            "char_poly": list(entry.eigen.poly),
+            "verdict": entry.verdict.value,
+            "equals_threshold": entry.equals_threshold,
+        },
+        "deletions": {str(v): w for v, w in sorted(entry.witnesses.items())},
+    }
 
 
 @dataclass
@@ -152,19 +180,8 @@ class MfsCatalog:
                     for e in entries:
                         fh.write(write_graph6(e.graph) + "\n")
                 for i, e in enumerate(entries):
-                    doc = {
-                        "graph6": write_graph6(e.graph),
-                        "eigen": {
-                            "lower": str(e.eigen.lower),
-                            "upper": str(e.eigen.upper),
-                            "char_poly": list(e.eigen.poly),
-                            "verdict": e.verdict.value,
-                            "equals_threshold": e.equals_threshold,
-                        },
-                        "deletions": {str(v): w for v, w in sorted(e.witnesses.items())},
-                    }
                     with open(os.path.join(wdir, f"mfs{n}_{i}.json"), "w") as fh:
-                        json.dump(doc, fh, indent=1, sort_keys=True)
+                        json.dump(_member_doc(e), fh, indent=1, sort_keys=True)
             meta = {
                 "n_max": self.n_max,
                 "counts": {str(n): c for n, c in self.counts().items()},
@@ -178,6 +195,13 @@ class MfsCatalog:
 
     @staticmethod
     def load(directory):
+        """Read a catalog that ``save`` wrote, trusting none of its
+        certificates: each member is derived again from its graph6 by
+        ``_member``, the code that built it, and the catalog is refused
+        with ``HoffmanGraphError`` unless every witness file equals the
+        derived one.  ``n_max``, ``counts`` and the checksum of the
+        member forms are checked as well.  Minimality itself is not
+        re-checked."""
         try:
             with open(os.path.join(directory, "catalog.json")) as fh:
                 meta = json.load(fh)
@@ -202,28 +226,22 @@ class MfsCatalog:
                     with open(os.path.join(directory, "witness", f"mfs{n}_{i}.json")) as fh:
                         doc = json.load(fh)
                     g = parse_graph6(doc["graph6"])
-                    eig = doc["eigen"]
-                    interval = EigenInterval(
-                        _stored_fraction(eig["lower"]),
-                        _stored_fraction(eig["upper"]),
-                        tuple(eig["char_poly"]),
-                    )
-                    entries.append(
-                        CatalogEntry(
-                            graph=g,
-                            form=canonical_form(g),
-                            eigen=interval,
-                            verdict=Verdict(eig["verdict"]),
-                            equals_threshold=eig["equals_threshold"],
-                            witnesses={int(v): w for v, w in doc["deletions"].items()},
+                    if g.n != n:
+                        raise HoffmanGraphError(
+                            f"catalog {directory}: mfs{n}_{i} has {g.n} vertices"
                         )
-                    )
+                    entry = _member(g, canonical_form(g))
+                    if _member_doc(entry) != doc:
+                        raise HoffmanGraphError(
+                            f"catalog {directory}: the certificates of mfs{n}_{i} "
+                            "differ from the ones derived from its graph6"
+                        )
+                    entries.append(entry)
                 cat.entries[n] = entries
             if cat.checksum() != meta["checksum"]:
                 raise HoffmanGraphError("catalog checksum mismatch")
         except (
-            OSError, KeyError, TypeError, ValueError, AttributeError,
-            ZeroDivisionError, RecursionError,
+            OSError, KeyError, TypeError, ValueError, AttributeError, RecursionError,
         ) as exc:
             raise HoffmanGraphError(f"unreadable catalog {directory}: {exc!r}") from None
         return cat
@@ -287,8 +305,8 @@ def build_catalog(n_max, jobs=1, progress=None):
     That deletion still contains the member, and an induced subgraph of
     a line graph is a line graph, so recognition must find no cover for
     it.  When no member embeds, every deletion must be a line graph;
-    its cover becomes the member's witness.  The deletions are
-    recognized by ``is_h_line``, which shares the extension step of
+    ``_member`` recognizes each, and its cover becomes the member's
+    witness.  The deletions are recognized by ``is_h_line``, which shares the extension step of
     ``recognition`` with the layer store; the two filters stay
     independent because containment (``find_embedding``) uses no
     recognition code.  Either disagreement raises ``HoffmanGraphError``.
@@ -320,25 +338,7 @@ def build_catalog(n_max, jobs=1, progress=None):
                         "minimality filters disagree on " + write_graph6(g)
                     )
                 continue
-            deletions = {}
-            for v in range(n):
-                cover = is_h_line(g.delete_slim({v}))
-                if cover is None:
-                    raise HoffmanGraphError(
-                        "minimality filters disagree on " + write_graph6(g)
-                    )
-                deletions[v] = cover.to_json_dict()
-            interval = smallest_eigenvalue(g)
-            entries.append(
-                CatalogEntry(
-                    graph=g,
-                    form=form,
-                    eigen=interval,
-                    verdict=compare_threshold(interval),
-                    equals_threshold=equals_threshold(interval),
-                    witnesses=deletions,
-                )
-            )
+            entries.append(_member(g, form))
         entries.sort(key=lambda e: e.form)
         cat.entries[n] = entries
         smaller.extend(entries)

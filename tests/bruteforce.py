@@ -1067,7 +1067,7 @@ def find_embedding_per_call(pattern, host):
     domains = []
     for v in range(pn):
         color_mask = host_slim if v < pattern.slim_count else host_fat
-        deg = pattern.degree(v)
+        deg = pattern.adj[v].bit_count()
         dom = 0
         for w in _iter_bits(color_mask):
             if host.adj[w].bit_count() >= deg:
@@ -1075,7 +1075,7 @@ def find_embedding_per_call(pattern, host):
         if not dom:
             return None
         domains.append(dom)
-    order = sorted(range(pn), key=lambda v: (-pattern.degree(v), v))
+    order = sorted(range(pn), key=lambda v: (-pattern.adj[v].bit_count(), v))
     padj = pattern.adj
     hadj = host.adj
     full = (1 << host.n) - 1

@@ -3,21 +3,21 @@
 import itertools
 import json
 
-from hoffline.core import HoffmanGraph, HoffmanGraphError, _iter_bits, canonical_data
+from hoffline.core import HoffmanGraph, HoffmanGraphError, _iter_bits, _mask_of, canonical_data
 from hoffline.families import TranscriptionMissing, family_graph
 from hoffline.sums import SumDecomposition
 
 
 def slim_complete(n):
-    return HoffmanGraph.slim(n, itertools.combinations(range(n), 2))
+    return HoffmanGraph.build(n, 0, itertools.combinations(range(n), 2))
 
 
 def slim_cycle(n):
-    return HoffmanGraph.slim(n, [(i, (i + 1) % n) for i in range(n)])
+    return HoffmanGraph.build(n, 0, [(i, (i + 1) % n) for i in range(n)])
 
 
 def slim_path(n):
-    return HoffmanGraph.slim(n, [(i, i + 1) for i in range(n - 1)])
+    return HoffmanGraph.build(n, 0, [(i, i + 1) for i in range(n - 1)])
 
 
 def relabeled(g, perm):
@@ -51,7 +51,16 @@ def covers_equivalent(a, b):
     """
     if a.base != b.base:
         raise DifferentBase("covers of different graphs")
-    return a.fat_neighborhoods() == b.fat_neighborhoods()
+    return cover_class(a)[1] == cover_class(b)[1]
+
+
+def cover_class(cover):
+    """(cells, fats) of a strict cover: the slim masks of its parts by
+    least vertex and the sorted slim neighbourhoods of its fat vertices,
+    the form ``recognition._extensions`` works on."""
+    host, s = cover.host, cover.host.slim_count
+    cells = sorted((_mask_of(v for v in p if v < s) for p in cover.parts), key=lambda m: m & -m)
+    return tuple(cells), tuple(sorted(host.adj[f] & host.slim_mask for f in range(s, host.n)))
 
 
 def have_family_graph(name: str) -> bool:

@@ -42,7 +42,7 @@ from bruteforce import (
 
 
 def _complete_minus_edge(n):
-    return HoffmanGraph.slim(n, [e for e in itertools.combinations(range(n), 2) if e != (0, 1)])
+    return HoffmanGraph.build(n, 0, [e for e in itertools.combinations(range(n), 2) if e != (0, 1)])
 
 
 def _cocktail_party(k):
@@ -55,8 +55,9 @@ def _cocktail_party(k):
 
 def _line_graph_of_complete(m):
     pairs = list(itertools.combinations(range(m), 2))
-    return HoffmanGraph.slim(
+    return HoffmanGraph.build(
         len(pairs),
+        0,
         [(i, j) for i, j in itertools.combinations(range(len(pairs)), 2) if set(pairs[i]) & set(pairs[j])],
     )
 
@@ -207,8 +208,8 @@ def test_canonical_form_agrees_with_networkx():
         n = rng.randint(2, 8)
         e1 = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
         e2 = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
-        g1 = HoffmanGraph.slim(n, e1)
-        g2 = HoffmanGraph.slim(n, e2)
+        g1 = HoffmanGraph.build(n, 0, e1)
+        g2 = HoffmanGraph.build(n, 0, e2)
         nx1 = nx.Graph(list(e1))
         nx2 = nx.Graph(list(e2))
         nx1.add_nodes_from(range(n))
@@ -323,7 +324,7 @@ def test_embedding_triangle_into_c5_fails():
 def test_embedding_induced_not_just_subgraph():
     # P3 embeds into C5 induced; K2+K1 does not embed into K3
     assert find_embedding(slim_path(3), slim_cycle(5)) is not None
-    k2k1 = HoffmanGraph.slim(3, [(0, 1)])
+    k2k1 = HoffmanGraph.build(3, 0, [(0, 1)])
     assert find_embedding(k2k1, slim_complete(3)) is None
 
 
@@ -335,7 +336,7 @@ def test_embedding_matches_bruteforce(fat_corpus):
         nh = rng.randint(np_, 8)
         pe = {(i, j) for i in range(np_) for j in range(i + 1, np_) if rng.random() < 0.5}
         he = {(i, j) for i in range(nh) for j in range(i + 1, nh) if rng.random() < 0.5}
-        pairs.append((HoffmanGraph.slim(np_, pe), HoffmanGraph.slim(nh, he)))
+        pairs.append((HoffmanGraph.build(np_, 0, pe), HoffmanGraph.build(nh, 0, he)))
     rng = random.Random(11)
     pairs += [(rng.choice(fat_corpus), rng.choice(fat_corpus)) for _ in range(400)]
     # too large in one colour or the other, and the empty pattern
@@ -451,7 +452,7 @@ def test_deletable_pair_examples():
 
 
 def test_deletable_pair_requires_connected():
-    g = HoffmanGraph.slim(4, [(0, 1), (2, 3)])
+    g = HoffmanGraph.build(4, 0, [(0, 1), (2, 3)])
     with pytest.raises(NotConnected):
         _find_deletable_nonadjacent_pair(g)
 

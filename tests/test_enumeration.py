@@ -82,7 +82,7 @@ def test_generation_matches_labeled_bruteforce():
         pairs = list(itertools.combinations(range(n), 2))
         for bits in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1]
-            g = HoffmanGraph.slim(n, edges)
+            g = HoffmanGraph.build(n, 0, edges)
             labeled.add(canonical_form(g))
         got = {canonical_form(g) for g in all_slim_graphs(n)}
         assert got == labeled
@@ -110,7 +110,7 @@ def test_generation_agrees_with_published_atlas():
         if n == 0:
             continue
         relabel = {v: i for i, v in enumerate(sorted(ag.nodes()))}
-        g = HoffmanGraph.slim(n, [(relabel[u], relabel[v]) for u, v in ag.edges()])
+        g = HoffmanGraph.build(n, 0, [(relabel[u], relabel[v]) for u, v in ag.edges()])
         if g.is_connected():
             atlas[n].add(canonical_form(g))
     for n in range(1, 8):
@@ -264,7 +264,7 @@ def test_graph6_parses_networkx_output():
 
 
 def test_graph6_optional_header():
-    k3 = write_graph6(HoffmanGraph.slim(3, [(0, 1), (1, 2), (0, 2)]))
+    k3 = write_graph6(HoffmanGraph.build(3, 0, [(0, 1), (1, 2), (0, 2)]))
     assert parse_graph6(">>graph6<<" + k3).edge_count() == 3
 
 
@@ -284,7 +284,7 @@ def test_graph6_truncated_payload():
 
 
 def test_graph6_noncanonical_padding():
-    line = write_graph6(HoffmanGraph.slim(5, [(0, 1)]))
+    line = write_graph6(HoffmanGraph.build(5, 0, [(0, 1)]))
     with pytest.raises(NonCanonicalPadding):
         parse_graph6(line + "?")
     # flip a padding bit: 5 vertices -> 10 bits, 2 pad bits
@@ -294,7 +294,7 @@ def test_graph6_noncanonical_padding():
 
 
 def test_read_graph6_lines_skips_blanks():
-    lines = ["", write_graph6(HoffmanGraph.slim(2, [(0, 1)])), "  ", "D?{"]
+    lines = ["", write_graph6(HoffmanGraph.build(2, 0, [(0, 1)])), "  ", "D?{"]
     graphs = list(read_graph6_lines(lines))
     assert len(graphs) == 2
 

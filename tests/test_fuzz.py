@@ -159,26 +159,76 @@ def test_fuzz_catalog_load_with_one_edited_value(saved_catalog, data):
         _parses_or_refuses(MfsCatalog.load, work)
 
 
-def _lower_bound(value):
+def _witness_edit(change):
+    """An edit of a witness file's text that applies ``change`` to its
+    document."""
+
     def edit(text):
         doc = json.loads(text)
-        doc["eigen"]["lower"] = value
+        change(doc)
         return json.dumps(doc)
 
     return edit
 
 
+def _set_lower(value):
+    return _witness_edit(lambda doc: doc["eigen"].update(lower=value))
+
+
+def _flip_verdict(doc):
+    doc["eigen"]["verdict"] = {"below": "at_or_above", "at_or_above": "below"}[doc["eigen"]["verdict"]]
+
+
+def _flip_equals_threshold(doc):
+    doc["eigen"]["equals_threshold"] = not doc["eigen"]["equals_threshold"]
+
+
+def _zero_char_poly(doc):
+    doc["eigen"]["char_poly"] = [0] * len(doc["eigen"]["char_poly"])
+
+
+def _drop_witness_edge(doc):
+    del doc["deletions"]["0"]["edges"][0]
+
+
 @pytest.mark.parametrize(
     "edit",
-    [_lower_bound("1/0"), _lower_bound("1e100000000"), lambda _text: "[" * 100000],
-    ids=["zero-denominator", "huge-exponent", "deep-nesting"],
+    [
+        _set_lower("1/0"),
+        _set_lower("1e100000000"),
+        lambda _text: "[" * 100000,
+        _set_lower("-100"),
+        _witness_edit(_flip_verdict),
+        _witness_edit(_flip_equals_threshold),
+        _witness_edit(_zero_char_poly),
+        _witness_edit(_drop_witness_edge),
+    ],
+    ids=[
+        "zero-denominator", "huge-exponent", "deep-nesting", "wide-lower",
+        "flipped-verdict", "flipped-equals-threshold", "zero-char-poly", "dropped-witness-edge",
+    ],
 )
 def test_catalog_load_refuses_bad_witness(saved_catalog, tmp_path, edit):
+    # load derives every certificate again, so an edited value that
+    # still parses is refused as well as one that does not
     work = tmp_path / "cat"
     shutil.copytree(saved_catalog, work)
     path = work / "witness" / "mfs5_0.json"
     path.write_text(edit(path.read_text()))
     with pytest.raises(HoffmanGraphError):
+        MfsCatalog.load(str(work))
+
+
+def test_catalog_load_refuses_a_member_filed_under_another_size(tmp_path):
+    # the swap keeps the counts and the checksum, and each file is sound
+    # on its own, but ``screen`` takes a member's size from its file name
+    work = tmp_path / "cat"
+    build_catalog(6).save(str(work))
+    five, six = work / "witness" / "mfs5_1.json", work / "witness" / "mfs6_0.json"
+    text = five.read_text()
+    five.write_text(six.read_text())
+    six.write_text(text)
+    with pytest.raises(HoffmanGraphError, match="has 6 vertices"):
         MfsCatalog.load(str(work))
 
 

@@ -1,20 +1,24 @@
 """Static checks on the package source, with ``ast`` only.
 
-Two kinds of dead code fail the suite: an import that a module never
-uses, and a private top-level function that no module of the package
-refers to (a helper only the tests need belongs in the tests).
-``__init__`` re-exports its imports and is left out of the first check.
+Three kinds of dead code fail the suite: an import that a module never
+uses, a private top-level function that no module of the package
+refers to, and a public function, class or method that neither the
+package, the benchmark harness in ``perfbench/`` nor ``__all__`` uses (a
+helper only the tests need belongs in the tests).  ``__init__``
+re-exports its imports and is left out of the first check.
 Any ``assert`` statement in the package fails the suite as well:
 ``python -O`` strips it, and an exactness check must survive that, so
 the package raises instead.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hoffline"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hoffline"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -53,6 +57,77 @@ def test_private_functions_are_called_from_src():
         if isinstance(node, ast.FunctionDef)
         and node.name.startswith("_")
         and not any(node.name in r for other, r in zip(tops, refs) if other is not node)
+    ]
+    assert unused == []
+
+
+#: public names that only the tests use, each kept for a reason
+REFERENCES = {
+    # the paper's deletion lemma, the oracle that ``_extensions`` (the
+    # lemma run backwards) is tested against
+    "delete_vertex_from_cover",
+    # builds a sum from its parts with no recognition code, the
+    # independent generator of test_random_sums_are_found_among_covers
+    "build_sum",
+}
+
+
+def _counts(nodes, attributes_only):
+    """How often ``nodes`` read each name as an attribute and, unless
+    ``attributes_only``, as a bare name."""
+    counts = Counter()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                counts[node.attr] += 1
+            elif isinstance(node, ast.Name) and not attributes_only:
+                counts[node.id] += 1
+    return counts
+
+
+def _used_outside_src():
+    """``__all__``, every name ``perfbench/`` reads, and each dotted part
+    of its strings: ``spans.py`` names its targets in strings such as
+    ``"MfsCatalog.save"``."""
+    names = set(REFERENCES)
+    for node in MODULES["__init__"].body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["__all__"]:
+            names.update(ast.literal_eval(node.value))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_public_api_is_used():
+    # a function or class counts as used when code outside its own body
+    # reads its name, a method only when such code reads it as an
+    # attribute
+    tops = [node for tree in MODULES.values() for node in tree.body]
+    defs = [
+        (node.name, node, False) for node in tops if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    defs += [
+        (f"{top.name}.{node.name}", node, True)
+        for top in tops
+        if isinstance(top, ast.ClassDef)
+        for node in top.body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    seen = {flag: _counts(tops, flag) for flag in (False, True)}
+    outside = _used_outside_src()
+    unused = [
+        label
+        for label, node, method in defs
+        if not node.name.startswith("_")
+        and node.name not in outside
+        and seen[method][node.name] == _counts([node], method)[node.name]
     ]
     assert unused == []
 
