@@ -50,17 +50,17 @@ def _make_out_dir(path):
         raise HoffmanGraphError(f"cannot write catalog {path}: {exc!r}") from None
 
 
-def _load_or_build_catalog(args, need=8):
+def _load_or_build_catalog(args):
     """An existing catalog directory is used as-is (operations raise when
-    it is too shallow for an input); otherwise one is built and, when a
-    path was named, persisted there."""
+    it is too shallow for an input); otherwise the catalog to n = 8 is
+    built and, when a path was named, persisted there.  Only
+    ``catalog build --nmax`` chooses another depth."""
     path = args.catalog or os.environ.get("HOFFLINE_CATALOG")
     if path and os.path.exists(os.path.join(path, "catalog.json")):
         return MfsCatalog.load(path)
     if path:
         _make_out_dir(path)
-    nmax = max(getattr(args, "nmax", None) or need, need)
-    cat = build_catalog(nmax, progress=lambda m: print(m, file=sys.stderr))
+    cat = build_catalog(8, progress=lambda m: print(m, file=sys.stderr))
     if path:
         cat.save(path)
         print(f"catalog saved to {path}", file=sys.stderr)
@@ -152,7 +152,7 @@ def _cmd_catalog(args):
 
 
 def _cmd_screen(args):
-    cat = _load_or_build_catalog(args, need=8)
+    cat = _load_or_build_catalog(args)
     for g in read_graph6_lines(sys.stdin):
         doc = {
             "canonical_form": canonical_form(g).hex(),
@@ -165,7 +165,7 @@ def _cmd_screen(args):
 def _cmd_verify(args):
     catalog = None
     if args.claim in CATALOG_CLAIMS:
-        catalog = _load_or_build_catalog(args, need=min(args.nmax or 8, 9))
+        catalog = _load_or_build_catalog(args)
     report = verify_claim(args.claim, catalog=catalog, n=args.n)
     print(report.to_json(pretty=args.pretty))
     return 0 if report.ok else 1
@@ -216,12 +216,10 @@ def build_parser():
 
     sc = add("screen", help="membership by forbidden-subgraph containment")
     sc.add_argument("--catalog", default=None)
-    sc.add_argument("--nmax", type=int, default=None)
     sc.set_defaults(func=_cmd_screen)
 
     v = add("verify", help="run a published-claim checker")
     v.add_argument("--claim", choices=CLAIMS, required=True)
-    v.add_argument("--nmax", type=int, default=None)
     v.add_argument("--n", type=int, default=None, help="size for the uniqueness audit")
     v.add_argument("--catalog", default=None)
     v.set_defaults(func=_cmd_verify)

@@ -14,10 +14,12 @@ recognition of one-vertex deletions) on every candidate, and attaches
 per-member certificates: a strict cover of every one-vertex deletion
 and a certified smallest-eigenvalue interval with its threshold
 verdict.  ``_member`` is the one code path that makes a member with its
-certificates: the build calls it on every candidate that passes
-containment, and ``MfsCatalog.load`` calls it on every stored graph6
-string and refuses a catalog whose witness files differ from what it
-derives, so no stored certificate is trusted.
+certificates, and it checks the definition on the way: the member has
+no strict cover and each of its one-vertex deletions has one.  The
+build calls it on every candidate that passes containment, and
+``MfsCatalog.load`` calls it on every stored graph6 string and refuses
+a catalog whose witness files differ from what it derives, so no
+stored certificate and no stored member is trusted.
 
 ``screen`` decides line-graph membership purely by forbidden-subgraph
 containment, which the test suite checks against ``is_h_line`` on every
@@ -88,6 +90,11 @@ class IncompleteCatalog(HoffmanGraphError):
     """The catalog does not reach the size needed for screening."""
 
 
+#: the largest catalog size: by the paper's theorem no minimal forbidden
+#: subgraph has more than 9 vertices
+N_MAX = 9
+
+
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
@@ -107,8 +114,12 @@ def _member(g, form):
     """The catalog entry of ``g``, a minimal forbidden subgraph with
     canonical form ``form``: a strict cover of every one-vertex deletion
     as its witness, and its certified smallest eigenvalue with the
-    threshold verdict.  A deletion with no cover means that the
-    minimality filters disagree, which raises ``HoffmanGraphError``."""
+    threshold verdict.  A cover of ``g``, or a deletion with no cover,
+    raises ``HoffmanGraphError``: ``g`` is no minimal forbidden subgraph
+    then.  Connectedness follows, since each component of a disconnected
+    ``g`` lies in a deletion, and a union of line graphs is one."""
+    if is_h_line(g) is not None:
+        raise HoffmanGraphError("a line graph is no forbidden subgraph: " + write_graph6(g))
     deletions = {}
     for v in range(g.n):
         cover = is_h_line(g.delete_slim({v}))
@@ -167,25 +178,22 @@ class MfsCatalog:
             h.update(e.form)
         return h.hexdigest()
 
-    # -- persistence: catalog.json + g6/ + witness/ ---------------------
+    # -- persistence: catalog.json + witness/ ----------------------------
 
     def save(self, directory):
+        """Write what ``load`` reads and nothing else: ``catalog.json``
+        (``n_max``, ``counts``, ``checksum``) and, per member, its graph6
+        and certificates in ``witness/mfs{n}_{i}.json``."""
         try:
-            g6dir = os.path.join(directory, "g6")
             wdir = os.path.join(directory, "witness")
-            os.makedirs(g6dir, exist_ok=True)
             os.makedirs(wdir, exist_ok=True)
             for n, entries in sorted(self.entries.items()):
-                with open(os.path.join(g6dir, f"mfs{n}.g6"), "w") as fh:
-                    for e in entries:
-                        fh.write(write_graph6(e.graph) + "\n")
                 for i, e in enumerate(entries):
                     with open(os.path.join(wdir, f"mfs{n}_{i}.json"), "w") as fh:
                         json.dump(_member_doc(e), fh, indent=1, sort_keys=True)
             meta = {
                 "n_max": self.n_max,
                 "counts": {str(n): c for n, c in self.counts().items()},
-                "total": self.total(),
                 "checksum": self.checksum(),
             }
             with open(os.path.join(directory, "catalog.json"), "w") as fh:
@@ -199,19 +207,21 @@ class MfsCatalog:
         certificates: each member is derived again from its graph6 by
         ``_member``, the code that built it, and the catalog is refused
         with ``HoffmanGraphError`` unless every witness file equals the
-        derived one.  ``n_max``, ``counts`` and the checksum of the
-        member forms are checked as well.  Minimality itself is not
-        re-checked."""
+        derived one.  ``_member`` re-checks minimality by definition (no
+        cover of the member, one of each deletion).  ``n_max``,
+        ``counts`` and the checksum of the member forms are checked as
+        well.  Other files, such as the ``g6/`` copies and the ``total``
+        that older versions wrote, are ignored."""
         try:
             with open(os.path.join(directory, "catalog.json")) as fh:
                 meta = json.load(fh)
             n_max, counts = meta["n_max"], meta["counts"]
             # ``screen`` trusts n_max for completeness, and the checksum
             # covers the members only, so the sizes are checked here
-            if type(n_max) is not int or not 5 <= n_max <= 9:
+            if type(n_max) is not int or not 5 <= n_max <= N_MAX:
                 raise HoffmanGraphError(
                     f"unreadable catalog {directory}: n_max must be an integer "
-                    f"from 5 to 9, got {n_max!r}"
+                    f"from 5 to {N_MAX}, got {n_max!r}"
                 )
             if not isinstance(counts, dict) or set(counts) != {
                 str(n) for n in range(5, n_max + 1)
@@ -294,7 +304,7 @@ def _layer(n):
 
 
 def build_catalog(n_max, jobs=1, progress=None):
-    """Derive the catalog for 5 <= n <= n_max (5 <= n_max <= 9).
+    """Derive the catalog for 5 <= n <= n_max (5 <= n_max <= N_MAX).
 
     For every size: take the children of the line graphs one size down
     (see ``_layer``) and keep the non-line ones whose one-vertex
@@ -316,8 +326,8 @@ def build_catalog(n_max, jobs=1, progress=None):
     positional callers of ``build_catalog(n_max, 1, progress)`` keep
     working, and must be 1.
     """
-    if not 5 <= n_max <= 9:
-        raise HoffmanGraphError("catalog sizes run from 5 to 9")
+    if not 5 <= n_max <= N_MAX:
+        raise HoffmanGraphError(f"catalog sizes run from 5 to {N_MAX}")
     if jobs != 1:
         raise HoffmanGraphError("the catalog is built in one process; jobs must be 1")
     cat = MfsCatalog(n_max=n_max)
@@ -355,16 +365,17 @@ def screen(g, catalog):
     """Is the slim graph ``g`` a line graph of the family, by catalog?
 
     True iff no catalog member embeds into ``g`` as an induced subgraph.
-    The catalog must reach min(|V(g)|, 9); beyond 9 vertices the catalog
-    is complete at n_max = 9 because no larger minimal forbidden
-    subgraph exists.
+    The catalog must reach min(|V(g)|, N_MAX); beyond N_MAX vertices the
+    catalog is complete at n_max = N_MAX because no larger minimal
+    forbidden subgraph exists.
     """
     if g.fat_count:
         raise HoffmanGraphError("screening expects a slim graph")
-    needed = min(g.slim_count, 9)
+    needed = min(g.slim_count, N_MAX)
     if catalog.n_max < needed:
         raise IncompleteCatalog(
             f"screening a {g.slim_count}-vertex graph needs catalog n_max >= {needed}"
+            f" (hoffline catalog build --nmax {N_MAX})"
         )
     for entry in catalog.members(up_to=g.slim_count):
         if find_embedding(entry.graph, g) is not None:
@@ -430,28 +441,24 @@ def verify_eq2():
 
 
 def verify_prop21(catalog):
-    """Catalog counts 2 / 28 / 7 / 1 per size 5..8 (and 0 at 9)."""
+    """Catalog counts 2 / 28 / 7 / 1 per size 5..8 (and 0 beyond); the
+    first size that differs is the counterexample."""
     t0 = time.time()
-    expected = {5: 2, 6: 28, 7: 7, 8: 1, 9: 0}
+    expected = {5: 2, 6: 28, 7: 7, 8: 1}
     counts = catalog.counts()
-    ok = all(counts.get(n, None) == expected[n] for n in range(5, catalog.n_max + 1))
-    total_expected = sum(expected[n] for n in range(5, catalog.n_max + 1))
+    sizes = range(5, catalog.n_max + 1)
+    off = next((n for n in sizes if counts.get(n) != expected.get(n, 0)), None)
     details = {
         "total": catalog.total(),
-        "total_expected": total_expected,
+        "total_expected": sum(expected.get(n, 0) for n in sizes),
         "checksum": catalog.checksum(),
     }
-    ok = ok and catalog.total() == total_expected
     bad = None
-    if not ok:
-        off = next(
-            n for n in range(5, catalog.n_max + 1)
-            if counts.get(n, None) != expected[n]
-        )
+    if off is not None:
         bad = f"size {off}: " + " ".join(
             write_graph6(e.graph) for e in catalog.entries.get(off, [])
         )
-    return _report("prop2.1", ok, counts, t0, details, bad)
+    return _report("prop2.1", off is None, counts, t0, details, bad)
 
 
 #: ``verify_eigen_claims`` checks the line graphs up to this many vertices
@@ -465,8 +472,7 @@ def verify_eigen_claims(catalog):
     all certify at-or-above as well."""
     t0 = time.time()
     below = [e for e in catalog.members() if e.verdict is Verdict.BELOW]
-    above = [e for e in catalog.members() if e.verdict is Verdict.AT_OR_ABOVE]
-    counts = {"below": len(below), "at_or_above": len(above)}
+    counts = {"below": len(below), "at_or_above": catalog.total() - len(below)}
     ok = len(below) == 1 and below[0].graph.n == 5
     bad = None
     line = [g for n in range(1, _EIGEN_LINE_GRAPHS_TO + 1) for g, _ in _layer(n)[0]]
@@ -493,13 +499,10 @@ def verify_cover_uniqueness(n):
     graph, breadth-first.  The published uniqueness claim applies from 8
     vertices on; below that the distribution is only reported."""
     t0 = time.time()
-    if not 5 <= n <= 9:
-        raise HoffmanGraphError("uniqueness audit covers 5 <= n <= 9")
+    if not 5 <= n <= N_MAX:
+        raise HoffmanGraphError(f"uniqueness audit covers 5 <= n <= {N_MAX}")
     line, _, classes = _layer(n)
     class_counts = [len(enumerate_strict_covers(g)) for g, _form in line]
-    dist = {}
-    for k in class_counts:
-        dist[k] = dist.get(k, 0) + 1
     # every audited graph was recognized, so it must have a cover, and
     # enumeration must count the classes the layer store holds
     bad = next(
@@ -510,7 +513,8 @@ def verify_cover_uniqueness(n):
         ),
         None,
     )
-    counts = {"line_graphs": len(line), "classes_distribution": dict(sorted(dist.items()))}
+    dist = sorted(Counter(class_counts).items())
+    counts = {"line_graphs": len(line), "classes_distribution": dict(dist)}
     details = {"n": n, "max_classes": max(class_counts, default=0)}
     return _report("uniqueness", bad is None, counts, t0, details, bad)
 
@@ -717,15 +721,17 @@ def _table1_rows(catalog):
     return {row_id: table1_row_occurrence(row_id, catalog) for row_id in TABLE1_ROWS}
 
 
+def _label_signature(label, rows):
+    """The rows among ``rows`` whose published list names ``label``."""
+    return "".join(r for r in rows if label in TABLE1_LABELS[r])
+
+
 def _expected_census(rows):
     """Expected (size, signature) census from the published lists,
     counting every catalog member (absent labels sign as empty)."""
-    census = {}
-    for label in ALL_MEMBER_LABELS:
-        sig = "".join(r for r in rows if label in TABLE1_LABELS[r])
-        key = (_label_size(label), sig)
-        census[key] = census.get(key, 0) + 1
-    return census
+    return Counter(
+        (_label_size(label), _label_signature(label, rows)) for label in ALL_MEMBER_LABELS
+    )
 
 
 def verify_table1(catalog):
@@ -752,55 +758,37 @@ def verify_table1(catalog):
         raise IncompleteCatalog("the composition table needs the catalog up to n = 8")
     rows = _table1_rows(catalog)
     occs = {r: occ for r, (occ, _u, _c) in rows.items()}
-    ngraphs = {r: cnt for r, (_o, _u, cnt) in rows.items()}
     uncovered = {r: u for r, (_o, u, _c) in rows.items() if u is not None}
-    first_uncovered = next((f"row {r}: {u}" for r, u in uncovered.items()), None)
-    ok = not uncovered
-
     exact = TABLE1_EXACT_ROWS
-    all_forms = {m.form for m in catalog.members()}
+
+    def signature(form, rows):
+        """The rows among ``rows`` in which the member ``form`` occurs."""
+        return "".join(r for r in rows if form in occs[r])
 
     def census(rows):
         """(member size, signature within ``rows``) -> count over all
         members; one occurring in none of the rows signs as empty."""
-        return Counter(
-            (f[0], "".join(r for r in rows if f in occs[r])) for f in all_forms
-        )
+        return Counter((m.graph.n, signature(m.form, rows)) for m in catalog.members())
 
-    census5 = census(exact)
-    expected5 = _expected_census(exact)
-    structure_ok = census5 == expected5
+    structure_ok = census(exact) == _expected_census(exact)
+    # spectral pins: the one below-threshold member carries the signature
+    # of G5,2, and the other 5-vertex member that of G5,1
+    pins = [
+        (e.verdict is Verdict.BELOW, signature(e.form, exact))
+        for e in catalog.members() if e.graph.n == 5 or e.verdict is Verdict.BELOW
+    ]
+    pins_ok = sorted(pins) == [
+        (False, _label_signature("G5,1", exact)), (True, _label_signature("G5,2", exact)),
+    ]
 
-    # spectral pins: the below-threshold 5-vertex member carries the
-    # signature of the second 5-vertex name, the other one the first
-    below = [e for e in catalog.members() if e.verdict is Verdict.BELOW]
-    pins_ok = len(below) == 1
-    if pins_ok:
-        g52_form = below[0].form
-        sig_52 = "".join(r for r in exact if g52_form in occs[r])
-        want_52 = "".join(r for r in exact if "G5,2" in TABLE1_LABELS[r])
-        g51_form = next(
-            e.form for e in catalog.members() if e.graph.n == 5 and e.form != g52_form
-        )
-        sig_51 = "".join(r for r in exact if g51_form in occs[r])
-        want_51 = "".join(r for r in exact if "G5,1" in TABLE1_LABELS[r])
-        pins_ok = sig_52 == want_52 and sig_51 == want_51
+    censusF, expectedF = census(TABLE1_ROWS), _expected_census(TABLE1_ROWS)
+    extra_memberships = {r: len(occs[r]) - len(TABLE1_LABELS[r]) for r in TABLE1_ROWS}
+    list_covered = min(extra_memberships.values()) >= 0
 
-    censusF = census("abcdefg")
-    expectedF = _expected_census("abcdefg")
-    extra_memberships = {}
-    list_covered = True
-    for row_id in TABLE1_ROWS:
-        published = len(TABLE1_LABELS[row_id])
-        occurring = len(occs[row_id])
-        extra_memberships[row_id] = occurring - published
-        if occurring < published:
-            list_covered = False
-
-    status_ok = ok and structure_ok and pins_ok and list_covered
+    status_ok = not uncovered and structure_ok and pins_ok and list_covered
     counts = {
         "rows_checked": len(TABLE1_ROWS),
-        "graphs_per_row": ngraphs,
+        "graphs_per_row": {r: cnt for r, (_o, _u, cnt) in rows.items()},
         "occurring_per_row": {r: len(occs[r]) for r in sorted(occs)},
         "published_per_row": {r: len(TABLE1_LABELS[r]) for r in sorted(TABLE1_LABELS)},
     }
@@ -811,11 +799,12 @@ def verify_table1(catalog):
         "spectral_pins_ok": pins_ok,
         "extra_members_per_row": extra_memberships,
         "full_census_mismatches": sorted(
-            f"size {k[0]} sig {k[1] or '-'}: occurring {censusF.get(k, 0)}, published {expectedF.get(k, 0)}"
-            for k in set(censusF) | set(expectedF)
-            if censusF.get(k, 0) != expectedF.get(k, 0)
+            f"size {k[0]} sig {k[1] or '-'}: occurring {censusF[k]}, published {expectedF[k]}"
+            for k in censusF.keys() | expectedF.keys()
+            if censusF[k] != expectedF[k]
         ),
     }
+    first_uncovered = next((f"row {r}: {u}" for r, u in uncovered.items()), None)
     return _report("table1", status_ok, counts, t0, details, first_uncovered)
 
 

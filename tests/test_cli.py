@@ -129,6 +129,17 @@ def test_no_pool_or_sample_options_exit_two(command, option):
     assert f"unrecognized arguments: {option}" in out.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["screen"],
+    ["verify", "--claim", "prop2.1"],
+], ids=["screen", "verify"])
+def test_no_nmax_outside_catalog_build_exit_two(command):
+    # a loaded catalog fixes its own depth; only ``catalog build`` sets one
+    out = _run([*command, "--nmax", "9"], stdin="DsW\n")
+    assert out.returncode == 2
+    assert "unrecognized arguments: --nmax" in out.stderr
+
+
 def test_verify_claim_choices_are_the_verify_claims():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -153,8 +164,11 @@ def test_catalog_build_writes_directory(tmp_path):
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["counts"] == {"5": 2}
-    assert (tmp_path / "c5" / "catalog.json").exists()
-    assert (tmp_path / "c5" / "g6" / "mfs5.g6").exists()
+    # the directory holds what ``MfsCatalog.load`` reads and nothing else
+    meta = json.loads((tmp_path / "c5" / "catalog.json").read_text())
+    assert sorted(meta) == ["checksum", "counts", "n_max"]
+    assert (tmp_path / "c5" / "witness" / "mfs5_0.json").exists()
+    assert not (tmp_path / "c5" / "g6").exists()
 
 
 def test_main_function_direct(capsys):

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hoffline.core import HoffmanGraph, HoffmanGraphError
+from hoffline.core import HoffmanGraph, HoffmanGraphError, canonical_form
 from hoffline.enumeration import connected_slim_graphs, parse_graph6, write_graph6
-from hoffline.verify import MfsCatalog, build_catalog
+from hoffline.recognition import is_h_line
+from hoffline.spectral import compare_threshold, equals_threshold, smallest_eigenvalue
+from hoffline.verify import CatalogEntry, MfsCatalog, build_catalog
 
 FUZZ = settings(
     derandomize=True,
@@ -230,6 +232,27 @@ def test_catalog_load_refuses_a_member_filed_under_another_size(tmp_path):
     six.write_text(text)
     with pytest.raises(HoffmanGraphError, match="has 6 vertices"):
         MfsCatalog.load(str(work))
+
+
+def test_catalog_load_refuses_a_member_with_a_cover(tmp_path):
+    # a line graph filed in place of a member, with the certificates
+    # that ``_member`` would derive for it and a matching checksum: its
+    # deletions all have covers, so only its own cover gives it away,
+    # and ``screen`` would call it forbidden
+    cat = build_catalog(6)
+    g = next(g for g in connected_slim_graphs(6) if is_h_line(g) is not None)
+    interval = smallest_eigenvalue(g)
+    cat.entries[6][0] = CatalogEntry(
+        graph=g,
+        form=canonical_form(g),
+        eigen=interval,
+        verdict=compare_threshold(interval),
+        equals_threshold=equals_threshold(interval),
+        witnesses={v: is_h_line(g.delete_slim({v})).to_json_dict() for v in range(g.n)},
+    )
+    cat.save(str(tmp_path / "cat"))
+    with pytest.raises(HoffmanGraphError, match="no forbidden subgraph"):
+        MfsCatalog.load(str(tmp_path / "cat"))
 
 
 def _meta_edit(**changes):

@@ -1,6 +1,8 @@
 """Catalog pipeline, screening, claim checkers, persistence."""
 
+import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +25,6 @@ from hoffline.verify import (
     ALL_MEMBER_LABELS,
     CATALOG_CLAIMS,
     TABLE1_EXACT_ROWS,
-    TABLE1_LABELS,
     IncompleteCatalog,
     MfsCatalog,
     _label_size,
@@ -36,6 +37,7 @@ from hoffline.verify import (
     verify_eq2,
     verify_lemma,
     verify_prop21,
+    verify_table1,
 )
 
 from bruteforce import strict_covers_reference
@@ -90,13 +92,16 @@ def test_catalog_members_form_an_antichain(catalog7):
 def test_minimality_cross_check_rejects_a_false_cover(catalog7, monkeypatch):
     # a recognizer that covers a deletion still containing a smaller
     # member contradicts containment, and the build must stop; the
-    # layers are built unpatched first
+    # layers are built unpatched first.  The members themselves keep
+    # their verdict, so that only containment can see the false cover
     _layer(7)
     members = [e.graph for e in catalog7.members()]
+    forms = {e.form for e in catalog7.members()}
     real = verify.is_h_line
 
     def false_cover(g):
-        if any(find_embedding(m, g) is not None for m in members):
+        contains = any(find_embedding(m, g) is not None for m in members)
+        if contains and canonical_form(g) not in forms:
             return real(slim_complete(g.n))
         return real(g)
 
@@ -116,10 +121,12 @@ def test_minimality_recognizes_one_deletion_per_non_minimal_candidate(catalog7, 
 
     monkeypatch.setattr(verify, "is_h_line", counted)
     assert build_catalog(7).checksum() == catalog7.checksum()
+    # one deletion per non-minimal candidate; each member is recognized
+    # itself and at each of its n deletions
     expected = 0
     for n in range(5, 8):
         members = catalog7.counts()[n]
-        expected += len(_layer(n)[1]) - members + n * members
+        expected += len(_layer(n)[1]) - members + (n + 1) * members
     assert len(calls) == expected
 
 
@@ -188,6 +195,21 @@ def test_catalog_save_load_round_trip(catalog7, tmp_path):
     assert loaded.entries == catalog7.entries
 
 
+def test_catalog_saved_with_g6_copies_and_a_total_loads(catalog7, tmp_path):
+    # older versions also wrote g6/mfs{n}.g6 and a "total"; load reads
+    # neither, so such a catalog loads as it did
+    d = tmp_path / "cat"
+    catalog7.save(str(d))
+    (d / "g6").mkdir()
+    for n, entries in catalog7.entries.items():
+        lines = "".join(write_graph6(e.graph) + "\n" for e in entries)
+        (d / "g6" / f"mfs{n}.g6").write_text(lines)
+    meta = json.loads((d / "catalog.json").read_text())
+    meta["total"] = catalog7.total()
+    (d / "catalog.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+    assert MfsCatalog.load(str(d)).entries == catalog7.entries
+
+
 def test_catalog_save_to_unwritable_path_raises(catalog7, tmp_path):
     (tmp_path / "file").write_text("")
     with pytest.raises(HoffmanGraphError, match="cannot write catalog"):
@@ -224,6 +246,72 @@ def test_verify_prop21_partial(catalog7):
     assert rep.ok
     assert rep.counts == {5: 2, 6: 28, 7: 7}
     assert rep.details["total"] == 37
+
+
+def _with_members(catalog, n, entries):
+    """A copy of ``catalog`` whose members on ``n`` vertices are
+    ``entries``; the shared fixture is left as it is."""
+    return MfsCatalog(n_max=catalog.n_max, entries={**catalog.entries, n: list(entries)})
+
+
+def _flipped(entry):
+    other = {Verdict.BELOW: Verdict.AT_OR_ABOVE, Verdict.AT_OR_ABOVE: Verdict.BELOW}
+    return replace(entry, verdict=other[entry.verdict])
+
+
+def test_verify_prop21_refutes_a_missing_member(catalog7):
+    six = catalog7.entries[6][1:]
+    rep = verify_prop21(_with_members(catalog7, 6, six))
+    assert not rep.ok
+    assert rep.counts == {5: 2, 6: 27, 7: 7}
+    assert rep.counterexample == "size 6: " + " ".join(write_graph6(e.graph) for e in six)
+    assert rep.details["total"] == 36 and rep.details["total_expected"] == 37
+
+
+def test_eigen_claims_refute_a_flipped_verdict(catalog7):
+    confirmed = verify_claim("eigen", catalog=catalog7)
+    six = [_flipped(catalog7.entries[6][0]), *catalog7.entries[6][1:]]
+    rep = verify_claim("eigen", catalog=_with_members(catalog7, 6, six))
+    assert not rep.ok and rep.counterexample is None
+    assert rep.counts == {**confirmed.counts, "below": 2, "at_or_above": 35}
+    assert rep.details == {"below_member_graph6": None, "below_member_vertices": None}
+
+
+@pytest.fixture(scope="module")
+def table1_confirmed(catalog8):
+    return verify_table1(catalog8)
+
+
+def _table1_changes(rep, confirmed):
+    """The report fields in which ``rep`` differs from ``confirmed``."""
+    return sorted(
+        {k for k in rep.counts if rep.counts[k] != confirmed.counts[k]}
+        | {k for k in rep.details if rep.details[k] != confirmed.details[k]}
+    )
+
+
+def test_table1_refutes_swapped_five_vertex_verdicts(catalog8, table1_confirmed):
+    rep = verify_table1(_with_members(catalog8, 5, map(_flipped, catalog8.entries[5])))
+    assert not rep.ok and rep.counterexample is None
+    assert _table1_changes(rep, table1_confirmed) == ["spectral_pins_ok"]
+
+
+def test_table1_refutes_a_missing_member_of_an_exact_row(catalog8, table1_confirmed):
+    # row f lists three 6-vertex members
+    occurring, _uncovered, _count = verify.table1_row_occurrence("f", catalog8)
+    six = [e for e in catalog8.entries[6] if e.form != min(occurring)]
+    rep = verify_table1(_with_members(catalog8, 6, six))
+    assert not rep.ok
+    assert not rep.details["label_structure_ok"] and rep.details["spectral_pins_ok"]
+    assert rep.counts["occurring_per_row"]["f"] == 2
+    assert rep.details["extra_members_per_row"]["f"] == -1
+
+
+def test_table1_refutes_a_lone_below_threshold_five_vertex_member(catalog8):
+    below = [e for e in catalog8.entries[5] if e.verdict is Verdict.BELOW]
+    rep = verify_table1(_with_members(catalog8, 5, below))
+    assert not rep.ok
+    assert not rep.details["spectral_pins_ok"]
 
 
 def test_verify_lemmas():
@@ -306,7 +394,7 @@ def table1_label_groups(catalog):
     below = {e.form for e in catalog.members() if e.verdict is Verdict.BELOW}
     groups = {}
     for label in ALL_MEMBER_LABELS:
-        sig = "".join(r for r in exact if label in TABLE1_LABELS[r])
+        sig = verify._label_signature(label, exact)
         spectral = "below" if label == "G5,2" else ("above" if label == "G5,1" else "")
         groups.setdefault((_label_size(label), sig, spectral), [[], []])[0].append(label)
     for e in catalog.members():
