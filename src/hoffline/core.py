@@ -368,7 +368,8 @@ _TEXT_MAX_VERTICES = 1000
 # tried, and a leaf below it with the first leaf's key records an
 # automorphism that maps w to it, or skipped as in the orbit of a tried
 # vertex.  So they generate the stabilizer of P, at the root the full
-# group, whose orbits ``canonical_data`` reports.
+# group.  ``canonical_data`` returns them as generators, not orbits: the
+# orbits are the trees of the union-find ``_orbit_forest`` over them.
 
 
 def _refine(adj, cells, fresh):
@@ -527,51 +528,36 @@ class _CanonSearch:
             fixed.pop()
 
 
-def _canonical_search(g, cells=None):
-    """The canonical search of a non-empty ``g``: (form bytes, labelling,
-    stored automorphisms), which generate the colour-preserving
-    automorphism group (see the block comment above).
+def canonical_data(g, cells=None):
+    """Canonical labelling: (form bytes, labelling, stored automorphisms).
+
+    The labelling maps canonical positions to original vertices.  The
+    stored automorphisms generate the colour-preserving automorphism
+    group (see the block comment above); ``_orbit_forest`` joins them
+    into its orbits.  The empty graph gives (header, [], []).
 
     ``cells`` is the root partition, the colour cells as ``_refine``
     leaves them (bitmasks), when the caller has refined them; the search
     then starts from it with no fresh cell, which ``_refine`` returns
     unchanged.  By default it refines the colour cells itself.
     """
+    header = bytes([g.slim_count, g.fat_count])
+    if not g.n:
+        return header, [], []
     fresh = []
     if cells is None:
         cells = fresh = _colour_cells(g)
     search = _CanonSearch(g.adj)
     search.run(cells, fresh, [])
     key, lab = search.best
-    return bytes([g.slim_count, g.fat_count]) + key, lab, search.autos
-
-
-def canonical_data(g):
-    """Canonical labelling: (form bytes, labelling, automorphism orbits).
-
-    The labelling maps canonical positions to original vertices.  Orbits
-    are over the full vertex set under the discovered automorphism group.
-    """
-    n = g.n
-    if n == 0:
-        return bytes([g.slim_count, g.fat_count]), [], []
-    form, lab, autos = _canonical_search(g)
-    parent = _orbit_forest(n, autos)
-    groups = {}
-    for v in range(n):
-        groups.setdefault(_find(parent, v), []).append(v)
-    orbits = sorted(groups.values())
-    return form, lab, orbits
+    return header + key, lab, search.autos
 
 
 def canonical_form(g):
     """Byte string equal for two graphs iff they are colour-preserving
     isomorphic (slim maps to slim, fat to fat)."""
     if g._canon is None:
-        if g.n:
-            g._canon = _canonical_search(g)[0]
-        else:
-            g._canon = bytes([g.slim_count, g.fat_count])
+        g._canon = canonical_data(g)[0]
     return g._canon
 
 

@@ -48,13 +48,13 @@ from .core import (
     HoffmanGraph,
     HoffmanGraphError,
     IndexOutOfRange,
-    _canonical_search,
     _colour_cells,
     _find,
     _iter_bits,
     _mask_of,
     _orbit_forest,
     _refine,
+    canonical_data,
     canonical_form,
 )
 from .sums import SharedFatConflict, _block_sum, _sum_adjacency
@@ -246,7 +246,7 @@ def _orbit_representatives(parent, first):
     """
     size = 1 << parent.slim_count
     images = []
-    for a in _canonical_search(parent)[2]:
+    for a in canonical_data(parent)[2]:
         image = [0] * size
         for mask in range(1, size):
             low = mask & -mask
@@ -311,7 +311,7 @@ def _canonical_children(parent, connected=True, fat=False):
         allowed, cells = _target_cell(child, fat, cuts)
         if not allowed:
             continue
-        form, lab, autos = _canonical_search(child, cells)
+        form, lab, autos = canonical_data(child, cells)
         target = next(v for v in reversed(lab) if allowed >> v & 1)
         # the stored automorphisms generate the group (see ``core``)
         orbits = _orbit_forest(child.n, autos)

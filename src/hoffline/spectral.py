@@ -13,12 +13,14 @@ polynomial comes from the Berkowitz (division-free) recurrence.  Sturm
 chains are primitive pseudo-remainder sequences (Basu, Pollack & Roy,
 *Algorithms in Real Algebraic Geometry*, ch. 8), each member a positive
 multiple of the classical one, so sign counts agree.  The count of
-eigenvalues strictly below tau evaluates the chain in Z[sqrt(2)], where
-a + b*sqrt(2) has an exact sign via a^2 versus 2 b^2; when x^2 + 2x - 1
-divides the square-free part, tau is an eigenvalue (equality witness).
+eigenvalues strictly below tau evaluates the chain of the square-free
+part in Z[sqrt(2)], where a + b*sqrt(2) has an exact sign via a^2
+versus 2 b^2.  The sign variations count the roots at or below tau,
+tau included when it is a root, so one is taken off when the first
+member vanishes there (equality witness).
 
 ``smallest_eigenvalue`` also brackets lambda_min in a rational interval
-of configurable width (default 1e-9).  The integer roots, the only
+of the fixed width ``BRACKET_WIDTH``, 1e-9.  The integer roots, the only
 rational ones of a monic integer polynomial, are split off first by a
 scan that Newton's identities bound; the rest is bisected from the
 Cauchy bound at dyadic points, a numerator over 2^k, with homogenised
@@ -58,30 +60,22 @@ def _require(ok, what):
         raise CertificationError(what)
 
 
-#: minimal polynomial of tau = -1 - sqrt(2), low-degree-first: x^2 + 2x - 1
-_TAU_MIN_POLY = (-1, 2, 1)
-
-
 # ---------------------------------------------------------------------------
 # Special matrix and characteristic polynomial
 # ---------------------------------------------------------------------------
 
 
 def special_matrix(g):
-    """Integer symmetric matrix on the slim vertices of ``g``."""
-    s = g.slim_count
-    rows = []
-    for x in range(s):
-        fx = g.fat_neighbors(x)
-        row = []
-        for y in range(s):
-            if x == y:
-                row.append(-fx.bit_count())
-            else:
-                common = (fx & g.fat_neighbors(y)).bit_count()
-                row.append(int(g.adjacent(x, y)) - common)
-        rows.append(row)
-    return rows
+    """Integer symmetric matrix on the slim vertices of ``g``: entry
+    (x, y) is the adjacency of x and y less their common fat neighbours,
+    which on the diagonal is -|fat neighbours of x|, since no vertex is
+    its own neighbour."""
+    adj = g.adj
+    fats = [row >> g.slim_count for row in adj[:g.slim_count]]
+    return [
+        [(adj[x] >> y & 1) - (fx & fy).bit_count() for y, fy in enumerate(fats)]
+        for x, fx in enumerate(fats)
+    ]
 
 
 def char_poly(matrix):
@@ -238,20 +232,27 @@ def _eval_at_tau(p):
     return a, b
 
 
-def count_eigenvalues_below_threshold(poly):
-    """Number of roots of ``poly`` strictly below tau = -1 - sqrt(2).
+# The count at a root.  Let V(x) be the number of sign variations of the
+# Sturm chain p = p0, p1 = p', p2, ... of a square-free p at x.  Then
+# V(x) is also the count just above x, even when x is a root:
+#   - where p vanishes, it drops out of the sign sequence, and just above
+#     x, p has the sign of p'(x), which is not zero, so the pair (p, p')
+#     adds no variation on either side;
+#   - where a later member p_i vanishes, p_{i-1} and p_{i+1} have
+#     opposite signs at x and just above it, since c p_{i-1} = q p_i -
+#     d p_{i+1} with c, d > 0 and neighbours share no root, so the three
+#     add one variation whatever the sign of p_i.
+# So V(-inf) - V(x) counts the roots at or below x, and the roots
+# strictly below tau are V(-inf) - V(tau), less one when tau is a root.
 
-    Exact: if tau is itself a root, the square-free part is deflated by
-    x^2 + 2x - 1 first (the other root -1 + sqrt(2) lies above tau).
-    """
-    p = _radical(tuple(poly))
-    if _eval_at_tau(p) == (0, 0):
-        p, r = _divmod_poly(p, _TAU_MIN_POLY)
-        _require(not any(r), "x^2 + 2x - 1 does not divide a polynomial vanishing at tau")
-    chain = sturm_chain(p)
-    v_lo = _variations([_sign_at_neg_inf(q) for q in chain])
-    v_tau = _variations([_qsqrt2_sign(*_eval_at_tau(q)) for q in chain])
-    return v_lo - v_tau
+
+def count_eigenvalues_below_threshold(poly):
+    """Number of distinct roots of ``poly`` strictly below
+    tau = -1 - sqrt(2), exact also when tau is a root (see above)."""
+    chain = sturm_chain(_radical(tuple(poly)))
+    at_tau = [_qsqrt2_sign(*_eval_at_tau(q)) for q in chain]
+    at_or_below = _variations([_sign_at_neg_inf(q) for q in chain]) - _variations(at_tau)
+    return at_or_below - (at_tau[0] == 0)
 
 
 def threshold_is_root(poly):
@@ -283,7 +284,8 @@ class EigenInterval:
     poly: tuple[int, ...]
 
 
-DEFAULT_TOLERANCE = Fraction(1, 10**9)
+#: the width of every irrational bracket ``smallest_root_interval`` gives
+BRACKET_WIDTH = Fraction(1, 10**9)
 
 
 def _count_leq(chain, num, den):
@@ -344,14 +346,10 @@ def _radical(poly):
 # root would otherwise give a wrong count or a wrong side.
 
 
-def smallest_root_interval(poly, tolerance=DEFAULT_TOLERANCE):
+def smallest_root_interval(poly):
     """Bracket the smallest real root of a monic integer polynomial whose
-    roots are all real.  Width <= tolerance (zero when the root is an
-    integer); a tolerance that is not a positive finite number raises
-    HoffmanGraphError, since the bisection would never end."""
-    if not 0 < tolerance < math.inf:
-        raise HoffmanGraphError("the tolerance must be a positive finite number")
-    tolerance = Fraction(tolerance)
+    roots are all real.  Width <= ``BRACKET_WIDTH`` (zero when the root
+    is an integer)."""
     p = _radical(tuple(poly))
     if _degree(p) == 0:
         raise EmptyGraph("constant polynomial has no roots")
@@ -376,8 +374,7 @@ def smallest_root_interval(poly, tolerance=DEFAULT_TOLERANCE):
     # the sign of work at the lower end, non-zero in the sign phase only
     # (see the block comment above)
     lo_sign = _sign_at(work, lo) if count == 1 else 0
-    tol_num, tol_den = tolerance.numerator, tolerance.denominator
-    while width * tol_den > tol_num << k:
+    while width * BRACKET_WIDTH.denominator > BRACKET_WIDTH.numerator << k:
         lo, k = lo << 1, k + 1
         mid, den = lo + width, 1 << k
         if lo_sign:
@@ -394,13 +391,13 @@ def smallest_root_interval(poly, tolerance=DEFAULT_TOLERANCE):
     return Fraction(lo, 1 << k), Fraction(lo + width, 1 << k)
 
 
-def smallest_eigenvalue(g, tolerance=DEFAULT_TOLERANCE):
+def smallest_eigenvalue(g):
     """Certified bracket of lambda_min of the special matrix of ``g``
     (the adjacency matrix when ``g`` is slim)."""
     if g.slim_count == 0:
         raise EmptyGraph("no slim vertices")
     poly = char_poly(special_matrix(g))
-    lo, hi = smallest_root_interval(poly, tolerance)
+    lo, hi = smallest_root_interval(poly)
     return EigenInterval(lo, hi, poly)
 
 

@@ -473,14 +473,11 @@ def verify_eigen_claims(catalog):
     t0 = time.time()
     below = [e for e in catalog.members() if e.verdict is Verdict.BELOW]
     counts = {"below": len(below), "at_or_above": catalog.total() - len(below)}
-    ok = len(below) == 1 and below[0].graph.n == 5
-    bad = None
     line = [g for n in range(1, _EIGEN_LINE_GRAPHS_TO + 1) for g, _ in _layer(n)[0]]
-    for g in line:
-        # the verdict needs only the polynomial, not a bisection bracket
-        if count_eigenvalues_below_threshold(char_poly(special_matrix(g))):
-            ok = False
-            bad = write_graph6(g)
+    # the verdict needs only the polynomial, not a bisection bracket
+    below_line = (g for g in line if count_eigenvalues_below_threshold(char_poly(special_matrix(g))))
+    bad = next(map(write_graph6, below_line), None)
+    ok = len(below) == 1 and below[0].graph.n == 5 and bad is None
     counts["line_graphs_checked"] = len(line)
     details = {
         "below_member_graph6": write_graph6(below[0].graph) if len(below) == 1 else None,

@@ -71,7 +71,7 @@ from hoffline.enumeration import (
 )
 from hoffline.families import LINE_FAMILY_NAMES, family_graph
 from hoffline.spectral import (
-    DEFAULT_TOLERANCE,
+    BRACKET_WIDTH,
     EmptyGraph,
     _degree,
     _integer_roots,
@@ -84,6 +84,8 @@ from hoffline.spectral import (
 )
 from hoffline.recognition import StrictCover
 from hoffline.sums import SumDecomposition, _block_sum, _sum_adjacency, validate_sum
+
+from helpers import automorphism_orbits
 
 
 def iso_bruteforce(g, h):
@@ -795,8 +797,10 @@ class _CanonSearch:
 
 
 def canonical_data_unpruned(g):
-    """(form, labelling, orbits) as ``core.canonical_data`` returns them,
-    computed by the reference search."""
+    """(form, labelling, orbits) by the reference search: the form and
+    labelling that ``core.canonical_data`` returns, and the orbits of
+    the automorphism group, which ``helpers.automorphism_orbits``
+    builds from its stored automorphisms."""
     n = g.n
     header = bytes([g.slim_count, g.fat_count])
     if n == 0:
@@ -1031,7 +1035,8 @@ def canonical_children_unpruned(parent, connected=True, fat=False):
         allowed, _cells = _target_cell(child, connected, fat)
         if not allowed:
             continue
-        form, lab, orbits = canonical_data(child)
+        form, lab, autos = canonical_data(child)
+        orbits = automorphism_orbits(child, autos)
         if form in emitted:
             continue
         pos = {v: i for i, v in enumerate(lab)}
@@ -1121,7 +1126,7 @@ def _count_leq(chain, x):
     return _variations([_sign_at_neg_inf(q) for q in chain]) - _variations(signs)
 
 
-def smallest_root_interval_fractions(poly, tolerance=DEFAULT_TOLERANCE):
+def smallest_root_interval_fractions(poly, tolerance=BRACKET_WIDTH):
     """Bracket the smallest real root of a monic integer polynomial whose
     roots are all real.  Width <= tolerance (zero when the root is an
     integer)."""

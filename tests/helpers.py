@@ -3,7 +3,15 @@
 import itertools
 import json
 
-from hoffline.core import HoffmanGraph, HoffmanGraphError, _iter_bits, _mask_of, canonical_data
+from hoffline.core import (
+    HoffmanGraph,
+    HoffmanGraphError,
+    _find,
+    _iter_bits,
+    _mask_of,
+    _orbit_forest,
+    canonical_data,
+)
 from hoffline.families import TranscriptionMissing, family_graph
 from hoffline.sums import SumDecomposition
 
@@ -33,9 +41,18 @@ def relabeled(g, perm):
     return HoffmanGraph(g.slim_count, g.fat_count, adj)
 
 
-def automorphism_orbits(g):
-    """Vertex orbits of the automorphism group (colour preserving)."""
-    return canonical_data(g)[2]
+def automorphism_orbits(g, autos=None):
+    """Vertex orbits of the colour-preserving automorphism group, sorted:
+    the trees of ``_orbit_forest`` over the automorphisms that the
+    canonical search of ``g`` stores, or over ``autos`` when the caller
+    has them already."""
+    if autos is None:
+        autos = canonical_data(g)[2]
+    parent = _orbit_forest(g.n, autos)
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(_find(parent, v), []).append(v)
+    return sorted(groups.values())
 
 
 class DifferentBase(HoffmanGraphError):

@@ -54,6 +54,7 @@ from bruteforce import (
     fat_neighbourhoods_labelled,
     sum_family_unpruned,
 )
+from helpers import automorphism_orbits
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -150,7 +151,8 @@ def test_target_cell_filter_matches_unpruned_orbit_test():
                 allowed = _noncut_mask(child, child.slim_mask)
             else:
                 allowed = child.slim_mask
-            _form, lab, orbits = canonical_data(child)
+            _form, lab, autos = canonical_data(child)
+            orbits = automorphism_orbits(child, autos)
             target = max(_iter_bits(allowed), key=lab.index)
             accepted = any(parent.n in orb and target in orb for orb in orbits)
             kept, _cells = _target_cell(child, fat, cuts)

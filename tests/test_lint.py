@@ -8,10 +8,13 @@ helper only the tests need belongs in the tests).  ``__init__``
 re-exports its imports and is left out of the first check.
 Any ``assert`` statement in the package fails the suite as well:
 ``python -O`` strips it, and an exactness check must survive that, so
-the package raises instead.
+the package raises instead.  Last, every span target that
+``perfbench/spans.py`` lists must name a function of the package, so a
+rename cannot leave a traced run without its span.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -136,3 +139,28 @@ def test_public_api_is_used():
 def test_no_assert_statements(module):
     lines = [node.lineno for node in ast.walk(MODULES[module]) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def _span_targets():
+    """``TARGETS`` of ``perfbench/spans.py``, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
+
+
+SPAN_TARGETS = _span_targets()
+
+
+@pytest.mark.parametrize(
+    "module, attr, span", SPAN_TARGETS, ids=[span for _module, _attr, span in SPAN_TARGETS]
+)
+def test_perfbench_span_targets_exist(module, attr, span):
+    # a "Class.method" attribute resolves through the class
+    owner = importlib.import_module(f"hoffline.{module}")
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+        assert owner is not None, f"{span}: hoffline.{module} has no {attr}"
+    assert callable(owner)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hoffline
-from hoffline.core import HoffmanGraph, HoffmanGraphError
+from hoffline.core import HoffmanGraph
 from hoffline.families import family_graph
 from hoffline import spectral
 from hoffline.spectral import (
@@ -63,6 +63,22 @@ def test_special_matrix_entries():
     assert off == [-1, -1, 0]
 
 
+def test_special_matrix_matches_definition(fat_corpus):
+    # every entry from the vertex methods: adjacency less common fat
+    # neighbours off the diagonal, minus the fat degree on it
+    for g in fat_corpus:
+        m = special_matrix(g)
+        s = g.slim_count
+        assert len(m) == s and all(len(row) == s for row in m)
+        for x in range(s):
+            fx = g.fat_neighbors(x)
+            assert m[x][x] == -fx.bit_count()
+            for y in range(s):
+                if y != x:
+                    common = (fx & g.fat_neighbors(y)).bit_count()
+                    assert m[x][y] == int(g.adjacent(x, y)) - common, (s, list(g.adj))
+
+
 # -- characteristic polynomial ---------------------------------------------
 
 
@@ -109,17 +125,10 @@ def test_empty_graph_raises():
 
 
 def test_default_tolerance_width():
+    # the one bracket width there is
+    assert spectral.BRACKET_WIDTH == Fraction(1, 10**9)
     e = smallest_eigenvalue(slim_path(5))
-    assert e.upper - e.lower <= Fraction(1, 10**9)
-
-
-@pytest.mark.parametrize("tolerance", [0, -1e-9, float("nan"), float("inf")])
-def test_tolerance_must_be_positive_and_finite(tolerance):
-    # a bisection down to a width of 0 or less would never end
-    with pytest.raises(HoffmanGraphError):
-        smallest_eigenvalue(slim_path(5), tolerance)
-    with pytest.raises(HoffmanGraphError):
-        spectral.smallest_root_interval((-2, 0, 1), tolerance)
+    assert 0 < e.upper - e.lower <= spectral.BRACKET_WIDTH
 
 
 def test_interval_brackets_numpy_on_random_graphs():
@@ -203,6 +212,45 @@ def test_count_below_threshold_matches_numpy():
         poly = char_poly(special_matrix(g))
         want = len({round(x, 6) for x in eig[eig < TAU]})
         assert count_eigenvalues_below_threshold(poly) == want
+
+
+def _distinct_below_tau(values):
+    """How many values lie below tau, counting values within 1e-4 of
+    each other once: floating roots of a repeated factor come apart."""
+    below = sorted(float(x) for x in values if x < TAU - 1e-4)
+    return sum(1 for a, b in zip([-math.inf] + below, below) if b - a > 1e-4)
+
+
+def test_count_at_a_threshold_root_matches_numpy(spectral_corpus, fat_corpus):
+    # tau an eigenvalue with others below it: the count at tau itself
+    # leaves tau out
+    found = 0
+    for g in spectral_corpus + fat_corpus:
+        poly = char_poly(special_matrix(g))
+        if not threshold_is_root(poly):
+            continue
+        eig = np.linalg.eigvalsh(np.array(special_matrix(g), dtype=float))
+        want = _distinct_below_tau(eig)
+        assert count_eigenvalues_below_threshold(poly) == want, (g.slim_count, list(g.adj))
+        found += want > 0
+    assert found >= 10
+
+
+@pytest.mark.parametrize(
+    "roots, power",
+    [((-3,), 1), ((-3,), 2), ((-4, -3), 1), ((-3, -3, 1), 2), ((-5, 0, 3), 1), ((-2, 0), 1)],
+)
+def test_count_at_a_threshold_root_of_a_polynomial(roots, power):
+    # (x^2 + 2x - 1)^power times (x - r) for each r: the integer roots
+    # below tau are those up to -3, and repeated roots count once
+    poly = np.polynomial.polynomial.polyfromroots(roots)
+    tau_factor = np.polynomial.polynomial.polypow([-1, 2, 1], power)
+    poly = np.polynomial.polynomial.polymul(poly, tau_factor)
+    poly = tuple(int(round(c)) for c in poly)
+    assert threshold_is_root(poly)
+    want = _distinct_below_tau(np.roots(poly[::-1]).real)
+    assert want == len({r for r in roots if r <= -3})
+    assert count_eigenvalues_below_threshold(poly) == want
 
 
 def test_square_free_removes_multiplicity():
@@ -326,24 +374,14 @@ def corpus_polys(spectral_corpus, fat_corpus):
     return sorted({char_poly(special_matrix(g)) for g in spectral_corpus + fat_corpus})
 
 
-@pytest.mark.parametrize(
-    "tolerance",
-    [Fraction(1), Fraction(1, 2**10), Fraction(1, 10**9), Fraction(1, 10**40)],
-    ids=["1", "2^-10", "10^-9", "10^-40"],
-)
-def test_interval_matches_fraction_bisection(corpus_polys, tolerance):
+@pytest.mark.parametrize("width", [Fraction(1, 10**9)], ids=["10^-9"])
+def test_interval_matches_fraction_bisection(corpus_polys, width):
+    # the dyadic bisection at its one width against the Fraction
+    # bisection run to the same width
+    assert spectral.BRACKET_WIDTH == width
     for poly in corpus_polys:
-        want = smallest_root_interval_fractions(poly, tolerance)
-        assert spectral.smallest_root_interval(poly, tolerance) == want, poly
-
-
-def test_float_tolerance_matches_fraction_bisection(stream_graphs):
-    # a float tolerance is taken at its exact binary value, as the
-    # Fraction bisection compared it
-    for g in stream_graphs[:40]:
-        poly = char_poly(special_matrix(g))
-        want = smallest_root_interval_fractions(poly, 1e-9)
-        assert spectral.smallest_root_interval(poly, 1e-9) == want
+        want = smallest_root_interval_fractions(poly, width)
+        assert spectral.smallest_root_interval(poly) == want, poly
 
 
 # -- the Newton-bounded integer-root scan against the full Cauchy range ------

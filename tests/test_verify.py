@@ -277,6 +277,20 @@ def test_eigen_claims_refute_a_flipped_verdict(catalog7):
     assert rep.details == {"below_member_graph6": None, "below_member_vertices": None}
 
 
+def test_eigen_claims_report_the_first_failing_line_graph(catalog7, monkeypatch):
+    # every line graph on 4 or 5 vertices counted below the threshold:
+    # the counterexample is the first of them, as with the other
+    # checkers, and every line graph is still counted as checked
+    confirmed = verify_claim("eigen", catalog=catalog7)
+    monkeypatch.setattr(
+        verify, "count_eigenvalues_below_threshold", lambda poly: int(len(poly) in (5, 6))
+    )
+    rep = verify_claim("eigen", catalog=catalog7)
+    assert not rep.ok
+    assert rep.counterexample == write_graph6(_layer(4)[0][0][0])
+    assert rep.counts == confirmed.counts
+
+
 @pytest.fixture(scope="module")
 def table1_confirmed(catalog8):
     return verify_table1(catalog8)
