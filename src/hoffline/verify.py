@@ -173,7 +173,9 @@ class MfsCatalog:
         return sum(len(es) for es in self.entries.values())
 
     def checksum(self):
-        h = hashlib.sha256()
+        """SHA-256 over all that ``catalog.json`` states: ``n_max`` and
+        the member count of each size, then the members' forms."""
+        h = hashlib.sha256(json.dumps([self.n_max, sorted(self.counts().items())]).encode())
         for e in sorted(self.members(), key=lambda e: (e.graph.n, e.form)):
             h.update(e.form)
         return h.hexdigest()
@@ -208,16 +210,17 @@ class MfsCatalog:
         ``_member``, the code that built it, and the catalog is refused
         with ``HoffmanGraphError`` unless every witness file equals the
         derived one.  ``_member`` re-checks minimality by definition (no
-        cover of the member, one of each deletion).  ``n_max``,
-        ``counts`` and the checksum of the member forms are checked as
-        well.  Other files, such as the ``g6/`` copies and the ``total``
-        that older versions wrote, are ignored."""
+        cover of the member, one of each deletion).  ``counts`` must list
+        the sizes 5 to ``n_max``, at most ``N_MAX``, and the checksum
+        must match ``n_max``, ``counts`` and the member forms.  Other
+        files, such as the ``g6/`` copies and the ``total`` that older
+        versions wrote, are ignored."""
         try:
             with open(os.path.join(directory, "catalog.json")) as fh:
                 meta = json.load(fh)
             n_max, counts = meta["n_max"], meta["counts"]
-            # ``screen`` trusts n_max for completeness, and the checksum
-            # covers the members only, so the sizes are checked here
+            # ``screen`` trusts n_max for completeness; sizes the build
+            # does not support are refused before any member is read
             if type(n_max) is not int or not 5 <= n_max <= N_MAX:
                 raise HoffmanGraphError(
                     f"unreadable catalog {directory}: n_max must be an integer "

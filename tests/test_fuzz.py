@@ -264,26 +264,36 @@ def _meta_edit(**changes):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, refusal",
     [
-        _meta_edit(n_max=10),
-        _meta_edit(n_max=10, counts={"5": 2, **{str(n): 0 for n in range(6, 11)}}),
-        _meta_edit(n_max="5"),
-        _meta_edit(n_max=4),
-        _meta_edit(n_max=None),
-        _meta_edit(n_max=True),
-        _meta_edit(n_max=6),
-        _meta_edit(counts={"5": 2, "6": 0}),
-        _meta_edit(counts=[2]),
+        (_meta_edit(n_max=10), "unreadable catalog"),
+        (_meta_edit(n_max=10, counts={"5": 2, **{str(n): 0 for n in range(6, 11)}}),
+         "unreadable catalog"),
+        (_meta_edit(n_max="5"), "unreadable catalog"),
+        (_meta_edit(n_max=4), "unreadable catalog"),
+        (_meta_edit(n_max=None), "unreadable catalog"),
+        (_meta_edit(n_max=True), "unreadable catalog"),
+        (_meta_edit(n_max=6), "unreadable catalog"),
+        (_meta_edit(counts={"5": 2, "6": 0}), "unreadable catalog"),
+        (_meta_edit(counts=[2]), "unreadable catalog"),
+        # a supported n_max raised with zero counts for the new sizes:
+        # well formed, but ``screen`` would then call a 6-vertex member
+        # a line graph, so only the checksum over n_max and counts
+        # refuses it
+        (_meta_edit(n_max=9, counts={"5": 2, **{str(n): 0 for n in range(6, 10)}}),
+         "checksum mismatch"),
     ],
-    ids=["ten", "ten-listed", "string", "four", "null", "bool", "raised", "extra-size", "counts-list"],
+    ids=[
+        "ten", "ten-listed", "string", "four", "null", "bool", "raised", "extra-size",
+        "counts-list", "raised-listed",
+    ],
 )
-def test_catalog_load_refuses_bad_sizes(saved_catalog, tmp_path, edit):
-    # the checksum covers the members only, so n_max and the sizes
-    # listed in counts are checked on their own
+def test_catalog_load_refuses_bad_sizes(saved_catalog, tmp_path, edit, refusal):
+    # sizes the build does not support are refused before any member is
+    # read; supported ones must match the checksum
     work = tmp_path / "cat"
     shutil.copytree(saved_catalog, work)
     path = work / "catalog.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    with pytest.raises(HoffmanGraphError, match="unreadable catalog"):
+    with pytest.raises(HoffmanGraphError, match=refusal):
         MfsCatalog.load(str(work))

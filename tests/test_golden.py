@@ -70,7 +70,9 @@ ALL7_DIGEST = "a6b9e7c8979541199f3d8550b614e35fcecfd1b9be99d0e471aeb033021e3003"
 CONNECTED8_DIGEST = "90902d4b37ac55e5449aa6f14b2bb76ff2a5509ec6983210fa98536e05c5faa1"
 STREAM_COVERS_DIGEST = "ae0627833a319d8f48b7625c23b83bada4aee1646bd8f0bf47c17dff7470862a"
 SPECTRAL_DIGEST = "bf909f0ea95bdb7f4c3143eb9b7bbc9261e38a9b26877aed1363855bb924cd9b"
-CATALOG8_CHECKSUM = "d6f66c950019c53a484eac3714198b77965f75c5811415d22bf04238fc78522b"
+#: recomputed when the checksum came to cover ``n_max`` and the per-size
+#: counts as well as the member forms
+CATALOG8_CHECKSUM = "d5ef413e4cadfec9cdb4cf46f4aa0788718b23a36153d4343feba6bbcd901910"
 
 
 def _digest(lines):
