@@ -534,7 +534,7 @@ def canonical_data(g, cells=None):
     The labelling maps canonical positions to original vertices.  The
     stored automorphisms generate the colour-preserving automorphism
     group (see the block comment above); ``_orbit_forest`` joins them
-    into its orbits.  The empty graph gives (header, [], []).
+    into the group's orbits.  The empty graph gives (header, [], []).
 
     ``cells`` is the root partition, the colour cells as ``_refine``
     leaves them (bitmasks), when the caller has refined them; the search

@@ -256,8 +256,8 @@ def test_canonical_search_matches_unpruned(fat_corpus, stream_graphs):
     graphs += [_complete_minus_edge(9), _cocktail_party(6), _line_graph_of_complete(6)]
     for g in graphs:
         form, lab, autos = canonical_data(g)
-        want = canonical_data_unpruned(g)
-        assert (form, lab, automorphism_orbits(g, autos)) == want, (g.slim_count, list(g.adj))
+        got = form, lab, automorphism_orbits(g, autos)
+        assert got == canonical_data_unpruned(g), (g.slim_count, list(g.adj))
 
 
 def test_mask_search_matches_list_search(fat_corpus, stream_graphs):

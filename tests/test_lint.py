@@ -1,4 +1,4 @@
-"""Static checks on the package source, with ``ast`` only.
+"""Static checks on the package source, with ``ast``.
 
 Three kinds of dead code fail the suite: an import that a module never
 uses, a private top-level function that no module of the package
