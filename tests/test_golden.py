@@ -50,6 +50,7 @@ from hoffline.spectral import (
     smallest_eigenvalue,
 )
 from hoffline.sums import build_sum, validate_sum
+from hoffline.verify import build_catalog
 
 from helpers import sum_decomposition_from_json
 
@@ -73,6 +74,9 @@ SPECTRAL_DIGEST = "bf909f0ea95bdb7f4c3143eb9b7bbc9261e38a9b26877aed1363855bb924c
 #: recomputed when the checksum came to cover ``n_max`` and the per-size
 #: counts as well as the member forms
 CATALOG8_CHECKSUM = "d5ef413e4cadfec9cdb4cf46f4aa0788718b23a36153d4343feba6bbcd901910"
+#: ``build_catalog(9).checksum()``, computed before the minimality phase
+#: of the build shared its work across candidates
+CATALOG9_CHECKSUM = "28955684dcbb077a9ecb42d1d702eabee7dc14830cf6dcd0c2a5a31f88acf8a0"
 
 
 def _digest(lines):
@@ -158,6 +162,14 @@ def test_stream_covers(stream_graphs):
 
 def test_catalog8_checksum(catalog8):
     assert catalog8.checksum() == CATALOG8_CHECKSUM
+
+
+@pytest.mark.skipif(
+    not os.environ.get("HOFFLINE_ACCEPT_N9"),
+    reason="set HOFFLINE_ACCEPT_N9=1 to pin the catalog on 9 vertices",
+)
+def test_catalog9_checksum():
+    assert build_catalog(9).checksum() == CATALOG9_CHECKSUM
 
 
 def test_is_h_line_first_cover_equals_enumeration_head():
