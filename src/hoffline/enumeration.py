@@ -9,10 +9,12 @@ group, and the child survives only when the added vertex lies in the
 automorphism orbit of a canonical deletion target (the non-cut vertex
 latest in the canonical labelling).  Isomorphic children of one parent
 come from one orbit, which together with the orbit rule makes every
-class appear exactly once.  Only a child that can pass the orbit test is
-labelled: the child is dropped when a deletion target of the new
-vertex's colour has a higher degree, or else when a cell after the new
-vertex's own in its refined colour partition holds one
+class appear exactly once.  The parent's group is read from the
+automorphisms that its own labelling stored when it was made as a
+child, so no parent is labelled twice.  Only a child that can pass the
+orbit test is labelled: the child is dropped when a deletion target of
+the new vertex's colour has a higher degree, or else when a cell after
+the new vertex's own in its refined colour partition holds one
 (``_target_cell``), because the labelling keeps the cell order and
 automorphisms keep every cell.  The non-cut vertices of a child come
 from the components of the parent minus each vertex, found once per
@@ -234,19 +236,20 @@ def _target_cell(child, fat, cuts):
     return allowed & cells[i], cells
 
 
-def _orbit_representatives(parent, first):
+def _orbit_representatives(parent, autos, first):
     """The neighbourhoods from ``first`` up that are the least member of
     their orbit under the automorphism group of ``parent``, ascending.
 
-    The generators come from the parent's canonical search; an orbit is
-    closed under them, so it is found by applying them until nothing
-    new appears.  Each generator acts on the neighbourhoods through a
-    table of images, filled in ascending order from the image of the
-    mask without its lowest bit.
+    The generators ``autos`` are the stored automorphisms of the
+    parent's canonical search, kept from when the parent was labelled
+    as a child; an orbit is closed under them, so it is found by
+    applying them until nothing new appears.  Each generator acts on the
+    neighbourhoods through a table of images, filled in ascending order
+    from the image of the mask without its lowest bit.
     """
     size = 1 << parent.slim_count
     images = []
-    for a in canonical_data(parent)[2]:
+    for a in autos:
         image = [0] * size
         for mask in range(1, size):
             low = mask & -mask
@@ -290,9 +293,12 @@ def _orbit_representatives(parent, first):
 # dropping a form already emitted, and no form repeats.
 
 
-def _canonical_children(parent, connected=True, fat=False):
-    """(child, canonical form) for the one-vertex extensions of
-    ``parent`` whose canonical parent it is, one per class.
+def _canonical_children(parent, autos, connected=True, fat=False):
+    """(child, canonical form, stored automorphisms) for the one-vertex
+    extensions of ``parent`` whose canonical parent it is, one per
+    class.  ``autos`` are the stored automorphisms of ``parent``, as this
+    function returned them with it; those returned with each child serve
+    its own children in turn, so no graph is labelled twice.
 
     A new slim vertex extends a slim parent, connected when
     ``connected``, and the deletion target ranges over non-cut vertices,
@@ -306,39 +312,44 @@ def _canonical_children(parent, connected=True, fat=False):
     labelling, which starts from the root partition it refined."""
     new = parent.n
     cuts = _cut_components(parent) if connected and not fat else None
-    for nbhd in _orbit_representatives(parent, 1 if connected or fat else 0):
+    for nbhd in _orbit_representatives(parent, autos, 1 if connected or fat else 0):
         child = _extend(parent, nbhd, fat)
         allowed, cells = _target_cell(child, fat, cuts)
         if not allowed:
             continue
-        form, lab, autos = canonical_data(child, cells)
+        form, lab, child_autos = canonical_data(child, cells)
         target = next(v for v in reversed(lab) if allowed >> v & 1)
         # the stored automorphisms generate the group (see ``core``)
-        orbits = _orbit_forest(child.n, autos)
+        orbits = _orbit_forest(child.n, child_autos)
         if _find(orbits, new) == _find(orbits, target):
-            yield child, form
+            yield child, form, child_autos
 
 
 def connected_slim_graphs(n):
     """One representative per isomorphism class of connected n-vertex
     graphs, in a deterministic order.  1 <= n <= 10."""
-    yield from _slim_graphs(n, connected=True)
+    for g, _autos in _slim_graphs(n, connected=True):
+        yield g
 
 
 def all_slim_graphs(n):
     """One representative per isomorphism class of all n-vertex graphs."""
-    yield from _slim_graphs(n, connected=False)
+    for g, _autos in _slim_graphs(n, connected=False):
+        yield g
 
 
 def _slim_graphs(n, connected):
+    """(graph, stored automorphisms) for the graphs that
+    ``connected_slim_graphs`` or ``all_slim_graphs`` yields.  K1 has the
+    identity only, which needs no generator."""
     if not 1 <= n <= 10:
         raise IndexOutOfRange("generation supports 1 <= n <= 10")
     if n == 1:
-        yield HoffmanGraph(1, 0, (0,), _checked=True)
+        yield HoffmanGraph(1, 0, (0,), _checked=True), []
         return
-    for parent in _slim_graphs(n - 1, connected):
-        for child, _form in _canonical_children(parent, connected):
-            yield child
+    for parent, autos in _slim_graphs(n - 1, connected):
+        for child, _form, child_autos in _canonical_children(parent, autos, connected):
+            yield child, child_autos
 
 
 def fat_hoffman_graphs(slim_count, fat_max):
@@ -354,10 +365,14 @@ def fat_hoffman_graphs(slim_count, fat_max):
     """
     if slim_count > 8:
         raise IndexOutOfRange("fat graph enumeration capped at 8 slim vertices")
-    layer = list(all_slim_graphs(slim_count))
+    layer = list(_slim_graphs(slim_count, connected=False))
     for _ in range(fat_max):
-        layer = [c for parent in layer for c, _form in _canonical_children(parent, fat=True)]
-        yield from (g for g in layer if g.is_connected())
+        layer = [
+            (child, child_autos)
+            for parent, autos in layer
+            for child, _form, child_autos in _canonical_children(parent, autos, fat=True)
+        ]
+        yield from (g for g, _autos in layer if g.is_connected())
 
 
 # ---------------------------------------------------------------------------

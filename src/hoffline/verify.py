@@ -10,7 +10,10 @@ graphs of each size, which is exhaustive because the class is hereditary
 store keyed by its size, which ``verify_eigen_claims`` and
 ``verify_cover_uniqueness`` read as well.  It cross-checks two
 independent minimality filters (containment of a smaller member versus
-recognition of one-vertex deletions) on every candidate, and attaches
+recognition of one-vertex deletions) on every candidate, sharing work
+across candidates: containment tries the member that last embedded
+first, and a deletion is recognized from the classes of its parent
+less one vertex, found once per (parent, vertex).  It attaches
 per-member certificates: a strict cover of every one-vertex deletion
 and a certified smallest-eigenvalue interval with its threshold
 verdict.  ``_member`` is the one code path that makes a member with its
@@ -65,6 +68,7 @@ from .core import (
 from .enumeration import (
     _canonical_children,
     _extend,
+    _slim_graphs,
     all_slim_graphs,
     connected_slim_graphs,
     enumerate_sums,
@@ -73,7 +77,7 @@ from .enumeration import (
     write_graph6,
 )
 from .families import classify_part, family_graph
-from .recognition import _extensions, enumerate_strict_covers, is_h_line
+from .recognition import _classes, _extensions, enumerate_strict_covers, is_h_line
 from .spectral import (
     EigenInterval,
     Verdict,
@@ -265,10 +269,12 @@ _LAYERS = {}
 
 
 def _layer(n):
-    """(line, non_line, classes) for n vertices: the children of the line
-    graphs on n - 1 vertices as tuples of (graph, form), split by whether
-    they have a strict cover, and the cover classes of each line graph,
-    in the order of ``line``, as tuples of (cells, fats).
+    """(line, non_line, classes, autos) for n vertices: the children of
+    the line graphs on n - 1 vertices as tuples of (graph, form), split
+    by whether they have a strict cover; then, in the order of ``line``,
+    the cover classes of each line graph as tuples of (cells, fats), and
+    the stored automorphisms of its canonical labelling, from which the
+    next layer extends it.
 
     Why this reaches every line graph and minimal forbidden subgraph on
     n vertices (McKay's prune, J. Algorithms 26, 1998): a child is made
@@ -289,21 +295,56 @@ def _layer(n):
     layer = _LAYERS.get(n)
     if layer is None:
         if n == 1:
-            children = [(g, canonical_form(g)) for g in connected_slim_graphs(1)]
-            found = [tuple(_extensions([((), ())], 0, 0))]
+            k1, autos = next(_slim_graphs(1, True))
+            k1_classes = tuple(_extensions([((), ())], 0, 0))
+            layer = ((k1, canonical_form(k1)),), (), (k1_classes,), (autos,)
         else:
-            line, _, classes = _layer(n - 1)
-            children, found = [], []
-            for (parent, _), parent_classes in zip(line, classes):
-                for child, form in _canonical_children(parent):
-                    children.append((child, form))
-                    found.append(tuple(_extensions(parent_classes, n - 1, child.adj[n - 1])))
-        layer = _LAYERS[n] = (
-            tuple(c for c, k in zip(children, found) if k),
-            tuple(c for c, k in zip(children, found) if not k),
-            tuple(k for k in found if k),
-        )
+            line, non_line, classes, autos = [], [], [], []
+            parents, _, parent_classes, parent_autos = _layer(n - 1)
+            for (parent, _), known, generators in zip(parents, parent_classes, parent_autos):
+                for child, form, child_autos in _canonical_children(parent, generators):
+                    found = tuple(_extensions(known, n - 1, child.adj[n - 1]))
+                    if found:
+                        line.append((child, form))
+                        classes.append(found)
+                        autos.append(child_autos)
+                    else:
+                        non_line.append((child, form))
+            layer = tuple(line), tuple(non_line), tuple(classes), tuple(autos)
+        _LAYERS[n] = layer
     return layer
+
+
+def _first_contained(g, members):
+    """An embedding into ``g`` of the first of ``members`` that embeds,
+    which then moves to the front of the list, or None.  Containment is
+    an existence test, so the order decides only which member is found;
+    trying the last one found first (move-to-front, Sleator & Tarjan,
+    CACM 28, 1985) suits candidates that come grouped by parent."""
+    for i, m in enumerate(members):
+        embedding = find_embedding(m.graph, g)
+        if embedding is not None:
+            members.insert(0, members.pop(i))
+            return embedding
+    return None
+
+
+def _deletion_classes(g, u, below):
+    """The cover classes of ``g - u``, for a candidate ``g`` of the
+    layer store and a vertex ``u < n - 1``.
+
+    ``g`` is its line-graph parent P on the vertices below w = n - 1
+    plus w, so ``g - u`` is (P - u) + w.  The classes of P - u are found
+    once per (parent, u) and kept in ``below``, keyed by the parent's
+    adjacency and u; those of ``g - u`` are their extensions by w, and
+    ``_extensions`` is exact for any P + v (the block comment above it).
+    """
+    w = g.n - 1
+    key = (tuple(row & ~(1 << w) for row in g.adj[:w]), u)
+    classes = below.get(key)
+    if classes is None:
+        classes = below[key] = _classes(g, g.slim_mask & ~(1 << w) & ~(1 << u), [])
+    return _extensions(classes, w, g.adj[w] & ~(1 << u))
 
 
 def build_catalog(n_max, jobs=1, progress=None):
@@ -312,14 +353,17 @@ def build_catalog(n_max, jobs=1, progress=None):
     For every size: take the children of the line graphs one size down
     (see ``_layer``) and keep the non-line ones whose one-vertex
     deletions are all line graphs.  Two independent minimality filters
-    are cross-checked on every candidate.  Containment runs first: when
-    a smaller member embeds, the candidate is not minimal, and only the
-    deletion of one vertex outside the embedding's image is recognized.
-    That deletion still contains the member, and an induced subgraph of
-    a line graph is a line graph, so recognition must find no cover for
-    it.  When no member embeds, every deletion must be a line graph;
-    ``_member`` recognizes each, and its cover becomes the member's
-    witness.  The deletions are recognized by ``is_h_line``, which shares the extension step of
+    are cross-checked on every candidate.  Containment runs first, over
+    the smaller members in move-to-front order (``_first_contained``):
+    when one embeds, the candidate is not minimal, and only the deletion
+    of one vertex u outside the embedding's image is recognized.  That
+    deletion still contains the member, and an induced subgraph of a
+    line graph is a line graph, so recognition must find no cover for
+    it.  It is recognized from the classes of the parent minus u, found
+    once per (parent, u) in each layer (``_deletion_classes``).  When
+    no member embeds, every deletion must be a line graph; ``_member``
+    recognizes each with ``is_h_line``, and its cover becomes the
+    member's witness.  Recognition shares the extension step of
     ``recognition`` with the layer store; the two filters stay
     independent because containment (``find_embedding``) uses no
     recognition code.  Either disagreement raises ``HoffmanGraphError``.
@@ -337,21 +381,21 @@ def build_catalog(n_max, jobs=1, progress=None):
     smaller = []
     t0 = time.time()
     for n in range(5, n_max + 1):
-        line, non_line, _ = _layer(n)
+        line, non_line, _, _ = _layer(n)
         entries = []
+        below = {}
         for g, form in non_line:
-            embeddings = (find_embedding(m.graph, g) for m in smaller)
-            embedding = next((e for e in embeddings if e is not None), None)
-            if embedding is not None:
-                # g - v still contains the member, and an induced
-                # subgraph of a line graph is one, so it is no line graph
-                v = next(v for v in range(n) if v not in embedding)
-                if is_h_line(g.delete_slim({v})) is not None:
-                    raise HoffmanGraphError(
-                        "minimality filters disagree on " + write_graph6(g)
-                    )
+            embedding = _first_contained(g, smaller)
+            if embedding is None:
+                entries.append(_member(g, form))
                 continue
-            entries.append(_member(g, form))
+            # g is its parent, a line graph on the vertices below n - 1,
+            # plus n - 1.  A line graph contains no member, so the image
+            # holds n - 1 and the vertex u left out is below it; g - u
+            # still contains the member, so it is no line graph
+            u = next(v for v in range(n) if v not in embedding)
+            if n - 1 not in embedding or _deletion_classes(g, u, below):
+                raise HoffmanGraphError("minimality filters disagree on " + write_graph6(g))
         entries.sort(key=lambda e: e.form)
         cat.entries[n] = entries
         smaller.extend(entries)
@@ -501,7 +545,7 @@ def verify_cover_uniqueness(n):
     t0 = time.time()
     if not 5 <= n <= N_MAX:
         raise HoffmanGraphError(f"uniqueness audit covers 5 <= n <= {N_MAX}")
-    line, _, classes = _layer(n)
+    line, _, classes, _ = _layer(n)
     class_counts = [len(enumerate_strict_covers(g)) for g, _form in line]
     # every audited graph was recognized, so it must have a cover, and
     # enumeration must count the classes the layer store holds

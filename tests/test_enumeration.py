@@ -25,6 +25,8 @@ from hoffline.enumeration import (
     _compose,
     _cut_components,
     _extend,
+    _orbit_representatives,
+    _slim_graphs,
     _slot_partitions,
     _sum_family,
     _target_cell,
@@ -131,7 +133,10 @@ def _filter_parents():
         layer = list(all_slim_graphs(s))
         for f in range(3):
             if f:
-                layer = [c for p in layer for c, _form in _canonical_children(p, fat=True)]
+                layer = [
+                    c for p in layer
+                    for c, _form, _autos in _canonical_children(p, canonical_data(p)[2], fat=True)
+                ]
             yield from ((p, True, True) for p in layer)
 
 
@@ -210,7 +215,7 @@ def test_extended_neighbourhoods_are_orbit_minima(monkeypatch):
         ]
         pruned += len(want) < len(nbhds)
         extended.clear()
-        list(_canonical_children(parent, connected, fat))
+        list(_canonical_children(parent, canonical_data(parent)[2], connected, fat))
         assert extended == want
     assert pruned
 
@@ -227,15 +232,33 @@ def test_canonical_children_match_unpruned(parents):
     # the same children, graph for graph and in the same order, as the
     # step that extends every neighbourhood and labels every child that
     # passes the cell filter; the line graphs on n vertices are the
-    # parents of the catalog layer on n + 1
+    # parents of the catalog layer on n + 1, extended with the
+    # automorphisms that the layer store keeps for them
     if parents == "filter":
-        parents = list(_filter_parents())
+        parents = [(p, canonical_data(p)[2], *kind) for p, *kind in _filter_parents()]
     else:
-        parents = [(p, True, False) for p, _form in _layer(parents)[0]]
-    for parent, connected, fat in parents:
-        got = [(c.adj, f) for c, f in _canonical_children(parent, connected, fat)]
+        line, _, _, autos = _layer(parents)
+        parents = [(p, a, True, False) for (p, _form), a in zip(line, autos)]
+    for parent, autos, connected, fat in parents:
+        got = [(c.adj, f) for c, f, _autos in _canonical_children(parent, autos, connected, fat)]
         want = [(c.adj, f) for c, f in canonical_children_unpruned(parent, connected, fat)]
         assert got == want
+
+
+def test_carried_automorphisms_give_the_orbits_of_a_fresh_labelling():
+    # each graph's automorphisms are kept from the labelling that made it
+    # as a child; they must split the neighbourhoods into the same orbits
+    # as those of a labelling of the graph on its own
+    carried = [
+        *((g, a) for n in range(1, 7) for g, a in _slim_graphs(n, connected=True)),
+        *((g, a) for n in range(1, 6) for g, a in _slim_graphs(n, connected=False)),
+        *((g, a) for n in range(1, 8) for (g, _form), a in zip(_layer(n)[0], _layer(n)[3])),
+    ]
+    for g, autos in carried:
+        fresh = canonical_data(g)[2]
+        assert list(_orbit_representatives(g, autos, 0)) == list(
+            _orbit_representatives(g, fresh, 0)
+        )
 
 
 # -- graph6 --------------------------------------------------------------

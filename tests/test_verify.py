@@ -54,7 +54,7 @@ from helpers import cover_class, slim_complete, slim_cycle
 def test_line_layers_match_unpruned_generation(n):
     # the layer extends line graphs only; the unpruned generator is the
     # reference for what that prune must still reach
-    line, non_line, _ = _layer(n)
+    line, non_line, _, _ = _layer(n)
     forms = {canonical_form(g): g for g in connected_slim_graphs(n)}
     recognized = {f for f, g in forms.items() if is_h_line(g) is not None}
     assert sorted(f for _, f in line) == sorted(recognized)
@@ -92,42 +92,90 @@ def test_catalog_members_form_an_antichain(catalog7):
 def test_minimality_cross_check_rejects_a_false_cover(catalog7, monkeypatch):
     # a recognizer that covers a deletion still containing a smaller
     # member contradicts containment, and the build must stop; the
-    # layers are built unpatched first.  The members themselves keep
-    # their verdict, so that only containment can see the false cover
+    # layers are built unpatched first.  The seam sees only such
+    # deletions, and the members keep their verdict, so that only
+    # containment can see the false cover
     _layer(7)
-    members = [e.graph for e in catalog7.members()]
-    forms = {e.form for e in catalog7.members()}
-    real = verify.is_h_line
+    real = verify._deletion_classes
+    line_class = cover_class(is_h_line(slim_complete(3)))
 
-    def false_cover(g):
-        contains = any(find_embedding(m, g) is not None for m in members)
-        if contains and canonical_form(g) not in forms:
-            return real(slim_complete(g.n))
-        return real(g)
+    def false_cover(g, u, below):
+        return real(g, u, below) or [line_class]
 
-    monkeypatch.setattr(verify, "is_h_line", false_cover)
+    monkeypatch.setattr(verify, "_deletion_classes", false_cover)
     with pytest.raises(HoffmanGraphError, match="minimality filters disagree"):
         build_catalog(7)
 
 
 def test_minimality_recognizes_one_deletion_per_non_minimal_candidate(catalog7, monkeypatch):
     _layer(7)
-    calls = []
-    real = verify.is_h_line
+    deletions, parent_classes, members = [], [], []
+    real_deletion, real_classes, real_is_h_line = (
+        verify._deletion_classes, verify._classes, verify.is_h_line,
+    )
 
-    def counted(g):
-        calls.append(g.n)
-        return real(g)
+    def counted_deletion(g, u, below):
+        deletions.append(g.n)
+        return real_deletion(g, u, below)
 
-    monkeypatch.setattr(verify, "is_h_line", counted)
+    def counted_classes(g, mask, pinned):
+        w = g.n - 1
+        parent_classes.append((tuple(row & ~(1 << w) for row in g.adj[:w]), mask))
+        return real_classes(g, mask, pinned)
+
+    def counted_is_h_line(g):
+        members.append(g.n)
+        return real_is_h_line(g)
+
+    monkeypatch.setattr(verify, "_deletion_classes", counted_deletion)
+    monkeypatch.setattr(verify, "_classes", counted_classes)
+    monkeypatch.setattr(verify, "is_h_line", counted_is_h_line)
     assert build_catalog(7).checksum() == catalog7.checksum()
-    # one deletion per non-minimal candidate; each member is recognized
-    # itself and at each of its n deletions
-    expected = 0
-    for n in range(5, 8):
-        members = catalog7.counts()[n]
-        expected += len(_layer(n)[1]) - members + (n + 1) * members
-    assert len(calls) == expected
+    counts = catalog7.counts()
+    # one recognized deletion per non-minimal candidate, from the classes
+    # of its parent less one vertex, found once per (parent, vertex)
+    assert len(deletions) == sum(len(_layer(n)[1]) - counts[n] for n in range(5, 8))
+    assert len(set(parent_classes)) == len(parent_classes) < len(deletions)
+    # each member is recognized itself and at each of its n deletions
+    assert len(members) == sum((n + 1) * counts[n] for n in range(5, 8))
+
+
+@pytest.mark.parametrize("n", range(5, 8))
+def test_deletion_classes_from_the_parent_are_exact(n):
+    # for every candidate and every vertex below the new one, the classes
+    # read from the parent less that vertex are those of the reference
+    # search on the deletion; the cache is shared over the layer, as in
+    # the build
+    def drop(mask, u):
+        return mask & ((1 << u) - 1) | mask >> (u + 1) << u
+
+    below = {}
+    for g, _form in _layer(n)[1]:
+        for u in range(n - 1):
+            got = {
+                (tuple(drop(c, u) for c in cells), tuple(drop(f, u) for f in fats))
+                for cells, fats in verify._deletion_classes(g, u, below)
+            }
+            want = {cover_class(c) for c in strict_covers_reference(g.delete_slim({u}))}
+            assert got == want
+
+
+def test_minimality_refuses_an_embedding_without_the_new_vertex(monkeypatch):
+    # a candidate's parent is a line graph, so every embedding of a
+    # member must hold the new vertex; one that does not is a
+    # disagreement, not a deletion of the new vertex to recognize
+    _layer(6)
+
+    def outside_new_vertex(pattern, host):
+        return tuple(range(pattern.n))
+
+    def cross_check(g, u, below):
+        pytest.fail("the parent was cross-checked")
+
+    monkeypatch.setattr(verify, "find_embedding", outside_new_vertex)
+    monkeypatch.setattr(verify, "_deletion_classes", cross_check)
+    with pytest.raises(HoffmanGraphError, match="minimality filters disagree"):
+        build_catalog(6)
 
 
 def test_catalog_determinism(catalog7, monkeypatch):
@@ -153,7 +201,7 @@ def test_layer_classes_match_full_enumeration(n):
     # the store reads each child's classes from its parent's; the
     # reference search finds them again, on line and non-line children
     # alike
-    line, non_line, classes = _layer(n)
+    line, non_line, classes, _ = _layer(n)
     assert len(classes) == len(line)
     for (g, _form), stored in zip(line, classes):
         assert sorted(stored) == sorted(cover_class(c) for c in strict_covers_reference(g))
@@ -165,7 +213,7 @@ def test_layer_classes_match_full_enumeration(n):
 def test_deleting_the_new_vertex_gives_a_stored_parent_class(n):
     # each child is its parent plus vertex n - 1, so the deletion lemma
     # must map every cover of a line child onto a class of that parent
-    line, _, classes = _layer(n - 1)
+    line, _, classes, _ = _layer(n - 1)
     parents = {g.adj: k for (g, _form), k in zip(line, classes)}
     for g, _form in _layer(n)[0]:
         stored = {fats for _cells, fats in parents[g.delete_slim({n - 1}).adj]}
@@ -175,11 +223,11 @@ def test_deleting_the_new_vertex_gives_a_stored_parent_class(n):
 
 
 def test_uniqueness_audit_cross_checks_the_layer_store(monkeypatch):
-    line, non_line, classes = _layer(6)
+    line, non_line, classes, autos = _layer(6)
     assert verify_cover_uniqueness(6).ok
     # one stored class too many for the first line graph
     tampered = (classes[0] * 2, *classes[1:])
-    monkeypatch.setitem(verify._LAYERS, 6, (line, non_line, tampered))
+    monkeypatch.setitem(verify._LAYERS, 6, (line, non_line, tampered, autos))
     rep = verify_cover_uniqueness(6)
     assert not rep.ok
     assert rep.counterexample == write_graph6(line[0][0])
