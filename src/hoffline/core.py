@@ -143,9 +143,6 @@ class HoffmanGraph:
     def fat_mask(self):
         return ((1 << self.n) - 1) ^ self.slim_mask
 
-    def slim_neighbors(self, v):
-        return self.adj[v] & self.slim_mask
-
     def fat_neighbors(self, v):
         return self.adj[v] & self.fat_mask
 
@@ -633,7 +630,10 @@ def find_embedding(pattern, host):
     mapping = [-1] * pn
     last = pn - 1
 
-    def rec(i, doms):
+    # ``rec`` gets itself as an argument: a closure that named itself
+    # would hold a reference cycle, left for the cycle collector after
+    # every call
+    def rec(i, doms, rec):
         cand = doms[i]
         if i == last:
             # the domain of the last vertex is filtered against all others
@@ -653,11 +653,11 @@ def find_embedding(pattern, host):
                     break
                 new[j] = d
             else:
-                if rec(i + 1, new):
+                if rec(i + 1, new, rec):
                     mapping[order[i]] = w
                     return True
         return False
 
-    if rec(0, domains):
+    if rec(0, domains, rec):
         return tuple(mapping)
     return None

@@ -39,9 +39,6 @@ class TranscriptionMissing(HoffmanGraphError):
 H_NAMES = tuple(f"H{i}" for i in range(1, 10))
 F_NAMES = tuple(f"F{i}" for i in range(1, 10))
 
-#: the recognition family: sums are built from copies of these three
-LINE_FAMILY_NAMES = ("H2", "H3", "H5")
-
 _cache: dict[str, HoffmanGraph] = {}
 
 

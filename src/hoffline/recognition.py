@@ -34,8 +34,9 @@ non-adjacent and an H5 triple has one edge of three.  So in the
 complement of G on T the cells are exactly the components.
 
 Recognition builds the classes one vertex at a time.  The class of line
-graphs is hereditary, and ``delete_vertex_from_cover`` applies the
-deletion lemma (cases i-iv) to turn a cover of G into one of G - x.
+graphs is hereditary, and the deletion lemma (cases i-iv) turns a cover
+of G into one of G - x; the tests keep it, as
+``delete_vertex_from_cover`` in ``tests/bruteforce.py``, for an oracle.
 ``_extensions`` runs it backwards: from the classes of a graph P it
 reads those of P + v by mask tests, in the way ILIGRA builds a
 line-graph root one vertex at a time (Degiorgi & Simon, WG 1995).
@@ -64,19 +65,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import (
-    HoffmanGraph,
-    HoffmanGraphError,
-    NotConnected,
-    _iter_bits,
-    _mask_of,
-)
-from .families import classify_part
-from .sums import SumDecomposition, _sum_adjacency, validate_sum
-
-
-class VertexNotInGraph(HoffmanGraphError):
-    pass
+from .core import HoffmanGraph, HoffmanGraphError, _iter_bits
+from .sums import _sum_adjacency
 
 
 @dataclass(frozen=True)
@@ -93,10 +83,6 @@ class StrictCover:
     parts: tuple[frozenset[int], ...]
     classes: tuple[str, ...]
 
-    @property
-    def decomposition(self):
-        return SumDecomposition(self.host, self.parts)
-
     def to_json_dict(self):
         return {
             "slim_count": self.host.slim_count,
@@ -108,88 +94,6 @@ class StrictCover:
 
 
 # ---------------------------------------------------------------------------
-# Vertex deletion inside a cover
-# ---------------------------------------------------------------------------
-
-
-def delete_vertex_from_cover(decomposition, x):
-    """Transform a cover of H into one of H - x; returns (cover, case).
-
-    ``decomposition`` is a connected sum with part classes in
-    {H2, H3, H5} and ``x`` a slim vertex of it (lying in part H0).  The
-    resulting strict cover of H - x keeps every other part and replaces
-    H0 according to exactly one of four cases:
-
-      i    H0 was a copy of H2 (cell {x}); it vanishes.
-      ii   H0 was a copy of H3; the leftover slim vertex keeps the hub
-           and gains a fresh pendant fat vertex, forming a copy of H2.
-      iii  H0 was a copy of H5 and x was its isolated slim vertex; the
-           remaining adjacent pair becomes two copies of H2 sharing the
-           hub, each padded by a fresh pendant fat vertex.
-      iv   H0 was a copy of H5 and x an endpoint of its slim edge; the
-           remaining non-adjacent pair keeps the hub as a copy of H3.
-    """
-    if isinstance(decomposition, StrictCover):
-        decomposition = decomposition.decomposition
-    host = decomposition.host
-    parts = decomposition.parts
-    if not 0 <= x < host.slim_count:
-        raise VertexNotInGraph(f"{x} is not a slim vertex of the host")
-    if not host.is_connected():
-        raise NotConnected("the cover must be connected")
-    part_of = None
-    part_classes = []
-    for i, p in enumerate(parts):
-        sub, _ = host.induced_on(sorted(p))
-        cls = classify_part(sub)
-        if cls not in ("H2", "H3", "H5"):
-            raise HoffmanGraphError("part classes must lie in {H2, H3, H5}")
-        part_classes.append(cls)
-        if x in p:
-            part_of = i
-    if part_of is None:
-        raise VertexNotInGraph(f"{x} not covered by any part")
-    ok, why = validate_sum(host, parts)
-    if not ok:
-        raise HoffmanGraphError(f"the parts are not a sum: condition ({why}) fails")
-
-    s = host.slim_count
-    low = (1 << x) - 1
-
-    def drop_x(mask):
-        """A slim mask without x, higher slim indices moved down."""
-        return mask & low | mask >> 1 & ~low
-
-    # the cells (host indices) and classes replacing H0; a new H2 cell
-    # is padded by a fresh pendant fat vertex
-    home = sorted(v for v in parts[part_of] if v < s and v != x)
-    if part_classes[part_of] == "H2":
-        case, home_cells, home_classes = "i", [], []
-    elif part_classes[part_of] == "H3":
-        case, home_cells, home_classes = "ii", [home], ["H2"]
-    elif host.adjacent(*home):
-        case, home_cells, home_classes = "iii", [[v] for v in home], ["H2", "H2"]
-    else:
-        case, home_cells, home_classes = "iv", [home], ["H3"]
-    padded = home if case in ("ii", "iii") else []
-    cells = [_mask_of(p) & host.slim_mask for i, p in enumerate(parts) if i != part_of]
-    cells += [_mask_of(c) for c in home_cells]
-    classes = [c for i, c in enumerate(part_classes) if i != part_of] + home_classes
-
-    fat_nbhds = [drop_x(host.slim_neighbors(f)) for f in range(s, host.n)]
-    fat_nbhds = [m for m in fat_nbhds if m] + [drop_x(1 << v) for v in padded]
-    adj, new_parts = _sum_adjacency(
-        [drop_x(host.adj[v]) for v in range(s) if v != x],
-        [drop_x(c) for c in cells],
-        fat_nbhds,
-    )
-    new_host = HoffmanGraph(s - 1, len(fat_nbhds), adj)
-    base = host.delete_slim({x})
-    cover = StrictCover(base, new_host, tuple(new_parts), tuple(classes))
-    return cover, case
-
-
-# ---------------------------------------------------------------------------
 # Extension by one vertex: the deletion lemma run backwards
 # ---------------------------------------------------------------------------
 
@@ -198,10 +102,11 @@ def delete_vertex_from_cover(decomposition, x):
 # neighbourhood.
 #
 # Every class of C is found.  Let K be a strict cover of C.  Deleting v
-# from K as ``delete_vertex_from_cover`` does gives a strict cover K' of
-# P (its four cases need no connected host), and K' is in one class of
-# P, with the same fats, which fix the cells (see the module docstring).  So K is K' with v put back, one of four ways by
-# v's part in K:
+# from K by the deletion lemma (``delete_vertex_from_cover`` in
+# ``tests/bruteforce.py``) gives a strict cover K' of P (its four cases
+# need no connected host), and K' is in one class of P, with the same
+# fats, which fix the cells (see the module docstring).  So K is K'
+# with v put back, one of four ways by v's part in K:
 #   i    v is an H2 singleton.  Each of its two fats is a pad {v} or
 #        g + v for a fat g of K'.  v shares a fat with exactly the cells
 #        it sees and at most one fat with any cell, so the g's are

@@ -19,19 +19,20 @@ Every sum host in the package is built by one function,
 of each part and the slim neighbourhood of each fat vertex, it *derives*
 the cross-part slim adjacency from rule (iv) — two slim vertices in
 different parts become adjacent exactly when they share one fat vertex,
-and sharing two or more is an error.  ``build_sum`` (glued components),
-the compositions F (+) K of ``enumeration``, the strict covers and the
-vertex deletion of ``recognition`` and ``validate_sum``, which checks
-rule (iv) by deriving the slim adjacency of the host again, call it
+and sharing two or more is an error.  The compositions F (+) K of
+``enumeration`` and the strict covers of ``recognition`` call it
 directly.  When every fat vertex sees whole cells, as in the sums K of
 ``enumeration``, a fat vertex is the bitmask of the parts it spans and
 ``_block_sum`` builds the host from those blocks.
+
+``validate_sum`` does not reuse that builder: it checks rule (iv) by
+its definition, pair by pair, so a fault in ``_sum_adjacency`` shows up
+as a rejected host instead of being derived a second time.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import itertools
 
 from .core import (
     HoffmanGraph,
@@ -45,39 +46,6 @@ from .core import (
 class SharedFatConflict(HoffmanGraphError):
     """Two slim vertices in different parts share two or more fat
     vertices."""
-
-
-@dataclass(frozen=True)
-class SumDecomposition:
-    """A host graph with the vertex subsets of its summands.
-
-    Parts are stored sorted by their least slim vertex, so decompositions
-    compare as sets of parts.
-    """
-
-    host: HoffmanGraph
-    parts: tuple[frozenset[int], ...]
-
-    @staticmethod
-    def normalized(host, parts):
-        ordered = sorted(
-            (frozenset(p) for p in parts),
-            key=lambda p: min(
-                (v for v in p if v < host.slim_count), default=host.n
-            ),
-        )
-        return SumDecomposition(host, tuple(ordered))
-
-    def to_json(self):
-        doc = {
-            "host": {
-                "slim_count": self.host.slim_count,
-                "fat_count": self.host.fat_count,
-                "edges": sorted(self.host.edges()),
-            },
-            "parts": [sorted(p) for p in self.parts],
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def validate_sum(host, parts):
@@ -106,74 +74,15 @@ def validate_sum(host, parts):
         for v in p:
             if v < slim and host.fat_neighbors(v) & ~mask:
                 return False, "iii"
-    # rule (iv) holds iff no two slim vertices of different parts share
-    # two fat vertices and those sharing one are exactly the adjacent ones
-    try:
-        adj, _parts = _sum_adjacency(
-            host.adj[:slim], [_mask_of(c) for c in slim_sets], host.adj[slim:]
-        )
-    except SharedFatConflict:
-        return False, "iv"
-    if tuple(adj[:slim]) != host.adj[:slim]:
-        return False, "iv"
+    # rule (iv) by its definition, pair by pair
+    for a, b in itertools.combinations(slim_sets, 2):
+        for x in a:
+            fx = host.fat_neighbors(x)
+            for y in b:
+                common = (fx & host.fat_neighbors(y)).bit_count()
+                if common > 1 or (common == 1) != host.adjacent(x, y):
+                    return False, "iv"
     return True, None
-
-
-def build_sum(components, fat_glue=()):
-    """Assemble the sum of ``components`` with fat vertices identified.
-
-    ``fat_glue`` is an iterable of groups; each group is a collection of
-    ``(component_index, fat_vertex)`` pairs that become a single fat
-    vertex of the host.  Ungrouped fat vertices stay private to their
-    component.  Cross-component slim adjacency is derived from rule (iv).
-
-    Raises HoffmanGraphError when a group holds two fat vertices of one
-    component (merging them would change that component), and
-    SharedFatConflict when two slim vertices of different components
-    would share two fat vertices.
-    """
-    components = list(components)
-    groups = [list(g) for g in fat_glue]
-    used = set()
-    for g in groups:
-        if len(g) < 2:
-            raise HoffmanGraphError("a glue group needs at least two fat vertices")
-        group_comps = set()
-        for ci, fv in g:
-            if not 0 <= ci < len(components):
-                raise IndexOutOfRange(f"no component {ci}")
-            comp = components[ci]
-            if not comp.slim_count <= fv < comp.n:
-                raise IndexOutOfRange(f"{fv} is not a fat vertex of component {ci}")
-            if (ci, fv) in used:
-                raise HoffmanGraphError(f"fat vertex ({ci},{fv}) glued twice")
-            if ci in group_comps:
-                raise HoffmanGraphError(
-                    f"a glue group holds two fat vertices of component {ci}"
-                )
-            used.add((ci, fv))
-            group_comps.add(ci)
-
-    offsets = []
-    next_slim = 0
-    for comp in components:
-        offsets.append(next_slim)
-        next_slim += comp.slim_count
-    slim_rows = [
-        row << off for comp, off in zip(components, offsets) for row in comp.adj[: comp.slim_count]
-    ]
-    cells = [comp.slim_mask << off for comp, off in zip(components, offsets)]
-    fat_nbhds = [0] * len(groups)
-    for gi, g in enumerate(groups):
-        for ci, fv in g:
-            fat_nbhds[gi] |= components[ci].adj[fv] << offsets[ci]
-    for ci, comp in enumerate(components):
-        for fv in range(comp.slim_count, comp.n):
-            if (ci, fv) not in used:
-                fat_nbhds.append(comp.adj[fv] << offsets[ci])
-    adj, parts = _sum_adjacency(slim_rows, cells, fat_nbhds)
-    host = HoffmanGraph(next_slim, len(fat_nbhds), adj)
-    return host, SumDecomposition.normalized(host, parts)
 
 
 def _sum_adjacency(slim_rows, cells, fat_nbhds):

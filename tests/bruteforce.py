@@ -47,6 +47,11 @@ Two more are the production kernels as they stood before their per-call
 set-up was taken out, kept as references for the mappings and intervals
 the rewritten kernels must reproduce exactly: ``find_embedding_per_call``
 and ``smallest_root_interval_fractions`` (see the end of this module).
+
+Last, two constructions of the paper that no code of the package runs:
+``delete_vertex_from_cover``, the deletion lemma (cases i-iv) on a
+cover, which ``recognition._extensions`` runs backwards, and
+``build_sum``, a sum glued from its parts with no recognition code.
 """
 
 import itertools
@@ -56,6 +61,8 @@ from fractions import Fraction
 from hoffline.core import (
     HoffmanGraph,
     HoffmanGraphError,
+    IndexOutOfRange,
+    NotConnected,
     _adjacency_key,
     _find,
     _iter_bits,
@@ -69,7 +76,7 @@ from hoffline.enumeration import (
     _extend,
     all_slim_graphs,
 )
-from hoffline.families import LINE_FAMILY_NAMES, family_graph
+from hoffline.families import classify_part, family_graph
 from hoffline.spectral import (
     BRACKET_WIDTH,
     EmptyGraph,
@@ -83,7 +90,7 @@ from hoffline.spectral import (
     sturm_chain,
 )
 from hoffline.recognition import StrictCover
-from hoffline.sums import SumDecomposition, _block_sum, _sum_adjacency, validate_sum
+from hoffline.sums import _block_sum, _sum_adjacency, validate_sum
 
 from helpers import automorphism_orbits
 
@@ -536,6 +543,161 @@ def strict_covers_reference(g):
         fats = [*blocks[:pinned], *sorted(blocks[pinned:]), *padding]
         host, parts = _block_sum(g.adj[:s], [_mask_of(c) for c in cells], [_mask_of(b) for b in fats])
         yield StrictCover(g, host, parts, tuple(classes))
+
+
+# -- the deletion lemma and glued sums --------------------------------------
+#
+# ``delete_vertex_from_cover`` is the paper's deletion lemma on a cover,
+# the oracle that ``recognition._extensions`` (the lemma run backwards)
+# is tested against.  ``build_sum`` builds a sum from its parts with no
+# recognition code, the independent generator of
+# ``test_random_sums_are_found_among_covers``.
+
+
+class VertexNotInGraph(HoffmanGraphError):
+    pass
+
+
+def delete_vertex_from_cover(host, parts, x):
+    """Transform a cover of H into one of H - x; returns (cover, case).
+
+    ``host`` is a connected sum with the part vertex sets ``parts``, of
+    classes in {H2, H3, H5}, and ``x`` a slim vertex of it (lying in
+    part H0).  The resulting strict cover of H - x keeps every other
+    part and replaces H0 according to exactly one of four cases:
+
+      i    H0 was a copy of H2 (cell {x}); it vanishes.
+      ii   H0 was a copy of H3; the leftover slim vertex keeps the hub
+           and gains a fresh pendant fat vertex, forming a copy of H2.
+      iii  H0 was a copy of H5 and x was its isolated slim vertex; the
+           remaining adjacent pair becomes two copies of H2 sharing the
+           hub, each padded by a fresh pendant fat vertex.
+      iv   H0 was a copy of H5 and x an endpoint of its slim edge; the
+           remaining non-adjacent pair keeps the hub as a copy of H3.
+    """
+    if not 0 <= x < host.slim_count:
+        raise VertexNotInGraph(f"{x} is not a slim vertex of the host")
+    if not host.is_connected():
+        raise NotConnected("the cover must be connected")
+    part_of = None
+    part_classes = []
+    for i, p in enumerate(parts):
+        sub, _ = host.induced_on(sorted(p))
+        cls = classify_part(sub)
+        if cls not in ("H2", "H3", "H5"):
+            raise HoffmanGraphError("part classes must lie in {H2, H3, H5}")
+        part_classes.append(cls)
+        if x in p:
+            part_of = i
+    if part_of is None:
+        raise VertexNotInGraph(f"{x} not covered by any part")
+    ok, why = validate_sum(host, parts)
+    if not ok:
+        raise HoffmanGraphError(f"the parts are not a sum: condition ({why}) fails")
+
+    s = host.slim_count
+    low = (1 << x) - 1
+
+    def drop_x(mask):
+        """A slim mask without x, higher slim indices moved down."""
+        return mask & low | mask >> 1 & ~low
+
+    # the cells (host indices) and classes replacing H0; a new H2 cell
+    # is padded by a fresh pendant fat vertex
+    home = sorted(v for v in parts[part_of] if v < s and v != x)
+    if part_classes[part_of] == "H2":
+        case, home_cells, home_classes = "i", [], []
+    elif part_classes[part_of] == "H3":
+        case, home_cells, home_classes = "ii", [home], ["H2"]
+    elif host.adjacent(*home):
+        case, home_cells, home_classes = "iii", [[v] for v in home], ["H2", "H2"]
+    else:
+        case, home_cells, home_classes = "iv", [home], ["H3"]
+    padded = home if case in ("ii", "iii") else []
+    cells = [_mask_of(p) & host.slim_mask for i, p in enumerate(parts) if i != part_of]
+    cells += [_mask_of(c) for c in home_cells]
+    classes = [c for i, c in enumerate(part_classes) if i != part_of] + home_classes
+
+    fat_nbhds = [drop_x(host.adj[f] & host.slim_mask) for f in range(s, host.n)]
+    fat_nbhds = [m for m in fat_nbhds if m] + [drop_x(1 << v) for v in padded]
+    adj, new_parts = _sum_adjacency(
+        [drop_x(host.adj[v]) for v in range(s) if v != x],
+        [drop_x(c) for c in cells],
+        fat_nbhds,
+    )
+    new_host = HoffmanGraph(s - 1, len(fat_nbhds), adj)
+    base = host.delete_slim({x})
+    cover = StrictCover(base, new_host, tuple(new_parts), tuple(classes))
+    return cover, case
+
+
+def _by_least_slim(host, parts):
+    """``parts`` as frozensets sorted by their least slim vertex, so that
+    two lists of the same parts compare equal."""
+    return tuple(
+        sorted(
+            (frozenset(p) for p in parts),
+            key=lambda p: min((v for v in p if v < host.slim_count), default=host.n),
+        )
+    )
+
+
+def build_sum(components, fat_glue=()):
+    """Assemble the sum of ``components`` with fat vertices identified;
+    returns (host, parts), the parts sorted by their least slim vertex.
+
+    ``fat_glue`` is an iterable of groups; each group is a collection of
+    ``(component_index, fat_vertex)`` pairs that become a single fat
+    vertex of the host.  Ungrouped fat vertices stay private to their
+    component.  Cross-component slim adjacency is derived from rule (iv).
+
+    Raises HoffmanGraphError when a group holds two fat vertices of one
+    component (merging them would change that component), and
+    SharedFatConflict when two slim vertices of different components
+    would share two fat vertices.
+    """
+    components = list(components)
+    groups = [list(g) for g in fat_glue]
+    used = set()
+    for g in groups:
+        if len(g) < 2:
+            raise HoffmanGraphError("a glue group needs at least two fat vertices")
+        group_comps = set()
+        for ci, fv in g:
+            if not 0 <= ci < len(components):
+                raise IndexOutOfRange(f"no component {ci}")
+            comp = components[ci]
+            if not comp.slim_count <= fv < comp.n:
+                raise IndexOutOfRange(f"{fv} is not a fat vertex of component {ci}")
+            if (ci, fv) in used:
+                raise HoffmanGraphError(f"fat vertex ({ci},{fv}) glued twice")
+            if ci in group_comps:
+                raise HoffmanGraphError(
+                    f"a glue group holds two fat vertices of component {ci}"
+                )
+            used.add((ci, fv))
+            group_comps.add(ci)
+
+    offsets = []
+    next_slim = 0
+    for comp in components:
+        offsets.append(next_slim)
+        next_slim += comp.slim_count
+    slim_rows = [
+        row << off for comp, off in zip(components, offsets) for row in comp.adj[: comp.slim_count]
+    ]
+    cells = [comp.slim_mask << off for comp, off in zip(components, offsets)]
+    fat_nbhds = [0] * len(groups)
+    for gi, g in enumerate(groups):
+        for ci, fv in g:
+            fat_nbhds[gi] |= components[ci].adj[fv] << offsets[ci]
+    for ci, comp in enumerate(components):
+        for fv in range(comp.slim_count, comp.n):
+            if (ci, fv) not in used:
+                fat_nbhds.append(comp.adj[fv] << offsets[ci])
+    adj, parts = _sum_adjacency(slim_rows, cells, fat_nbhds)
+    host = HoffmanGraph(next_slim, len(fat_nbhds), adj)
+    return host, _by_least_slim(host, parts)
 
 
 # -- the typed cell partitions as they stood before one layout per class ---
@@ -1167,6 +1329,9 @@ def smallest_root_interval_fractions(poly, tolerance=BRACKET_WIDTH):
 # pair.  Over {H2, H3, H5} a host has at most one decomposition; the tests
 # verify that uniqueness on the strict covers.
 
+#: the recognition family: the sums are built from copies of these three
+LINE_FAMILY_NAMES = ("H2", "H3", "H5")
+
 
 def line_family_forms():
     """Canonical forms of {H2, H3, H5}, for decomposition class filters."""
@@ -1189,7 +1354,8 @@ def _cells_respect_iv(host, cells):
 
 def decompose(host, allowed_classes):
     """All decompositions of ``host`` into parts with isomorphism class in
-    ``allowed_classes`` (a set of canonical forms), up to part order.
+    ``allowed_classes`` (a set of canonical forms), up to part order, as
+    (host, parts) pairs with the parts sorted by their least slim vertex.
 
     Every part is the closure of its slim cell, so the search partitions
     the slim vertex set; a part's class is checked by canonical form.
@@ -1201,7 +1367,7 @@ def decompose(host, allowed_classes):
     sizes = sorted({c[0] for c in allowed})
     if host.slim_count == 0:
         if host.fat_count == 0:
-            return [SumDecomposition(host, ())]
+            return [(host, ())]
         return []
     slim = host.slim_count
     results = []
@@ -1212,7 +1378,7 @@ def decompose(host, allowed_classes):
                 parts = [
                     frozenset(host.closure_vertices(c)) for c in cells
                 ]
-                results.append(SumDecomposition.normalized(host, parts))
+                results.append(_by_least_slim(host, parts))
             return
         v = min(uncovered)
         rest = sorted(uncovered - {v})
@@ -1229,9 +1395,5 @@ def decompose(host, allowed_classes):
                 cells.pop()
 
     rec(frozenset(range(slim)), [])
-    uniq = {}
-    for d in results:
-        uniq.setdefault(d.parts, d)
-    return sorted(
-        uniq.values(), key=lambda d: tuple(sorted(tuple(sorted(p)) for p in d.parts))
-    )
+    uniq = sorted(set(results), key=lambda parts: tuple(sorted(tuple(sorted(p)) for p in parts)))
+    return [(host, parts) for parts in uniq]

@@ -1,7 +1,6 @@
 """Small constructors and checks that only the tests use."""
 
 import itertools
-import json
 
 from hoffline.core import (
     HoffmanGraph,
@@ -13,7 +12,6 @@ from hoffline.core import (
     canonical_data,
 )
 from hoffline.families import TranscriptionMissing, family_graph
-from hoffline.sums import SumDecomposition
 
 
 def slim_complete(n):
@@ -86,14 +84,3 @@ def have_family_graph(name: str) -> bool:
         return True
     except TranscriptionMissing:
         return False
-
-
-def sum_decomposition_from_json(text):
-    """The inverse of ``SumDecomposition.to_json``."""
-    doc = json.loads(text)
-    host = HoffmanGraph.build(
-        doc["host"]["slim_count"],
-        doc["host"]["fat_count"],
-        [tuple(e) for e in doc["host"]["edges"]],
-    )
-    return SumDecomposition(host, tuple(frozenset(p) for p in doc["parts"]))

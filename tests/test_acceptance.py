@@ -15,11 +15,7 @@ import pytest
 from hoffline.core import canonical_form
 from hoffline.enumeration import connected_slim_graphs, parse_graph6, write_graph6
 from hoffline.families import family_graph
-from hoffline.recognition import (
-    delete_vertex_from_cover,
-    enumerate_strict_covers,
-    is_h_line,
-)
+from hoffline.recognition import enumerate_strict_covers, is_h_line
 from hoffline.spectral import Verdict, equals_threshold, smallest_eigenvalue
 from hoffline.sums import validate_sum
 from hoffline import verify
@@ -32,7 +28,7 @@ from hoffline.verify import (
     verify_table1,
 )
 
-from bruteforce import decompose, line_family_forms
+from bruteforce import decompose, delete_vertex_from_cover, line_family_forms
 from helpers import have_family_graph, relabeled
 
 
@@ -207,10 +203,10 @@ def test_criterion_8_property_suites():
                         assert (h.fat_neighbors(u) & h.fat_neighbors(v)).bit_count() <= 1
                 decs = decompose(h, forms)
                 assert len(decs) == 1
-                assert set(decs[0].parts) == set(cover.parts)
+                assert set(decs[0][1]) == set(cover.parts)
                 if h.is_connected():
                     for x in range(h.slim_count):
-                        out, case = delete_vertex_from_cover(cover.decomposition, x)
+                        out, case = delete_vertex_from_cover(h, cover.parts, x)
                         assert case in ("i", "ii", "iii", "iv")
                         ok, why = validate_sum(out.host, out.parts)
                         assert ok, why

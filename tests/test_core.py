@@ -1,5 +1,6 @@
 """Data model, closures, canonical forms, embeddings, connectivity."""
 
+import gc
 import itertools
 import random
 
@@ -386,6 +387,24 @@ def test_embedding_matches_per_call_reference(catalog8, spectral_corpus, monkeyp
 def test_embedding_respects_colors():
     assert find_embedding(family_graph("H1"), slim_path(4)) is None
     assert find_embedding(family_graph("H1"), family_graph("H2")) is not None
+
+
+def test_embedding_leaves_no_reference_cycles():
+    # a call's search state is freed by reference counting, so a batch
+    # of calls leaves nothing for the cycle collector
+    patterns = list(connected_slim_graphs(5))
+    hosts = list(connected_slim_graphs(7))[::80]
+    for pattern in patterns:
+        find_embedding(pattern, hosts[0])  # builds the memoized plan
+    gc.collect()
+    gc.disable()
+    try:
+        found = [find_embedding(p, h) is not None for p in patterns for h in hosts]
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert 0 < sum(found) < len(found) and len(found) >= 200
+    assert left == 0
 
 
 # -- connectivity and the deletable pair --------------------------------

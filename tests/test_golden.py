@@ -38,21 +38,17 @@ from hoffline.enumeration import (
     write_graph6,
 )
 from hoffline.families import family_graph
-from hoffline.recognition import (
-    delete_vertex_from_cover,
-    enumerate_strict_covers,
-    is_h_line,
-)
+from hoffline.recognition import enumerate_strict_covers, is_h_line
 from hoffline.spectral import (
     compare_threshold,
     count_eigenvalues_below_threshold,
     equals_threshold,
     smallest_eigenvalue,
 )
-from hoffline.sums import build_sum, validate_sum
+from hoffline.sums import validate_sum
 from hoffline.verify import build_catalog
 
-from helpers import sum_decomposition_from_json
+from bruteforce import build_sum, delete_vertex_from_cover
 
 CLI_DIGESTS = {
     "recognize": "ed28d70a29bd7a5410ab48e1a5694efbd645e1b764bd5ad2b0e9e061da9cd75e",
@@ -209,7 +205,7 @@ def test_delete_vertex_from_cover_records():
                 if not c.host.is_connected() or set(c.classes) - {"H2", "H3", "H5"}:
                     continue
                 for x in range(c.host.slim_count):
-                    out, case = delete_vertex_from_cover(c.decomposition, x)
+                    out, case = delete_vertex_from_cover(c.host, c.parts, x)
                     lines.append(json.dumps(
                         [case, out.to_json_dict(), list(out.base.adj), out.base.fat_count]
                     ))
@@ -275,17 +271,15 @@ def _build_sum_record(rng):
         glue.append(slots[:size])
         slots = slots[size:]
     try:
-        host, dec = build_sum(comps, glue)
+        host, parts = build_sum(comps, glue)
     except HoffmanGraphError as exc:
         return json.dumps(["raised", type(exc).__name__])
-    again = sum_decomposition_from_json(dec.to_json())
-    assert again == dec
     return json.dumps([
         host.slim_count,
         host.fat_count,
         list(host.adj),
-        [sorted(p) for p in dec.parts],
-        validate_sum(host, dec.parts)[0],
+        [sorted(p) for p in parts],
+        validate_sum(host, parts)[0],
     ])
 
 

@@ -2,9 +2,11 @@
 
 Three kinds of dead code fail the suite: an import that a module never
 uses, a private top-level function that no module of the package
-refers to, and a public function, class or method that neither the
-package, the benchmark harness in ``perfbench/`` nor ``__all__`` uses (a
-helper only the tests need belongs in the tests).  ``__init__``
+refers to, and a public function, class, method or module-level
+constant that neither the package, the benchmark harness in
+``perfbench/`` nor ``__all__`` uses.  There are no exemptions: a helper
+or oracle that only the tests need lives in the tests, as the deletion
+lemma and ``build_sum`` do in ``bruteforce.py``.  ``__init__``
 re-exports its imports and is left out of the first check.
 Any ``assert`` statement in the package fails the suite as well:
 ``python -O`` strips it, and an exactness check must survive that, so
@@ -64,17 +66,6 @@ def test_private_functions_are_called_from_src():
     assert unused == []
 
 
-#: public names that only the tests use, each kept for a reason
-REFERENCES = {
-    # the paper's deletion lemma, the oracle that ``_extensions`` (the
-    # lemma run backwards) is tested against
-    "delete_vertex_from_cover",
-    # builds a sum from its parts with no recognition code, the
-    # independent generator of test_random_sums_are_found_among_covers
-    "build_sum",
-}
-
-
 def _counts(nodes, attributes_only):
     """How often ``nodes`` read each name as an attribute and, unless
     ``attributes_only``, as a bare name."""
@@ -92,7 +83,7 @@ def _used_outside_src():
     """``__all__``, every name ``perfbench/`` reads, and each dotted part
     of its strings: ``spans.py`` names its targets in strings such as
     ``"MfsCatalog.save"``."""
-    names = set(REFERENCES)
+    names = set()
     for node in MODULES["__init__"].body:
         targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
         if targets == ["__all__"]:
@@ -109,15 +100,24 @@ def _used_outside_src():
 
 
 def test_public_api_is_used():
-    # a function or class counts as used when code outside its own body
-    # reads its name, a method only when such code reads it as an
-    # attribute
+    # a function, class or constant counts as used when code outside its
+    # own definition reads its name, a method only when such code reads
+    # it as an attribute
     tops = [node for tree in MODULES.values() for node in tree.body]
     defs = [
-        (node.name, node, False) for node in tops if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        (node.name, node.name, node, False)
+        for node in tops
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     ]
     defs += [
-        (f"{top.name}.{node.name}", node, True)
+        (target.id, target.id, node, False)
+        for node in tops
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+    defs += [
+        (f"{top.name}.{node.name}", node.name, node, True)
         for top in tops
         if isinstance(top, ast.ClassDef)
         for node in top.body
@@ -127,10 +127,10 @@ def test_public_api_is_used():
     outside = _used_outside_src()
     unused = [
         label
-        for label, node, method in defs
-        if not node.name.startswith("_")
-        and node.name not in outside
-        and seen[method][node.name] == _counts([node], method)[node.name]
+        for label, name, node, method in defs
+        if not name.startswith("_")
+        and name not in outside
+        and seen[method][name] == _counts([node], method)[name]
     ]
     assert unused == []
 

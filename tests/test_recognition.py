@@ -14,16 +14,16 @@ from hoffline.core import (
 )
 from hoffline.enumeration import all_slim_graphs, connected_slim_graphs, fat_hoffman_graphs
 from hoffline.families import classify_part, family_graph
-from hoffline.recognition import (
-    VertexNotInGraph,
-    _extensions,
-    delete_vertex_from_cover,
-    enumerate_strict_covers,
-    is_h_line,
-)
-from hoffline.sums import SumDecomposition, build_sum, validate_sum
+from hoffline.recognition import _extensions, enumerate_strict_covers, is_h_line
+from hoffline.sums import validate_sum
 
-from bruteforce import hline_bruteforce, strict_covers_reference
+from bruteforce import (
+    VertexNotInGraph,
+    build_sum,
+    delete_vertex_from_cover,
+    hline_bruteforce,
+    strict_covers_reference,
+)
 from helpers import (
     DifferentBase,
     cover_class,
@@ -316,7 +316,7 @@ def _connected_cover_with_first_class(cls_name):
 def test_delete_from_h2_part_case_i():
     cover, i = _connected_cover_with_first_class("H2")
     x = min(v for v in cover.parts[i] if v < cover.host.slim_count)
-    out, case = delete_vertex_from_cover(cover.decomposition, x)
+    out, case = delete_vertex_from_cover(cover.host, cover.parts, x)
     assert case == "i"
     _sound(out)
     assert out.base == cover.host.delete_slim({x})
@@ -325,7 +325,7 @@ def test_delete_from_h2_part_case_i():
 def test_delete_from_h3_part_case_ii():
     cover, i = _connected_cover_with_first_class("H3")
     x = min(v for v in cover.parts[i] if v < cover.host.slim_count)
-    out, case = delete_vertex_from_cover(cover.decomposition, x)
+    out, case = delete_vertex_from_cover(cover.host, cover.parts, x)
     assert case == "ii"
     _sound(out)
     # one fresh fat vertex is a pendant vertex of the new host
@@ -339,10 +339,10 @@ def test_delete_from_h5_part_cases_iii_iv():
     # the slim edge gives case iv; exercise both on one H5-containing sum
     h5 = family_graph("H5")
     h2 = family_graph("H2")
-    host, dec = build_sum([h5, h2], [[(0, 3), (1, 1)]])
+    host, parts = build_sum([h5, h2], [[(0, 3), (1, 1)]])
     cases = {}
-    for x in sorted(v for v in dec.parts[0] if v < host.slim_count):
-        out, case = delete_vertex_from_cover(dec, x)
+    for x in sorted(v for v in parts[0] if v < host.slim_count):
+        out, case = delete_vertex_from_cover(host, parts, x)
         _sound(out)
         cases[x] = case
     assert sorted(cases.values()) == ["iii", "iv", "iv"]
@@ -360,7 +360,7 @@ def test_delete_every_choice_is_classified_small():
                 if set(c.classes) - {"H2", "H3", "H5"}:
                     continue
                 for x in range(c.host.slim_count):
-                    out, case = delete_vertex_from_cover(c.decomposition, x)
+                    out, case = delete_vertex_from_cover(c.host, c.parts, x)
                     assert case in ("i", "ii", "iii", "iv")
                     seen.add(case)
                     _sound(out)
@@ -371,7 +371,7 @@ def test_delete_every_choice_is_classified_small():
 def test_delete_rejects_bad_vertex():
     cover = enumerate_strict_covers(slim_path(3))[0]
     with pytest.raises(VertexNotInGraph):
-        delete_vertex_from_cover(cover.decomposition, 99)
+        delete_vertex_from_cover(cover.host, cover.parts, 99)
 
 
 def test_delete_rejects_a_decomposition_that_is_not_a_sum():
@@ -383,7 +383,7 @@ def test_delete_rejects_a_decomposition_that_is_not_a_sum():
     parts = (frozenset({0, 3, 4}), frozenset({1, 3, 5}), frozenset({2, 5, 6}))
     assert validate_sum(host, parts) == (False, "iv")
     with pytest.raises(HoffmanGraphError, match=r"\(iv\)"):
-        delete_vertex_from_cover(SumDecomposition(host, parts), 2)
+        delete_vertex_from_cover(host, parts, 2)
 
 
 # -- extension by one vertex --------------------------------------------

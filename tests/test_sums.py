@@ -2,18 +2,20 @@
 
 import pytest
 
-from hoffline.core import HoffmanGraph, HoffmanGraphError, canonical_form
+from hoffline import recognition, sums
+from hoffline.core import HoffmanGraph, HoffmanGraphError, _iter_bits, canonical_form
 from hoffline.enumeration import connected_slim_graphs, fat_hoffman_graphs
 from hoffline.families import classify_part, family_graph
-from hoffline.recognition import enumerate_strict_covers
-from hoffline.sums import (
-    SharedFatConflict,
-    build_sum,
-    validate_sum,
-)
+from hoffline.recognition import enumerate_strict_covers, is_h_line
+from hoffline.sums import SharedFatConflict, validate_sum
 
-from bruteforce import _cells_respect_iv, _partitions_upto3, decompose, line_family_forms
-from helpers import sum_decomposition_from_json
+from bruteforce import (
+    _cells_respect_iv,
+    _partitions_upto3,
+    build_sum,
+    decompose,
+    line_family_forms,
+)
 
 
 def _h1():
@@ -72,10 +74,10 @@ def test_fat_outside_part_violates_iii():
 
 
 def test_build_sum_two_h1_glued():
-    host, dec = build_sum([_h1(), _h1()], [[(0, 1), (1, 1)]])
+    host, parts = build_sum([_h1(), _h1()], [[(0, 1), (1, 1)]])
     assert host.slim_count == 2 and host.fat_count == 1
     assert host.adjacent(0, 1)  # forced by the shared fat
-    assert validate_sum(host, dec.parts)[0]
+    assert validate_sum(host, parts)[0]
 
 
 def test_build_sum_double_glue_conflicts():
@@ -92,19 +94,19 @@ def test_build_sum_rejects_gluing_fats_of_one_component():
 
 
 def test_build_sum_h3_h3_shared_fat():
-    host, dec = build_sum([_h3(), _h3()], [[(0, 2), (1, 2)]])
+    host, parts = build_sum([_h3(), _h3()], [[(0, 2), (1, 2)]])
     assert host.slim_count == 4 and host.fat_count == 1
     # all four cross pairs share the glued fat, hence are adjacent
     for x in (0, 1):
         for y in (2, 3):
             assert host.adjacent(x, y)
-    assert validate_sum(host, dec.parts)[0]
+    assert validate_sum(host, parts)[0]
 
 
 def test_build_sum_unglued_stays_disconnected():
-    host, dec = build_sum([_h1(), _h1()])
+    host, parts = build_sum([_h1(), _h1()])
     assert len(host.connected_components()) == 2
-    assert validate_sum(host, dec.parts)[0]
+    assert validate_sum(host, parts)[0]
 
 
 def test_build_sum_validate_round_trip_random():
@@ -127,10 +129,10 @@ def test_build_sum_validate_round_trip_random():
             if len({ci for ci, _ in group}) == len(group):
                 glue = [group]
         try:
-            host, dec = build_sum(chosen, glue)
+            host, parts = build_sum(chosen, glue)
         except SharedFatConflict:
             continue
-        ok, why = validate_sum(host, dec.parts)
+        ok, why = validate_sum(host, parts)
         assert ok, why
 
 
@@ -148,6 +150,34 @@ def test_validate_sum_rule_iv_matches_pairwise_check():
     assert rejected
 
 
+def test_validate_sum_does_not_share_the_builders_faults(monkeypatch):
+    # a builder that drops slim vertex 0's edges to other parts makes
+    # hosts that break rule (iv); validate_sum, which does not call the
+    # builder, must reject every one that differs from the true cover
+    real = sums._sum_adjacency
+
+    def drops_vertex_0(slim_rows, cells, fat_nbhds):
+        adj, parts = real(slim_rows, cells, fat_nbhds)
+        own = next(c for c in cells if c & 1)
+        cross = adj[0] & ((1 << len(slim_rows)) - 1) & ~own
+        adj[0] &= ~cross
+        for y in _iter_bits(cross):
+            adj[y] &= ~1
+        return adj, parts
+
+    true_covers = [is_h_line(g) for g in connected_slim_graphs(5)]
+    monkeypatch.setattr(sums, "_sum_adjacency", drops_vertex_0)
+    monkeypatch.setattr(recognition, "_sum_adjacency", drops_vertex_0)
+    wrong = 0
+    for g, true in zip(connected_slim_graphs(5), true_covers):
+        cover = is_h_line(g)
+        if cover is None or cover.host == true.host:
+            continue
+        wrong += 1
+        assert validate_sum(cover.host, cover.parts) == (False, "iv")
+    assert wrong == 19
+
+
 # -- decompose (the reference in bruteforce) -------------------------------
 
 
@@ -155,21 +185,21 @@ def test_decompose_h3_single_part():
     h3 = _h3()
     out = decompose(h3, line_family_forms())
     assert len(out) == 1
-    assert out[0].parts == (frozenset({0, 1, 2}),)
+    assert out[0] == (h3, (frozenset({0, 1, 2}),))
 
 
 def test_decompose_two_h1_shared_fat_over_h1():
     host = HoffmanGraph.build(2, 1, [(0, 1), (0, 2), (1, 2)])
     out = decompose(host, {canonical_form(_h1())})
     assert len(out) == 1
-    assert set(out[0].parts) == {frozenset({0, 2}), frozenset({1, 2})}
+    assert set(out[0][1]) == {frozenset({0, 2}), frozenset({1, 2})}
 
 
 def test_decompose_empty_graph():
     from hoffline.core import EMPTY_GRAPH
 
     out = decompose(EMPTY_GRAPH, line_family_forms())
-    assert len(out) == 1 and out[0].parts == ()
+    assert out == [(EMPTY_GRAPH, ())]
 
 
 def test_decompose_unique_on_cover_hosts():
@@ -181,7 +211,7 @@ def test_decompose_unique_on_cover_hosts():
             for cover in enumerate_strict_covers(g):
                 decs = decompose(cover.host, forms)
                 assert len(decs) == 1
-                assert set(decs[0].parts) == set(cover.parts)
+                assert set(decs[0][1]) == set(cover.parts)
 
 
 def test_fat_degree_bounds_on_covers():
@@ -239,10 +269,10 @@ def test_restriction_commutes_with_sum():
         slot_a = (0, rng.randrange(a.slim_count, a.n))
         slot_b = (1, rng.randrange(b.slim_count, b.n))
         try:
-            host, dec = build_sum([a, b], [[slot_a, slot_b]])
+            host, parts = build_sum([a, b], [[slot_a, slot_b]])
         except SharedFatConflict:
             continue
-        part_a, part_b = dec.parts
+        part_a, part_b = parts
         slim_b = sorted(v for v in part_b if v < host.slim_count)
         if not slim_b:
             continue
@@ -255,15 +285,6 @@ def test_restriction_commutes_with_sum():
         assert canonical_form(direct) == canonical_form(again)
         checked += 1
     assert checked > 30
-
-
-def test_decomposition_json_round_trip():
-    host, dec = build_sum([_h3(), _h3()], [[(0, 2), (1, 2)]])
-    text = dec.to_json()
-    back = sum_decomposition_from_json(text)
-    assert back.host == dec.host
-    assert set(back.parts) == set(dec.parts)
-    assert back.to_json() == text
 
 
 def test_classify_part_names():

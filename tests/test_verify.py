@@ -18,7 +18,7 @@ from hoffline.enumeration import (
     write_graph6,
 )
 from hoffline.families import family_graph
-from hoffline.recognition import delete_vertex_from_cover, is_h_line
+from hoffline.recognition import is_h_line
 from hoffline import verify
 from hoffline.spectral import Verdict
 from hoffline.verify import (
@@ -40,7 +40,7 @@ from hoffline.verify import (
     verify_table1,
 )
 
-from bruteforce import strict_covers_reference
+from bruteforce import delete_vertex_from_cover, strict_covers_reference
 from helpers import cover_class, slim_complete, slim_cycle
 
 
@@ -218,7 +218,7 @@ def test_deleting_the_new_vertex_gives_a_stored_parent_class(n):
     for g, _form in _layer(n)[0]:
         stored = {fats for _cells, fats in parents[g.delete_slim({n - 1}).adj]}
         for cover in strict_covers_reference(g):
-            out, _case = delete_vertex_from_cover(cover, n - 1)
+            out, _case = delete_vertex_from_cover(cover.host, cover.parts, n - 1)
             assert cover_class(out)[1] in stored
 
 
