@@ -34,7 +34,7 @@ from .enumeration import (
 )
 from .recognition import enumerate_strict_covers, is_h_line
 from .spectral import compare_threshold, equals_threshold, smallest_eigenvalue
-from .verify import CATALOG_CLAIMS, CLAIMS, MfsCatalog, build_catalog, screen, verify_claim
+from .verify import CATALOG_CLAIMS, CLAIMS, N_MAX, MfsCatalog, build_catalog, screen, verify_claim
 
 
 def _emit(doc, pretty):
@@ -48,6 +48,12 @@ def _make_out_dir(path):
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise HoffmanGraphError(f"cannot write catalog {path}: {exc!r}") from None
+
+
+def _stdin_graphs():
+    """Graphs from standard input, read as bytes where it has them: a
+    byte outside ASCII is then a malformed line, not a decoding error."""
+    return read_graph6_lines(getattr(sys.stdin, "buffer", sys.stdin))
 
 
 def _load_or_build_catalog(args):
@@ -80,7 +86,7 @@ def _cmd_gen(args):
 
 
 def _cmd_recognize(args):
-    for g in read_graph6_lines(sys.stdin):
+    for g in _stdin_graphs():
         cover = is_h_line(g)
         doc = {
             "canonical_form": canonical_form(g).hex(),
@@ -92,7 +98,7 @@ def _cmd_recognize(args):
 
 
 def _cmd_covers(args):
-    for g in read_graph6_lines(sys.stdin):
+    for g in _stdin_graphs():
         covers = enumerate_strict_covers(g)
         doc = {
             "canonical_form": canonical_form(g).hex(),
@@ -128,7 +134,7 @@ def _cmd_sums(args):
 
 
 def _cmd_spectral(args):
-    for g in read_graph6_lines(sys.stdin):
+    for g in _stdin_graphs():
         interval = smallest_eigenvalue(g)
         doc = {
             "lambda_min_lo": float(interval.lower),
@@ -141,6 +147,8 @@ def _cmd_spectral(args):
 
 
 def _cmd_catalog(args):
+    if not 5 <= args.nmax <= N_MAX:  # before the directory is made
+        raise HoffmanGraphError(f"catalog sizes run from 5 to {N_MAX}")
     _make_out_dir(args.out)
     cat = build_catalog(args.nmax, progress=lambda m: print(m, file=sys.stderr))
     cat.save(args.out)
@@ -153,7 +161,7 @@ def _cmd_catalog(args):
 
 def _cmd_screen(args):
     cat = _load_or_build_catalog(args)
-    for g in read_graph6_lines(sys.stdin):
+    for g in _stdin_graphs():
         doc = {
             "canonical_form": canonical_form(g).hex(),
             "is_line": screen(g, cat),

@@ -20,18 +20,15 @@ tau included when it is a root, so one is taken off when the first
 member vanishes there (equality witness).
 
 ``smallest_eigenvalue`` also brackets lambda_min in a rational interval
-of the fixed width ``BRACKET_WIDTH``, 1e-9.  The integer roots, the only
-rational ones of a monic integer polynomial, are split off first by a
-scan that Newton's identities bound; the rest is bisected from the
-Cauchy bound at dyadic points, a numerator over 2^k, with homogenised
-integer Horner, never landing on a root.  The bisection counts roots
-with the Sturm chain only until one root is left in the interval; from
-then on the sign of the polynomial at each midpoint against its sign at
-the lower end decides the side, which is exact because that root is
-simple.  Floating point is never consulted; the test suite cross-checks
-the intervals against a floating eigensolver.  The square-free part of
-the last few polynomials is memoized, since the bracket and the
-threshold comparisons of one graph all start from it.
+of the fixed width ``BRACKET_WIDTH``, 1e-9, by bisecting the square-free
+part from the Cauchy bound at dyadic points, a numerator over 2^k, with
+homogenised integer Horner.  The bisection counts roots with the same
+Sturm chain, exact also at a root, until one root is left in the
+interval; from then on the sign of the polynomial at each midpoint
+against its sign at the lower end decides the side, which is exact
+because that root is simple.  An integer least root gets the bracket
+of width zero.  Floating point is never consulted; the test suite
+cross-checks the intervals against a floating eigensolver.
 """
 
 from __future__ import annotations
@@ -242,14 +239,31 @@ def _eval_at_tau(p):
 #     opposite signs at x and just above it, since c p_{i-1} = q p_i -
 #     d p_{i+1} with c, d > 0 and neighbours share no root, so the three
 #     add one variation whatever the sign of p_i.
-# So V(-inf) - V(x) counts the roots at or below x, and the roots
-# strictly below tau are V(-inf) - V(tau), less one when tau is a root.
+# So V(-inf) - V(x) counts the roots at or below x, at a rational x in
+# ``_count_leq`` as at tau, and the roots strictly below tau are
+# V(-inf) - V(tau), less one when tau is a root (Basu, Pollack & Roy,
+# ch. 2).
+
+
+def _count_leq(chain, num, den):
+    """Roots <= num/den (den > 0) of the square-free polynomial behind
+    ``chain``, exact also when num/den is a root (see above)."""
+    signs = [_sign_at(q, num, den) for q in chain]
+    return _variations([_sign_at_neg_inf(q) for q in chain]) - _variations(signs)
+
+
+@functools.lru_cache(maxsize=32)
+def _chain(poly):
+    """Sturm chain of the radical of the tuple ``poly``, the radical
+    first.  Memoized: the bracket and both threshold comparisons of one
+    graph read the chain of its characteristic polynomial."""
+    return tuple(map(tuple, sturm_chain(square_free(poly))))
 
 
 def count_eigenvalues_below_threshold(poly):
     """Number of distinct roots of ``poly`` strictly below
     tau = -1 - sqrt(2), exact also when tau is a root (see above)."""
-    chain = sturm_chain(_radical(tuple(poly)))
+    chain = _chain(tuple(poly))
     at_tau = [_qsqrt2_sign(*_eval_at_tau(q)) for q in chain]
     at_or_below = _variations([_sign_at_neg_inf(q) for q in chain]) - _variations(at_tau)
     return at_or_below - (at_tau[0] == 0)
@@ -288,98 +302,55 @@ class EigenInterval:
 BRACKET_WIDTH = Fraction(1, 10**9)
 
 
-def _count_leq(chain, num, den):
-    """Roots <= num/den (den > 0) of the square-free polynomial behind
-    ``chain``, for a point that is not itself a root."""
-    signs = [_sign_at(q, num, den) for q in chain]
-    _require(signs[0] != 0, "a bisection point is a root")
-    return _variations([_sign_at_neg_inf(q) for q in chain]) - _variations(signs)
-
-
-def _integer_roots(p, bound):
-    """The integer roots of the square-free monic ``p``, ascending, and
-    ``p`` with them divided out; ``bound`` is the Cauchy bound of ``p``."""
-    d = _degree(p)
-    # Newton's identities: the roots of x^d + c_{d-1} x^{d-1} + c_{d-2}
-    # x^{d-2} + ... have sum of squares c_{d-1}^2 - 2 c_{d-2}.  They are
-    # all real, so each |root| is at most the square root of that sum,
-    # and no integer root lies outside [-top, top].
-    squares = p[d - 1] ** 2 - 2 * (p[d - 2] if d >= 2 else 0)
-    _require(squares >= 0, "the squared roots have a negative sum")
-    top = min(bound + 1, math.isqrt(squares) + 1)
-    roots, work = [], p
-    for k in range(-top, top + 1):
-        if _sign_at(work, k) == 0:
-            roots.append(k)
-            work, r = _divmod_poly(work, [-k, 1])
-            _require(not any(r), "x - k does not divide a polynomial vanishing at k")
-    return roots, work
-
-
-@functools.lru_cache(maxsize=32)
-def _radical(poly):
-    """``square_free`` of the tuple ``poly``, as a tuple.  Memoized for
-    the last few polynomials: ``smallest_root_interval`` and then
-    ``compare_threshold`` and ``equals_threshold`` all start from the
-    radical of the same characteristic polynomial."""
-    return tuple(square_free(poly))
-
-
 # Bisection in two phases.  The interval is (lo/2^k, (lo + width)/2^k]
 # for integers lo and k and the fixed integer width 2 * (bound + 1), so
 # every midpoint is (2 lo + width)/2^(k+1), a dyadic number that the
-# integer Horner of ``_sign_at`` evaluates without fractions.  No root
-# lies at or below the lower end, which moves only to a midpoint that
-# has no root at or below it.
+# integer Horner of ``_sign_at`` evaluates without fractions.  It holds
+# the least root r of the radical p throughout: no root lies at or below
+# the lower end, which moves only to a midpoint with no root at or below
+# it, and every step answers "is r <= mid?".
 #
 # The counting phase keeps the number of roots at or below the upper
 # end, from the Sturm chain, and moves the upper end to a midpoint with
-# at least one.  Once that number is 1, the sign phase decides each
-# midpoint by the sign of ``work`` alone.  Why this gives the same
-# decisions: ``work`` is square-free, so its one root in the interval
-# is simple and ``work`` changes sign there and nowhere else in it.  It
-# has no rational roots, so no midpoint is that root.  Hence a midpoint
-# has a root at or below it exactly when the sign of ``work`` there
-# differs from its sign at the lower end, which stays the same because
-# the lower end only moves to points of that sign.  Both phases
-# ``_require`` that no midpoint is a root: a scan that missed a rational
-# root would otherwise give a wrong count or a wrong side.
+# at least one; a midpoint may be a root, since ``_count_leq`` is exact
+# there.  Once that number is 1, the sign phase decides each midpoint by
+# the sign of p alone: the one root in the interval is simple, so p
+# changes sign there and nowhere else in it, and a midpoint lies above r
+# exactly when p has there another sign than at the lower end, which
+# keeps its sign.  A midpoint where p vanishes is r itself, a rational
+# root of a monic integer polynomial and so an integer.  When the loop
+# ends, the bracket is narrower than 1 and holds at most one integer m;
+# r = m exactly when m is a root with no other root at or below it.
+#
+# The answers depend only on r, so the brackets are those of bisecting
+# on the same grid any polynomial with least root r: when r is
+# irrational, p with its integer roots divided out, which the tests'
+# Fraction reference bisects.
 
 
 def smallest_root_interval(poly):
     """Bracket the smallest real root of a monic integer polynomial whose
     roots are all real.  Width <= ``BRACKET_WIDTH`` (zero when the root
     is an integer)."""
-    p = _radical(tuple(poly))
+    chain = _chain(tuple(poly))
+    p = chain[0]
     if _degree(p) == 0:
         raise EmptyGraph("constant polynomial has no roots")
     # Cauchy: every root lies strictly inside (-bound, bound)
     bound = 1 + max(abs(c) for c in p[:-1])
-    # split off integer roots: a monic integer polynomial has no other
-    # rational roots, so the remaining bisection never meets one
-    int_roots, work = _integer_roots(p, bound)
-    best_int = int_roots[0] if int_roots else None
-    if _degree(work) == 0:
-        _require(best_int is not None, "constant polynomial left without a root")
-        return Fraction(best_int), Fraction(best_int)
-    chain = sturm_chain(work)
     lo, width, k = -bound - 1, 2 * (bound + 1), 0
     _require(_count_leq(chain, lo, 1) == 0, "a root lies below the lower root bound")
     count = _count_leq(chain, lo + width, 1)
     _require(count >= 1, "no root lies below the upper root bound")
-    # decide exactly which side of the integer root the irrational
-    # minimum lies on; they can never coincide
-    if best_int is not None and _count_leq(chain, best_int, 1) == 0:
-        return Fraction(best_int), Fraction(best_int)
-    # the sign of work at the lower end, non-zero in the sign phase only
-    # (see the block comment above)
-    lo_sign = _sign_at(work, lo) if count == 1 else 0
+    # the sign of p at the lower end, non-zero in the sign phase only
+    lo_sign = _sign_at(p, lo) if count == 1 else 0
     while width * BRACKET_WIDTH.denominator > BRACKET_WIDTH.numerator << k:
         lo, k = lo << 1, k + 1
         mid, den = lo + width, 1 << k
         if lo_sign:
-            sign = _sign_at(work, mid, den)
-            _require(sign != 0, "a bisection point is a root")
+            sign = _sign_at(p, mid, den)
+            if sign == 0:
+                return Fraction(mid, den), Fraction(mid, den)
             if sign == lo_sign:
                 lo = mid
         else:
@@ -387,7 +358,11 @@ def smallest_root_interval(poly):
             if count == 0:
                 lo = mid
             elif count == 1:
-                lo_sign = _sign_at(work, lo, den)
+                lo_sign = _sign_at(p, lo, den)
+    # the one integer in (lo, lo + width] / 2^k, if any
+    m = (lo >> k) + 1
+    if m << k <= lo + width and _sign_at(p, m) == 0 and _count_leq(chain, m, 1) == 1:
+        return Fraction(m), Fraction(m)
     return Fraction(lo, 1 << k), Fraction(lo + width, 1 << k)
 
 

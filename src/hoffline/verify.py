@@ -77,7 +77,7 @@ from .enumeration import (
     write_graph6,
 )
 from .families import classify_part, family_graph
-from .recognition import _classes, _extensions, enumerate_strict_covers, is_h_line
+from .recognition import _classes, _extensions, is_h_line
 from .spectral import (
     EigenInterval,
     Verdict,
@@ -535,18 +535,18 @@ def verify_eigen_claims(catalog):
 
 def verify_cover_uniqueness(n):
     """Strict-cover equivalence-class counts over every connected line
-    graph with ``n`` vertices, each counted by ``enumerate_strict_covers``
-    and compared with the classes the layer store holds.  The two meet
-    the same extension step in different vertex orders: the store adds
-    the generated child's last vertex to its parent's classes, and
-    ``enumerate_strict_covers`` builds the classes again from the empty
-    graph, breadth-first.  The published uniqueness claim applies from 8
-    vertices on; below that the distribution is only reported."""
+    graph with ``n`` vertices, each counted by ``_classes`` (the classes
+    that ``enumerate_strict_covers`` turns into covers) and compared with
+    the classes the layer store holds.  The two meet the same extension
+    step in different vertex orders: the store adds the generated child's
+    last vertex to its parent's classes, and ``_classes`` builds them
+    again from the empty graph, breadth-first.  The published uniqueness
+    claim applies from 8 vertices on; below, the distribution is reported."""
     t0 = time.time()
     if not 5 <= n <= N_MAX:
         raise HoffmanGraphError(f"uniqueness audit covers 5 <= n <= {N_MAX}")
     line, _, classes, _ = _layer(n)
-    class_counts = [len(enumerate_strict_covers(g)) for g, _form in line]
+    class_counts = [len(_classes(g, g.slim_mask, [])) for g, _form in line]
     # every audited graph was recognized, so it must have a cover, and
     # enumeration must count the classes the layer store holds
     bad = next(

@@ -47,6 +47,9 @@ Two more are the production kernels as they stood before their per-call
 set-up was taken out, kept as references for the mappings and intervals
 the rewritten kernels must reproduce exactly: ``find_embedding_per_call``
 and ``smallest_root_interval_fractions`` (see the end of this module).
+The latter splits off the integer roots first with ``_integer_roots``,
+a frozen copy of the Newton-bounded scan that the package dropped when
+it began to bisect the square-free part itself.
 
 Last, two constructions of the paper that no code of the package runs:
 ``delete_vertex_from_cover``, the deletion lemma (cases i-iv) on a
@@ -55,6 +58,7 @@ cover, which ``recognition._extensions`` runs backwards, and
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -81,7 +85,7 @@ from hoffline.spectral import (
     BRACKET_WIDTH,
     EmptyGraph,
     _degree,
-    _integer_roots,
+    _divmod_poly,
     _require,
     _sign_at,
     _sign_at_neg_inf,
@@ -1278,6 +1282,26 @@ def find_embedding_per_call(pattern, host):
     if rec(0, domains):
         return tuple(mapping)
     return None
+
+
+def _integer_roots(p, bound):
+    """The integer roots of the square-free monic ``p``, ascending, and
+    ``p`` with them divided out; ``bound`` is the Cauchy bound of ``p``."""
+    d = _degree(p)
+    # Newton's identities: the roots of x^d + c_{d-1} x^{d-1} + c_{d-2}
+    # x^{d-2} + ... have sum of squares c_{d-1}^2 - 2 c_{d-2}.  They are
+    # all real, so each |root| is at most the square root of that sum,
+    # and no integer root lies outside [-top, top].
+    squares = p[d - 1] ** 2 - 2 * (p[d - 2] if d >= 2 else 0)
+    _require(squares >= 0, "the squared roots have a negative sum")
+    top = min(bound + 1, math.isqrt(squares) + 1)
+    roots, work = [], p
+    for k in range(-top, top + 1):
+        if _sign_at(work, k) == 0:
+            roots.append(k)
+            work, r = _divmod_poly(work, [-k, 1])
+            _require(not any(r), "x - k does not divide a polynomial vanishing at k")
+    return roots, work
 
 
 def _count_leq(chain, x):

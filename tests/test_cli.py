@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -187,7 +188,7 @@ def test_catalog_env_var(tmp_path, catalog7, monkeypatch):
         input="DsW\n",
         capture_output=True,
         text=True,
-        env={**__import__("os").environ, "HOFFLINE_CATALOG": str(cat)},
+        env={**os.environ, "HOFFLINE_CATALOG": str(cat)},
         timeout=300,
     )
     assert json.loads(proc.stdout)["is_line"] is False
@@ -252,3 +253,30 @@ def test_catalog_with_bad_n_max_exit_two(tmp_path, catalog7, n_max):
         out = _run([*command, "--catalog", str(cat)], stdin="DsW\n")
         assert out.returncode == 2 and not out.stdout
         assert "Traceback" not in out.stderr and "error: unreadable catalog" in out.stderr
+
+
+@pytest.mark.parametrize("command", ["recognize", "covers", "spectral", "screen"])
+def test_non_ascii_stdin_exit_two(tmp_path, catalog7, command):
+    # stdin is read as bytes, so a byte that is not UTF-8 is a malformed
+    # graph6 line, whatever the locale's encoding
+    args = [command]
+    if command == "screen":
+        catalog7.save(str(tmp_path / "cat"))
+        args += ["--catalog", str(tmp_path / "cat")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hoffline.cli", *args],
+        input=b"\xff\n",
+        capture_output=True,
+        timeout=300,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+    )
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 2 and not proc.stdout
+    assert "Traceback" not in stderr and "error:" in stderr
+
+
+def test_catalog_bad_nmax_makes_no_directory(tmp_path):
+    out = _run(["catalog", "build", "--nmax", "4", "--out", str(tmp_path / "X")])
+    assert out.returncode == 2 and not out.stdout
+    assert "catalog sizes run from 5 to 9" in out.stderr
+    assert not (tmp_path / "X").exists()

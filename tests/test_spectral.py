@@ -30,7 +30,7 @@ from hoffline.spectral import (
     threshold_is_root,
 )
 
-from bruteforce import charpoly_bruteforce, smallest_root_interval_fractions
+from bruteforce import _integer_roots, charpoly_bruteforce, smallest_root_interval_fractions
 from helpers import slim_complete, slim_cycle, slim_path
 
 TAU = -1 - math.sqrt(2)
@@ -283,28 +283,25 @@ def test_failed_certification_check_raises(monkeypatch):
 
 
 def test_inexact_integer_division_raises(monkeypatch):
-    # a divisor that does not divide: 2x + 1 into x^2 - 1; the radical of
+    # a divisor that does not divide: 2x + 1 into x^2 - 1; the chain of
     # x^2 - 1 may be memoized from an earlier test, so the memo is emptied
-    spectral._radical.cache_clear()
+    spectral._chain.cache_clear()
     monkeypatch.setattr(spectral, "sturm_chain", lambda p: [[1, 2]])
     with pytest.raises(CertificationError):
         spectral.smallest_root_interval((-1, 0, 1))
 
 
-def test_bisection_point_at_a_root_raises(monkeypatch):
-    # a scan that missed the integer roots 0 and 1 of x^2 - x: the first
-    # bisection point, 0, is a root, which raises instead of miscounting
-    monkeypatch.setattr(spectral, "_integer_roots", lambda p, bound: ([], p))
-    with pytest.raises(CertificationError):
-        spectral.smallest_root_interval((0, -1, 1))
+def test_bisection_point_at_a_root_gives_that_root():
+    # the first bisection point of x^2 - x, 0, is its least root: the
+    # count there is exact, and the zero-width bracket comes at the end
+    want = smallest_root_interval_fractions((0, -1, 1))
+    assert spectral.smallest_root_interval((0, -1, 1)) == want == (0, 0)
 
 
-def test_sign_phase_point_at_a_root_raises(monkeypatch):
-    # a scan that missed the roots -3 and 2 of x^2 + x - 6: the count at
-    # the first midpoint, 0, is 1, so [-8, 0] is bisected by sign alone;
-    # its third midpoint, -3, is a root, which raises instead of picking
-    # a side
-    monkeypatch.setattr(spectral, "_integer_roots", lambda p, bound: ([], p))
+def test_sign_phase_point_at_a_root_gives_that_root(monkeypatch):
+    # x^2 + x - 6: the count at the first midpoint, 0, is 1, so [-8, 0]
+    # is bisected by sign alone; its third midpoint, -3, is a root, which
+    # is the least one
     counted = []
     count_leq = spectral._count_leq
 
@@ -313,8 +310,8 @@ def test_sign_phase_point_at_a_root_raises(monkeypatch):
         return count_leq(chain, num, den)
 
     monkeypatch.setattr(spectral, "_count_leq", recording_count_leq)
-    with pytest.raises(CertificationError):
-        spectral.smallest_root_interval((-6, 1, 1))
+    want = smallest_root_interval_fractions((-6, 1, 1))
+    assert spectral.smallest_root_interval((-6, 1, 1)) == want == (-3, -3)
     assert counted == [-8, 8, 0]
 
 
@@ -335,19 +332,17 @@ def raises(poly, **patches):
             setattr(spectral, name, value)
     return False
 
-no_scan = lambda p, bound: ([], p)
 print(json.dumps({
     "optimize": sys.flags.optimize,
     "lower_bound": raises((-2, 0, 1), _count_leq=lambda chain, num, den: 1),
-    "counting_phase_root": raises((0, -1, 1), _integer_roots=no_scan),
-    "sign_phase_root": raises((-6, 1, 1), _integer_roots=no_scan),
+    "inexact_division": raises((-1, 0, 1), sturm_chain=lambda p: [[1, 2]]),
 }))
 """
 
 
 def test_certification_checks_hold_under_python_O():
     # python -O strips asserts; the checks are explicit raises, so the
-    # three failures above still raise there
+    # two failures above still raise there
     src = str(Path(hoffline.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _FAILURES_UNDER_O],
@@ -360,8 +355,7 @@ def test_certification_checks_hold_under_python_O():
     assert json.loads(proc.stdout) == {
         "optimize": 1,
         "lower_bound": True,
-        "counting_phase_root": True,
-        "sign_phase_root": True,
+        "inexact_division": True,
     }
 
 
@@ -384,7 +378,7 @@ def test_interval_matches_fraction_bisection(corpus_polys, width):
         assert spectral.smallest_root_interval(poly) == want, poly
 
 
-# -- the Newton-bounded integer-root scan against the full Cauchy range ------
+# -- the reference's integer-root scan against the full Cauchy range ---------
 
 
 def _cauchy_bound(p):
@@ -401,7 +395,7 @@ def _integer_roots_unpruned(p):
 
 def _check_integer_roots(poly):
     p = square_free(poly)
-    roots, work = spectral._integer_roots(p, _cauchy_bound(p))
+    roots, work = _integer_roots(p, _cauchy_bound(p))
     assert roots == _integer_roots_unpruned(p)
     assert len(work) - 1 == len(p) - 1 - len(roots)
     return roots
