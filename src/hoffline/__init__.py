@@ -8,7 +8,6 @@ from .core import (
     HoffmanGraphError,
     IndexOutOfRange,
     IsolatedFat,
-    NotConnected,
     canonical_form,
     find_embedding,
     isomorphic,
@@ -23,7 +22,6 @@ __all__ = [
     "HoffmanGraphError",
     "IndexOutOfRange",
     "IsolatedFat",
-    "NotConnected",
     "canonical_form",
     "find_embedding",
     "isomorphic",

@@ -52,10 +52,6 @@ class IndexOutOfRange(HoffmanGraphError):
     """A vertex index is outside the graph."""
 
 
-class NotConnected(HoffmanGraphError):
-    """A connected graph was required."""
-
-
 def _iter_bits(mask):
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:

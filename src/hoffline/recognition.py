@@ -98,8 +98,8 @@ class StrictCover:
 # ---------------------------------------------------------------------------
 
 # ``_extensions`` finds the cover classes of C = P + v from the classes
-# of P, where v is the highest slim vertex and N(v) its given slim
-# neighbourhood.
+# of P, where v is a slim vertex outside P and N(v) its given slim
+# neighbourhood in P.
 #
 # Every class of C is found.  Let K be a strict cover of C.  Deleting v
 # from K by the deletion lemma (``delete_vertex_from_cover`` in
@@ -143,11 +143,11 @@ class StrictCover:
 
 
 def _extensions(classes, v, nbhd):
-    """The cover classes of P + v, where P is a slim graph on the
-    vertices below ``v`` with the (cells, fats) classes ``classes`` and
-    the new vertex ``v`` has the slim neighbourhood ``nbhd``; each class
-    once (see the block comment above).  An empty list means P + v is
-    no line graph.
+    """The cover classes of P + v, where P is a slim graph with the
+    (cells, fats) classes ``classes`` and ``v`` a slim vertex outside P
+    with the slim neighbourhood ``nbhd`` in P; each class once (see the
+    block comment above), its cells in no fixed order.  An empty list
+    means P + v is no line graph.
     """
     bit = 1 << v
     out = []
@@ -229,13 +229,12 @@ def _classes(g, mask, pinned):
     the one class of the empty graph.  Each class of a prefix plus one
     vertex comes from a class of the prefix (see the block comment above
     ``_extensions``), so this finds every class; when a prefix has none,
-    neither has the whole graph, and the run stops.  The vertices are
-    relabelled in the order they are added, so that each new one is the
-    highest: the slim components largest first, breadth-first inside
-    each.  Every prefix is then one connected graph beside whole
-    components, and a component that is no line graph ends the run
-    before the many classes of isolated vertices are built (m of them
-    have one class per involution of the m vertices).
+    neither has the whole graph, and the run stops.  The vertices keep
+    their labels and are added the slim components largest first,
+    breadth-first inside each.  Every prefix is then one connected graph
+    beside whole components, and a component that is no line graph ends
+    the run before the many classes of isolated vertices are built (m of
+    them have one class per involution of the m vertices).
 
     The pinned fats are checked at every prefix.  Deleting a slim vertex
     x from a cover turns each fat f into f - x, dropped when empty, and
@@ -255,28 +254,16 @@ def _classes(g, mask, pinned):
             seen |= new
             queue += _iter_bits(new)
         order += queue
-    label = {u: i for i, u in enumerate(order)}
-
-    def relabel(m):
-        return sum(1 << label[u] for u in _iter_bits(m))
-
-    def restore(m):
-        return sum(1 << order[i] for i in _iter_bits(m))
-
-    pins = [relabel(f) for f in pinned]
-    classes = [((), ())]
-    for v, u in enumerate(order):
-        classes = _extensions(classes, v, relabel(g.adj[u] & mask) & ((1 << v) - 1))
-        if pins:
-            prefix = (2 << v) - 1
-            need = Counter(f & prefix for f in pins if f & prefix)
+    classes, prefix = [((), ())], 0
+    for u in order:
+        classes = _extensions(classes, u, g.adj[u] & prefix)
+        prefix |= 1 << u
+        if pinned:
+            need = Counter(f & prefix for f in pinned if f & prefix)
             classes = [k for k in classes if not need - Counter(k[1])]
         if not classes:
             return []
-    found = (
-        (tuple(sorted(map(restore, cells), key=lambda c: c & -c)), tuple(sorted(map(restore, fats))))
-        for cells, fats in classes
-    )
+    found = ((tuple(sorted(cells, key=lambda c: c & -c)), fats) for cells, fats in classes)
     return sorted(found, key=_search_key(pinned))
 
 

@@ -12,12 +12,13 @@ All polynomial arithmetic is over the integers.  The characteristic
 polynomial comes from the Berkowitz (division-free) recurrence.  Sturm
 chains are primitive pseudo-remainder sequences (Basu, Pollack & Roy,
 *Algorithms in Real Algebraic Geometry*, ch. 8), each member a positive
-multiple of the classical one, so sign counts agree.  The count of
-eigenvalues strictly below tau evaluates the chain of the square-free
-part in Z[sqrt(2)], where a + b*sqrt(2) has an exact sign via a^2
-versus 2 b^2.  The sign variations count the roots at or below tau,
-tau included when it is a root, so one is taken off when the first
-member vanishes there (equality witness).
+multiple of the classical one, so sign counts agree.  Each
+characteristic polynomial p gets one chain, which divided by its last
+member, gcd(p, p'), is a chain of the square-free part, that part first.
+The count of eigenvalues strictly below tau evaluates it in Z[sqrt(2)],
+where a + b*sqrt(2) has an exact sign via a^2 versus 2 b^2.  The sign
+variations count the roots at or below tau, tau included, so one is
+taken off when the first member vanishes there (equality witness).
 
 ``smallest_eigenvalue`` also brackets lambda_min in a rational interval
 of the fixed width ``BRACKET_WIDTH``, 1e-9, by bisecting the square-free
@@ -164,17 +165,6 @@ def _prem(a, b):
     return _primitive(r)
 
 
-def square_free(p):
-    """The radical of the monic integer polynomial ``p``: same roots,
-    multiplicity one, monic.  Its coefficients are integers, since a
-    monic integer polynomial has only monic integer factors."""
-    # the last member of the Sturm chain is a multiple of gcd(p, p')
-    gcd = _primitive(sturm_chain(p)[-1])
-    q, r = _divmod_poly(p, gcd if gcd[-1] > 0 else [-c for c in gcd])
-    _require(not any(r), "gcd(p, p') does not divide p")
-    return q
-
-
 def sturm_chain(p):
     """Sturm chain of ``p`` in integers.  Each member is a positive
     multiple of the classical member (``_prem`` scales by positive
@@ -229,20 +219,33 @@ def _eval_at_tau(p):
     return a, b
 
 
-# The count at a root.  Let V(x) be the number of sign variations of the
-# Sturm chain p = p0, p1 = p', p2, ... of a square-free p at x.  Then
+# The count at a root.  ``_chain`` reads the radical's chain off the
+# Sturm chain p = p0, p1 = p'/c, p2, ..., pm of a monic p, where c > 0 is
+# the content of p': pm is a multiple of g = gcd(p, p'), which divides
+# every member, and the quotients q_i = p_i / g begin with the radical
+# q0 of p and end with a constant.  They keep the two properties of a
+# Sturm chain that the count uses:
+#   - at a root r of q0 with multiplicity k in p, write p = (x - r)^k h
+#     and g = (x - r)^(k-1) e with h(r), e(r) not zero; then q0 =
+#     (x - r) h / e and p' / g = (k h + (x - r) h') / e, so q1(r) =
+#     k q0'(r) / c, of the sign of q0'(r), which is not zero;
+#   - c' p_{i-1} = Q p_i - d p_{i+1} with c', d > 0 (``_prem``) divides
+#     by g into c' q_{i-1} = Q q_i - d q_{i+1}, and neighbours share no
+#     root: by that relation a root of two would be one of every later
+#     quotient, and the last is a constant.
+# Let V(x) be the number of sign variations of q0, q1, ... at x.  Then
 # V(x) is also the count just above x, even when x is a root:
-#   - where p vanishes, it drops out of the sign sequence, and just above
-#     x, p has the sign of p'(x), which is not zero, so the pair (p, p')
-#     adds no variation on either side;
-#   - where a later member p_i vanishes, p_{i-1} and p_{i+1} have
-#     opposite signs at x and just above it, since c p_{i-1} = q p_i -
-#     d p_{i+1} with c, d > 0 and neighbours share no root, so the three
-#     add one variation whatever the sign of p_i.
-# So V(-inf) - V(x) counts the roots at or below x, at a rational x in
-# ``_count_leq`` as at tau, and the roots strictly below tau are
-# V(-inf) - V(tau), less one when tau is a root (Basu, Pollack & Roy,
-# ch. 2).
+#   - where q0 vanishes, it drops out of the sign sequence, and just
+#     above x, q0 has the sign of q0'(x), which is that of q1(x), so the
+#     pair (q0, q1) adds no variation on either side;
+#   - where a later member q_i vanishes, q_{i-1} and q_{i+1} have
+#     opposite signs at x and just above it, by the relation and since
+#     neighbours share no root, so the three add one variation whatever
+#     the sign of q_i.
+# So V(-inf) - V(x) counts the distinct roots of p at or below x, at a
+# rational x in ``_count_leq`` as at tau, as the radical's own chain
+# does, and the roots strictly below tau are V(-inf) - V(tau), less one
+# when tau is a root (Basu, Pollack & Roy, ch. 2).
 
 
 def _count_leq(chain, num, den):
@@ -254,10 +257,20 @@ def _count_leq(chain, num, den):
 
 @functools.lru_cache(maxsize=32)
 def _chain(poly):
-    """Sturm chain of the radical of the tuple ``poly``, the radical
-    first.  Memoized: the bracket and both threshold comparisons of one
+    """Sturm chain of the radical of the monic tuple ``poly``, the
+    radical first: the chain of ``poly`` divided by gcd(p, p') (see
+    above).  Memoized: the bracket and both threshold comparisons of one
     graph read the chain of its characteristic polynomial."""
-    return tuple(map(tuple, sturm_chain(square_free(poly))))
+    chain = sturm_chain(poly)
+    g = _primitive(chain[-1])
+    if g[-1] < 0:
+        g = [-c for c in g]
+    out = []
+    for member in chain:
+        q, r = _divmod_poly(member, g)
+        _require(not any(r), "gcd(p, p') does not divide a member of the chain")
+        out.append(tuple(q))
+    return tuple(out)
 
 
 def count_eigenvalues_below_threshold(poly):

@@ -49,7 +49,9 @@ the rewritten kernels must reproduce exactly: ``find_embedding_per_call``
 and ``smallest_root_interval_fractions`` (see the end of this module).
 The latter splits off the integer roots first with ``_integer_roots``,
 a frozen copy of the Newton-bounded scan that the package dropped when
-it began to bisect the square-free part itself.
+it began to bisect the square-free part itself.  It scans the radical
+that ``square_free`` gives, a frozen copy too: it runs a chain of its
+own for gcd(p, p'), which the package now reads off the one chain of p.
 
 Last, two constructions of the paper that no code of the package runs:
 ``delete_vertex_from_cover``, the deletion lemma (cases i-iv) on a
@@ -66,7 +68,6 @@ from hoffline.core import (
     HoffmanGraph,
     HoffmanGraphError,
     IndexOutOfRange,
-    NotConnected,
     _adjacency_key,
     _find,
     _iter_bits,
@@ -86,11 +87,11 @@ from hoffline.spectral import (
     EmptyGraph,
     _degree,
     _divmod_poly,
+    _primitive,
     _require,
     _sign_at,
     _sign_at_neg_inf,
     _variations,
-    square_free,
     sturm_chain,
 )
 from hoffline.recognition import StrictCover
@@ -560,6 +561,10 @@ def strict_covers_reference(g):
 
 class VertexNotInGraph(HoffmanGraphError):
     pass
+
+
+class NotConnected(HoffmanGraphError):
+    """A connected graph was required."""
 
 
 def delete_vertex_from_cover(host, parts, x):
@@ -1282,6 +1287,17 @@ def find_embedding_per_call(pattern, host):
     if rec(0, domains):
         return tuple(mapping)
     return None
+
+
+def square_free(p):
+    """The radical of the monic integer polynomial ``p``: same roots,
+    multiplicity one, monic.  Its coefficients are integers, since a
+    monic integer polynomial has only monic integer factors."""
+    # the last member of the Sturm chain is a multiple of gcd(p, p')
+    gcd = _primitive(sturm_chain(p)[-1])
+    q, r = _divmod_poly(p, gcd if gcd[-1] > 0 else [-c for c in gcd])
+    _require(not any(r), "gcd(p, p') does not divide p")
+    return q
 
 
 def _integer_roots(p, bound):

@@ -14,7 +14,6 @@ from hoffline.core import (
     HoffmanGraphError,
     IndexOutOfRange,
     IsolatedFat,
-    NotConnected,
     _iter_bits,
     canonical_data,
     canonical_form,
@@ -33,6 +32,7 @@ from hoffline.families import family_graph
 
 from helpers import automorphism_orbits, relabeled, slim_complete, slim_cycle, slim_path
 from bruteforce import (
+    NotConnected,
     canonical_data_unpruned,
     canonical_search_lists,
     embed_bruteforce,

@@ -10,7 +10,8 @@ lemma and ``build_sum`` do in ``bruteforce.py``.  ``__init__``
 re-exports its imports and is left out of the first check.
 Any ``assert`` statement in the package fails the suite as well:
 ``python -O`` strips it, and an exactness check must survive that, so
-the package raises instead.  Last, every span target that
+the package raises instead.  Every error class of the package must be
+raised in it, or be the base of one that is.  Last, every span target that
 ``perfbench/spans.py`` lists must name a function of the package, so a
 rename cannot leave a traced run without its span.
 """
@@ -139,6 +140,28 @@ def test_public_api_is_used():
 def test_no_assert_statements(module):
     lines = [node.lineno for node in ast.walk(MODULES[module]) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def test_exception_classes_are_raised():
+    # a base class counts through the classes derived from it
+    tops = [node for tree in MODULES.values() for node in tree.body]
+    bases = {
+        node.name: {getattr(b, "id", None) for b in node.bases}
+        for node in tops
+        if isinstance(node, ast.ClassDef)
+    }
+    errors = {"HoffmanGraphError"}
+    while more := {name for name, b in bases.items() if b & errors} - errors:
+        errors |= more
+    ok = {
+        getattr(node.exc, "func", node.exc).id
+        for tree in MODULES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    while more := set().union(*(bases[name] for name in ok if name in bases)) - ok:
+        ok |= more
+    assert sorted(errors - ok) == []
 
 
 def _span_targets():

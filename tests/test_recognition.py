@@ -14,6 +14,7 @@ from hoffline.core import (
 )
 from hoffline.enumeration import all_slim_graphs, connected_slim_graphs, fat_hoffman_graphs
 from hoffline.families import classify_part, family_graph
+from hoffline import recognition
 from hoffline.recognition import _extensions, enumerate_strict_covers, is_h_line
 from hoffline.sums import validate_sum
 
@@ -444,6 +445,19 @@ def test_extension_of_every_small_graph():
             for v in range(n):
                 c = _moved_last(g, v)
                 assert _extended(c) == _classes(c)
+
+
+def test_extension_in_descending_order():
+    # the new vertex need not be the highest: adding the vertices from
+    # the highest down gives the classes ``_classes`` finds
+    for n in range(1, 7):
+        for g in all_slim_graphs(n):
+            classes, prefix = [((), ())], 0
+            for v in reversed(range(n)):
+                classes = _extensions(classes, v, g.adj[v] & prefix)
+                prefix |= 1 << v
+            got = [(tuple(sorted(cells, key=lambda c: c & -c)), fats) for cells, fats in classes]
+            assert sorted(got) == sorted(recognition._classes(g, g.slim_mask, [])), list(g.adj)
 
 
 def test_extension_rejects_a_singleton_with_one_fat():

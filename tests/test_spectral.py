@@ -26,11 +26,15 @@ from hoffline.spectral import (
     equals_threshold,
     smallest_eigenvalue,
     special_matrix,
-    square_free,
     threshold_is_root,
 )
 
-from bruteforce import _integer_roots, charpoly_bruteforce, smallest_root_interval_fractions
+from bruteforce import (
+    _integer_roots,
+    charpoly_bruteforce,
+    smallest_root_interval_fractions,
+    square_free,
+)
 from helpers import slim_complete, slim_cycle, slim_path
 
 TAU = -1 - math.sqrt(2)
@@ -253,12 +257,54 @@ def test_count_at_a_threshold_root_of_a_polynomial(roots, power):
     assert count_eigenvalues_below_threshold(poly) == want
 
 
+def _from_roots(roots):
+    """The monic integer polynomial with the roots ``roots``."""
+    p = [1]
+    for r in roots:
+        p = [a - r * b for a, b in zip([0] + p, p + [0])]
+    return tuple(p)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [(-1, -1, -1, 2, 2)]
+    + [(0,) * n for n in range(1, 7)]
+    + [(n - 1,) + (-1,) * (n - 1) for n in range(2, 9)],
+    ids=["(x+1)^3(x-2)^2"] + [f"x^{n}" for n in range(1, 7)] + [f"K{n}" for n in range(2, 9)],
+)
+def test_count_leq_at_repeated_integer_roots(roots):
+    # the chain read off p's own counts each distinct root once, also at
+    # the root itself, across the Cauchy range of the radical
+    chain = spectral._chain(_from_roots(roots))
+    bound = 1 + max(abs(c) for c in chain[0][:-1])
+    for twice in range(-2 * bound - 2, 2 * bound + 3):
+        x = Fraction(twice, 2)
+        want = len({r for r in roots if r <= x})
+        assert spectral._count_leq(chain, x.numerator, x.denominator) == want, x
+
+
+def test_one_sturm_chain_per_polynomial(spectral_corpus, fat_corpus, monkeypatch):
+    # the bracket and both threshold comparisons of a graph read one
+    # pseudo-remainder sequence, that of its characteristic polynomial;
+    # the graphs go by polynomial, so the memo never drops one in use
+    runs = []
+    sturm_chain = spectral.sturm_chain
+    monkeypatch.setattr(spectral, "sturm_chain", lambda p: runs.append(tuple(p)) or sturm_chain(p))
+    polys = {g: char_poly(special_matrix(g)) for g in spectral_corpus + fat_corpus}
+    spectral._chain.cache_clear()
+    for g in sorted(polys, key=polys.get):
+        interval = smallest_eigenvalue(g)
+        compare_threshold(interval)
+        equals_threshold(interval)
+    assert sorted(runs) == sorted(set(polys.values()))
+
+
 def test_square_free_removes_multiplicity():
-    # (x+1)^2 (x-2) -> (x+1)(x-2)
+    # (x+1)^2 (x-2) -> (x+1)(x-2), the first member of the chain
     import numpy.polynomial.polynomial as npoly
 
     coeffs = npoly.polyfromroots([-1, -1, 2]).astype(int)
-    sf = square_free(tuple(int(c) for c in coeffs))
+    sf = spectral._chain(tuple(int(c) for c in coeffs))[0]
     want = npoly.polyfromroots([-1, 2])
     got = [float(c) for c in sf]
     assert np.allclose(got, want)
@@ -283,10 +329,11 @@ def test_failed_certification_check_raises(monkeypatch):
 
 
 def test_inexact_integer_division_raises(monkeypatch):
-    # a divisor that does not divide: 2x + 1 into x^2 - 1; the chain of
-    # x^2 - 1 may be memoized from an earlier test, so the memo is emptied
+    # a chain whose last member does not divide the first: 2x + 1 into
+    # x^2 - 1; the chain of x^2 - 1 may be memoized from an earlier test,
+    # so the memo is emptied
     spectral._chain.cache_clear()
-    monkeypatch.setattr(spectral, "sturm_chain", lambda p: [[1, 2]])
+    monkeypatch.setattr(spectral, "sturm_chain", lambda p: [list(p), [1, 2]])
     with pytest.raises(CertificationError):
         spectral.smallest_root_interval((-1, 0, 1))
 
@@ -335,7 +382,7 @@ def raises(poly, **patches):
 print(json.dumps({
     "optimize": sys.flags.optimize,
     "lower_bound": raises((-2, 0, 1), _count_leq=lambda chain, num, den: 1),
-    "inexact_division": raises((-1, 0, 1), sturm_chain=lambda p: [[1, 2]]),
+    "inexact_division": raises((-1, 0, 1), sturm_chain=lambda p: [list(p), [1, 2]]),
 }))
 """
 
