@@ -152,10 +152,8 @@ def write_graph6(g: HoffmanGraph) -> str:
 
 
 def read_graph6_lines(stream):
-    """Yield graphs from an iterable of graph6 lines, skipping blanks."""
+    """Yield graphs from graph6 lines, str or bytes, skipping blanks."""
     for line in stream:
-        if isinstance(line, bytes):
-            line = line.decode("ascii", errors="replace")
         if line.strip():
             yield parse_graph6(line)
 
@@ -294,11 +292,11 @@ def _orbit_representatives(parent, autos, first):
 
 
 def _canonical_children(parent, autos, connected=True, fat=False):
-    """(child, canonical form, stored automorphisms) for the one-vertex
-    extensions of ``parent`` whose canonical parent it is, one per
-    class.  ``autos`` are the stored automorphisms of ``parent``, as this
-    function returned them with it; those returned with each child serve
-    its own children in turn, so no graph is labelled twice.
+    """(child, stored automorphisms) for the one-vertex extensions of
+    ``parent`` whose canonical parent it is, one per class; a caller
+    that needs a child's form labels it again.  ``autos`` are the stored
+    automorphisms of ``parent``, as this function returned them with
+    it; those returned with each child serve its own children in turn.
 
     A new slim vertex extends a slim parent, connected when
     ``connected``, and the deletion target ranges over non-cut vertices,
@@ -317,12 +315,12 @@ def _canonical_children(parent, autos, connected=True, fat=False):
         allowed, cells = _target_cell(child, fat, cuts)
         if not allowed:
             continue
-        form, lab, child_autos = canonical_data(child, cells)
+        _form, lab, child_autos = canonical_data(child, cells)
         target = next(v for v in reversed(lab) if allowed >> v & 1)
         # the stored automorphisms generate the group (see ``core``)
         orbits = _orbit_forest(child.n, child_autos)
         if _find(orbits, new) == _find(orbits, target):
-            yield child, form, child_autos
+            yield child, child_autos
 
 
 def connected_slim_graphs(n):
@@ -348,8 +346,7 @@ def _slim_graphs(n, connected):
         yield HoffmanGraph(1, 0, (0,), _checked=True), []
         return
     for parent, autos in _slim_graphs(n - 1, connected):
-        for child, _form, child_autos in _canonical_children(parent, autos, connected):
-            yield child, child_autos
+        yield from _canonical_children(parent, autos, connected)
 
 
 def fat_hoffman_graphs(slim_count, fat_max):
@@ -368,9 +365,8 @@ def fat_hoffman_graphs(slim_count, fat_max):
     layer = list(_slim_graphs(slim_count, connected=False))
     for _ in range(fat_max):
         layer = [
-            (child, child_autos)
-            for parent, autos in layer
-            for child, _form, child_autos in _canonical_children(parent, autos, fat=True)
+            pair for parent, autos in layer
+            for pair in _canonical_children(parent, autos, fat=True)
         ]
         yield from (g for g, _autos in layer if g.is_connected())
 

@@ -273,18 +273,21 @@ def _chain(poly):
     return tuple(out)
 
 
-def count_eigenvalues_below_threshold(poly):
-    """Number of distinct roots of ``poly`` strictly below
-    tau = -1 - sqrt(2), exact also when tau is a root (see above)."""
+def _at_threshold(poly):
+    """(distinct roots of ``poly`` strictly below tau = -1 - sqrt(2),
+    whether tau is a root), from one evaluation of the chain at tau: its
+    first member, the radical, has the roots of ``poly`` (see above)."""
     chain = _chain(tuple(poly))
     at_tau = [_qsqrt2_sign(*_eval_at_tau(q)) for q in chain]
     at_or_below = _variations([_sign_at_neg_inf(q) for q in chain]) - _variations(at_tau)
-    return at_or_below - (at_tau[0] == 0)
+    is_root = at_tau[0] == 0
+    return at_or_below - is_root, is_root
 
 
-def threshold_is_root(poly):
-    """Does tau = -1 - sqrt(2) satisfy ``poly`` exactly?"""
-    return _eval_at_tau(poly) == (0, 0)
+def count_eigenvalues_below_threshold(poly):
+    """Number of distinct roots of ``poly`` strictly below
+    tau = -1 - sqrt(2), exact also when tau is a root (see above)."""
+    return _at_threshold(poly)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +405,4 @@ def compare_threshold(interval):
 def equals_threshold(interval):
     """Is lambda_min exactly tau?  True iff tau is a root and no root
     lies below it."""
-    return (
-        threshold_is_root(interval.poly)
-        and count_eigenvalues_below_threshold(interval.poly) == 0
-    )
+    return _at_threshold(interval.poly) == (0, True)

@@ -6,23 +6,24 @@ not line graphs of the family although every one-vertex-deleted induced
 subgraph is.  ``build_catalog`` derives it from scratch for
 5 <= n <= n_max over line-graph layers: generation extends only the line
 graphs of each size, which is exhaustive because the class is hereditary
-(see ``_layer``).  Each layer is built once per process and kept in a
-store keyed by its size, which ``verify_eigen_claims`` and
-``verify_cover_uniqueness`` read as well.  It cross-checks two
-independent minimality filters (containment of a smaller member versus
-recognition of one-vertex deletions) on every candidate, sharing work
-across candidates: containment tries the member that last embedded
-first, and a deletion is recognized from the classes of its parent
-less one vertex, found once per (parent, vertex).  It attaches
-per-member certificates: a strict cover of every one-vertex deletion
-and a certified smallest-eigenvalue interval with its threshold
-verdict.  ``_member`` is the one code path that makes a member with its
-certificates, and it checks the definition on the way: the member has
-no strict cover and each of its one-vertex deletions has one.  The
-build calls it on every candidate that passes containment, and
-``MfsCatalog.load`` calls it on every stored graph6 string and refuses
-a catalog whose witness files differ from what it derives, so no
-stored certificate and no stored member is trusted.
+(see ``_layer``).  Each layer is built once per process and kept, as
+graphs with no canonical form, in a store keyed by its size, which
+``verify_eigen_claims`` and ``verify_cover_uniqueness`` read as well.
+The build cross-checks two independent minimality filters (containment
+of a smaller member versus recognition of one-vertex deletions) on
+every candidate, sharing work across candidates: containment tries the
+member that last embedded first, and a deletion is recognized from the
+classes of its parent less one vertex, found once per (parent, vertex).
+It attaches per-member certificates: a strict cover of every one-vertex
+deletion and a certified smallest-eigenvalue interval with its
+threshold verdict.  ``_member`` is the one code path that makes a
+member with its canonical form and certificates, and it checks the
+definition on the way: the member has no strict cover and each of its
+one-vertex deletions has one.  The build calls it on every candidate
+that passes containment, and ``MfsCatalog.load`` calls it on every
+stored graph6 string and refuses a catalog whose witness files differ
+from what it derives, so no stored certificate and no stored member is
+trusted.
 
 ``screen`` decides line-graph membership purely by forbidden-subgraph
 containment, which the test suite checks against ``is_h_line`` on every
@@ -114,14 +115,14 @@ class CatalogEntry:
     witnesses: dict  # deleted vertex -> strict cover json dict of the deletion
 
 
-def _member(g, form):
-    """The catalog entry of ``g``, a minimal forbidden subgraph with
-    canonical form ``form``: a strict cover of every one-vertex deletion
-    as its witness, and its certified smallest eigenvalue with the
-    threshold verdict.  A cover of ``g``, or a deletion with no cover,
-    raises ``HoffmanGraphError``: ``g`` is no minimal forbidden subgraph
-    then.  Connectedness follows, since each component of a disconnected
-    ``g`` lies in a deletion, and a union of line graphs is one."""
+def _member(g):
+    """The catalog entry of ``g``, a minimal forbidden subgraph: its
+    canonical form, a strict cover of every one-vertex deletion as its
+    witness, and its certified smallest eigenvalue with the threshold
+    verdict.  A cover of ``g``, or a deletion with no cover, raises
+    ``HoffmanGraphError``: ``g`` is no minimal forbidden subgraph then.
+    Connectedness follows, since each component of a disconnected ``g``
+    lies in a deletion, and a union of line graphs is one."""
     if is_h_line(g) is not None:
         raise HoffmanGraphError("a line graph is no forbidden subgraph: " + write_graph6(g))
     deletions = {}
@@ -133,7 +134,7 @@ def _member(g, form):
     interval = smallest_eigenvalue(g)
     return CatalogEntry(
         graph=g,
-        form=form,
+        form=canonical_form(g),
         eigen=interval,
         verdict=compare_threshold(interval),
         equals_threshold=equals_threshold(interval),
@@ -163,12 +164,8 @@ class MfsCatalog:
     n_max: int
     entries: dict[int, list[CatalogEntry]] = field(default_factory=dict)
 
-    def members(self, up_to=None):
-        out = []
-        for n in sorted(self.entries):
-            if up_to is None or n <= up_to:
-                out.extend(self.entries[n])
-        return out
+    def members(self):
+        return [e for n in sorted(self.entries) for e in self.entries[n]]
 
     def counts(self):
         return {n: len(es) for n, es in sorted(self.entries.items())}
@@ -247,7 +244,7 @@ class MfsCatalog:
                         raise HoffmanGraphError(
                             f"catalog {directory}: mfs{n}_{i} has {g.n} vertices"
                         )
-                    entry = _member(g, canonical_form(g))
+                    entry = _member(g)
                     if _member_doc(entry) != doc:
                         raise HoffmanGraphError(
                             f"catalog {directory}: the certificates of mfs{n}_{i} "
@@ -270,11 +267,12 @@ _LAYERS = {}
 
 def _layer(n):
     """(line, non_line, classes, autos) for n vertices: the children of
-    the line graphs on n - 1 vertices as tuples of (graph, form), split
-    by whether they have a strict cover; then, in the order of ``line``,
+    the line graphs on n - 1 vertices as tuples of graphs, split by
+    whether they have a strict cover; then, in the order of ``line``,
     the cover classes of each line graph as tuples of (cells, fats), and
     the stored automorphisms of its canonical labelling, from which the
-    next layer extends it.
+    next layer extends it.  No canonical form is kept: ``_member``
+    labels the few members again.
 
     Why this reaches every line graph and minimal forbidden subgraph on
     n vertices (McKay's prune, J. Algorithms 26, 1998): a child is made
@@ -297,19 +295,19 @@ def _layer(n):
         if n == 1:
             k1, autos = next(_slim_graphs(1, True))
             k1_classes = tuple(_extensions([((), ())], 0, 0))
-            layer = ((k1, canonical_form(k1)),), (), (k1_classes,), (autos,)
+            layer = (k1,), (), (k1_classes,), (autos,)
         else:
             line, non_line, classes, autos = [], [], [], []
             parents, _, parent_classes, parent_autos = _layer(n - 1)
-            for (parent, _), known, generators in zip(parents, parent_classes, parent_autos):
-                for child, form, child_autos in _canonical_children(parent, generators):
+            for parent, known, generators in zip(parents, parent_classes, parent_autos):
+                for child, child_autos in _canonical_children(parent, generators):
                     found = tuple(_extensions(known, n - 1, child.adj[n - 1]))
                     if found:
-                        line.append((child, form))
+                        line.append(child)
                         classes.append(found)
                         autos.append(child_autos)
                     else:
-                        non_line.append((child, form))
+                        non_line.append(child)
             layer = tuple(line), tuple(non_line), tuple(classes), tuple(autos)
         _LAYERS[n] = layer
     return layer
@@ -384,10 +382,10 @@ def build_catalog(n_max, jobs=1, progress=None):
         line, non_line, _, _ = _layer(n)
         entries = []
         below = {}
-        for g, form in non_line:
+        for g in non_line:
             embedding = _first_contained(g, smaller)
             if embedding is None:
-                entries.append(_member(g, form))
+                entries.append(_member(g))
                 continue
             # g is its parent, a line graph on the vertices below n - 1,
             # plus n - 1.  A line graph contains no member, so the image
@@ -424,10 +422,7 @@ def screen(g, catalog):
             f"screening a {g.slim_count}-vertex graph needs catalog n_max >= {needed}"
             f" (hoffline catalog build --nmax {N_MAX})"
         )
-    for entry in catalog.members(up_to=g.slim_count):
-        if find_embedding(entry.graph, g) is not None:
-            return False
-    return True
+    return _first_contained(g, catalog.members()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +515,7 @@ def verify_eigen_claims(catalog):
     t0 = time.time()
     below = [e for e in catalog.members() if e.verdict is Verdict.BELOW]
     counts = {"below": len(below), "at_or_above": catalog.total() - len(below)}
-    line = [g for n in range(1, _EIGEN_LINE_GRAPHS_TO + 1) for g, _ in _layer(n)[0]]
+    line = [g for n in range(1, _EIGEN_LINE_GRAPHS_TO + 1) for g in _layer(n)[0]]
     # the verdict needs only the polynomial, not a bisection bracket
     below_line = (g for g in line if count_eigenvalues_below_threshold(char_poly(special_matrix(g))))
     bad = next(map(write_graph6, below_line), None)
@@ -546,13 +541,13 @@ def verify_cover_uniqueness(n):
     if not 5 <= n <= N_MAX:
         raise HoffmanGraphError(f"uniqueness audit covers 5 <= n <= {N_MAX}")
     line, _, classes, _ = _layer(n)
-    class_counts = [len(_classes(g, g.slim_mask, [])) for g, _form in line]
+    class_counts = [len(_classes(g, g.slim_mask, [])) for g in line]
     # every audited graph was recognized, so it must have a cover, and
     # enumeration must count the classes the layer store holds
     bad = next(
         (
             write_graph6(g)
-            for (g, _form), stored, k in zip(line, classes, class_counts)
+            for g, stored, k in zip(line, classes, class_counts)
             if k == 0 or (n >= 8 and k > 1) or k != len(stored)
         ),
         None,
@@ -750,10 +745,7 @@ def table1_row_occurrence(row_id, catalog):
         if form in slim_classes:
             continue
         slim_classes.add(form)
-        hit = {
-            m.form for m in members
-            if m.graph.n <= gs.n and find_embedding(m.graph, gs) is not None
-        }
+        hit = {m.form for m in members if find_embedding(m.graph, gs) is not None}
         if not hit and uncovered is None:
             uncovered = write_graph6(gs)
         occ |= hit
@@ -871,7 +863,7 @@ def verify_claim(claim, catalog=None, n=None):
     if claim in LEMMA_CLAIMS:
         return verify_lemma(claim.removeprefix("lemma"))
     if claim == "uniqueness":
-        return verify_cover_uniqueness(n or 8)
+        return verify_cover_uniqueness(8 if n is None else n)
     if claim == "eigen":
         return verify_eigen_claims(catalog)
     raise HoffmanGraphError(f"unknown claim {claim!r}")

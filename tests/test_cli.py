@@ -106,6 +106,14 @@ def test_usage_error_exit_two():
     assert out.returncode == 2
 
 
+def test_uniqueness_audit_of_size_zero_exit_two():
+    # an explicit size is audited as given, zero included, not replaced
+    # by the default of 8
+    out = _run(["verify", "--claim", "uniqueness", "--n", "0"])
+    assert out.returncode == 2 and not out.stdout
+    assert "uniqueness audit covers 5 <= n <= 9" in out.stderr
+
+
 def test_screen_with_catalog_dir(tmp_path, catalog7):
     cat = tmp_path / "catalog"
     catalog7.save(str(cat))

@@ -135,7 +135,7 @@ def _filter_parents():
             if f:
                 layer = [
                     c for p in layer
-                    for c, _form, _autos in _canonical_children(p, canonical_data(p)[2], fat=True)
+                    for c, _autos in _canonical_children(p, canonical_data(p)[2], fat=True)
                 ]
             yield from ((p, True, True) for p in layer)
 
@@ -238,9 +238,12 @@ def test_canonical_children_match_unpruned(parents):
         parents = [(p, canonical_data(p)[2], *kind) for p, *kind in _filter_parents()]
     else:
         line, _, _, autos = _layer(parents)
-        parents = [(p, a, True, False) for (p, _form), a in zip(line, autos)]
+        parents = [(p, a, True, False) for p, a in zip(line, autos)]
     for parent, autos, connected, fat in parents:
-        got = [(c.adj, f) for c, f, _autos in _canonical_children(parent, autos, connected, fat)]
+        got = [
+            (c.adj, canonical_form(c))
+            for c, _autos in _canonical_children(parent, autos, connected, fat)
+        ]
         want = [(c.adj, f) for c, f in canonical_children_unpruned(parent, connected, fat)]
         assert got == want
 
@@ -252,7 +255,7 @@ def test_carried_automorphisms_give_the_orbits_of_a_fresh_labelling():
     carried = [
         *((g, a) for n in range(1, 7) for g, a in _slim_graphs(n, connected=True)),
         *((g, a) for n in range(1, 6) for g, a in _slim_graphs(n, connected=False)),
-        *((g, a) for n in range(1, 8) for (g, _form), a in zip(_layer(n)[0], _layer(n)[3])),
+        *((g, a) for n in range(1, 8) for g, a in zip(_layer(n)[0], _layer(n)[3])),
     ]
     for g, autos in carried:
         fresh = canonical_data(g)[2]

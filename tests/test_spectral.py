@@ -26,7 +26,6 @@ from hoffline.spectral import (
     equals_threshold,
     smallest_eigenvalue,
     special_matrix,
-    threshold_is_root,
 )
 
 from bruteforce import (
@@ -94,7 +93,7 @@ def test_char_poly_h1_h2():
 def test_char_poly_h5_has_threshold_factor():
     p = char_poly(special_matrix(family_graph("H5")))
     assert p == (-1, 1, 3, 1)  # (x + 1)(x^2 + 2x - 1)
-    assert threshold_is_root(p)
+    assert spectral._eval_at_tau(p) == (0, 0)
 
 
 def test_char_poly_matches_permutation_expansion():
@@ -231,7 +230,7 @@ def test_count_at_a_threshold_root_matches_numpy(spectral_corpus, fat_corpus):
     found = 0
     for g in spectral_corpus + fat_corpus:
         poly = char_poly(special_matrix(g))
-        if not threshold_is_root(poly):
+        if spectral._eval_at_tau(poly) != (0, 0):
             continue
         eig = np.linalg.eigvalsh(np.array(special_matrix(g), dtype=float))
         want = _distinct_below_tau(eig)
@@ -251,7 +250,7 @@ def test_count_at_a_threshold_root_of_a_polynomial(roots, power):
     tau_factor = np.polynomial.polynomial.polypow([-1, 2, 1], power)
     poly = np.polynomial.polynomial.polymul(poly, tau_factor)
     poly = tuple(int(round(c)) for c in poly)
-    assert threshold_is_root(poly)
+    assert spectral._eval_at_tau(poly) == (0, 0)
     want = _distinct_below_tau(np.roots(poly[::-1]).real)
     assert want == len({r for r in roots if r <= -3})
     assert count_eigenvalues_below_threshold(poly) == want

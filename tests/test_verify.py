@@ -57,8 +57,8 @@ def test_line_layers_match_unpruned_generation(n):
     line, non_line, _, _ = _layer(n)
     forms = {canonical_form(g): g for g in connected_slim_graphs(n)}
     recognized = {f for f, g in forms.items() if is_h_line(g) is not None}
-    assert sorted(f for _, f in line) == sorted(recognized)
-    non_line_forms = {f for _, f in non_line}
+    assert sorted(canonical_form(g) for g in line) == sorted(recognized)
+    non_line_forms = {canonical_form(g) for g in non_line}
     for f, g in forms.items():
         if f not in recognized and all(
             is_h_line(g.delete_slim({v})) is not None for v in range(n)
@@ -150,7 +150,7 @@ def test_deletion_classes_from_the_parent_are_exact(n):
         return mask & ((1 << u) - 1) | mask >> (u + 1) << u
 
     below = {}
-    for g, _form in _layer(n)[1]:
+    for g in _layer(n)[1]:
         for u in range(n - 1):
             got = {
                 (tuple(drop(c, u) for c in cells), tuple(drop(f, u) for f in fats))
@@ -203,9 +203,9 @@ def test_layer_classes_match_full_enumeration(n):
     # alike
     line, non_line, classes, _ = _layer(n)
     assert len(classes) == len(line)
-    for (g, _form), stored in zip(line, classes):
+    for g, stored in zip(line, classes):
         assert sorted(stored) == sorted(cover_class(c) for c in strict_covers_reference(g))
-    for g, _form in non_line:
+    for g in non_line:
         assert next(strict_covers_reference(g), None) is None
 
 
@@ -214,8 +214,8 @@ def test_deleting_the_new_vertex_gives_a_stored_parent_class(n):
     # each child is its parent plus vertex n - 1, so the deletion lemma
     # must map every cover of a line child onto a class of that parent
     line, _, classes, _ = _layer(n - 1)
-    parents = {g.adj: k for (g, _form), k in zip(line, classes)}
-    for g, _form in _layer(n)[0]:
+    parents = {g.adj: k for g, k in zip(line, classes)}
+    for g in _layer(n)[0]:
         stored = {fats for _cells, fats in parents[g.delete_slim({n - 1}).adj]}
         for cover in strict_covers_reference(g):
             out, _case = delete_vertex_from_cover(cover.host, cover.parts, n - 1)
@@ -230,7 +230,7 @@ def test_uniqueness_audit_cross_checks_the_layer_store(monkeypatch):
     monkeypatch.setitem(verify._LAYERS, 6, (line, non_line, tampered, autos))
     rep = verify_cover_uniqueness(6)
     assert not rep.ok
-    assert rep.counterexample == write_graph6(line[0][0])
+    assert rep.counterexample == write_graph6(line[0])
 
 
 def test_catalog_save_load_round_trip(catalog7, tmp_path):
@@ -335,7 +335,7 @@ def test_eigen_claims_report_the_first_failing_line_graph(catalog7, monkeypatch)
     )
     rep = verify_claim("eigen", catalog=catalog7)
     assert not rep.ok
-    assert rep.counterexample == write_graph6(_layer(4)[0][0][0])
+    assert rep.counterexample == write_graph6(_layer(4)[0][0])
     assert rep.counts == confirmed.counts
 
 
