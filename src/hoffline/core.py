@@ -26,14 +26,17 @@ Besides the data model this module provides:
   * a canonical form (colour refinement with individualization and
     orbit pruning) deciding colour-preserving isomorphism;
   * an induced-subgraph embedding search (``find_embedding``), whose
-    pattern side (vertex order, adjacency to later vertices, colour and
-    degree keys) is built once per pattern and memoized on it, like the
-    canonical form;
+    pattern side (vertex order, adjacency and twins among later
+    vertices, colour and local-count keys) is built once per pattern and
+    memoized on it, like the canonical form, while the host side is
+    kept for the last host only;
   * connectivity helpers;
   * a plain text interchange format and a DOT exporter.
 """
 
 from __future__ import annotations
+
+import functools
 
 
 class HoffmanGraphError(Exception):
@@ -561,24 +564,88 @@ def isomorphic(g, h):
 # ---------------------------------------------------------------------------
 # Induced embedding search
 # ---------------------------------------------------------------------------
+#
+# Two prunes that are sound for induced, colour-preserving embeddings
+# (domain filtering as in McCreesh, Prosser & Trimble, "The Glasgow
+# Subgraph Solver", ICGT 2020, and Juttner & Madarasi, VF2++, Discrete
+# Applied Mathematics 242, 2018).  The search tries the positions of the
+# plan order one by one and the candidates of each in increasing order,
+# so unpruned it returns the least embedding in plan order: the one whose
+# sequence of images, read in plan order, is lexicographically least.
+#
+# Local counts.  Each vertex has four counts: its degree, its non-degree
+# (non-neighbours other than itself), the edges inside its neighbourhood
+# and the non-edges inside it.  An injective induced embedding phi maps
+# the neighbours of v onto distinct neighbours of phi(v) and the
+# non-neighbours onto distinct non-neighbours, and it maps an edge or
+# non-edge between two neighbours of v onto an edge or non-edge between
+# two neighbours of phi(v).  So each count of phi(v) is at least that
+# of v, and a host vertex with a smaller count is the image of v in no
+# embedding.  Dropping it loses no embedding, and the least one stays
+# first.
+#
+# Twin order.  Pattern vertices a and b of one colour are twins when
+# N(a) - b = N(b) - a.  Then the transposition of a and b is a
+# colour-preserving automorphism of the pattern, so with phi an
+# embedding, phi with the images of a and b swapped is one too.  Let a
+# come before b in the plan order, and let phi(b) < phi(a).  The swapped
+# embedding agrees with phi before a and has the smaller image phi(b) at
+# a, so it is less than phi, and phi is not the least embedding.  So
+# the least embedding maps every such b above its twin a, and cutting the
+# domain of b to the host vertices above phi(a) loses some embeddings
+# but never the least one, which the search still finds first.  Both
+# prunes together keep it too: the first only removes vertices that no
+# embedding uses.
+
+
+def _local_counts(adj):
+    """(degree, non-degree, edges inside the neighbourhood, non-edges
+    inside it) of each vertex of the graph with adjacency ``adj``."""
+    n = len(adj)
+    counts = []
+    for row in adj:
+        deg = row.bit_count()
+        inner = sum((adj[u] & row).bit_count() for u in _iter_bits(row)) // 2
+        counts.append((deg, n - 1 - deg, inner, deg * (deg - 1) // 2 - inner))
+    return counts
+
+
+@functools.lru_cache(maxsize=1)
+def _host_side(adj, slim_count):
+    """The host side of ``find_embedding``: the local counts of each host
+    vertex and a dict, filled as patterns ask, of the domain of each key.
+    Only the last host is kept: callers test many patterns against one
+    host in a row, and a copy kept per graph would live as long as the
+    graphs of the layer store."""
+    return _local_counts(adj), {}
 
 
 def _embedding_plan(pattern):
     """The pattern side of ``find_embedding``, built once per pattern:
     (vertex order, steps, keys).  The order is by decreasing degree, then
-    by index; step ``i`` lists ``(j, adjacent)`` for each later position
-    ``j``, ``adjacent`` telling whether the pattern vertices at ``i`` and
-    ``j`` are joined; key ``i`` is (fat?, degree) of the vertex at ``i``."""
+    by index; step ``i`` lists ``(j, adjacent, twin)`` for each later
+    position ``j``, ``adjacent`` telling whether the pattern vertices at
+    ``i`` and ``j`` are joined and ``twin`` whether they are twins of one
+    colour; key ``i`` is fat? and the local counts of the vertex at ``i``."""
     plan = pattern._plan
     if plan is None:
         padj = pattern.adj
         pn = len(padj)
+        s = pattern.slim_count
         order = tuple(sorted(range(pn), key=lambda v: (-padj[v].bit_count(), v)))
+
+        def twins(a, b):
+            return (a < s) == (b < s) and padj[a] & ~(1 << b) == padj[b] & ~(1 << a)
+
         steps = tuple(
-            tuple((j, (padj[v] >> order[j]) & 1 == 1) for j in range(i + 1, pn))
+            tuple(
+                (j, (padj[v] >> order[j]) & 1 == 1, twins(v, order[j]))
+                for j in range(i + 1, pn)
+            )
             for i, v in enumerate(order)
         )
-        keys = tuple((v >= pattern.slim_count, padj[v].bit_count()) for v in order)
+        counts = _local_counts(padj)
+        keys = tuple((v >= s, *counts[v]) for v in order)
         plan = pattern._plan = (order, steps, keys)
     return plan
 
@@ -587,17 +654,18 @@ def find_embedding(pattern, host):
     """An injective colour-preserving induced embedding, or ``None``.
 
     Both adjacency and non-adjacency are preserved (induced subgraph
-    semantics).  Uses degree/colour pruning and bitset domain filtering.
-    Returns a tuple ``m`` with ``m[v]`` the host vertex of pattern
-    vertex ``v``.
+    semantics).  Returns a tuple ``m`` with ``m[v]`` the host vertex of
+    pattern vertex ``v``: the least embedding in the pattern's plan
+    order, which the two prunes of the block comment above keep.
 
     The pattern side (``_embedding_plan``) is built on the first call
     and memoized on the pattern, since one pattern is tested against
-    many hosts.  Per call the host gets one domain per distinct key, the
-    host vertices of that colour with at least that degree, and one
-    non-neighbour mask per candidate.  Candidates are tried in
-    increasing order, so the result is the first embedding in that
-    order.
+    many hosts.  The host side (``_host_side``) is kept for the last
+    host, since callers test many patterns against one host in a row.
+    A domain holds the host vertices of the key's colour whose local
+    counts are each at least the key's; candidates are tried in
+    increasing order, and each one filters the domains of the later
+    positions by adjacency, non-adjacency and twin order.
     """
     pn = pattern.n
     if pn == 0:
@@ -607,20 +675,20 @@ def find_embedding(pattern, host):
     order, steps, keys = _embedding_plan(pattern)
     hadj = host.adj
     hs = host.slim_count
-    degrees = [row.bit_count() for row in hadj]
-    by_key = {}
+    host_counts, by_key = _host_side(hadj, hs)
     domains = []
     for key in keys:
         dom = by_key.get(key)
         if dom is None:
-            fat, deg = key
+            fat, deg, non_deg, inner, non_inner = key
             dom = 0
             for w in range(hs, len(hadj)) if fat else range(hs):
-                if degrees[w] >= deg:
+                d, nd, e, ne = host_counts[w]
+                if d >= deg and nd >= non_deg and e >= inner and ne >= non_inner:
                     dom |= 1 << w
-            if not dom:
-                return None
             by_key[key] = dom
+        if not dom:
+            return None
         domains.append(dom)
     full = (1 << host.n) - 1
     mapping = [-1] * pn
@@ -643,8 +711,10 @@ def find_embedding(pattern, host):
             near = hadj[w]
             far = full ^ (near | low)
             new = doms[:]
-            for j, adjacent in step:
+            for j, adjacent, twin in step:
                 d = new[j] & (near if adjacent else far)
+                if twin:
+                    d &= -low << 1  # the host vertices above w
                 if not d:
                     break
                 new[j] = d

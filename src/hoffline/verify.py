@@ -851,7 +851,10 @@ CATALOG_CLAIMS = ("prop2.1", "table1", "eigen")
 
 
 def verify_claim(claim, catalog=None, n=None):
-    """Dispatch a named claim to its checker."""
+    """Dispatch a named claim to its checker.  ``n`` is the size of the
+    uniqueness audit and is refused for any other claim."""
+    if n is not None and claim != "uniqueness":
+        raise HoffmanGraphError(f"a size is given only to the uniqueness audit, not to {claim}")
     if claim in CATALOG_CLAIMS and catalog is None:
         raise HoffmanGraphError(f"{claim} needs a catalog")
     if claim == "eq2":

@@ -1,7 +1,9 @@
 """Small constructors and checks that only the tests use."""
 
 import itertools
+import sys
 
+from hoffline import core
 from hoffline.core import (
     HoffmanGraph,
     HoffmanGraphError,
@@ -24,6 +26,27 @@ def slim_cycle(n):
 
 def slim_path(n):
     return HoffmanGraph.build(n, 0, [(i, i + 1) for i in range(n - 1)])
+
+
+def embedding_nodes(pairs):
+    """The search nodes that ``find_embedding`` visits over the
+    (pattern, host) pairs: the calls of its inner ``rec``, counted by a
+    profile hook, so the count holds no timing."""
+    rec = next(c for c in core.find_embedding.__code__.co_consts if getattr(c, "co_name", None) == "rec")
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is rec:
+            nodes += 1
+
+    sys.setprofile(count)
+    try:
+        for pattern, host in pairs:
+            core.find_embedding(pattern, host)
+    finally:
+        sys.setprofile(None)
+    return nodes
 
 
 def relabeled(g, perm):

@@ -114,6 +114,14 @@ def test_uniqueness_audit_of_size_zero_exit_two():
     assert "uniqueness audit covers 5 <= n <= 9" in out.stderr
 
 
+def test_size_for_another_claim_exit_two():
+    # --n sizes the uniqueness audit alone; another claim refuses it
+    # rather than run without it
+    out = _run(["verify", "--claim", "eq2", "--n", "3"])
+    assert out.returncode == 2 and not out.stdout
+    assert "only to the uniqueness audit" in out.stderr
+
+
 def test_screen_with_catalog_dir(tmp_path, catalog7):
     cat = tmp_path / "catalog"
     catalog7.save(str(cat))

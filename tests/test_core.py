@@ -29,8 +29,16 @@ from hoffline.enumeration import (
     sum_graphs,
 )
 from hoffline.families import family_graph
+from hoffline.recognition import is_h_line
 
-from helpers import automorphism_orbits, relabeled, slim_complete, slim_cycle, slim_path
+from helpers import (
+    automorphism_orbits,
+    embedding_nodes,
+    relabeled,
+    slim_complete,
+    slim_cycle,
+    slim_path,
+)
 from bruteforce import (
     NotConnected,
     canonical_data_unpruned,
@@ -382,6 +390,52 @@ def test_embedding_matches_per_call_reference(catalog8, spectral_corpus, monkeyp
         assert got == find_embedding_per_call(pattern, host), (pattern.adj, host.adj)
         found += got is not None
     assert 0 < found < len(calls)
+
+
+def test_pruned_embedding_matches_per_call_reference(catalog8, fat_corpus):
+    # the local counts and the twin order cut the search but not its
+    # first embedding: the members against cocktail-party graphs and
+    # K_n - e, whose vertices have few non-neighbours, and fat patterns
+    # against fat hosts, where a slim and a fat vertex with one
+    # neighbourhood are not twins
+    members = [m.graph for m in catalog8.members()]
+    hosts = [_cocktail_party(k) for k in range(1, 7)]
+    hosts += [h.slim_subgraph() for h in hosts] + [_complete_minus_edge(n) for n in range(2, 11)]
+    pairs = [(m, h) for h in hosts for m in members]
+    pairs += [(p, h) for h in fat_corpus[-400::20] for p in fat_corpus]
+    found = 0
+    for pattern, host in pairs:
+        got = find_embedding(pattern, host)
+        assert got == find_embedding_per_call(pattern, host), (pattern.adj, host.adj)
+        found += got is not None
+    assert 0 < found < len(pairs)
+
+
+def test_embedding_search_node_counts(catalog8, stream_graphs):
+    # exact counts of search nodes, no timing, each pinned where one
+    # prune decides it: every vertex of CP(8) has one non-neighbour, so
+    # the non-degree count empties a domain of every member before the
+    # search starts; over the stream inputs the edge and non-edge counts
+    # and the twin order each cut the members' nodes (247,763 with
+    # colour and degree alone), and the twin order the star's (36,620)
+    members = [m.graph for m in catalog8.members()]
+    cp8 = _cocktail_party(8).slim_subgraph()
+    assert embedding_nodes((m, cp8) for m in members) == 0
+    assert embedding_nodes((m, g) for g in stream_graphs for m in members) == 63_833
+    star = parse_graph6("Esa?")
+    assert star.adj[0] == 0b111110
+    assert embedding_nodes((star, g) for g in stream_graphs) == 6_207
+
+
+def test_dense_line_graphs_contain_no_member(catalog8):
+    # known answers on dense hosts: CP(k) and K_n - e are line graphs of
+    # the family, so no member embeds and recognition finds a cover
+    members = [m.graph for m in catalog8.members()]
+    hosts = [_cocktail_party(k).slim_subgraph() for k in range(1, 13)]
+    hosts += [_complete_minus_edge(n) for n in range(2, 25)]
+    for g in hosts:
+        assert all(find_embedding(m, g) is None for m in members), g.adj
+        assert is_h_line(g) is not None, g.adj
 
 
 def test_embedding_respects_colors():
