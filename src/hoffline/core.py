@@ -77,14 +77,13 @@ class HoffmanGraph:
     and ``v`` are adjacent.
     """
 
-    __slots__ = ("slim_count", "fat_count", "adj", "_canon", "_hash", "_plan")
+    __slots__ = ("slim_count", "fat_count", "adj", "_canon", "_plan")
 
     def __init__(self, slim_count, fat_count, adj, _checked=False):
         self.slim_count = slim_count
         self.fat_count = fat_count
         self.adj = tuple(adj)
         self._canon = None
-        self._hash = None
         self._plan = None
         if not _checked:
             self._validate()
@@ -166,9 +165,8 @@ class HoffmanGraph:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.slim_count, self.fat_count, self.adj))
-        return self._hash
+        # not cached: the package's own runs hash no graph
+        return hash((self.slim_count, self.fat_count, self.adj))
 
     def __repr__(self):
         return f"HoffmanGraph(s={self.slim_count}, f={self.fat_count}, m={self.edge_count()})"
@@ -291,9 +289,9 @@ class HoffmanGraph:
             edges.append((u, v))
         return cls.build(slim, fat, edges)
 
-    def to_dot(self, name="H"):
+    def to_dot(self):
         """GraphViz DOT text; slim vertices small filled dots, fat large."""
-        out = [f"graph {name} {{"]
+        out = ["graph H {"]
         for v in range(self.slim_count):
             out.append(f'  {v} [shape=circle, style=filled, fillcolor=black, width=0.12, label=""];')
         for v in range(self.slim_count, self.n):
@@ -469,12 +467,13 @@ class _CanonSearch:
         self.autos = []
 
     def _record_auto(self, lab1, lab2):
-        n = len(lab1)
-        perm = [0] * n
-        for i in range(n):
-            perm[lab1[i]] = lab2[i]
-        if any(perm[i] != i for i in range(n)):
-            self.autos.append(perm)
+        # never the identity: distinct leaves part at a node taking v or
+        # w != v at target index t, after singletons only; refinement never
+        # reorders cells, so lab[t] is v below v and w below w
+        perm = [0] * len(lab1)
+        for u, v in zip(lab1, lab2):
+            perm[u] = v
+        self.autos.append(perm)
 
     def _leaf(self, cells):
         lab = [c.bit_length() - 1 for c in cells]

@@ -262,9 +262,11 @@ def _chain(poly):
     above).  Memoized: the bracket and both threshold comparisons of one
     graph read the chain of its characteristic polynomial."""
     chain = sturm_chain(poly)
+    # g keeps its sign: p has only real roots, so V(-inf) - V(+inf) =
+    # deg p - deg g >= len(chain) - 1, as degrees fall from p to g; so no
+    # pair varies at +inf, and every member, g too, leads positive like p.
+    # A negative g would flip every quotient, changing no count or zero.
     g = _primitive(chain[-1])
-    if g[-1] < 0:
-        g = [-c for c in g]
     out = []
     for member in chain:
         q, r = _divmod_poly(member, g)
@@ -333,10 +335,11 @@ BRACKET_WIDTH = Fraction(1, 10**9)
 # the sign of p alone: the one root in the interval is simple, so p
 # changes sign there and nowhere else in it, and a midpoint lies above r
 # exactly when p has there another sign than at the lower end, which
-# keeps its sign.  A midpoint where p vanishes is r itself, a rational
-# root of a monic integer polynomial and so an integer.  When the loop
-# ends, the bracket is narrower than 1 and holds at most one integer m;
-# r = m exactly when m is a root with no other root at or below it.
+# keeps its sign.  At a midpoint that is r, p vanishes and the upper end
+# moves onto it.  When the loop ends, the bracket is narrower than 1 and
+# holds at most one integer m; r = m exactly when m is a root with no
+# other root at or below it, or in the sign phase simply a root.  A
+# rational r, a root of a monic integer polynomial, is such an m.
 #
 # The answers depend only on r, so the brackets are those of bisecting
 # on the same grid any polynomial with least root r: when r is
@@ -364,10 +367,7 @@ def smallest_root_interval(poly):
         lo, k = lo << 1, k + 1
         mid, den = lo + width, 1 << k
         if lo_sign:
-            sign = _sign_at(p, mid, den)
-            if sign == 0:
-                return Fraction(mid, den), Fraction(mid, den)
-            if sign == lo_sign:
+            if _sign_at(p, mid, den) == lo_sign:
                 lo = mid
         else:
             count = _count_leq(chain, mid, den)
@@ -377,7 +377,7 @@ def smallest_root_interval(poly):
                 lo_sign = _sign_at(p, lo, den)
     # the one integer in (lo, lo + width] / 2^k, if any
     m = (lo >> k) + 1
-    if m << k <= lo + width and _sign_at(p, m) == 0 and _count_leq(chain, m, 1) == 1:
+    if m << k <= lo + width and _sign_at(p, m) == 0 and (lo_sign or _count_leq(chain, m, 1) == 1):
         return Fraction(m), Fraction(m)
     return Fraction(lo, 1 << k), Fraction(lo + width, 1 << k)
 

@@ -211,11 +211,11 @@ class MfsCatalog:
         ``_member``, the code that built it, and the catalog is refused
         with ``HoffmanGraphError`` unless every witness file equals the
         derived one.  ``_member`` re-checks minimality by definition (no
-        cover of the member, one of each deletion).  ``counts`` must list
-        the sizes 5 to ``n_max``, at most ``N_MAX``, and the checksum
-        must match ``n_max``, ``counts`` and the member forms.  Other
-        files, such as the ``g6/`` copies and the ``total`` that older
-        versions wrote, are ignored."""
+        cover of the member, one of each deletion).  ``counts`` must give
+        an int, not a bool, for each size 5 to ``n_max`` <= ``N_MAX``, and
+        the checksum must match ``n_max``, ``counts`` and the member forms.
+        Other files, such as the ``g6/`` copies and the ``total`` that
+        older versions wrote, are ignored."""
         try:
             with open(os.path.join(directory, "catalog.json")) as fh:
                 meta = json.load(fh)
@@ -227,11 +227,11 @@ class MfsCatalog:
                     f"unreadable catalog {directory}: n_max must be an integer "
                     f"from 5 to {N_MAX}, got {n_max!r}"
                 )
-            if not isinstance(counts, dict) or set(counts) != {
-                str(n) for n in range(5, n_max + 1)
-            }:
+            if not isinstance(counts, dict) or {
+                size: type(count) for size, count in counts.items()
+            } != {str(n): int for n in range(5, n_max + 1)}:
                 raise HoffmanGraphError(
-                    f"unreadable catalog {directory}: counts must list the sizes 5 to {n_max}"
+                    f"unreadable catalog {directory}: counts must be ints for sizes 5 to {n_max}"
                 )
             cat = MfsCatalog(n_max=n_max)
             for n in range(5, n_max + 1):

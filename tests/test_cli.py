@@ -271,6 +271,21 @@ def test_catalog_with_bad_n_max_exit_two(tmp_path, catalog7, n_max):
         assert "Traceback" not in out.stderr and "error: unreadable catalog" in out.stderr
 
 
+def test_catalog_with_boolean_count_exit_two(tmp_path, catalog8):
+    # true is 1 to range() and to the checksum, so a count of true where
+    # the count is 1 would load unless counts are refused as n_max is
+    cat = tmp_path / "cat"
+    catalog8.save(str(cat))
+    meta = json.loads((cat / "catalog.json").read_text())
+    assert meta["counts"]["8"] == 1
+    meta["counts"]["8"] = True
+    (cat / "catalog.json").write_text(json.dumps(meta))
+    for command in (["verify", "--claim", "prop2.1"], ["screen"]):
+        out = _run([*command, "--catalog", str(cat)], stdin="DsW\n")
+        assert out.returncode == 2 and not out.stdout
+        assert "Traceback" not in out.stderr and "error: unreadable catalog" in out.stderr
+
+
 @pytest.mark.parametrize("command", ["recognize", "covers", "spectral", "screen"])
 def test_non_ascii_stdin_exit_two(tmp_path, catalog7, command):
     # stdin is read as bytes, so a byte that is not UTF-8 is a malformed

@@ -20,7 +20,7 @@ from hoffline.core import (
     find_embedding,
     isomorphic,
 )
-from hoffline import verify
+from hoffline import enumeration, verify
 from hoffline.enumeration import (
     all_slim_graphs,
     connected_slim_graphs,
@@ -267,6 +267,28 @@ def test_canonical_search_matches_unpruned(fat_corpus, stream_graphs):
         form, lab, autos = canonical_data(g)
         got = form, lab, automorphism_orbits(g, autos)
         assert got == canonical_data_unpruned(g), (g.slim_count, list(g.adj))
+
+
+def test_stored_automorphisms_are_never_the_identity(spectral_corpus, fat_corpus, monkeypatch):
+    # ``_CanonSearch._record_auto`` stores every permutation between two
+    # leaves with no identity test: distinct leaves differ at the index
+    # where their paths part (see its comment)
+    stored = [(g.n, canonical_data(g)[2]) for g in spectral_corpus + fat_corpus]
+    corpus_size = len(stored)
+    canonical = enumeration.canonical_data
+
+    def recording(g, cells=None):
+        data = canonical(g, cells)
+        stored.append((g.n, data[2]))
+        return data
+
+    # the line-graph layers 1-8, built afresh so that every child is labelled
+    monkeypatch.setattr(verify, "_LAYERS", {})
+    monkeypatch.setattr(enumeration, "canonical_data", recording)
+    verify._layer(8)
+    assert len(stored) > corpus_size
+    for n, autos in stored:
+        assert list(range(n)) not in autos
 
 
 def test_mask_search_matches_list_search(fat_corpus, stream_graphs):

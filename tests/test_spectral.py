@@ -361,6 +361,33 @@ def test_sign_phase_point_at_a_root_gives_that_root(monkeypatch):
     assert counted == [-8, 8, 0]
 
 
+def test_integer_least_root_met_by_no_midpoint_needs_no_count(monkeypatch):
+    # x^2 + 2x - 3: the count at the first midpoint, 0, is 1, so [-5, 0]
+    # is bisected by sign alone, and no midpoint is -3; the last bracket
+    # holds one root and the one integer -3, so p(-3) = 0 alone gives the
+    # zero-width bracket, with no count at -3
+    counted = []
+    count_leq = spectral._count_leq
+
+    def recording_count_leq(chain, num, den):
+        counted.append(Fraction(num, den))
+        return count_leq(chain, num, den)
+
+    monkeypatch.setattr(spectral, "_count_leq", recording_count_leq)
+    want = smallest_root_interval_fractions((-3, 2, 1))
+    assert spectral.smallest_root_interval((-3, 2, 1)) == want == (-3, -3)
+    assert counted == [-5, 5, 0]
+
+
+def test_sturm_chain_of_a_characteristic_polynomial_leads_positive(spectral_corpus, fat_corpus):
+    # ``_chain`` divides by the last member as it stands: with only real
+    # roots, every member of the chain leads with a positive coefficient
+    polys = {char_poly(special_matrix(g)) for g in spectral_corpus + fat_corpus}
+    for poly in polys:
+        chain = spectral.sturm_chain(poly)
+        assert all(member[-1] > 0 for member in chain), poly
+
+
 _FAILURES_UNDER_O = """
 import json, sys
 from hoffline import spectral
