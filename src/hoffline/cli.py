@@ -171,9 +171,9 @@ def _cmd_screen(args):
 
 
 def _cmd_verify(args):
-    catalog = None
-    if args.claim in CATALOG_CLAIMS:
-        catalog = _load_or_build_catalog(args)
+    if args.catalog is not None and args.claim not in CATALOG_CLAIMS:
+        raise HoffmanGraphError(f"only {'/'.join(CATALOG_CLAIMS)} read a catalog, not {args.claim}")
+    catalog = _load_or_build_catalog(args) if args.claim in CATALOG_CLAIMS else None
     report = verify_claim(args.claim, catalog=catalog, n=args.n)
     print(report.to_json(pretty=args.pretty))
     return 0 if report.ok else 1

@@ -222,8 +222,8 @@ def _extensions(classes, v, nbhd):
 
 def _classes(g, mask, pinned):
     """Every class of the slim graph that ``g`` induces on ``mask`` whose
-    fats hold the masks ``pinned`` as a multiset, in the order of
-    ``_search_key``.
+    fats hold the masks ``pinned`` as a multiset, in no fixed order; the
+    cells of each are ordered by least vertex.
 
     The classes are built by ``_extensions`` one vertex at a time, from
     the one class of the empty graph.  Each class of a prefix plus one
@@ -263,8 +263,7 @@ def _classes(g, mask, pinned):
             classes = [k for k in classes if not need - Counter(k[1])]
         if not classes:
             return []
-    found = ((tuple(sorted(cells, key=lambda c: c & -c)), fats) for cells, fats in classes)
-    return sorted(found, key=_search_key(pinned))
+    return [(tuple(sorted(cells, key=lambda c: c & -c)), fats) for cells, fats in classes]
 
 
 # ``_search_key`` lists the classes of a graph in one fixed order: the
@@ -299,7 +298,7 @@ def _classes(g, mask, pinned):
 # tuple order, where a prefix comes first: the search meets block lists
 # in the sorted order of the lists.  Two classes with the same cells
 # partition the same edges, so neither list is a proper prefix of the
-# other.
+# other.  The cells and blocks fix every fat, so no two classes share a key.
 
 
 def _search_key(pinned):
@@ -387,14 +386,16 @@ def is_h_line(g):
         found = _classes(g, comp & g.slim_mask, pinned)
         if not found:
             return None
-        cells += found[0][0]
-        fats += found[0][1]
+        # no two classes share a key (above ``_search_key``): min is sorted()[0]
+        first_cells, first_fats = min(found, key=_search_key(pinned))
+        cells += first_cells
+        fats += first_fats
     return _cover(g, tuple(sorted(cells, key=lambda c: c & -c)), tuple(sorted(fats)))
 
 
 def enumerate_strict_covers(g):
     """All strict covers of a slim graph up to equivalence, one per
-    class, in the order of ``_search_key``."""
+    class, the classes sorted by ``_search_key``."""
     if g.fat_count:
         raise HoffmanGraphError("strict cover enumeration expects a slim graph")
-    return [_cover(g, *cls) for cls in _classes(g, g.slim_mask, [])]
+    return [_cover(g, *cls) for cls in sorted(_classes(g, g.slim_mask, []), key=_search_key([]))]

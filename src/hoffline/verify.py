@@ -266,13 +266,13 @@ _LAYERS = {}
 
 
 def _layer(n):
-    """(line, non_line, classes, autos) for n vertices: the children of
-    the line graphs on n - 1 vertices as tuples of graphs, split by
-    whether they have a strict cover; then, in the order of ``line``,
-    the cover classes of each line graph as tuples of (cells, fats), and
-    the stored automorphisms of its canonical labelling, from which the
-    next layer extends it.  No canonical form is kept: ``_member``
-    labels the few members again.
+    """(line, candidates, classes, autos) for n vertices: the children of
+    the line graphs on n - 1 vertices that have a strict cover; per
+    parent, in the order of ``_layer(n - 1)[0]``, the tuple of its
+    children with none; then, in the order of ``line``, the cover classes
+    of each line graph as tuples of (cells, fats), and the automorphisms
+    stored by its canonical labelling, from which the next layer extends
+    it.  No canonical form is kept: ``_member`` labels the members again.
 
     Why this reaches every line graph and minimal forbidden subgraph on
     n vertices (McKay's prune, J. Algorithms 26, 1998): a child is made
@@ -297,9 +297,10 @@ def _layer(n):
             k1_classes = tuple(_extensions([((), ())], 0, 0))
             layer = (k1,), (), (k1_classes,), (autos,)
         else:
-            line, non_line, classes, autos = [], [], [], []
+            line, candidates, classes, autos = [], [], [], []
             parents, _, parent_classes, parent_autos = _layer(n - 1)
             for parent, known, generators in zip(parents, parent_classes, parent_autos):
+                non_line = []
                 for child, child_autos in _canonical_children(parent, generators):
                     found = tuple(_extensions(known, n - 1, child.adj[n - 1]))
                     if found:
@@ -308,7 +309,8 @@ def _layer(n):
                         autos.append(child_autos)
                     else:
                         non_line.append(child)
-            layer = tuple(line), tuple(non_line), tuple(classes), tuple(autos)
+                candidates.append(tuple(non_line))
+            layer = tuple(line), tuple(candidates), tuple(classes), tuple(autos)
         _LAYERS[n] = layer
     return layer
 
@@ -327,22 +329,19 @@ def _first_contained(g, members):
     return None
 
 
-def _deletion_classes(g, u, below):
+def _deletion_classes(parent, g, u, below):
     """The cover classes of ``g - u``, for a candidate ``g`` of the
-    layer store and a vertex ``u < n - 1``.
+    layer store, its line-graph parent P and a vertex ``u`` of P.
 
-    ``g`` is its line-graph parent P on the vertices below w = n - 1
-    plus w, so ``g - u`` is (P - u) + w.  The classes of P - u are found
-    once per (parent, u) and kept in ``below``, keyed by the parent's
-    adjacency and u; those of ``g - u`` are their extensions by w, and
+    ``g`` is P + w with w = ``P.n``, so ``g - u`` is (P - u) + w.  The
+    classes of P - u are found once per u and kept in ``below``, one
+    dict per parent; those of ``g - u`` are their extensions by w, and
     ``_extensions`` is exact for any P + v (the block comment above it).
     """
-    w = g.n - 1
-    key = (tuple(row & ~(1 << w) for row in g.adj[:w]), u)
-    classes = below.get(key)
+    classes = below.get(u)
     if classes is None:
-        classes = below[key] = _classes(g, g.slim_mask & ~(1 << w) & ~(1 << u), [])
-    return _extensions(classes, w, g.adj[w] & ~(1 << u))
+        classes = below[u] = _classes(parent, parent.slim_mask & ~(1 << u), [])
+    return _extensions(classes, parent.n, g.adj[parent.n] & ~(1 << u))
 
 
 def build_catalog(n_max, jobs=1, progress=None):
@@ -358,14 +357,13 @@ def build_catalog(n_max, jobs=1, progress=None):
     deletion still contains the member, and an induced subgraph of a
     line graph is a line graph, so recognition must find no cover for
     it.  It is recognized from the classes of the parent minus u, found
-    once per (parent, u) in each layer (``_deletion_classes``).  When
-    no member embeds, every deletion must be a line graph; ``_member``
-    recognizes each with ``is_h_line``, and its cover becomes the
-    member's witness.  Recognition shares the extension step of
-    ``recognition`` with the layer store; the two filters stay
-    independent because containment (``find_embedding``) uses no
-    recognition code.  Either disagreement raises ``HoffmanGraphError``.
-    Results are deterministic.
+    once per u of each parent (``_deletion_classes``).  When no member
+    embeds, every deletion must be a line graph; ``_member`` recognizes
+    each with ``is_h_line``, and its cover becomes the member's witness.
+    Recognition shares the extension step of ``recognition`` with the
+    layer store; the two filters stay independent because containment
+    (``find_embedding``) uses no recognition code.  Either disagreement
+    raises ``HoffmanGraphError``.  Results are deterministic.
 
     The build runs in one process.  ``jobs`` is kept only so that
     positional callers of ``build_catalog(n_max, 1, progress)`` keep
@@ -379,27 +377,28 @@ def build_catalog(n_max, jobs=1, progress=None):
     smaller = []
     t0 = time.time()
     for n in range(5, n_max + 1):
-        line, non_line, _, _ = _layer(n)
+        line, candidates, _, _ = _layer(n)
         entries = []
-        below = {}
-        for g in non_line:
-            embedding = _first_contained(g, smaller)
-            if embedding is None:
-                entries.append(_member(g))
-                continue
-            # g is its parent, a line graph on the vertices below n - 1,
-            # plus n - 1.  A line graph contains no member, so the image
-            # holds n - 1 and the vertex u left out is below it; g - u
-            # still contains the member, so it is no line graph
-            u = next(v for v in range(n) if v not in embedding)
-            if n - 1 not in embedding or _deletion_classes(g, u, below):
-                raise HoffmanGraphError("minimality filters disagree on " + write_graph6(g))
+        for parent, children in zip(_layer(n - 1)[0], candidates):
+            below = {}
+            for g in children:
+                embedding = _first_contained(g, smaller)
+                if embedding is None:
+                    entries.append(_member(g))
+                    continue
+                # g is its parent plus n - 1, and a line graph contains
+                # no member, so the image holds n - 1 and the vertex u
+                # left out is the parent's; g - u still contains the
+                # member, so it is no line graph
+                u = next(v for v in range(n) if v not in embedding)
+                if n - 1 not in embedding or _deletion_classes(parent, g, u, below):
+                    raise HoffmanGraphError("minimality filters disagree on " + write_graph6(g))
         entries.sort(key=lambda e: e.form)
         cat.entries[n] = entries
         smaller.extend(entries)
         if progress:
             progress(
-                f"n={n}: {len(line) + len(non_line)} candidates, {len(entries)} "
+                f"n={n}: {len(line) + sum(map(len, candidates))} candidates, {len(entries)} "
                 f"minimal forbidden ({time.time() - t0:.1f}s)"
             )
         t0 = time.time()

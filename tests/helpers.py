@@ -1,6 +1,7 @@
 """Small constructors and checks that only the tests use."""
 
 import itertools
+import re
 import sys
 
 from hoffline import core
@@ -107,3 +108,23 @@ def have_family_graph(name: str) -> bool:
         return True
     except TranscriptionMissing:
         return False
+
+
+#: the progress lines of ``build_catalog(9)`` without their timings: the
+#: candidates of each size (line and non-line children of the line
+#: graphs one size down) and the members found
+CATALOG_PROGRESS = (
+    "n=5: 21 candidates, 2 minimal forbidden",
+    "n=6: 103 candidates, 28 minimal forbidden",
+    "n=7: 468 candidates, 7 minimal forbidden",
+    "n=8: 2461 candidates, 1 minimal forbidden",
+    "n=9: 14877 candidates, 0 minimal forbidden",
+)
+
+
+def untimed(lines):
+    """Progress lines with their `` (x.ys)`` suffix, which each must
+    carry, cut off."""
+    cut = [re.fullmatch(r"(.*) \(\d+\.\ds\)", line) for line in lines]
+    assert all(cut), lines
+    return tuple(m.group(1) for m in cut)

@@ -29,7 +29,7 @@ from hoffline.verify import (
 )
 
 from bruteforce import decompose, delete_vertex_from_cover, line_family_forms
-from helpers import have_family_graph, relabeled
+from helpers import CATALOG_PROGRESS, have_family_graph, relabeled, untimed
 
 
 def _line(ok, label):
@@ -64,10 +64,18 @@ def test_criterion_2_catalog_counts(catalog8):
     reason="set HOFFLINE_ACCEPT_N9=1 for a second n=9 build with progress output",
 )
 def test_criterion_2_catalog_counts_n9(monkeypatch):
-    # from an empty layer store, so the progress lines time a full build
+    # from an empty layer store, so the progress lines time a full build;
+    # their counts are checked without the timings
     monkeypatch.setattr(verify, "_LAYERS", {})
-    cat = build_catalog(9, progress=print)
+    lines = []
+
+    def progress(line):
+        print(line)
+        lines.append(line)
+
+    cat = build_catalog(9, progress=progress)
     ok = cat.counts() == {5: 2, 6: 28, 7: 7, 8: 1, 9: 0} and cat.total() == 38
+    ok = ok and untimed(lines) == CATALOG_PROGRESS
     _line(ok, f"criterion 2 (n=9): counts {cat.counts()}, total {cat.total()}")
 
 

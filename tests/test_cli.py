@@ -122,6 +122,16 @@ def test_size_for_another_claim_exit_two():
     assert "only to the uniqueness audit" in out.stderr
 
 
+def test_catalog_for_a_claim_without_one_exit_two(tmp_path):
+    # --catalog is read by the catalog claims alone; another claim
+    # refuses it rather than run without it, and makes no directory
+    missing = tmp_path / "no" / "catalog"
+    out = _run(["verify", "--claim", "eq2", "--catalog", str(missing)])
+    assert out.returncode == 2 and not out.stdout
+    assert "read a catalog, not eq2" in out.stderr
+    assert not (tmp_path / "no").exists()
+
+
 def test_screen_with_catalog_dir(tmp_path, catalog7):
     cat = tmp_path / "catalog"
     catalog7.save(str(cat))

@@ -14,6 +14,8 @@ the package raises instead.  Every error class of the package must be
 raised in it, or be the base of one that is.  Last, every span target that
 ``perfbench/spans.py`` lists must name a function of the package, so a
 rename cannot leave a traced run without its span.
+The CI workflow must load as YAML where PyYAML is installed, with
+its two jobs and a command or an action in every step.
 """
 
 import ast
@@ -187,3 +189,14 @@ def test_perfbench_span_targets_exist(module, attr, span):
         owner = getattr(owner, part, None)
         assert owner is not None, f"{span}: hoffline.{module} has no {attr}"
     assert callable(owner)
+
+
+def test_ci_workflow_parses():
+    # GitHub refuses a workflow that is no YAML mapping, silently; every
+    # step must run a command or use an action
+    yaml = pytest.importorskip("yaml")
+    doc = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    jobs = doc["jobs"]
+    assert {"tests", "gated-n9"} <= set(jobs)
+    steps = [step for job in jobs.values() for step in job["steps"]]
+    assert steps and all("run" in step or "uses" in step for step in steps)

@@ -41,7 +41,7 @@ from hoffline.verify import (
 )
 
 from bruteforce import delete_vertex_from_cover, strict_covers_reference
-from helpers import cover_class, slim_complete, slim_cycle
+from helpers import CATALOG_PROGRESS, cover_class, slim_complete, slim_cycle, untimed
 
 
 @pytest.mark.parametrize("n", [
@@ -54,11 +54,11 @@ from helpers import cover_class, slim_complete, slim_cycle
 def test_line_layers_match_unpruned_generation(n):
     # the layer extends line graphs only; the unpruned generator is the
     # reference for what that prune must still reach
-    line, non_line, _, _ = _layer(n)
+    line, candidates, _, _ = _layer(n)
     forms = {canonical_form(g): g for g in connected_slim_graphs(n)}
     recognized = {f for f, g in forms.items() if is_h_line(g) is not None}
     assert sorted(canonical_form(g) for g in line) == sorted(recognized)
-    non_line_forms = {canonical_form(g) for g in non_line}
+    non_line_forms = {canonical_form(g) for children in candidates for g in children}
     for f, g in forms.items():
         if f not in recognized and all(
             is_h_line(g.delete_slim({v})) is not None for v in range(n)
@@ -99,8 +99,8 @@ def test_minimality_cross_check_rejects_a_false_cover(catalog7, monkeypatch):
     real = verify._deletion_classes
     line_class = cover_class(is_h_line(slim_complete(3)))
 
-    def false_cover(g, u, below):
-        return real(g, u, below) or [line_class]
+    def false_cover(parent, g, u, below):
+        return real(parent, g, u, below) or [line_class]
 
     monkeypatch.setattr(verify, "_deletion_classes", false_cover)
     with pytest.raises(HoffmanGraphError, match="minimality filters disagree"):
@@ -114,13 +114,12 @@ def test_minimality_recognizes_one_deletion_per_non_minimal_candidate(catalog7, 
         verify._deletion_classes, verify._classes, verify.is_h_line,
     )
 
-    def counted_deletion(g, u, below):
+    def counted_deletion(parent, g, u, below):
         deletions.append(g.n)
-        return real_deletion(g, u, below)
+        return real_deletion(parent, g, u, below)
 
     def counted_classes(g, mask, pinned):
-        w = g.n - 1
-        parent_classes.append((tuple(row & ~(1 << w) for row in g.adj[:w]), mask))
+        parent_classes.append((g.adj, mask))
         return real_classes(g, mask, pinned)
 
     def counted_is_h_line(g):
@@ -134,7 +133,9 @@ def test_minimality_recognizes_one_deletion_per_non_minimal_candidate(catalog7, 
     counts = catalog7.counts()
     # one recognized deletion per non-minimal candidate, from the classes
     # of its parent less one vertex, found once per (parent, vertex)
-    assert len(deletions) == sum(len(_layer(n)[1]) - counts[n] for n in range(5, 8))
+    assert len(deletions) == sum(
+        sum(map(len, _layer(n)[1])) - counts[n] for n in range(5, 8)
+    )
     assert len(set(parent_classes)) == len(parent_classes) < len(deletions)
     # each member is recognized itself and at each of its n deletions
     assert len(members) == sum((n + 1) * counts[n] for n in range(5, 8))
@@ -144,20 +145,23 @@ def test_minimality_recognizes_one_deletion_per_non_minimal_candidate(catalog7, 
 def test_deletion_classes_from_the_parent_are_exact(n):
     # for every candidate and every vertex below the new one, the classes
     # read from the parent less that vertex are those of the reference
-    # search on the deletion; the cache is shared over the layer, as in
-    # the build
+    # search on the deletion; each parent's classes are kept while its
+    # candidates are checked, as in the build
     def drop(mask, u):
         return mask & ((1 << u) - 1) | mask >> (u + 1) << u
 
-    below = {}
-    for g in _layer(n)[1]:
-        for u in range(n - 1):
-            got = {
-                (tuple(drop(c, u) for c in cells), tuple(drop(f, u) for f in fats))
-                for cells, fats in verify._deletion_classes(g, u, below)
-            }
-            want = {cover_class(c) for c in strict_covers_reference(g.delete_slim({u}))}
-            assert got == want
+    parents, candidates = _layer(n - 1)[0], _layer(n)[1]
+    assert len(candidates) == len(parents)
+    for parent, children in zip(parents, candidates):
+        below = {}
+        for g in children:
+            for u in range(n - 1):
+                got = {
+                    (tuple(drop(c, u) for c in cells), tuple(drop(f, u) for f in fats))
+                    for cells, fats in verify._deletion_classes(parent, g, u, below)
+                }
+                want = {cover_class(c) for c in strict_covers_reference(g.delete_slim({u}))}
+                assert got == want
 
 
 def test_minimality_refuses_an_embedding_without_the_new_vertex(monkeypatch):
@@ -176,6 +180,14 @@ def test_minimality_refuses_an_embedding_without_the_new_vertex(monkeypatch):
     monkeypatch.setattr(verify, "_deletion_classes", cross_check)
     with pytest.raises(HoffmanGraphError, match="minimality filters disagree"):
         build_catalog(6)
+
+
+def test_catalog_progress_lines_count_the_candidates():
+    # the counts that ``catalog build`` prints, without the timings; n = 9
+    # is checked by the gated build in the acceptance suite
+    lines = []
+    build_catalog(8, progress=lines.append)
+    assert untimed(lines) == CATALOG_PROGRESS[:4]
 
 
 def test_catalog_determinism(catalog7, monkeypatch):
@@ -201,11 +213,11 @@ def test_layer_classes_match_full_enumeration(n):
     # the store reads each child's classes from its parent's; the
     # reference search finds them again, on line and non-line children
     # alike
-    line, non_line, classes, _ = _layer(n)
+    line, candidates, classes, _ = _layer(n)
     assert len(classes) == len(line)
     for g, stored in zip(line, classes):
         assert sorted(stored) == sorted(cover_class(c) for c in strict_covers_reference(g))
-    for g in non_line:
+    for g in (g for children in candidates for g in children):
         assert next(strict_covers_reference(g), None) is None
 
 
