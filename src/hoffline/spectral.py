@@ -9,16 +9,18 @@ lambda_min(H); the class of slim {H2, H3, H5}-line graphs is governed by
 its position relative to tau = -1 - sqrt(2), a root of x^2 + 2x - 1.
 
 All polynomial arithmetic is over the integers.  The characteristic
-polynomial comes from the Berkowitz (division-free) recurrence.  Sturm
-chains are primitive pseudo-remainder sequences (Basu, Pollack & Roy,
-*Algorithms in Real Algebraic Geometry*, ch. 8), each member a positive
-multiple of the classical one, so sign counts agree.  Each
-characteristic polynomial p gets one chain, which divided by its last
-member, gcd(p, p'), is a chain of the square-free part, that part first.
-The count of eigenvalues strictly below tau evaluates it in Z[sqrt(2)],
-where a + b*sqrt(2) has an exact sign via a^2 versus 2 b^2.  The sign
-variations count the roots at or below tau, tau included, so one is
-taken off when the first member vanishes there (equality witness).
+polynomial comes from the power sums tr(M^k), each row of M^k packed
+into one integer, by Newton's identities; every division they make is
+exact, and checked.  Sturm chains are primitive pseudo-remainder
+sequences (Basu, Pollack & Roy, *Algorithms in Real Algebraic
+Geometry*, ch. 8), each member a positive multiple of the classical
+one, so sign counts agree.  Each characteristic polynomial p gets one
+chain, which divided by its last member, gcd(p, p'), is a chain of the
+square-free part, that part first.  The count of eigenvalues strictly
+below tau evaluates it in Z[sqrt(2)], where a + b*sqrt(2) has an exact
+sign via a^2 versus 2 b^2.  The sign variations count the roots at or
+below tau, tau included, so one is taken off when the first member
+vanishes there (equality witness).
 
 ``smallest_eigenvalue`` also brackets lambda_min in a rational interval
 of the fixed width ``BRACKET_WIDTH``, 1e-9, by bisecting the square-free
@@ -28,7 +30,13 @@ Sturm chain, exact also at a root, until one root is left in the
 interval; from then on the sign of the polynomial at each midpoint
 against its sign at the lower end decides the side, which is exact
 because that root is simple.  An integer least root gets the bracket
-of width zero.  Floating point is never consulted; the test suite
+of width zero.  The bisection's last level is known in advance, and
+its bracket there is the one grid cell holding the least root.  A
+float estimate (Laguerre's iteration) proposes that cell; a count at
+its lower end and the signs at its ends confirm it, and the bisection
+starts there, with the bracket it would have reached from the Cauchy
+bound.  When a check fails, it starts from the Cauchy bound.  A float
+only proposes a cell; integer counts certify it.  The test suite
 cross-checks the intervals against a floating eigensolver.
 """
 
@@ -79,30 +87,55 @@ def special_matrix(g):
 def char_poly(matrix):
     """Characteristic polynomial det(xI - M), exact over the integers.
 
-    Berkowitz recurrence (no divisions).  Returns coefficients
-    low-degree-first; the leading coefficient is 1.
+    Returns coefficients low-degree-first; the leading coefficient is 1.
+    The power sums tr(M^k), k <= n, give the coefficients by Newton's
+    identities, each an exact division, checked.  Each row of M^k is one
+    integer, its entries in slots of a fixed width (see below).
     """
     n = len(matrix)
     if n == 0:
         return (1,)
-    mul = operator.mul
-    vec = [1, -matrix[0][0]]  # leading-first for the recurrence
-    for i in range(1, n):
-        row = matrix[i][:i]
-        sub = [matrix[r][:i] for r in range(i)]
-        v = [matrix[r][i] for r in range(i)]
-        t = [1, -matrix[i][i], -sum(map(mul, row, v))]
-        for _ in range(i - 1):
-            v = [sum(map(mul, s, v)) for s in sub]
-            t.append(-sum(map(mul, row, v)))
-        new = [0] * (i + 2)
-        for k in range(i + 2):
+    # An entry of M^k, k <= n, is at most n^(k-1) top^k <= (n top)^n in
+    # absolute value, so it fits a slot of ``width`` bits as a signed
+    # digit: a row is sum_j e_j 2^(j width) with |e_j| < half, and sums
+    # of multiples of rows are the rows of sums.  Adding half to every
+    # slot makes each digit an ordinary one, so a slot reads off exactly.
+    top = max(abs(c) for row in matrix for c in row)
+    width = ((n * top) ** n).bit_length() + 1
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    bias = half * (((1 << (n * width)) - 1) // mask)
+    # row i of M^(k+1) is the sum over the values c of row i of M of c
+    # times the sum of the rows j of M^k with m_ij = c; each getter also
+    # takes a 0 put after the rows, so it always returns a tuple
+    picks = []
+    for row in matrix:
+        cols = {}
+        for j, c in enumerate(row):
+            if c:
+                cols.setdefault(c, []).append(j)
+        picks.append([(c, operator.itemgetter(n, *js)) for c, js in cols.items()])
+    rows = [1 << (i * width) for i in range(n)]
+    sums = []
+    for _ in range(n):
+        rows.append(0)
+        power = []
+        for pick in picks:
             acc = 0
-            for j in range(max(0, k - len(t) + 1), min(k, len(vec) - 1) + 1):
-                acc += t[k - j] * vec[j]
-            new[k] = acc
-        vec = new
-    return tuple(reversed(vec))
+            for c, get in pick:
+                acc += c * sum(get(rows))
+            power.append(acc)
+        rows = power
+        diagonal = (((r + bias) >> (i * width)) & mask for i, r in enumerate(rows))
+        sums.append(sum(diagonal) - n * half)
+    # Newton: k c_(n-k) = -(s_k + c_(n-1) s_(k-1) + ... + c_(n-k+1) s_1)
+    mul = operator.mul
+    coeffs = [1]
+    for k in range(1, n + 1):
+        acc = sums[k - 1] + sum(map(mul, coeffs[1:], reversed(sums[:k - 1])))
+        c, rest = divmod(-acc, k)
+        _require(rest == 0, "a Newton identity does not divide exactly")
+        coeffs.append(c)
+    return tuple(reversed(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +378,85 @@ BRACKET_WIDTH = Fraction(1, 10**9)
 # on the same grid any polynomial with least root r: when r is
 # irrational, p with its integer roots divided out, which the tests'
 # Fraction reference bisects.
+#
+# The seeded start.  The loop ends at the level ``last``, the least k
+# with width / 2^k <= ``BRACKET_WIDTH``.  The cells (c, c + width] / 2^last
+# with c = (lo << last) + j * width, j any integer, tile the line, and
+# the loop's bracket at that level is the one of them that holds r: it
+# keeps lo < r <= lo + width at every level.  So any cell shown to hold
+# r is that bracket, and the loop may start there, at its last level,
+# in the counting phase: the cell may hold more roots than r, so an
+# integer in it is checked by a count.  Two checks show that it holds r:
+#   - ``_count_leq`` at the lower end is 0, so r lies above it;
+#   - r lies at or below the upper end: p changes sign across the cell,
+#     so a root lies inside, or vanishes at the upper end, or, when the
+#     two signs agree, ``_count_leq`` there is at least 1.
+# ``_estimate`` proposes the cell, the one that holds a float estimate
+# of r; when p vanishes at its lower end, the estimate has overshot a
+# root on the grid, the upper end of the cell below, which is proposed
+# instead.  The float only chooses which cell to check: when a check
+# fails, whatever the float was, the loop starts at level 0.
+
+
+def _estimate(p):
+    """A float near the least root of the square-free ``p``, whose roots
+    are all real, or nan.  Laguerre's iteration started left of every
+    root rises monotonically to the least one when all roots are real;
+    it stops where rounding stops it rising."""
+    d = _degree(p)
+    # the roots' squares sum to c_(d-1)^2 - 2 c_(d-2) (Newton), so each
+    # root lies above minus the square root of that sum
+    squares = p[d - 1] ** 2 - 2 * (p[d - 2] if d >= 2 else 0)
+    try:
+        coeffs = [float(c) for c in reversed(p)]
+        x = -float(math.isqrt(squares) + 1)
+    except (OverflowError, ValueError):
+        return math.nan
+    # near a simple root each step about triples the correct digits; the
+    # test corpora take at most 11 steps, and the cap only ends a loop
+    # that rounding keeps rising
+    for _ in range(64):
+        # p(x), p'(x) and p''(x)/2 by Horner
+        v = d1 = d2 = 0.0
+        for c in coeffs:
+            d2 = d2 * x + d1
+            d1 = d1 * x + v
+            v = v * x + c
+        if v == 0:
+            break
+        g = d1 / v  # sum of 1/(x - r_i): negative left of every root
+        if not g < 0:
+            break
+        h = g * g - 2 * d2 / v
+        step = d / (g - math.sqrt(max(0.0, (d - 1) * (d * h - g * g))))
+        if not x - step > x:
+            break
+        x -= step
+    return x
+
+
+def _seeded_cell(chain, lo, width, last):
+    """The lower end c of the cell (c, c + width] / 2^last that holds the
+    least root of ``chain[0]``, or ``None`` when the cell ``_estimate``
+    proposes fails a check (see above)."""
+    p = chain[0]
+    x = _estimate(p)
+    if not math.isfinite(x):
+        return None
+    # the cell holding x = num/den: j = ceil((x - lo) 2^last / width) - 1
+    num, den = x.as_integer_ratio()
+    c = (lo << last) - ((((lo * den - num) << last) // (width * den)) + 1) * width
+    grid = 1 << last
+    lo_sign = _sign_at(p, c, grid)
+    if lo_sign == 0:
+        c -= width
+        lo_sign = _sign_at(p, c, grid)
+    if _count_leq(chain, c, grid) != 0:
+        return None
+    hi_sign = _sign_at(p, c + width, grid)
+    if lo_sign * hi_sign < 0 or hi_sign == 0 or _count_leq(chain, c + width, grid) > 0:
+        return c
+    return None
 
 
 def smallest_root_interval(poly):
@@ -358,11 +470,17 @@ def smallest_root_interval(poly):
     # Cauchy: every root lies strictly inside (-bound, bound)
     bound = 1 + max(abs(c) for c in p[:-1])
     lo, width, k = -bound - 1, 2 * (bound + 1), 0
-    _require(_count_leq(chain, lo, 1) == 0, "a root lies below the lower root bound")
-    count = _count_leq(chain, lo + width, 1)
-    _require(count >= 1, "no root lies below the upper root bound")
-    # the sign of p at the lower end, non-zero in the sign phase only
-    lo_sign = _sign_at(p, lo) if count == 1 else 0
+    cells = -(-width * BRACKET_WIDTH.denominator // BRACKET_WIDTH.numerator)
+    last = (cells - 1).bit_length()
+    seeded = _seeded_cell(chain, lo, width, last)
+    if seeded is not None:
+        lo, k, lo_sign = seeded, last, 0
+    else:
+        _require(_count_leq(chain, lo, 1) == 0, "a root lies below the lower root bound")
+        count = _count_leq(chain, lo + width, 1)
+        _require(count >= 1, "no root lies below the upper root bound")
+        # the sign of p at the lower end, non-zero in the sign phase only
+        lo_sign = _sign_at(p, lo) if count == 1 else 0
     while width * BRACKET_WIDTH.denominator > BRACKET_WIDTH.numerator << k:
         lo, k = lo << 1, k + 1
         mid, den = lo + width, 1 << k

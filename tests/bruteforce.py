@@ -52,6 +52,9 @@ a frozen copy of the Newton-bounded scan that the package dropped when
 it began to bisect the square-free part itself.  It scans the radical
 that ``square_free`` gives, a frozen copy too: it runs a chain of its
 own for gcd(p, p'), which the package now reads off the one chain of p.
+``char_poly_berkowitz`` is the characteristic polynomial as it stood
+before it came from power sums, the reference on matrices too large
+for ``charpoly_bruteforce``.
 
 Last, two constructions of the paper that no code of the package runs:
 ``delete_vertex_from_cover``, the deletion lemma (cases i-iv) on a
@@ -61,6 +64,7 @@ cover, which ``recognition._extensions`` runs backwards, and
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -341,6 +345,34 @@ def charpoly_bruteforce(matrix):
         for k, c in enumerate(term):
             total[k] += c
     return tuple(total)
+
+
+def char_poly_berkowitz(matrix):
+    """det(xI - M) by the Berkowitz recurrence (Inf. Process. Lett. 18,
+    1984), division-free; low-degree-first coeffs.  The package's
+    characteristic polynomial as it stood before it came from power
+    sums, kept as the reference for matrices too large to expand."""
+    n = len(matrix)
+    if n == 0:
+        return (1,)
+    mul = operator.mul
+    vec = [1, -matrix[0][0]]  # leading-first for the recurrence
+    for i in range(1, n):
+        row = matrix[i][:i]
+        sub = [matrix[r][:i] for r in range(i)]
+        v = [matrix[r][i] for r in range(i)]
+        t = [1, -matrix[i][i], -sum(map(mul, row, v))]
+        for _ in range(i - 1):
+            v = [sum(map(mul, s, v)) for s in sub]
+            t.append(-sum(map(mul, row, v)))
+        new = [0] * (i + 2)
+        for k in range(i + 2):
+            acc = 0
+            for j in range(max(0, k - len(t) + 1), min(k, len(vec) - 1) + 1):
+                acc += t[k - j] * vec[j]
+            new[k] = acc
+        vec = new
+    return tuple(reversed(vec))
 
 
 # -- the fat phase as it stood before its blocks became bitmasks ---------

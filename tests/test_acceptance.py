@@ -81,7 +81,7 @@ def test_criterion_2_catalog_counts_n9(monkeypatch):
 
 def test_criterion_2_catalog_counts_to_n9():
     # the headline claim, F9 = 0, in the default suite; built over
-    # line-graph layers, n=9 takes about a minute
+    # line-graph layers, n=9 takes a few seconds
     cat = build_catalog(9)
     ok = cat.counts() == {5: 2, 6: 28, 7: 7, 8: 1, 9: 0} and cat.total() == 38
     _line(ok, f"criterion 2 (n=9, default suite): counts {cat.counts()}, total {cat.total()}")

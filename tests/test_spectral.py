@@ -15,7 +15,7 @@ import pytest
 import hoffline
 from hoffline.core import HoffmanGraph
 from hoffline.families import family_graph
-from hoffline import spectral
+from hoffline import spectral, verify
 from hoffline.spectral import (
     CertificationError,
     EmptyGraph,
@@ -30,6 +30,7 @@ from hoffline.spectral import (
 
 from bruteforce import (
     _integer_roots,
+    char_poly_berkowitz,
     charpoly_bruteforce,
     smallest_root_interval_fractions,
     square_free,
@@ -110,6 +111,43 @@ def test_char_poly_matches_permutation_expansion():
 
 def test_char_poly_empty_matrix():
     assert char_poly([]) == (1,)
+
+
+def test_char_poly_matches_berkowitz_on_the_corpora(spectral_corpus, fat_corpus):
+    # the special matrices of both corpora and of the line layers up to
+    # n = 8, each distinct one once
+    line = [g for n in range(1, 9) for g in verify._layer(n)[0]]
+    matrices = {tuple(map(tuple, special_matrix(g))) for g in spectral_corpus + fat_corpus + line}
+    for m in matrices:
+        assert char_poly(m) == char_poly_berkowitz(m), m
+
+
+def test_char_poly_matches_berkowitz_at_the_slot_width_edge():
+    # the slots hold entries of M^k up to (n top)^n; dense matrices with
+    # the largest entries come nearest, -6 J on 18 vertices the nearest
+    rng = random.Random(37)
+    cases = [[[-6] * n for _ in range(n)] for n in (1, 2, 17, 18)]
+    for _ in range(120):
+        n = rng.randint(1, 18)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = rng.randint(-6, 0)
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.randint(-3, 1)
+        cases.append(m)
+    for m in cases:
+        assert char_poly(m) == char_poly_berkowitz(m), m
+
+
+def test_char_poly_of_the_dense_24_vertex_line_graphs():
+    # CP(12) has the spectrum 22, 0^12, (-2)^11; K24 - e against the
+    # reference
+    pairs = [(u, v) for u in range(24) for v in range(u + 1, 24)]
+    cocktail_party = HoffmanGraph.build(24, 0, [(u, v) for u, v in pairs if v != u + 1 or u % 2])
+    want = _from_roots((22,) + (0,) * 12 + (-2,) * 11)
+    assert char_poly(special_matrix(cocktail_party)) == want
+    complete_minus_edge = special_matrix(HoffmanGraph.build(24, 0, pairs[1:]))
+    assert char_poly(complete_minus_edge) == char_poly_berkowitz(complete_minus_edge)
 
 
 # -- eigenvalue intervals ----------------------------------------------------
@@ -344,10 +382,8 @@ def test_bisection_point_at_a_root_gives_that_root():
     assert spectral.smallest_root_interval((0, -1, 1)) == want == (0, 0)
 
 
-def test_sign_phase_point_at_a_root_gives_that_root(monkeypatch):
-    # x^2 + x - 6: the count at the first midpoint, 0, is 1, so [-8, 0]
-    # is bisected by sign alone; its third midpoint, -3, is a root, which
-    # is the least one
+def _record_counts(monkeypatch):
+    """The points ``_count_leq`` is asked about from now on, in order."""
     counted = []
     count_leq = spectral._count_leq
 
@@ -356,6 +392,15 @@ def test_sign_phase_point_at_a_root_gives_that_root(monkeypatch):
         return count_leq(chain, num, den)
 
     monkeypatch.setattr(spectral, "_count_leq", recording_count_leq)
+    return counted
+
+
+def test_sign_phase_point_at_a_root_gives_that_root(monkeypatch):
+    # x^2 + x - 6: the count at the first midpoint, 0, is 1, so [-8, 0]
+    # is bisected by sign alone; its third midpoint, -3, is a root, which
+    # is the least one (with no estimate, the loop starts at level 0)
+    monkeypatch.setattr(spectral, "_estimate", lambda p: math.nan)
+    counted = _record_counts(monkeypatch)
     want = smallest_root_interval_fractions((-6, 1, 1))
     assert spectral.smallest_root_interval((-6, 1, 1)) == want == (-3, -3)
     assert counted == [-8, 8, 0]
@@ -365,18 +410,37 @@ def test_integer_least_root_met_by_no_midpoint_needs_no_count(monkeypatch):
     # x^2 + 2x - 3: the count at the first midpoint, 0, is 1, so [-5, 0]
     # is bisected by sign alone, and no midpoint is -3; the last bracket
     # holds one root and the one integer -3, so p(-3) = 0 alone gives the
-    # zero-width bracket, with no count at -3
-    counted = []
-    count_leq = spectral._count_leq
-
-    def recording_count_leq(chain, num, den):
-        counted.append(Fraction(num, den))
-        return count_leq(chain, num, den)
-
-    monkeypatch.setattr(spectral, "_count_leq", recording_count_leq)
+    # zero-width bracket, with no count at -3 (with no estimate, the loop
+    # starts at level 0)
+    monkeypatch.setattr(spectral, "_estimate", lambda p: math.nan)
+    counted = _record_counts(monkeypatch)
     want = smallest_root_interval_fractions((-3, 2, 1))
     assert spectral.smallest_root_interval((-3, 2, 1)) == want == (-3, -3)
     assert counted == [-5, 5, 0]
+
+
+def test_seeded_cell_with_the_least_root_at_its_upper_end(monkeypatch):
+    # x^2 + x - 6 from its estimate -3: the last level's cells are
+    # 2^-30 wide from -8, so -3 is the upper end of one; no root lies at
+    # or below its lower end, and p vanishes at -3, so the loop starts
+    # there; the one count more is the zero-width bracket's at -3
+    counted = _record_counts(monkeypatch)
+    assert spectral._estimate(list(spectral._chain((-6, 1, 1))[0])) == -3
+    want = smallest_root_interval_fractions((-6, 1, 1))
+    assert spectral.smallest_root_interval((-6, 1, 1)) == want == (-3, -3)
+    assert counted == [-3 - Fraction(1, 2**30), -3]
+
+
+def test_seeded_cell_with_the_least_root_inside(monkeypatch):
+    # x^2 + 2x - 3 from its estimate -3: the last level's cells are
+    # 5 * 2^-33 wide from -5, so -3 lies inside one, (-3 - 2^-31, ...];
+    # no root lies at or below its lower end, and p changes sign across
+    # it, so the loop starts there; the one count more is at -3
+    counted = _record_counts(monkeypatch)
+    assert spectral._estimate(list(spectral._chain((-3, 2, 1))[0])) == -3
+    want = smallest_root_interval_fractions((-3, 2, 1))
+    assert spectral.smallest_root_interval((-3, 2, 1)) == want == (-3, -3)
+    assert counted == [-3 - Fraction(1, 2**31), -3]
 
 
 def test_sturm_chain_of_a_characteristic_polynomial_leads_positive(spectral_corpus, fat_corpus):
@@ -441,14 +505,83 @@ def corpus_polys(spectral_corpus, fat_corpus):
     return sorted({char_poly(special_matrix(g)) for g in spectral_corpus + fat_corpus})
 
 
+@pytest.fixture(scope="module")
+def corpus_brackets(corpus_polys):
+    """The Fraction reference's bracket of each corpus polynomial, at
+    the width ``BRACKET_WIDTH``."""
+    return {poly: smallest_root_interval_fractions(poly) for poly in corpus_polys}
+
+
 @pytest.mark.parametrize("width", [Fraction(1, 10**9)], ids=["10^-9"])
-def test_interval_matches_fraction_bisection(corpus_polys, width):
+def test_interval_matches_fraction_bisection(corpus_brackets, width):
     # the dyadic bisection at its one width against the Fraction
     # bisection run to the same width
     assert spectral.BRACKET_WIDTH == width
-    for poly in corpus_polys:
-        want = smallest_root_interval_fractions(poly, width)
+    for poly, want in corpus_brackets.items():
         assert spectral.smallest_root_interval(poly) == want, poly
+
+
+# -- the seeded start: a float proposes the last level's cell ---------------
+
+
+def _last_cell(p):
+    """The Cauchy lower end of the radical ``p`` and the width of a cell
+    at the bisection's last level, the first at most ``BRACKET_WIDTH``."""
+    bound = 1 + max(abs(c) for c in p[:-1])
+    cell = Fraction(2 * (bound + 1))
+    while cell > spectral.BRACKET_WIDTH:
+        cell /= 2
+    return -bound - 1, cell
+
+
+_ESTIMATES = {
+    "nan": lambda p, lo, hi: math.nan,
+    "+inf": lambda p, lo, hi: math.inf,
+    "-inf": lambda p, lo, hi: -math.inf,
+    "cauchy-lower-end": lambda p, lo, hi: float(_last_cell(p)[0]),
+    "cell-below": lambda p, lo, hi: float((lo + hi) / 2 - _last_cell(p)[1]),
+    "cell-above": lambda p, lo, hi: float((lo + hi) / 2 + _last_cell(p)[1]),
+}
+
+
+@pytest.mark.parametrize("name", list(_ESTIMATES))
+def test_any_estimate_gives_the_reference_bracket(corpus_brackets, monkeypatch, name):
+    # the float only proposes a cell: a wrong or missing estimate fails a
+    # check, and the bisection from the Cauchy bound gives the bracket
+    estimate = _ESTIMATES[name]
+    # ``_estimate`` sees the radical, which has the least root of p
+    by_radical = {spectral._chain(poly)[0]: want for poly, want in corpus_brackets.items()}
+    monkeypatch.setattr(spectral, "_estimate", lambda p: estimate(p, *by_radical[p]))
+    counted = _record_counts(monkeypatch)
+    for poly, want in corpus_brackets.items():
+        counted.clear()
+        assert spectral.smallest_root_interval(poly) == want, poly
+        if name in ("nan", "+inf", "-inf", "cauchy-lower-end"):
+            # the level-0 count at the Cauchy upper end
+            assert -_last_cell(spectral._chain(poly)[0])[0] in counted, poly
+
+
+def test_no_float_estimate_past_the_float_range():
+    # coefficients past the float range give no estimate, and the
+    # bisection from the Cauchy bound the exact root
+    assert math.isnan(spectral._estimate((10**400, 1)))
+    assert spectral.smallest_root_interval((10**400, 1)) == (-(10**400), -(10**400))
+
+
+def test_count_leq_calls_over_the_corpus(corpus_polys, monkeypatch):
+    # counts only, no timing: from the confirmed cell, one count at its
+    # lower end and one where the signs at its ends agree or the least
+    # root is an integer; from the Cauchy bracket, as with no estimate,
+    # the counts of the whole bisection
+    counted = _record_counts(monkeypatch)
+    for poly in corpus_polys:
+        spectral.smallest_root_interval(poly)
+    seeded = len(counted)
+    counted.clear()
+    monkeypatch.setattr(spectral, "_estimate", lambda p: math.nan)
+    for poly in corpus_polys:
+        spectral.smallest_root_interval(poly)
+    assert (len(corpus_polys), seeded, len(counted)) == (2395, 2689, 15067)
 
 
 # -- the reference's integer-root scan against the full Cauchy range ---------
