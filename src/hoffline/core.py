@@ -458,11 +458,12 @@ def _orbit_forest(n, autos):
 
 
 class _CanonSearch:
-    __slots__ = ("adj", "first", "best", "autos")
+    __slots__ = ("adj", "first", "first_path", "best", "autos")
 
     def __init__(self, adj):
         self.adj = adj
         self.first = None
+        self.first_path = None
         self.best = None
         self.autos = []
 
@@ -475,20 +476,52 @@ class _CanonSearch:
             perm[u] = v
         self.autos.append(perm)
 
-    def _leaf(self, cells):
+    def _leaf(self, cells, fixed):
+        """Take in a leaf with individualized path ``fixed``; return the
+        depth ``run`` goes back to: the deepest node that the path shares
+        with the first path when the leaf has the first leaf's key, and
+        its own depth otherwise, which sends no node back early."""
         lab = [c.bit_length() - 1 for c in cells]
         key = _adjacency_key(self.adj, lab)
         if self.first is None:
             self.first = self.best = (key, lab)
-            return
-        if key == self.first[0]:
-            self._record_auto(self.first[1], lab)
+            self.first_path = fixed[:]
+            return len(fixed)
         if key < self.best[0]:
             self.best = (key, lab)
         elif key == self.best[0] and self.best is not self.first:
             self._record_auto(self.best[1], lab)
+        if key == self.first[0]:
+            self._record_auto(self.first[1], lab)
+            shared = 0
+            for v, w in zip(fixed, self.first_path):
+                if v != w:
+                    break
+                shared += 1
+            return shared
+        return len(fixed)
 
     def run(self, cells, fresh, fixed):
+        """Search the subtree of the node with individualized prefix
+        ``fixed``; return the depth to go back to (see ``_leaf``), which
+        is ``len(fixed)`` unless a jump passes through this node.
+
+        The jump (McKay & Piperno, J. Symbolic Computation 60, 2014):
+        let a leaf have the first leaf's key, and let its path share the
+        prefix P, of depth k, with the first path, which takes c1 below
+        it where this path takes c.  The automorphism gamma stored from
+        the two leaves maps the first path onto this one node by node,
+        since refinement is label-invariant: it fixes P and maps c1 to
+        c.  So the subtree under P + c is gamma's image of the one under
+        P + c1, which was searched before it, as c1 is the first child
+        at P; any part of it that orbit pruning skipped was itself an
+        image of a part searched.  Its leaves carry the same keys, so
+        the least key and its first occurrence, the best labelling, are
+        already found, and the search returns to P at once.  P is a node
+        of the first path, where the induction in the block comment
+        above still shows that the stored automorphisms generate the
+        group: gamma maps c1 to c, so c counts as a vertex tried whose
+        subtree recorded such an automorphism."""
         cells = _refine(self.adj, cells, fresh)
         target = -1
         for i, c in enumerate(cells):
@@ -496,8 +529,8 @@ class _CanonSearch:
                 target = i
                 break
         if target < 0:
-            self._leaf(cells)
-            return
+            return self._leaf(cells, fixed)
+        depth = len(fixed)
         cell = cells[target]
         members = list(_iter_bits(cell))
         rest_template = cells[:target]
@@ -519,8 +552,11 @@ class _CanonSearch:
             tried.append(v)
             bit = 1 << v
             fixed.append(v)
-            self.run(rest_template + [bit, cell ^ bit] + tail, [bit], fixed)
+            back = self.run(rest_template + [bit, cell ^ bit] + tail, [bit], fixed)
             fixed.pop()
+            if back < depth:
+                return back
+        return depth
 
 
 def canonical_data(g, cells=None):
@@ -604,7 +640,13 @@ def _local_counts(adj):
     counts = []
     for row in adj:
         deg = row.bit_count()
-        inner = sum((adj[u] & row).bit_count() for u in _iter_bits(row)) // 2
+        inner = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            inner += (adj[low.bit_length() - 1] & row).bit_count()
+            rest ^= low
+        inner //= 2
         counts.append((deg, n - 1 - deg, inner, deg * (deg - 1) // 2 - inner))
     return counts
 

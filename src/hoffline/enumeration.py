@@ -12,19 +12,23 @@ come from one orbit, which together with the orbit rule makes every
 class appear exactly once.  The parent's group is read from the
 automorphisms that its own labelling stored when it was made as a
 child, so no parent is labelled twice.  Only a child that can pass the
-orbit test is labelled: the child is dropped when a deletion target of
-the new vertex's colour has a higher degree, or else when a cell after
-the new vertex's own in its refined colour partition holds one
+orbit test is labelled: the child is not even built when a deletion
+target of the new vertex's colour has a higher degree, which the
+parent's degrees tell, and it is dropped when a cell after the new
+vertex's own in its refined colour partition holds one
 (``_target_cell``), because the labelling keeps the cell order and
 automorphisms keep every cell.  The non-cut vertices of a child come
 from the components of the parent minus each vertex, found once per
 parent, and the labelling starts from the refined partition the filter
-made.  ``all_slim_graphs`` is the variant
-without the connectivity requirement; both run one augmentation step,
-``_canonical_children``.  The catalog in ``verify`` applies that step to
-line-graph parents only, which is exhaustive because the class is
-hereditary: a line graph or minimal forbidden subgraph has a line graph
-as canonical parent (the child minus a non-cut vertex).
+made.  ``all_slim_graphs`` is the variant without the connectivity
+requirement; both run one augmentation step, ``_canonical_children``,
+which is the filter ``_kept_children`` followed by the labelling and
+orbit test ``_canonical_autos``.  The catalog in ``verify`` runs the
+two parts apart on line-graph parents only, so that it labels only the
+children that are line graphs; extending line graphs alone is
+exhaustive because the class is hereditary: a line graph or minimal
+forbidden subgraph has a line graph as canonical parent (the child
+minus a non-cut vertex).
 
 The graph6 reader/writer is bit-exact to the published format (short
 form, up to 62 vertices): upper-triangle column-major bits in 6-bit
@@ -179,10 +183,11 @@ def _cut_components(g):
     return [g._components_within(g.slim_mask & ~(1 << v)) for v in range(g.n)]
 
 
-def _target_cell(child, fat, cuts):
-    """(targets, cells): the allowed deletion targets of ``child`` in the
-    root cell of its new vertex (the last one) and the root partition,
-    as bitmasks, or (0, None) when a later root cell holds one: a child
+def _target_cell(parent, nbhd, fat, cuts):
+    """(child, targets, cells) for the child of ``parent`` whose new
+    vertex (the last one) sees ``nbhd``: the allowed deletion targets
+    in the root cell of its new vertex and the root partition, as
+    bitmasks; or None when a later root cell holds one, a child
     ``_canonical_children`` rejects before labelling it.  ``cuts`` is
     ``_cut_components`` of the connected parent when the targets are
     the non-cut vertices, and None when every vertex of the new
@@ -207,15 +212,15 @@ def _target_cell(child, fat, cuts):
 
     The first round of refinement splits the new vertex's colour cell
     by degree alone and orders the parts by it, so a vertex of that
-    colour with a higher degree ends in a later root cell; checking
-    those first rejects most children without refining them.
+    colour with a higher degree ends in a later root cell.  A vertex v
+    of the parent has degree deg(v) + [v in N] in the child and the new
+    vertex has |N|, so that test reads the parent's degrees, and it
+    rejects most children before they are built or refined.
     """
-    new = child.n - 1
-    nbhd = child.adj[new]
     if cuts is None:
-        allowed = child.fat_mask if fat else child.slim_mask
+        allowed = parent.fat_mask if fat else parent.slim_mask
     else:
-        allowed = 1 << new
+        allowed = 0
         for v, comps in enumerate(cuts):
             for comp in comps:
                 if not nbhd & comp:
@@ -223,15 +228,19 @@ def _target_cell(child, fat, cuts):
             else:
                 allowed |= 1 << v
     deg = nbhd.bit_count()
-    if any(child.adj[v].bit_count() > deg for v in _iter_bits(allowed)):
-        return 0, None
+    for v in _iter_bits(allowed):
+        if parent.adj[v].bit_count() + (nbhd >> v & 1) > deg:
+            return None
+    child = _extend(parent, nbhd, fat)
+    new = parent.n
+    allowed |= 1 << new
     cells = _colour_cells(child)
     cells = _refine(child.adj, cells, cells)
     i = next(i for i, cell in enumerate(cells) if cell >> new & 1)
     for cell in cells[i + 1:]:
         if allowed & cell:
-            return 0, None
-    return allowed & cells[i], cells
+            return None
+    return child, allowed & cells[i], cells
 
 
 def _orbit_representatives(parent, autos, first):
@@ -291,12 +300,12 @@ def _orbit_representatives(parent, autos, first):
 # dropping a form already emitted, and no form repeats.
 
 
-def _canonical_children(parent, autos, connected=True, fat=False):
-    """(child, stored automorphisms) for the one-vertex extensions of
-    ``parent`` whose canonical parent it is, one per class; a caller
-    that needs a child's form labels it again.  ``autos`` are the stored
-    automorphisms of ``parent``, as this function returned them with
-    it; those returned with each child serve its own children in turn.
+def _kept_children(parent, autos, connected=True, fat=False):
+    """(child, targets, cells) for the one-vertex extensions of
+    ``parent`` that ``_target_cell`` keeps, unlabelled: the candidates
+    for children whose canonical parent it is.  ``autos`` are the stored
+    automorphisms of ``parent``, as ``_canonical_children`` returned them
+    with it.
 
     A new slim vertex extends a slim parent, connected when
     ``connected``, and the deletion target ranges over non-cut vertices,
@@ -305,21 +314,40 @@ def _canonical_children(parent, autos, connected=True, fat=False):
     vertices: deleting a fat vertex always leaves a Hoffman graph, so
     every graph with a fat vertex has its canonical parent one layer
     down.  Only the least neighbourhood of each orbit of the parent's
-    automorphism group is extended (see the block comment above), and
-    only the children that ``_target_cell`` keeps get a canonical
-    labelling, which starts from the root partition it refined."""
-    new = parent.n
+    automorphism group is extended (see the block comment above)."""
     cuts = _cut_components(parent) if connected and not fat else None
     for nbhd in _orbit_representatives(parent, autos, 1 if connected or fat else 0):
-        child = _extend(parent, nbhd, fat)
-        allowed, cells = _target_cell(child, fat, cuts)
-        if not allowed:
-            continue
-        _form, lab, child_autos = canonical_data(child, cells)
-        target = next(v for v in reversed(lab) if allowed >> v & 1)
-        # the stored automorphisms generate the group (see ``core``)
-        orbits = _orbit_forest(child.n, child_autos)
-        if _find(orbits, new) == _find(orbits, target):
+        kept = _target_cell(parent, nbhd, fat, cuts)
+        if kept is not None:
+            yield kept
+
+
+def _canonical_autos(child, targets, cells):
+    """The stored automorphisms of ``child``, a child that ``_kept_children``
+    yields with ``targets`` and ``cells``, when its parent is its canonical
+    parent (the new vertex shares an orbit with the allowed target latest
+    in the canonical labelling), else None.  The labelling starts from the
+    root partition ``cells``."""
+    _form, lab, autos = canonical_data(child, cells)
+    target = next(v for v in reversed(lab) if targets >> v & 1)
+    # the stored automorphisms generate the group (see ``core``)
+    orbits = _orbit_forest(child.n, autos)
+    if _find(orbits, child.n - 1) == _find(orbits, target):
+        return autos
+    return None
+
+
+def _canonical_children(parent, autos, connected=True, fat=False):
+    """(child, stored automorphisms) for the one-vertex extensions of
+    ``parent`` whose canonical parent it is, one per class: the children
+    of ``_kept_children`` that pass the orbit test of
+    ``_canonical_autos``, which labels each of them.  A caller that needs
+    a child's form labels it again.  ``autos`` are the stored
+    automorphisms of ``parent``, as this function returned them with it;
+    those returned with each child serve its own children in turn."""
+    for child, targets, cells in _kept_children(parent, autos, connected, fat):
+        child_autos = _canonical_autos(child, targets, cells)
+        if child_autos is not None:
             yield child, child_autos
 
 

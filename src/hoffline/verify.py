@@ -67,8 +67,9 @@ from .core import (
     find_embedding,
 )
 from .enumeration import (
-    _canonical_children,
+    _canonical_autos,
     _extend,
+    _kept_children,
     _slim_graphs,
     all_slim_graphs,
     connected_slim_graphs,
@@ -211,7 +212,8 @@ class MfsCatalog:
         ``_member``, the code that built it, and the catalog is refused
         with ``HoffmanGraphError`` unless every witness file equals the
         derived one.  ``_member`` re-checks minimality by definition (no
-        cover of the member, one of each deletion).  ``counts`` must give
+        cover of the member, one of each deletion), and no two members may
+        share a canonical form.  ``counts`` must give
         an int, not a bool, for each size 5 to ``n_max`` <= ``N_MAX``, and
         the checksum must match ``n_max``, ``counts`` and the member forms.
         Other files, such as the ``g6/`` copies and the ``total`` that
@@ -234,6 +236,7 @@ class MfsCatalog:
                     f"unreadable catalog {directory}: counts must be ints for sizes 5 to {n_max}"
                 )
             cat = MfsCatalog(n_max=n_max)
+            forms = set()
             for n in range(5, n_max + 1):
                 entries = []
                 for i in range(counts[str(n)]):
@@ -250,6 +253,11 @@ class MfsCatalog:
                             f"catalog {directory}: the certificates of mfs{n}_{i} "
                             "differ from the ones derived from its graph6"
                         )
+                    if entry.form in forms:
+                        raise HoffmanGraphError(
+                            f"catalog {directory}: mfs{n}_{i} repeats the class of an earlier member"
+                        )
+                    forms.add(entry.form)
                     entries.append(entry)
                 cat.entries[n] = entries
             if cat.checksum() != meta["checksum"]:
@@ -287,6 +295,28 @@ def _layer(n):
     is K1, whose one class is the extension of the empty graph's class
     ``((), ())``.
 
+    Only the line children are labelled.  Each child that
+    ``enumeration._kept_children`` keeps is recognized first, and only a
+    child with a class goes on to the labelling and orbit test of
+    ``_canonical_autos``; so ``line`` is what ``_canonical_children``
+    gives.  Every other kept child becomes a candidate unlabelled, with
+    no orbit test, which ``build_catalog`` can afford:
+
+    - The candidates are a superset of those the orbit test would keep,
+      so they still hold every minimal forbidden subgraph on n vertices.
+    - A candidate g that fails the orbit test has its canonical parent,
+      g less the target, among its deletions.  If that deletion is a
+      line graph, g is also its accepted child, so g's class was a
+      candidate before; if not, g is not minimal, and containment finds
+      a smaller member in that deletion.
+    - The parent it came from is a line graph either way, so the image
+      of every member embedded in it holds the new vertex n - 1, which
+      ``build_catalog`` checks.
+    - A minimal forbidden subgraph can be a candidate twice: accepted
+      from one neighbourhood orbit and kept untested from another, of
+      the same parent or another.  Nothing shown rules that out, so
+      ``build_catalog`` keeps one member per canonical form.
+
     Each layer is built once per process and shared by ``build_catalog``,
     ``verify_eigen_claims`` and ``verify_cover_uniqueness``.
     """
@@ -301,14 +331,16 @@ def _layer(n):
             parents, _, parent_classes, parent_autos = _layer(n - 1)
             for parent, known, generators in zip(parents, parent_classes, parent_autos):
                 non_line = []
-                for child, child_autos in _canonical_children(parent, generators):
+                for child, targets, cells in _kept_children(parent, generators):
                     found = tuple(_extensions(known, n - 1, child.adj[n - 1]))
-                    if found:
+                    if not found:
+                        non_line.append(child)
+                        continue
+                    child_autos = _canonical_autos(child, targets, cells)
+                    if child_autos is not None:
                         line.append(child)
                         classes.append(found)
                         autos.append(child_autos)
-                    else:
-                        non_line.append(child)
                 candidates.append(tuple(non_line))
             layer = tuple(line), tuple(candidates), tuple(classes), tuple(autos)
         _LAYERS[n] = layer
@@ -357,9 +389,13 @@ def build_catalog(n_max, jobs=1, progress=None):
     deletion still contains the member, and an induced subgraph of a
     line graph is a line graph, so recognition must find no cover for
     it.  It is recognized from the classes of the parent minus u, found
-    once per u of each parent (``_deletion_classes``).  When no member
-    embeds, every deletion must be a line graph; ``_member`` recognizes
-    each with ``is_h_line``, and its cover becomes the member's witness.
+    once per u of each parent (``_deletion_classes``), so u is one whose
+    classes are found already when the image leaves one out.  When no
+    member embeds, every deletion must be a line graph; ``_member``
+    recognizes each with ``is_h_line``, and its cover becomes the
+    member's witness.  The candidates are not labelled (see ``_layer``)
+    and may hold a class twice, so a member is kept once per canonical
+    form.
     Recognition shares the extension step of ``recognition`` with the
     layer store; the two filters stay independent because containment
     (``find_embedding``) uses no recognition code.  Either disagreement
@@ -379,18 +415,26 @@ def build_catalog(n_max, jobs=1, progress=None):
     for n in range(5, n_max + 1):
         line, candidates, _, _ = _layer(n)
         entries = []
+        forms = set()
         for parent, children in zip(_layer(n - 1)[0], candidates):
             below = {}
             for g in children:
                 embedding = _first_contained(g, smaller)
                 if embedding is None:
-                    entries.append(_member(g))
+                    # a class can be a candidate more than once (see
+                    # ``_layer``); ``_member`` reads this cached form
+                    form = canonical_form(g)
+                    if form not in forms:
+                        forms.add(form)
+                        entries.append(_member(g))
                     continue
                 # g is its parent plus n - 1, and a line graph contains
-                # no member, so the image holds n - 1 and the vertex u
+                # no member, so the image holds n - 1 and every vertex
                 # left out is the parent's; g - u still contains the
-                # member, so it is no line graph
-                u = next(v for v in range(n) if v not in embedding)
+                # member for any such u, so it is no line graph.  A u
+                # whose classes ``below`` holds already saves a search
+                outside = [v for v in range(n) if v not in embedding]
+                u = next((v for v in outside if v in below), outside[0])
                 if n - 1 not in embedding or _deletion_classes(parent, g, u, below):
                     raise HoffmanGraphError("minimality filters disagree on " + write_graph6(g))
         entries.sort(key=lambda e: e.form)

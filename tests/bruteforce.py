@@ -35,8 +35,8 @@ for a prune of the production search:
   automorphisms (it shares the starting partition and the leaf key with
   the production code);
 - ``canonical_search_lists`` is the canonical search as it stood before
-  its cells became bitmasks, orbit pruning and incremental refinement
-  included;
+  its cells became bitmasks, orbit pruning, incremental refinement and
+  the return to the first path on an automorphism included;
 - ``canonical_children_unpruned`` is the canonical augmentation step as
   it stood before a parent was extended once per orbit of its
   automorphism group and its cut vertices were found once per parent
@@ -1036,7 +1036,11 @@ def canonical_data_unpruned(g):
 # Copied word for word but for their names, so the block comments their
 # docstrings point to are those of ``core``: an ordered partition is a
 # list of ascending vertex lists, and refinement groups each cell by its
-# tuple of counts into the fresh cells.
+# tuple of counts into the fresh cells.  The search has since gained the
+# return to the first path on an automorphism (``core._CanonSearch.run``),
+# and so has this copy, so that the two store the same automorphisms;
+# ``canonical_data_unpruned`` has no such return and stays the reference
+# for forms, labellings and orbits.
 
 
 def _refine_lists(adj, cells, fresh):
@@ -1086,11 +1090,12 @@ def _colour_cells_lists(g):
 
 
 class _CanonSearchLists:
-    __slots__ = ("adj", "first", "best", "autos")
+    __slots__ = ("adj", "first", "first_path", "best", "autos")
 
     def __init__(self, adj):
         self.adj = adj
         self.first = None
+        self.first_path = None
         self.best = None
         self.autos = []
 
@@ -1102,18 +1107,26 @@ class _CanonSearchLists:
         if any(perm[i] != i for i in range(n)):
             self.autos.append(perm)
 
-    def _leaf(self, cells):
+    def _leaf(self, cells, fixed):
         lab = [c[0] for c in cells]
         key = _adjacency_key(self.adj, lab)
         if self.first is None:
             self.first = self.best = (key, lab)
-            return
-        if key == self.first[0]:
-            self._record_auto(self.first[1], lab)
+            self.first_path = fixed[:]
+            return len(fixed)
         if key < self.best[0]:
             self.best = (key, lab)
         elif key == self.best[0] and self.best is not self.first:
             self._record_auto(self.best[1], lab)
+        if key == self.first[0]:
+            self._record_auto(self.first[1], lab)
+            shared = 0
+            for v, w in zip(fixed, self.first_path):
+                if v != w:
+                    break
+                shared += 1
+            return shared
+        return len(fixed)
 
     def run(self, cells, fresh, fixed):
         cells = _refine_lists(self.adj, cells, fresh)
@@ -1123,8 +1136,8 @@ class _CanonSearchLists:
                 target = i
                 break
         if target < 0:
-            self._leaf(cells)
-            return
+            return self._leaf(cells, fixed)
+        depth = len(fixed)
         cell = cells[target]
         rest_template = cells[:target]
         tail = cells[target + 1:]
@@ -1145,8 +1158,11 @@ class _CanonSearchLists:
             tried.append(v)
             sub = rest_template + [[v], [u for u in cell if u != v]] + tail
             fixed.append(v)
-            self.run(sub, [[v]], fixed)
+            back = self.run(sub, [[v]], fixed)
             fixed.pop()
+            if back < depth:
+                return back
+        return depth
 
 
 def canonical_search_lists(g, cells=None):

@@ -10,7 +10,7 @@ import pytest
 
 from hoffline.cli import build_parser, main
 from hoffline.enumeration import write_graph6
-from hoffline.verify import CLAIMS
+from hoffline.verify import CLAIMS, MfsCatalog
 
 from helpers import slim_complete
 
@@ -294,6 +294,22 @@ def test_catalog_with_boolean_count_exit_two(tmp_path, catalog8):
         out = _run([*command, "--catalog", str(cat)], stdin="DsW\n")
         assert out.returncode == 2 and not out.stdout
         assert "Traceback" not in out.stderr and "error: unreadable catalog" in out.stderr
+
+
+def test_catalog_with_a_member_listed_twice_exit_two(tmp_path, catalog7):
+    # every witness file and the checksum agree with a catalog that holds
+    # one class twice, which has the right count of members at n = 5
+    cat = tmp_path / "cat"
+    five = MfsCatalog(n_max=5, entries={5: catalog7.entries[5]})
+    five.save(str(cat))
+    witness = cat / "witness"
+    (witness / "mfs5_1.json").write_text((witness / "mfs5_0.json").read_text())
+    meta = json.loads((cat / "catalog.json").read_text())
+    twice = MfsCatalog(n_max=5, entries={5: [five.entries[5][0]] * 2})
+    (cat / "catalog.json").write_text(json.dumps({**meta, "checksum": twice.checksum()}))
+    out = _run(["verify", "--claim", "prop2.1", "--catalog", str(cat)])
+    assert out.returncode == 2 and not out.stdout
+    assert "Traceback" not in out.stderr and "mfs5_1 repeats the class" in out.stderr
 
 
 @pytest.mark.parametrize("command", ["recognize", "covers", "spectral", "screen"])

@@ -20,7 +20,7 @@ from hoffline.core import (
     find_embedding,
     isomorphic,
 )
-from hoffline import enumeration, verify
+from hoffline import core, enumeration, verify
 from hoffline.enumeration import (
     all_slim_graphs,
     connected_slim_graphs,
@@ -282,13 +282,38 @@ def test_stored_automorphisms_are_never_the_identity(spectral_corpus, fat_corpus
         stored.append((g.n, data[2]))
         return data
 
-    # the line-graph layers 1-8, built afresh so that every child is labelled
+    # the line-graph layers 1-8, built afresh so that their line children
+    # are labelled again (the store labels no other child)
     monkeypatch.setattr(verify, "_LAYERS", {})
     monkeypatch.setattr(enumeration, "canonical_data", recording)
     verify._layer(8)
     assert len(stored) > corpus_size
     for n, autos in stored:
         assert list(range(n)) not in autos
+
+
+@pytest.mark.parametrize("g, nodes, stored", [
+    (_cocktail_party(8), 80, 15),
+    (_cocktail_party(20), 440, 39),
+    (_complete_minus_edge(16), 120, 14),
+    (_complete_minus_edge(24), 276, 22),
+], ids=["CP8", "CP20", "K16-e", "K24-e"])
+def test_search_returns_to_the_first_path_on_an_automorphism(g, nodes, stored, monkeypatch):
+    # a leaf with the first leaf's key sends the search back to the node
+    # its path shares with the first path; searching on through the rest
+    # of that leaf's subtree visited 157, 1,751, 484 and 1,816 nodes and
+    # stored 36, 210, 92 and 232 automorphisms
+    visited = 0
+    real = core._CanonSearch.run
+
+    def counting(self, cells, fresh, fixed):
+        nonlocal visited
+        visited += 1
+        return real(self, cells, fresh, fixed)
+
+    monkeypatch.setattr(core._CanonSearch, "run", counting)
+    _form, _lab, autos = canonical_data(g)
+    assert (visited, len(autos)) == (nodes, stored)
 
 
 def test_mask_search_matches_list_search(fat_corpus, stream_graphs):

@@ -160,9 +160,9 @@ def test_target_cell_filter_matches_unpruned_orbit_test():
             orbits = automorphism_orbits(child, autos)
             target = max(_iter_bits(allowed), key=lab.index)
             accepted = any(parent.n in orb and target in orb for orb in orbits)
-            kept, _cells = _target_cell(child, fat, cuts)
+            kept = _target_cell(parent, nbhd, fat, cuts)
             if kept:
-                assert (kept >> target) & 1
+                assert kept[0] == child and (kept[1] >> target) & 1
             else:
                 assert not accepted
                 rejected[kind] = rejected.get(kind, 0) + 1
@@ -170,16 +170,19 @@ def test_target_cell_filter_matches_unpruned_orbit_test():
 
 
 def test_target_cell_matches_list_cells():
-    # bitmask cells change no target set and no root partition of the
-    # filter on list cells
+    # bitmask cells and the degree test on the parent's degrees change no
+    # target set and no root partition of the filter on list cells, which
+    # tests the child's degrees
     for parent, connected, fat in _filter_parents():
         cuts = _cut_components(parent) if connected and not fat else None
         for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
             child = _extend(parent, nbhd, fat)
             targets, cells = _target_cell_lists(child, connected, fat)
-            if cells is not None:
-                cells = [_mask_of(cell) for cell in cells]
-            assert _target_cell(child, fat, cuts) == (targets, cells)
+            kept = _target_cell(parent, nbhd, fat, cuts)
+            if cells is None:
+                assert kept is None
+            else:
+                assert kept == (child, targets, [_mask_of(cell) for cell in cells])
 
 
 def _colour_automorphisms(g):
@@ -196,15 +199,16 @@ def _colour_automorphisms(g):
 
 
 def test_extended_neighbourhoods_are_orbit_minima(monkeypatch):
-    # the neighbourhoods extended are exactly the least of each orbit
-    # under every colour-preserving automorphism of the parent
+    # the neighbourhoods tried are exactly the least of each orbit under
+    # every colour-preserving automorphism of the parent; the filter
+    # builds the child of each unless the degree test rejects it
     extended = []
 
-    def recording_extend(parent, nbhd, fat=False):
+    def recording_target_cell(parent, nbhd, fat, cuts):
         extended.append(nbhd)
-        return _extend(parent, nbhd, fat)
+        return _target_cell(parent, nbhd, fat, cuts)
 
-    monkeypatch.setattr(enumeration, "_extend", recording_extend)
+    monkeypatch.setattr(enumeration, "_target_cell", recording_target_cell)
     pruned = 0
     for parent, connected, fat in _filter_parents():
         autos = list(_colour_automorphisms(parent))

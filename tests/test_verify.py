@@ -12,14 +12,15 @@ from hoffline.core import (
     find_embedding,
 )
 from hoffline.enumeration import (
+    _canonical_children,
     connected_slim_graphs,
     enumerate_sums,
     parse_graph6,
     write_graph6,
 )
 from hoffline.families import family_graph
-from hoffline.recognition import is_h_line
-from hoffline import verify
+from hoffline.recognition import _extensions, is_h_line
+from hoffline import core, enumeration, verify
 from hoffline.spectral import Verdict
 from hoffline.verify import (
     ALL_MEMBER_LABELS,
@@ -41,7 +42,14 @@ from hoffline.verify import (
 )
 
 from bruteforce import delete_vertex_from_cover, strict_covers_reference
-from helpers import CATALOG_PROGRESS, cover_class, slim_complete, slim_cycle, untimed
+from helpers import (
+    CATALOG_PROGRESS,
+    cover_class,
+    relabeled,
+    slim_complete,
+    slim_cycle,
+    untimed,
+)
 
 
 @pytest.mark.parametrize("n", [
@@ -180,6 +188,80 @@ def test_minimality_refuses_an_embedding_without_the_new_vertex(monkeypatch):
     monkeypatch.setattr(verify, "_deletion_classes", cross_check)
     with pytest.raises(HoffmanGraphError, match="minimality filters disagree"):
         build_catalog(6)
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_candidates_hold_every_non_line_child_the_orbit_test_accepts(n):
+    # the store no longer labels a non-line child, so it keeps the ones
+    # the orbit test rejects too; the non-line children that the orbit
+    # test accepts from the same line graphs are all among them up to
+    # isomorphism, and each candidate beyond those is not minimal: a
+    # deletion of it is no line graph
+    parents, _, parent_classes, parent_autos = _layer(n - 1)
+    accepted = set()
+    for parent, known, autos in zip(parents, parent_classes, parent_autos):
+        for child, _autos in _canonical_children(parent, autos):
+            if not any(_extensions(known, n - 1, child.adj[n - 1])):
+                accepted.add(canonical_form(child))
+    candidates = [g for children in _layer(n)[1] for g in children]
+    assert accepted <= {canonical_form(g) for g in candidates}
+    extra = [g for g in candidates if canonical_form(g) not in accepted]
+    assert len(extra) == {5: 0, 6: 0, 7: 0, 8: 1}[n]
+    for g in extra:
+        assert any(is_h_line(g.delete_slim({v})) is None for v in range(n))
+
+
+def test_catalog_build_labels_only_line_children_and_members(monkeypatch):
+    # from an empty layer store: the 678 children of layers 2-8 that have
+    # a class are labelled for the orbit test, which 2 of them fail, and
+    # the 38 members for their forms.  Labelling every child that the
+    # cell filter keeps made 3,103 searches
+    searches = 0
+    real = core.canonical_data
+
+    def counting(g, cells=None):
+        nonlocal searches
+        searches += 1
+        return real(g, cells)
+
+    monkeypatch.setattr(verify, "_LAYERS", {})
+    monkeypatch.setattr(core, "canonical_data", counting)
+    monkeypatch.setattr(enumeration, "canonical_data", counting)
+    assert build_catalog(8).total() == 38
+    assert searches == 716
+    assert sum(len(_layer(n)[0]) for n in range(2, 9)) == 676
+
+
+def test_minimality_seam_prefers_a_vertex_whose_classes_are_found(catalog8, monkeypatch):
+    # u is any vertex outside the embedding's image, so the seam takes
+    # one whose parent-less-u classes it holds already; the least vertex
+    # outside the image made 740 searches for n <= 8
+    _layer(8)
+    searches = 0
+    real = verify._classes
+
+    def counted_classes(g, mask, pinned):
+        nonlocal searches
+        searches += 1
+        return real(g, mask, pinned)
+
+    monkeypatch.setattr(verify, "_classes", counted_classes)
+    assert build_catalog(8).checksum() == catalog8.checksum()
+    assert searches == 608
+
+
+def test_catalog_keeps_one_member_per_class(monkeypatch):
+    # the candidates are not labelled and may hold a class twice (see
+    # ``_layer``); the build keeps one member per canonical form
+    line, candidates, classes, autos = _layer(5)
+    i = next(i for i, children in enumerate(candidates) if children)
+    copy = relabeled(candidates[i][0], [4, 3, 2, 1, 0])
+    assert copy != candidates[i][0]
+    twice = (*candidates[:i], candidates[i] + (copy,), *candidates[i + 1:])
+    monkeypatch.setitem(verify._LAYERS, 5, (line, twice, classes, autos))
+    lines = []
+    assert build_catalog(5, progress=lines.append).counts() == {5: 2}
+    assert untimed(lines) == ("n=5: 22 candidates, 2 minimal forbidden",)
 
 
 def test_catalog_progress_lines_count_the_candidates():
