@@ -214,7 +214,7 @@ class MfsCatalog:
         derived one.  ``_member`` re-checks minimality by definition (no
         cover of the member, one of each deletion), and no two members may
         share a canonical form.  ``counts`` must give
-        an int, not a bool, for each size 5 to ``n_max`` <= ``N_MAX``, and
+        an int >= 0, not a bool, for each size 5 to ``n_max`` <= ``N_MAX``, and
         the checksum must match ``n_max``, ``counts`` and the member forms.
         Other files, such as the ``g6/`` copies and the ``total`` that
         older versions wrote, are ignored."""
@@ -231,9 +231,10 @@ class MfsCatalog:
                 )
             if not isinstance(counts, dict) or {
                 size: type(count) for size, count in counts.items()
-            } != {str(n): int for n in range(5, n_max + 1)}:
+            } != {str(n): int for n in range(5, n_max + 1)} or min(counts.values()) < 0:
                 raise HoffmanGraphError(
-                    f"unreadable catalog {directory}: counts must be ints for sizes 5 to {n_max}"
+                    f"unreadable catalog {directory}: counts must be ints >= 0 "
+                    f"for sizes 5 to {n_max}"
                 )
             cat = MfsCatalog(n_max=n_max)
             forms = set()

@@ -43,6 +43,13 @@ def test_gen_refuses_pretty():
     assert "--pretty" in out.stderr and not out.stdout
 
 
+@pytest.mark.parametrize("n", ["0", "11"])
+def test_gen_out_of_range_exit_two(n):
+    out = _run(["gen", "-n", n])
+    assert out.returncode == 2 and not out.stdout
+    assert "Traceback" not in out.stderr and "1 <= n <= 10" in out.stderr
+
+
 def test_gen_all_includes_disconnected():
     out = _run(["gen", "-n", "4", "--all"])
     assert len(out.stdout.split()) == 11
@@ -294,6 +301,21 @@ def test_catalog_with_boolean_count_exit_two(tmp_path, catalog8):
         out = _run([*command, "--catalog", str(cat)], stdin="DsW\n")
         assert out.returncode == 2 and not out.stdout
         assert "Traceback" not in out.stderr and "error: unreadable catalog" in out.stderr
+
+
+def test_catalog_with_negative_count_exit_two(tmp_path, catalog8):
+    # range() reads -1 as 0 and the checksum hashes the counts of the
+    # members read, so a count of -1 where the count is 0 would load
+    # unless counts below 0 are refused
+    cat = tmp_path / "cat"
+    MfsCatalog(n_max=9, entries={**catalog8.entries, 9: []}).save(str(cat))
+    meta = json.loads((cat / "catalog.json").read_text())
+    assert meta["counts"]["9"] == 0
+    meta["counts"]["9"] = -1
+    (cat / "catalog.json").write_text(json.dumps(meta))
+    out = _run(["verify", "--claim", "prop2.1", "--catalog", str(cat)])
+    assert out.returncode == 2 and not out.stdout
+    assert "Traceback" not in out.stderr and "error: unreadable catalog" in out.stderr
 
 
 def test_catalog_with_a_member_listed_twice_exit_two(tmp_path, catalog7):

@@ -614,3 +614,17 @@ def test_dot_export_mentions_all_vertices():
     dot = g.to_dot()
     assert dot.count("--") == g.edge_count()
     assert "style=filled" in dot
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: HoffmanGraph(2, 0, (0,)), IndexOutOfRange, "adjacency length"),
+    (lambda: HoffmanGraph(2, 0, (0b100, 0)), IndexOutOfRange, "outside range"),
+    (lambda: HoffmanGraph(2, 0, (0b01, 0)), HoffmanGraphError, "self-loops"),
+    (lambda: HoffmanGraph(2, 0, (0b10, 0)), HoffmanGraphError, "not symmetric"),
+    (lambda: HoffmanGraph(1, 1, (0b10, 0b01)).delete_slim({1}), IndexOutOfRange,
+     "1 is not a slim vertex"),
+    (lambda: slim_path(3).induced_on([0, 3]), IndexOutOfRange, "vertex 3 outside graph"),
+], ids=["adj-length", "bit-past-last", "self-loop", "asymmetric", "delete-fat", "induce-outside"])
+def test_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

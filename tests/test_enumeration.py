@@ -30,6 +30,7 @@ from hoffline.enumeration import (
     _slot_partitions,
     _sum_family,
     _target_cell,
+    Graph6Error,
     MalformedHeader,
     NonCanonicalPadding,
     TruncatedPayload,
@@ -576,3 +577,14 @@ def test_compose_conflict_is_raised_and_skipped():
         _compose(h2, h2, (1, 2))
     # both gluings of F onto the only K conflict, so none is composed
     assert list(enumerate_sums(h2, 1, classes=("H2",))) == []
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: write_graph6(HoffmanGraph(1, 1, (0b10, 0b01))), Graph6Error, "slim graphs only"),
+    (lambda: write_graph6(HoffmanGraph(63, 0, [0] * 63)), Graph6Error, "62 vertices"),
+    (lambda: list(connected_slim_graphs(0)), IndexOutOfRange, "1 <= n <= 10"),
+    (lambda: list(connected_slim_graphs(11)), IndexOutOfRange, "1 <= n <= 10"),
+], ids=["graph6-fat", "graph6-63", "generate-0", "generate-11"])
+def test_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -463,3 +463,8 @@ def test_extension_in_descending_order():
 def test_extension_rejects_a_singleton_with_one_fat():
     with pytest.raises(HoffmanGraphError, match="wrong fat count"):
         _extensions([((1,), (1,))], 1, 0)
+
+
+def test_strict_covers_refuse_a_fat_vertex():
+    with pytest.raises(HoffmanGraphError, match="expects a slim graph"):
+        enumerate_strict_covers(HoffmanGraph(1, 1, (0b10, 0b01)))

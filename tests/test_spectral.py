@@ -395,28 +395,35 @@ def _record_counts(monkeypatch):
     return counted
 
 
-def test_sign_phase_point_at_a_root_gives_that_root(monkeypatch):
-    # x^2 + x - 6: the count at the first midpoint, 0, is 1, so [-8, 0]
-    # is bisected by sign alone; its third midpoint, -3, is a root, which
-    # is the least one (with no estimate, the loop starts at level 0)
+def test_midpoint_at_a_root_becomes_the_upper_end(monkeypatch):
+    # x^2 + x - 6 from the Cauchy bracket (-8, 8] (with no estimate):
+    # each step counts at its midpoint; the fourth midpoint, -3, is the
+    # least root, where the count is 1 and the upper end moves onto it,
+    # and every later midpoint, 2^-k * 16 below -3, counts none; the last
+    # count confirms -3 as the least root
     monkeypatch.setattr(spectral, "_estimate", lambda p: math.nan)
     counted = _record_counts(monkeypatch)
     want = smallest_root_interval_fractions((-6, 1, 1))
     assert spectral.smallest_root_interval((-6, 1, 1)) == want == (-3, -3)
-    assert counted == [-8, 8, 0]
+    later = [-3 - Fraction(16, 2**k) for k in range(5, 35)]
+    assert counted == [-8, 8, 0, -4, -2, -3, *later, -3]
 
 
-def test_integer_least_root_met_by_no_midpoint_needs_no_count(monkeypatch):
-    # x^2 + 2x - 3: the count at the first midpoint, 0, is 1, so [-5, 0]
-    # is bisected by sign alone, and no midpoint is -3; the last bracket
-    # holds one root and the one integer -3, so p(-3) = 0 alone gives the
-    # zero-width bracket, with no count at -3 (with no estimate, the loop
-    # starts at level 0)
+def test_integer_least_root_met_by_no_midpoint_gets_one_count(monkeypatch):
+    # x^2 + 2x - 3 from the Cauchy bracket (-5, 5] (with no estimate):
+    # no midpoint is -3, so each of the 34 steps counts at a midpoint on
+    # its way to -3; the last bracket holds the one integer -3, where p
+    # vanishes, and one count there shows no root below it
     monkeypatch.setattr(spectral, "_estimate", lambda p: math.nan)
     counted = _record_counts(monkeypatch)
     want = smallest_root_interval_fractions((-3, 2, 1))
     assert spectral.smallest_root_interval((-3, 2, 1)) == want == (-3, -3)
-    assert counted == [-5, 5, 0]
+    lo, hi, mids = Fraction(-5), Fraction(5), []
+    for _ in range(34):
+        mids.append((lo + hi) / 2)
+        lo, hi = (mids[-1], hi) if mids[-1] < -3 else (lo, mids[-1])
+    assert mids[:6] == [0, Fraction(-5, 2), Fraction(-15, 4), Fraction(-25, 8), Fraction(-45, 16), Fraction(-95, 32)]
+    assert counted == [-5, 5, *mids, -3]
 
 
 def test_seeded_cell_with_the_least_root_at_its_upper_end(monkeypatch):
@@ -572,7 +579,7 @@ def test_count_leq_calls_over_the_corpus(corpus_polys, monkeypatch):
     # counts only, no timing: from the confirmed cell, one count at its
     # lower end and one where the signs at its ends agree or the least
     # root is an integer; from the Cauchy bracket, as with no estimate,
-    # the counts of the whole bisection
+    # two at its ends and one at every midpoint of the whole bisection
     counted = _record_counts(monkeypatch)
     for poly in corpus_polys:
         spectral.smallest_root_interval(poly)
@@ -581,7 +588,7 @@ def test_count_leq_calls_over_the_corpus(corpus_polys, monkeypatch):
     monkeypatch.setattr(spectral, "_estimate", lambda p: math.nan)
     for poly in corpus_polys:
         spectral.smallest_root_interval(poly)
-    assert (len(corpus_polys), seeded, len(counted)) == (2395, 2689, 15067)
+    assert (len(corpus_polys), seeded, len(counted)) == (2395, 2689, 89812)
 
 
 # -- the reference's integer-root scan against the full Cauchy range ---------
@@ -680,3 +687,8 @@ def test_integer_sturm_chain_is_a_positive_multiple_of_the_classical_one():
             ratio = Fraction(ours[-1]) / theirs[-1]
             assert ratio > 0
             assert [Fraction(c) for c in ours] == [ratio * c for c in theirs]
+
+
+def test_constant_polynomial_has_no_least_root():
+    with pytest.raises(EmptyGraph, match="constant polynomial"):
+        spectral.smallest_root_interval((1,))

@@ -3,7 +3,13 @@
 import pytest
 
 from hoffline import recognition, sums
-from hoffline.core import HoffmanGraph, HoffmanGraphError, _iter_bits, canonical_form
+from hoffline.core import (
+    HoffmanGraph,
+    HoffmanGraphError,
+    IndexOutOfRange,
+    _iter_bits,
+    canonical_form,
+)
 from hoffline.enumeration import connected_slim_graphs, fat_hoffman_graphs
 from hoffline.families import classify_part, family_graph
 from hoffline.recognition import enumerate_strict_covers, is_h_line
@@ -293,3 +299,9 @@ def test_classify_part_names():
     assert classify_part(family_graph("H3")) == "H3"
     assert classify_part(family_graph("H5")) == "H5"
     assert classify_part(family_graph("F1")) is None
+
+
+def test_validate_sum_refuses_a_part_vertex_outside_the_host():
+    host = HoffmanGraph.build(2, 0, [(0, 1)])
+    with pytest.raises(IndexOutOfRange, match="part vertex 2 outside host"):
+        validate_sum(host, [{0, 2}])

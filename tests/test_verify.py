@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from hoffline.core import (
+    HoffmanGraph,
     HoffmanGraphError,
     canonical_form,
     find_embedding,
@@ -21,11 +22,17 @@ from hoffline.enumeration import (
 from hoffline.families import family_graph
 from hoffline.recognition import _extensions, is_h_line
 from hoffline import core, enumeration, verify
-from hoffline.spectral import Verdict
+from hoffline.spectral import (
+    Verdict,
+    compare_threshold,
+    equals_threshold,
+    smallest_eigenvalue,
+)
 from hoffline.verify import (
     ALL_MEMBER_LABELS,
     CATALOG_CLAIMS,
     TABLE1_EXACT_ROWS,
+    CatalogEntry,
     IncompleteCatalog,
     MfsCatalog,
     _label_size,
@@ -574,8 +581,6 @@ def test_label_groups_pin_the_five_vertex_members(catalog8):
     assert ("G5,1",) in flat and len(flat[("G5,1",)]) == 1
     assert ("G5,2",) in flat and len(flat[("G5,2",)]) == 1
     g52 = parse_graph6(flat[("G5,2",)][0])
-    from hoffline.spectral import compare_threshold, smallest_eigenvalue
-
     assert compare_threshold(smallest_eigenvalue(g52)) is Verdict.BELOW
     # every published name lands in exactly one group, bijectively
     total_labels = sum(len(k) for k in flat)
@@ -583,3 +588,34 @@ def test_label_groups_pin_the_five_vertex_members(catalog8):
     assert total_labels == total_forms == 38
     for labels, forms in flat.items():
         assert len(labels) == len(forms)
+
+
+def _load_a_non_minimal_member(catalog7, tmp_path):
+    # a 5-vertex member with a pendant vertex, filed under size 6 with
+    # a matching checksum: no cover of it exists, but its deletion of
+    # the pendant vertex, the member, has none either
+    m = catalog7.entries[5][0].graph
+    g = HoffmanGraph(6, 0, [m.adj[0] | 1 << 5, *m.adj[1:], 1])
+    interval = smallest_eigenvalue(g)
+    entry = CatalogEntry(
+        graph=g,
+        form=canonical_form(g),
+        eigen=interval,
+        verdict=compare_threshold(interval),
+        equals_threshold=equals_threshold(interval),
+        witnesses={},
+    )
+    MfsCatalog(n_max=6, entries={5: catalog7.entries[5], 6: [entry]}).save(str(tmp_path))
+    MfsCatalog.load(str(tmp_path))
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda cat, tmp: screen(HoffmanGraph(1, 1, (0b10, 0b01)), cat), HoffmanGraphError,
+     "screening expects a slim graph"),
+    (lambda cat, tmp: verify_lemma("4.13"), HoffmanGraphError, "unknown lemma id '4.13'"),
+    (lambda cat, tmp: verify_table1(cat), IncompleteCatalog, "up to n = 8"),
+    (_load_a_non_minimal_member, HoffmanGraphError, "minimality filters disagree"),
+], ids=["screen-fat", "lemma-4.13", "table1-n7", "load-non-minimal"])
+def test_refusals(catalog7, tmp_path, run, error, message):
+    with pytest.raises(error, match=message):
+        run(catalog7, tmp_path)
