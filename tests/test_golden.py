@@ -46,7 +46,7 @@ from hoffline.spectral import (
     smallest_eigenvalue,
 )
 from hoffline.sums import validate_sum
-from hoffline.verify import build_catalog
+from hoffline.verify import _member_doc, build_catalog
 
 from bruteforce import build_sum, delete_vertex_from_cover
 
@@ -73,6 +73,10 @@ CATALOG8_CHECKSUM = "d5ef413e4cadfec9cdb4cf46f4aa0788718b23a36153d4343feba6bbcd9
 #: ``build_catalog(9).checksum()``, computed before the minimality phase
 #: of the build shared its work across candidates
 CATALOG9_CHECKSUM = "28955684dcbb077a9ecb42d1d702eabee7dc14830cf6dcd0c2a5a31f88acf8a0"
+#: the witness files of the catalog to n = 8, which the checksum leaves
+#: out: each member's graph6 representative, certificates and deletion
+#: covers, one ``_member_doc`` per line
+CATALOG8_WITNESS_DIGEST = "69d424da3f42ca0106012e52bb899a41223bf2cf79539a461423c4d79f90c623"
 
 
 def _digest(lines):
@@ -158,6 +162,12 @@ def test_stream_covers(stream_graphs):
 
 def test_catalog8_checksum(catalog8):
     assert catalog8.checksum() == CATALOG8_CHECKSUM
+
+
+def test_catalog8_witness_files(catalog8):
+    lines = [json.dumps(_member_doc(e), sort_keys=True) for e in catalog8.members()]
+    assert len(lines) == 38
+    assert _digest(lines) == CATALOG8_WITNESS_DIGEST
 
 
 @pytest.mark.skipif(
