@@ -414,12 +414,6 @@ def _refine(adj, cells, fresh):
     return cells
 
 
-def _colour_cells(g):
-    """The partition canonical labelling starts from: the slim vertices,
-    then the fat ones, leaving out an empty cell."""
-    return [c for c in (g.slim_mask, g.fat_mask) if c]
-
-
 def _adjacency_key(adj, lab):
     """Upper-triangle adjacency bits under the labelling, packed to bytes."""
     n = len(lab)
@@ -559,7 +553,7 @@ class _CanonSearch:
         return depth
 
 
-def canonical_data(g, cells=None):
+def canonical_data(g):
     """Canonical labelling: (form bytes, labelling, stored automorphisms).
 
     The labelling maps canonical positions to original vertices.  The
@@ -567,19 +561,16 @@ def canonical_data(g, cells=None):
     group (see the block comment above); ``_orbit_forest`` joins them
     into the group's orbits.  The empty graph gives (header, [], []).
 
-    ``cells`` is the root partition, the colour cells as ``_refine``
-    leaves them (bitmasks), when the caller has refined them; the search
-    then starts from it with no fresh cell, which ``_refine`` returns
-    unchanged.  By default it refines the colour cells itself.
+    The search starts from the colour cells, the slim vertices and then
+    the fat ones, leaving out an empty cell, and refines them at its
+    root.
     """
     header = bytes([g.slim_count, g.fat_count])
     if not g.n:
         return header, [], []
-    fresh = []
-    if cells is None:
-        cells = fresh = _colour_cells(g)
+    cells = [c for c in (g.slim_mask, g.fat_mask) if c]
     search = _CanonSearch(g.adj)
-    search.run(cells, fresh, [])
+    search.run(cells, cells, [])
     key, lab = search.best
     return header + key, lab, search.autos
 

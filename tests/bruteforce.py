@@ -39,9 +39,10 @@ for a prune of the production search:
   the return to the first path on an automorphism included;
 - ``canonical_children_unpruned`` is the canonical augmentation step as
   it stood before a parent was extended once per orbit of its
-  automorphism group and its cut vertices were found once per parent
-  (it shares ``_extend`` and ``canonical_data`` with the production
-  code, and refines the root partition with the list-cell copy).
+  automorphism group, its cut vertices were found once per parent and
+  children were rejected by degree before they were labelled: it labels
+  every child and applies McKay's orbit test alone (it shares
+  ``_extend`` and ``canonical_data`` with the production code).
 
 Two more are the production kernels as they stood before their per-call
 set-up was taken out, kept as references for the mappings and intervals
@@ -1165,75 +1166,30 @@ class _CanonSearchLists:
         return depth
 
 
-def canonical_search_lists(g, cells=None):
+def canonical_search_lists(g):
     """The canonical search of a non-empty ``g``: (form bytes, labelling,
     stored automorphisms), which generate the colour-preserving
-    automorphism group (see the block comment above).
-
-    ``cells`` is the root partition, the colour cells as ``_refine``
-    leaves them, when the caller has refined them already; the search
-    then starts from it with no fresh cell, which ``_refine`` returns
-    unchanged.  By default it refines the colour cells itself.
-    """
-    fresh = []
-    if cells is None:
-        cells = fresh = _colour_cells_lists(g)
+    automorphism group (see the block comment above)."""
+    cells = _colour_cells_lists(g)
     search = _CanonSearchLists(g.adj)
-    search.run(cells, fresh, [])
+    search.run(cells, cells, [])
     key, lab = search.best
     return bytes([g.slim_count, g.fat_count]) + key, lab, search.autos
 
 
-def _noncut_mask(g, mask):
-    """The vertices in ``mask`` whose removal keeps the graph connected."""
-    full = g.slim_mask
+def allowed_targets(child, connected, fat):
+    """The deletion targets of a child of canonical augmentation, as a
+    bitmask: its fat vertices for a new fat vertex, else its slim ones,
+    only those whose removal keeps it connected when ``connected``."""
+    if fat:
+        return child.fat_mask
+    if not connected:
+        return child.slim_mask
     out = 0
-    for v in _iter_bits(mask):
-        if len(g._components_within(full & ~(1 << v))) <= 1:
+    for v in _iter_bits(child.slim_mask):
+        if len(child._components_within(child.slim_mask & ~(1 << v))) <= 1:
             out |= 1 << v
     return out
-
-
-def _target_cell(child, connected, fat):
-    """(targets, cells): the allowed deletion targets of ``child`` in the
-    root cell of its new vertex (the last one) and the root partition,
-    as vertex lists, or (0, None) when a later root cell holds one: a
-    child ``_canonical_children`` rejects before labelling it.
-
-    Why this is exact for McKay's rule there: ``canonical_data`` refines
-    the same colour cells at its root, and every partition of its search
-    refines the root one without reordering it, so a leaf labelling
-    lists the root cells in order and the target, the allowed vertex
-    latest in the labelling, lies in the last root cell that meets the
-    allowed set.  Refinement is label-invariant, so an automorphism maps
-    every root cell to itself and no orbit leaves its cell.  The new
-    vertex is allowed, since deleting it gives back the parent; so when
-    a cell after its own holds an allowed vertex, the target lies in
-    another cell and the orbit test fails.  Otherwise the target lies in
-    the new vertex's cell, and only that cell and the later ones need
-    the non-cut test.
-
-    The first round of refinement splits the new vertex's colour cell
-    by degree alone and orders the parts by it, so a vertex of that
-    colour with a higher degree ends in a later root cell; checking
-    those first rejects most children without refining them.
-    """
-    new = child.n - 1
-
-    def allowed(mask):
-        return mask if fat or not connected else _noncut_mask(child, mask)
-
-    deg = child.adj[new].bit_count()
-    colour = child.fat_mask if fat else child.slim_mask
-    if allowed(_mask_of(v for v in _iter_bits(colour) if child.adj[v].bit_count() > deg)):
-        return 0, None
-    cells = _colour_cells_lists(child)
-    cells = _refine_lists(child.adj, cells, cells)
-    i = next(i for i, cell in enumerate(cells) if new in cell)
-    own = _mask_of(cells[i])
-    later = _mask_of(v for cell in cells[i + 1:] for v in cell)
-    targets = allowed(own | later)
-    return (0, None) if targets & later else (targets & own, cells)
 
 
 def canonical_children_unpruned(parent, connected=True, fat=False):
@@ -1245,15 +1201,12 @@ def canonical_children_unpruned(parent, connected=True, fat=False):
     fat vertex sees a non-empty set of slim vertices, and the deletion
     target ranges over the fat vertices: deleting a fat vertex always
     leaves a Hoffman graph, so every graph with a fat vertex has its
-    canonical parent one layer down.  Only the children that
-    ``_target_cell`` keeps get a canonical labelling."""
+    canonical parent one layer down.  Every child is labelled."""
     new = parent.n
     emitted = set()
     for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
         child = _extend(parent, nbhd, fat)
-        allowed, _cells = _target_cell(child, connected, fat)
-        if not allowed:
-            continue
+        allowed = allowed_targets(child, connected, fat)
         form, lab, autos = canonical_data(child)
         orbits = automorphism_orbits(child, autos)
         if form in emitted:

@@ -112,14 +112,14 @@ def have_family_graph(name: str) -> bool:
 
 #: the progress lines of ``build_catalog(9)`` without their timings: the
 #: candidates of each size (the line children of the line graphs one
-#: size down and their non-line children that pass the cell filter,
+#: size down and their non-line children that pass the degree test,
 #: with no orbit test) and the members found
 CATALOG_PROGRESS = (
-    "n=5: 21 candidates, 2 minimal forbidden",
-    "n=6: 103 candidates, 28 minimal forbidden",
-    "n=7: 468 candidates, 7 minimal forbidden",
-    "n=8: 2462 candidates, 1 minimal forbidden",
-    "n=9: 14884 candidates, 0 minimal forbidden",
+    "n=5: 22 candidates, 2 minimal forbidden",
+    "n=6: 116 candidates, 28 minimal forbidden",
+    "n=7: 559 candidates, 7 minimal forbidden",
+    "n=8: 3122 candidates, 1 minimal forbidden",
+    "n=9: 19431 candidates, 0 minimal forbidden",
 )
 
 

@@ -277,8 +277,8 @@ def test_stored_automorphisms_are_never_the_identity(spectral_corpus, fat_corpus
     corpus_size = len(stored)
     canonical = enumeration.canonical_data
 
-    def recording(g, cells=None):
-        data = canonical(g, cells)
+    def recording(g):
+        data = canonical(g)
         stored.append((g.n, data[2]))
         return data
 

@@ -50,8 +50,7 @@ from hoffline.verify import _hub_graphs, _layer, _lemma_graphs
 from bruteforce import (
     _assemble_sum,
     _cell_partitions,
-    _noncut_mask,
-    _target_cell as _target_cell_lists,
+    allowed_targets,
     canonical_children_unpruned,
     fat_graphs_bruteforce,
     fat_neighbourhoods_labelled,
@@ -142,48 +141,28 @@ def _filter_parents():
 
 
 def test_target_cell_filter_matches_unpruned_orbit_test():
-    # the filter against McKay's orbit test with every child labelled:
-    # it never rejects an accepted child, it keeps the target of every
-    # child it passes, and it does reject children of every kind
+    # the degree test against McKay's orbit test with every child
+    # labelled: it never rejects an accepted child, it passes on the
+    # allowed targets of every child it keeps, and it does reject
+    # children of every kind
     rejected = {}
     for parent, connected, fat in _filter_parents():
         kind = "fat" if fat else ("connected" if connected else "all")
         cuts = _cut_components(parent) if kind == "connected" else None
         for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
             child = _extend(parent, nbhd, fat)
-            if fat:
-                allowed = child.fat_mask
-            elif connected:
-                allowed = _noncut_mask(child, child.slim_mask)
-            else:
-                allowed = child.slim_mask
+            allowed = allowed_targets(child, connected, fat)
             _form, lab, autos = canonical_data(child)
             orbits = automorphism_orbits(child, autos)
             target = max(_iter_bits(allowed), key=lab.index)
             accepted = any(parent.n in orb and target in orb for orb in orbits)
             kept = _target_cell(parent, nbhd, fat, cuts)
             if kept:
-                assert kept[0] == child and (kept[1] >> target) & 1
+                assert kept == (child, allowed)
             else:
                 assert not accepted
                 rejected[kind] = rejected.get(kind, 0) + 1
     assert set(rejected) == {"connected", "all", "fat"}
-
-
-def test_target_cell_matches_list_cells():
-    # bitmask cells and the degree test on the parent's degrees change no
-    # target set and no root partition of the filter on list cells, which
-    # tests the child's degrees
-    for parent, connected, fat in _filter_parents():
-        cuts = _cut_components(parent) if connected and not fat else None
-        for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
-            child = _extend(parent, nbhd, fat)
-            targets, cells = _target_cell_lists(child, connected, fat)
-            kept = _target_cell(parent, nbhd, fat, cuts)
-            if cells is None:
-                assert kept is None
-            else:
-                assert kept == (child, targets, [_mask_of(cell) for cell in cells])
 
 
 def _colour_automorphisms(g):
@@ -235,8 +214,8 @@ def test_extended_neighbourhoods_are_orbit_minima(monkeypatch):
 ])
 def test_canonical_children_match_unpruned(parents):
     # the same children, graph for graph and in the same order, as the
-    # step that extends every neighbourhood and labels every child that
-    # passes the cell filter; the line graphs on n vertices are the
+    # step that extends every neighbourhood, labels every child and
+    # applies the orbit test alone; the line graphs on n vertices are the
     # parents of the catalog layer on n + 1, extended with the
     # automorphisms that the layer store keeps for them
     if parents == "filter":
