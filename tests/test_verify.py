@@ -209,10 +209,10 @@ def test_minimality_refuses_an_embedding_without_the_new_vertex(monkeypatch):
 @pytest.mark.parametrize("n", range(5, 9))
 def test_candidates_hold_every_non_line_child_the_orbit_test_accepts(n):
     # the store labels no non-line child, so it keeps the ones the orbit
-    # test rejects too; the non-line children that the orbit
-    # test accepts from the same line graphs are all among them up to
-    # isomorphism, and each candidate beyond those is not minimal: a
-    # deletion of it is no line graph
+    # test rejects too; the non-line children that the orbit test accepts
+    # from the same line graphs are all among them up to isomorphism, and
+    # each candidate beyond those is not minimal: a deletion of it is no
+    # line graph
     parents, _, parent_classes, parent_autos = _layer(n - 1)
     accepted = set()
     for parent, known, autos in zip(parents, parent_classes, parent_autos):
