@@ -13,11 +13,13 @@ class appear exactly once.  The parent's group is read from the
 automorphisms that its own labelling stored when it was made as a
 child, so no parent is labelled twice.  A child is not even built when
 a deletion target of the new vertex's colour has a higher degree, which
-the parent's degrees tell (``_target_cell``): refinement puts that
-target in a later cell than the new vertex, so the orbit test would
-fail.  Every child built is labelled, and the orbit test alone decides
-whether it is kept.  The non-cut vertices of a child come from the
-components of the parent minus each vertex, found once per parent.
+the parent's degrees tell (``_degree_tested_child``): refinement puts
+that target in a later cell than the new vertex, so the orbit test
+would fail; the parent's degrees are sorted into bands once per parent
+(``_degree_bands``).  Every child built is labelled, and the orbit test
+alone decides whether it is kept.  The non-cut vertices of a child come
+from the components of the parent minus each vertex, found once per
+parent.
 ``all_slim_graphs`` is the variant without the connectivity
 requirement; both run one augmentation step, ``_canonical_children``,
 which is the degree test ``_kept_children`` followed by the labelling
@@ -179,7 +181,19 @@ def _cut_components(g):
     return [g._components_within(g.slim_mask & ~(1 << v)) for v in range(g.n)]
 
 
-def _target_cell(parent, nbhd, fat, cuts):
+def _degree_bands(parent, fat):
+    """For k from 0 to ``parent.n + 1``, the vertices of the new vertex's
+    colour, fat when ``fat`` and slim otherwise, whose degree in
+    ``parent`` is at least k, as bitmasks: read by
+    ``_degree_tested_child`` for every neighbourhood of the parent."""
+    at_least = [0] * (parent.n + 2)
+    for v in _iter_bits(parent.fat_mask if fat else parent.slim_mask):
+        for k in range(parent.adj[v].bit_count() + 1):
+            at_least[k] |= 1 << v
+    return at_least
+
+
+def _degree_tested_child(parent, nbhd, fat, cuts, at_least):
     """(child, allowed) for the child of ``parent`` whose new vertex (the
     last one) sees ``nbhd``: the child and its allowed deletion targets,
     the new vertex among them, as a bitmask; or None when an allowed
@@ -187,7 +201,8 @@ def _target_cell(parent, nbhd, fat, cuts):
     fails the orbit test of ``_canonical_autos``, which is then never
     built.  ``cuts`` is ``_cut_components`` of the connected parent when
     the targets are the non-cut vertices, and None when every vertex of
-    the new vertex's colour is one.
+    the new vertex's colour is one; ``at_least`` is ``_degree_bands`` of
+    the parent.
 
     The non-cut vertices come from the parent's components: for a vertex
     v other than the new one, ``child - v`` is ``parent - v`` plus the
@@ -199,14 +214,27 @@ def _target_cell(parent, nbhd, fat, cuts):
     splits the new vertex's colour cell by degree alone and orders the
     parts by it, so a vertex of that colour with a higher degree ends in
     a root cell after the new vertex's, and the orbit test fails (see
-    ``_canonical_autos``).  A
-    vertex v of the parent has degree deg(v) + [v in N] in the child and
-    the new vertex has |N|, so the test reads the parent's degrees, and
-    it rejects most children before they are built.
+    ``_canonical_autos``).  A vertex v of the parent has degree
+    deg(v) + [v in N] in the child and the new vertex has |N|, so v has
+    a higher degree iff deg(v) > |N|, or deg(v) = |N| and v is in N: the
+    band ``at_least[|N| + 1] | at_least[|N|] & N``.  Only the vertices of
+    that band can reject the child, so the non-cut condition is checked
+    on them alone before anything is built, and on every vertex only for
+    a child that is built.  The test rejects most children.
     """
+    deg = nbhd.bit_count()
+    higher = at_least[deg + 1] | at_least[deg] & nbhd
     if cuts is None:
+        if higher:
+            return None
         allowed = parent.fat_mask if fat else parent.slim_mask
     else:
+        for v in _iter_bits(higher):
+            for comp in cuts[v]:
+                if not nbhd & comp:
+                    break
+            else:
+                return None
         allowed = 0
         for v, comps in enumerate(cuts):
             for comp in comps:
@@ -214,10 +242,6 @@ def _target_cell(parent, nbhd, fat, cuts):
                     break
             else:
                 allowed |= 1 << v
-    deg = nbhd.bit_count()
-    for v in _iter_bits(allowed):
-        if parent.adj[v].bit_count() + (nbhd >> v & 1) > deg:
-            return None
     return _extend(parent, nbhd, fat), allowed | 1 << parent.n
 
 
@@ -279,11 +303,11 @@ def _orbit_representatives(parent, autos, first):
 
 
 def _kept_children(parent, autos, connected=True, fat=False):
-    """(child, allowed) for the one-vertex extensions of
-    ``parent`` that ``_target_cell`` keeps, unlabelled: the candidates
-    for children whose canonical parent it is.  ``autos`` are the stored
-    automorphisms of ``parent``, as ``_canonical_children`` returned them
-    with it.
+    """(child, allowed) for the one-vertex extensions of ``parent`` that
+    pass the degree test of ``_degree_tested_child``, unlabelled: the
+    candidates for children whose canonical parent it is.  ``autos`` are
+    the stored automorphisms of ``parent``, as ``_canonical_children``
+    returned them with it.
 
     A new slim vertex extends a slim parent, connected when
     ``connected``, and the deletion target ranges over non-cut vertices,
@@ -294,8 +318,9 @@ def _kept_children(parent, autos, connected=True, fat=False):
     down.  Only the least neighbourhood of each orbit of the parent's
     automorphism group is extended (see the block comment above)."""
     cuts = _cut_components(parent) if connected and not fat else None
+    at_least = _degree_bands(parent, fat)
     for nbhd in _orbit_representatives(parent, autos, 1 if connected or fat else 0):
-        kept = _target_cell(parent, nbhd, fat, cuts)
+        kept = _degree_tested_child(parent, nbhd, fat, cuts, at_least)
         if kept is not None:
             yield kept
 

@@ -121,7 +121,12 @@ class StrictCover:
 #        a.  In K', {a, w} is an H3 cell with the fat f, the cell's fat
 #        less v; N(v) = f - w.
 # ``_extensions`` makes each of these from every class of P that
-# satisfies its mask test.
+# satisfies its mask test.  Cases ii-iv each need a fat of the class
+# that holds N(v) and one or two vertices more: g = N(v) + u in ii,
+# h = N(v) + a + b in iii, f = N(v) + w in iv, and every cell they read
+# lies inside that fat.  So the loop over a class's cells, which serves
+# only them, runs only when some fat is one of these, and only over the
+# cells inside such fats; case i reads the fats alone.
 #
 # Each is a strict cover of C.  Every cell keeps its class's slot count:
 # an H2 singleton lies in two fats, any other cell in one, and a dropped
@@ -140,6 +145,16 @@ class StrictCover:
 # choices run over fat values, not fat vertices.  Only the two pads of
 # an isolated H2 singleton have the same value, and either choice gives
 # the same result.
+#
+# The fat counts are checked on each class the step returns, not on each
+# class it reads: a singleton lies in two fats, and any other cell in
+# one fat, which holds all of it.  Every class it reads is one it
+# returned before, or the empty graph's class ``((), ())``: ``_classes``
+# feeds each step the classes of the one before, and the layer store of
+# ``verify`` and its deletion seam keep the classes they were given.  So
+# each class is checked once, although the layer store reads the
+# classes of a parent once per child.  The check reads the vertices that
+# lie in one, two and three fats, not the fats of each cell.
 
 
 def _extensions(classes, v, nbhd):
@@ -147,18 +162,37 @@ def _extensions(classes, v, nbhd):
     (cells, fats) classes ``classes`` and ``v`` a slim vertex outside P
     with the slim neighbourhood ``nbhd`` in P; each class once (see the
     block comment above), its cells in no fixed order.  An empty list
-    means P + v is no line graph.
+    means P + v is no line graph.  A class it returns whose cells do not
+    lie in the right number of fats raises ``HoffmanGraphError``.
     """
     bit = 1 << v
     out = []
 
     def emit(cells, fats, old, new):
-        """The class with ``cells`` whose fats are ``fats`` with one copy
-        of each fat in ``old`` dropped and the masks ``new`` added."""
+        """Add the class with ``cells`` whose fats are ``fats`` with one
+        copy of each fat in ``old`` dropped and the masks ``new`` added,
+        once its fat counts are checked."""
         rest = list(fats)
         for g in old:
             rest.remove(g)
-        out.append((cells, tuple(sorted(rest + list(new)))))
+        fats = tuple(sorted(rest + list(new)))
+        # the vertices in at least one, two and three of the fats
+        one = two = three = 0
+        for g in fats:
+            three |= two & g
+            two |= one & g
+            one |= g
+        # a singleton lies in two fats; one fat meets an H3 or H5 cell,
+        # so each vertex of it lies in one fat, and the first fat that
+        # meets the cell holds all of it
+        union = sum(cells)
+        multi = [c for c in cells if c & (c - 1)] if union.bit_count() > len(cells) else ()
+        wrong = (union - sum(multi)) & (three | ~two)
+        for c in multi:
+            wrong = wrong or c & (two | ~one) or c & ~next(g for g in fats if g & c)
+        if wrong:
+            raise HoffmanGraphError("not a cover class: a cell has the wrong fat count")
+        out.append((cells, fats))
 
     for cells, fats in classes:
         # inverse of i: a new singleton in at most two disjoint fats,
@@ -169,25 +203,33 @@ def _extensions(classes, v, nbhd):
         distinct = set(fats)
         if nbhd in distinct:
             emit(single, fats, (nbhd,), (nbhd | bit, bit))
+        # the union of the fats that hold N(v) and one or two vertices
+        # more, the only fats that ii-iv read (see the block comment
+        # above)
+        near = 0
         for g in distinct:
             h = nbhd & ~g
             if g < h and nbhd & g == g and h in distinct:
                 emit(single, fats, (g, h), (g | bit, h | bit))
+            elif not h and 0 < (g ^ nbhd).bit_count() < 3:
+                near |= g
+        if not near:
+            continue
 
-        # H2 singletons with a pad, by their other fat
+        # H2 singletons with a pad inside the near fats, by their other
+        # fat; a cell outside them takes part in none of ii-iv
         padded = {}
         for ci, c in enumerate(cells):
-            own = [g for g in fats if g & c]
-            singleton = not c & (c - 1)
-            if len(own) != 1 + singleton:
-                raise HoffmanGraphError("not a cover class: a cell has the wrong fat count")
-            if singleton:
-                if c in own:
+            if not c & near:
+                continue
+            if not c & (c - 1):
+                if c in distinct:
+                    own = [g for g in fats if g & c]
                     own.remove(c)
                     padded.setdefault(own[0], []).append(ci)
             elif c.bit_count() == 2:
                 # inverse of iv: v sees the H3 cell's fat but for w
-                f = own[0]
+                f = next(g for g in fats if g & c)
                 for w in _iter_bits(c):
                     if nbhd == f & ~(1 << w):
                         grown = cells[:ci] + (c | bit,) + cells[ci + 1:]
@@ -205,8 +247,9 @@ def _extensions(classes, v, nbhd):
             # this never fires: a and b see v's neighbours and each
             # other, so neither is a cut vertex and both have a higher
             # degree than v, and the degree test of
-            # ``enumeration._target_cell`` drops the child before it is
-            # built.  It is kept so that the step is exact for any P + v.
+            # ``enumeration._degree_tested_child`` drops the child before
+            # it is built.  It is kept so that the step is exact for any
+            # P + v.
             for i, ai in enumerate(members):
                 for bi in members[i + 1:]:
                     a, b = cells[ai], cells[bi]

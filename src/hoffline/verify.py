@@ -8,12 +8,16 @@ subgraph is.  ``build_catalog`` derives it from scratch for
 graphs of each size, which is exhaustive because the class is hereditary
 (see ``_layer``).  Each layer is built once per process and kept, as
 graphs with no canonical form, in a store keyed by its size, which
-``verify_eigen_claims`` and ``verify_cover_uniqueness`` read as well.
-The build cross-checks two independent minimality filters (containment
-of a smaller member versus recognition of one-vertex deletions) on
-every candidate, sharing work across candidates: containment tries the
-member that last embedded first, and a deletion is recognized from the
-classes of its parent less one vertex, found once per (parent, vertex).
+``verify_eigen_claims`` and ``verify_cover_uniqueness`` read as well;
+the children of a size are recognized apart (``_children``) and
+labelled only when the layer is read, so the build never labels the
+line children of its last size.  The build cross-checks two independent
+minimality filters (containment of a smaller member versus recognition
+of one-vertex deletions) on every candidate, sharing work across
+candidates: a candidate tries the members embedded in its siblings
+first and then the member that last embedded, and a deletion is
+recognized from the classes of its parent less one vertex, found once
+per (parent, vertex) or read from the store for the parent's last one.
 It attaches per-member certificates: a strict cover of every one-vertex
 deletion and a certified smallest-eigenvalue interval with its
 threshold verdict.  ``_member`` is the one code path that makes a
@@ -63,6 +67,7 @@ from .core import (
     HoffmanGraph,
     HoffmanGraphError,
     _iter_bits,
+    _mask_of,
     canonical_form,
     find_embedding,
 )
@@ -270,8 +275,41 @@ class MfsCatalog:
         return cat
 
 
+#: n -> ``_children(n)``, filled on first use
+_CHILDREN = {}
 #: n -> ``_layer(n)``, filled on first use
 _LAYERS = {}
+
+
+def _children(n):
+    """The children on n >= 2 vertices of the line graphs one size down,
+    recognized but not labelled: per parent, in the order of
+    ``_layer(n - 1)[0]``, a pair of tuples, (child, allowed, classes)
+    for each child that has a cover class, with its allowed deletion
+    targets, and the children with none, the candidates.
+
+    Each child that passes the degree test of
+    ``enumeration._kept_children`` is recognized here, and nothing is
+    labelled: ``_layer`` labels the line children of a size only when it
+    is read, by the next size, the audits or ``verify_eigen_claims``.
+    ``build_catalog(n_max)`` reads the candidates of size n_max from
+    here, so the line children of that size are never labelled.
+    """
+    children = _CHILDREN.get(n)
+    if children is None:
+        children = []
+        parents, _, parent_classes, parent_autos = _layer(n - 1)
+        for parent, known, generators in zip(parents, parent_classes, parent_autos):
+            line, non_line = [], []
+            for child, allowed in _kept_children(parent, generators):
+                found = tuple(_extensions(known, n - 1, child.adj[n - 1]))
+                if found:
+                    line.append((child, allowed, found))
+                else:
+                    non_line.append(child)
+            children.append((tuple(line), tuple(non_line)))
+        children = _CHILDREN[n] = tuple(children)
+    return children
 
 
 def _layer(n):
@@ -296,13 +334,14 @@ def _layer(n):
     is K1, whose one class is the extension of the empty graph's class
     ``((), ())``.
 
-    Only the line children are labelled.  Each child that passes the
-    degree test of ``enumeration._kept_children`` is recognized first,
-    and only a child with a class goes on to the labelling and orbit
-    test of ``_canonical_autos``; so ``line`` is what
-    ``_canonical_children`` gives.  Every other child that passes the
-    degree test becomes a candidate unlabelled, with no orbit test,
-    which ``build_catalog`` can afford:
+    The children are recognized by ``_children``, and only the line
+    children are labelled, here.  Each child that passes the degree test
+    of ``enumeration._kept_children`` is recognized first, and only a
+    child with a class goes on to the labelling and orbit test of
+    ``_canonical_autos``; so ``line`` is what ``_canonical_children``
+    gives.  Every other child that passes the degree test becomes a
+    candidate unlabelled, with no orbit test, which ``build_catalog`` can
+    afford:
 
     - The candidates are a superset of those the orbit test would keep,
       so they still hold every minimal forbidden subgraph on n vertices.
@@ -329,36 +368,68 @@ def _layer(n):
             k1_classes = tuple(_extensions([((), ())], 0, 0))
             layer = (k1,), (), (k1_classes,), (autos,)
         else:
-            line, candidates, classes, autos = [], [], [], []
-            parents, _, parent_classes, parent_autos = _layer(n - 1)
-            for parent, known, generators in zip(parents, parent_classes, parent_autos):
-                non_line = []
-                for child, allowed in _kept_children(parent, generators):
-                    found = tuple(_extensions(known, n - 1, child.adj[n - 1]))
-                    if not found:
-                        non_line.append(child)
-                        continue
+            line, classes, autos = [], [], []
+            children = _children(n)
+            for line_children, _ in children:
+                for child, allowed, found in line_children:
                     child_autos = _canonical_autos(child, allowed)
                     if child_autos is not None:
                         line.append(child)
                         classes.append(found)
                         autos.append(child_autos)
-                candidates.append(tuple(non_line))
-            layer = tuple(line), tuple(candidates), tuple(classes), tuple(autos)
+            candidates = tuple(non_line for _, non_line in children)
+            layer = tuple(line), candidates, tuple(classes), tuple(autos)
         _LAYERS[n] = layer
     return layer
 
 
+def _parent_classes(n):
+    """The cover classes of the parent of each line graph on n >= 2
+    vertices, in the order of ``_layer(n)[0]``.  A line graph P on n
+    vertices was made from its parent by adding vertex n - 1, so
+    P - (n - 1), with the same labels, is a line graph on n - 1 vertices
+    of the store, whose classes it holds."""
+    line, _, classes, _ = _layer(n - 1)
+    by_graph = {g.adj: k for g, k in zip(line, classes)}
+    return [by_graph[g.delete_slim({n - 1}).adj] for g in _layer(n)[0]]
+
+
 def _first_contained(g, members):
-    """An embedding into ``g`` of the first of ``members`` that embeds,
-    which then moves to the front of the list, or None.  Containment is
-    an existence test, so the order decides only which member is found;
-    trying the last one found first (move-to-front, Sleator & Tarjan,
-    CACM 28, 1985) suits candidates that come grouped by parent."""
+    """(member, embedding into ``g``) for the first of ``members`` that
+    embeds, which then moves to the front of the list, or None.
+    Containment is an existence test, so the order decides only which
+    member is found; trying the last one found first (move-to-front,
+    Sleator & Tarjan, CACM 28, 1985) suits candidates that come grouped
+    by parent."""
     for i, m in enumerate(members):
         embedding = find_embedding(m.graph, g)
         if embedding is not None:
             members.insert(0, members.pop(i))
+            return m, embedding
+    return None
+
+
+def _sibling_embedding(g, found):
+    """An embedding into the candidate ``g`` of a member found for a
+    sibling, or None.  ``found`` holds (member, embedding, image, trace)
+    for the siblings of ``g``, its parent P plus a new vertex w = n - 1:
+    the image of the embedding as a bitmask, and the neighbours of the
+    sibling's w in it.
+
+    Two siblings are P plus w with different neighbourhoods, so they
+    agree on every pair of vertices but those at w.  When the image of
+    an embedding into a sibling holds w, as it must (see
+    ``build_catalog``), and g's w sees the same vertices of the image,
+    they agree on every pair inside the image, and the map is an induced
+    embedding into g as well.  It is checked edge by edge all the same,
+    so containment keeps resting on the members alone.
+    """
+    nbhd = g.adj[g.n - 1]
+    for m, embedding, image, trace in found:
+        if nbhd & image == trace and all(
+            g.adj[x] & image == _mask_of(embedding[j] for j in _iter_bits(row))
+            for x, row in zip(embedding, m.graph.adj)
+        ):
             return embedding
     return None
 
@@ -371,6 +442,9 @@ def _deletion_classes(parent, g, u, below):
     classes of P - u are found once per u and kept in ``below``, one
     dict per parent; those of ``g - u`` are their extensions by w, and
     ``_extensions`` is exact for any P + v (the block comment above it).
+    ``build_catalog`` seeds ``below`` with the classes of P less its last
+    vertex, its own parent, which the layer store holds
+    (``_parent_classes``), so that u costs no search.
     """
     classes = below.get(u)
     if classes is None:
@@ -382,26 +456,34 @@ def build_catalog(n_max, jobs=1, progress=None):
     """Derive the catalog for 5 <= n <= n_max (5 <= n_max <= N_MAX).
 
     For every size: take the children of the line graphs one size down
-    (see ``_layer``) and keep the non-line ones whose one-vertex
-    deletions are all line graphs.  Two independent minimality filters
-    are cross-checked on every candidate.  Containment runs first, over
-    the smaller members in move-to-front order (``_first_contained``):
-    when one embeds, the candidate is not minimal, and only the deletion
-    of one vertex u outside the embedding's image is recognized.  That
-    deletion still contains the member, and an induced subgraph of a
-    line graph is a line graph, so recognition must find no cover for
-    it.  It is recognized from the classes of the parent minus u, found
-    once per u of each parent (``_deletion_classes``), so u is one whose
-    classes are found already when the image leaves one out.  When no
-    member embeds, every deletion must be a line graph; ``_member``
-    recognizes each with ``is_h_line``, and its cover becomes the
-    member's witness.  The candidates are not labelled (see ``_layer``)
-    and may hold a class twice, so a member is kept once per canonical
-    form.
+    that have no cover class (see ``_children``), and keep the ones whose
+    one-vertex deletions are all line graphs.  Two independent
+    minimality filters are cross-checked on every candidate.
+    Containment runs first: a member found for an earlier sibling, one
+    of the same parent, is tried on its image (``_sibling_embedding``),
+    then the smaller members in move-to-front order
+    (``_first_contained``).  When one embeds, the candidate is not
+    minimal, and only the deletion of one vertex u outside the
+    embedding's image is recognized.  That deletion still contains the
+    member, and an induced subgraph of a line graph is a line graph, so
+    recognition must find no cover for it.  It is recognized from the
+    classes of the parent minus u (``_deletion_classes``), found once
+    per u of each parent, or read from the store for the parent's last
+    vertex, so u is one whose classes are known already when the image
+    leaves one out.  When no member embeds, every deletion must be a
+    line graph; ``_member`` recognizes each with ``is_h_line``, and its
+    cover becomes the member's witness.  The candidates are not labelled
+    (see ``_layer``) and may hold a class twice, so a member is kept
+    once per canonical form.
     Recognition shares the extension step of ``recognition`` with the
     layer store; the two filters stay independent because containment
-    (``find_embedding``) uses no recognition code.  Either disagreement
-    raises ``HoffmanGraphError``.  Results are deterministic.
+    (``find_embedding`` and the edge-by-edge check of a sibling's
+    embedding) uses no recognition code.  Either disagreement raises
+    ``HoffmanGraphError``.  Results are deterministic.
+
+    Only the candidates of size n_max are read, so the line children of
+    that size are recognized but never labelled (see ``_children``).  A
+    progress line per size counts the candidates tested.
 
     The build runs in one process.  ``jobs`` is kept only so that
     positional callers of ``build_catalog(n_max, 1, progress)`` keep
@@ -413,23 +495,30 @@ def build_catalog(n_max, jobs=1, progress=None):
         raise HoffmanGraphError("the catalog is built in one process; jobs must be 1")
     cat = MfsCatalog(n_max=n_max)
     smaller = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     for n in range(5, n_max + 1):
-        line, candidates, _, _ = _layer(n)
+        candidates = [non_line for _, non_line in _children(n)]
         entries = []
         forms = set()
-        for parent, children in zip(_layer(n - 1)[0], candidates):
-            below = {}
+        parents = zip(_layer(n - 1)[0], _parent_classes(n - 1), candidates)
+        for parent, seed, children in parents:
+            below = {n - 2: seed}
+            found = []
             for g in children:
-                embedding = _first_contained(g, smaller)
+                embedding = _sibling_embedding(g, found)
                 if embedding is None:
-                    # a class can be a candidate more than once (see
-                    # ``_layer``); ``_member`` reads this cached form
-                    form = canonical_form(g)
-                    if form not in forms:
-                        forms.add(form)
-                        entries.append(_member(g))
-                    continue
+                    hit = _first_contained(g, smaller)
+                    if hit is None:
+                        # a class can be a candidate more than once (see
+                        # ``_layer``); ``_member`` reads this cached form
+                        form = canonical_form(g)
+                        if form not in forms:
+                            forms.add(form)
+                            entries.append(_member(g))
+                        continue
+                    m, embedding = hit
+                    image = _mask_of(embedding)
+                    found.append((m, embedding, image, g.adj[n - 1] & image))
                 # g is its parent plus n - 1, and a line graph contains
                 # no member, so the image holds n - 1 and every vertex
                 # left out is the parent's; g - u still contains the
@@ -444,10 +533,10 @@ def build_catalog(n_max, jobs=1, progress=None):
         smaller.extend(entries)
         if progress:
             progress(
-                f"n={n}: {len(line) + sum(map(len, candidates))} candidates, {len(entries)} "
-                f"minimal forbidden ({time.time() - t0:.1f}s)"
+                f"n={n}: {sum(map(len, candidates))} candidates, {len(entries)} "
+                f"minimal forbidden ({time.perf_counter() - t0:.1f}s)"
             )
-        t0 = time.time()
+        t0 = time.perf_counter()
     return cat
 
 
@@ -507,14 +596,14 @@ def _report(claim, ok, counts, t0, details=None, counterexample=None):
         counts=counts,
         details=details or {},
         counterexample=counterexample,
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
     )
 
 
 def verify_eq2():
     """Classes of connected non-line graphs per size: none for n <= 4 and
     exactly two at n = 5."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     expected = {1: 0, 2: 0, 3: 0, 4: 0, 5: 2}
     counts = {}
     bad = None
@@ -530,7 +619,7 @@ def verify_eq2():
 def verify_prop21(catalog):
     """Catalog counts 2 / 28 / 7 / 1 per size 5..8 (and 0 beyond); the
     first size that differs is the counterexample."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     expected = {5: 2, 6: 28, 7: 7, 8: 1}
     counts = catalog.counts()
     sizes = range(5, catalog.n_max + 1)
@@ -557,7 +646,7 @@ def verify_eigen_claims(catalog):
     -1-sqrt(2), and it has 5 vertices; all others certify at-or-above.
     Line graphs of the family up to ``_EIGEN_LINE_GRAPHS_TO`` vertices
     all certify at-or-above as well."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     below = [e for e in catalog.members() if e.verdict is Verdict.BELOW]
     counts = {"below": len(below), "at_or_above": catalog.total() - len(below)}
     line = [g for n in range(1, _EIGEN_LINE_GRAPHS_TO + 1) for g in _layer(n)[0]]
@@ -582,7 +671,7 @@ def verify_cover_uniqueness(n):
     last vertex to its parent's classes, and ``_classes`` builds them
     again from the empty graph, breadth-first.  The published uniqueness
     claim applies from 8 vertices on; below, the distribution is reported."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if not 5 <= n <= N_MAX:
         raise HoffmanGraphError(f"uniqueness audit covers 5 <= n <= {N_MAX}")
     line, _, classes, _ = _layer(n)
@@ -695,7 +784,7 @@ def verify_lemma(lemma_id):
     every enumerated graph must contain one of the three named graphs as
     an induced subgraph.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if lemma_id not in _LEMMAS:
         raise HoffmanGraphError(f"unknown lemma id {lemma_id!r}")
     names = _LEMMAS[lemma_id][0]
@@ -834,7 +923,7 @@ def verify_table1(catalog):
     The report confirms when levels 1 and 2 hold and the published lists
     are covered; the row c/d extras appear under details.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if catalog.n_max < 8:
         raise IncompleteCatalog("the composition table needs the catalog up to n = 8")
     rows = _table1_rows(catalog)

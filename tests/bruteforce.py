@@ -48,6 +48,10 @@ Two more are the production kernels as they stood before their per-call
 set-up was taken out, kept as references for the mappings and intervals
 the rewritten kernels must reproduce exactly: ``find_embedding_per_call``
 and ``smallest_root_interval_fractions`` (see the end of this module).
+``extensions_reference`` is the recognizer's extension step as it stood
+before it skipped the loop over a class's cells and checked fat counts
+on the classes it returns, the reference for its classes and their
+order.
 The latter splits off the integer roots first with ``_integer_roots``,
 a frozen copy of the Newton-bounded scan that the package dropped when
 it began to bisect the square-free part itself.  It scans the radical
@@ -1438,3 +1442,88 @@ def decompose(host, allowed_classes):
     rec(frozenset(range(slim)), [])
     uniq = sorted(set(results), key=lambda parts: tuple(sorted(tuple(sorted(p)) for p in parts)))
     return [(host, parts) for parts in uniq]
+
+
+# -- the extension step as it stood before it skipped the cell loop -------
+#
+# Copied word for word but for its name and the degree test's name in a
+# comment: ``extensions_reference`` runs the loop over the cells of every
+# class it reads and checks the fat count of each cell there, where
+# ``recognition._extensions`` runs that loop only when some fat holds
+# N(v) and one or two vertices more and checks the fat counts of the
+# classes it returns.
+
+
+def extensions_reference(classes, v, nbhd):
+    """The cover classes of P + v, where P is a slim graph with the
+    (cells, fats) classes ``classes`` and ``v`` a slim vertex outside P
+    with the slim neighbourhood ``nbhd`` in P; each class once (see the
+    block comment above), its cells in no fixed order.  An empty list
+    means P + v is no line graph.
+    """
+    bit = 1 << v
+    out = []
+
+    def emit(cells, fats, old, new):
+        """The class with ``cells`` whose fats are ``fats`` with one copy
+        of each fat in ``old`` dropped and the masks ``new`` added."""
+        rest = list(fats)
+        for g in old:
+            rest.remove(g)
+        out.append((cells, tuple(sorted(rest + list(new)))))
+
+    for cells, fats in classes:
+        # inverse of i: a new singleton in at most two disjoint fats,
+        # padded to two
+        single = cells + (bit,)
+        if not nbhd:
+            emit(single, fats, (), (bit, bit))
+        distinct = set(fats)
+        if nbhd in distinct:
+            emit(single, fats, (nbhd,), (nbhd | bit, bit))
+        for g in distinct:
+            h = nbhd & ~g
+            if g < h and nbhd & g == g and h in distinct:
+                emit(single, fats, (g, h), (g | bit, h | bit))
+
+        # H2 singletons with a pad, by their other fat
+        padded = {}
+        for ci, c in enumerate(cells):
+            own = [g for g in fats if g & c]
+            singleton = not c & (c - 1)
+            if len(own) != 1 + singleton:
+                raise HoffmanGraphError("not a cover class: a cell has the wrong fat count")
+            if singleton:
+                if c in own:
+                    own.remove(c)
+                    padded.setdefault(own[0], []).append(ci)
+            elif c.bit_count() == 2:
+                # inverse of iv: v sees the H3 cell's fat but for w
+                f = own[0]
+                for w in _iter_bits(c):
+                    if nbhd == f & ~(1 << w):
+                        grown = cells[:ci] + (c | bit,) + cells[ci + 1:]
+                        emit(grown, fats, (f,), (f | bit,))
+
+        for g, members in padded.items():
+            # inverse of ii: v a non-adjacent twin of a padded singleton
+            for ci in members:
+                u = cells[ci]
+                if nbhd == g & ~u:
+                    grown = cells[:ci] + (u | bit,) + cells[ci + 1:]
+                    emit(grown, fats, (u, g), (g | bit,))
+            # inverse of iii: v sees the common fat of two padded
+            # singletons but neither of them.  Inside ``verify._layer``
+            # this never fires: a and b see v's neighbours and each
+            # other, so neither is a cut vertex and both have a higher
+            # degree than v, and the degree test of
+            # ``enumeration._degree_tested_child`` drops the child before
+            # it is built.  It is kept so that the step is exact for any
+            # P + v.
+            for i, ai in enumerate(members):
+                for bi in members[i + 1:]:
+                    a, b = cells[ai], cells[bi]
+                    if nbhd == g & ~(a | b):
+                        merged = cells[:ai] + (a | b | bit,) + cells[ai + 1:bi] + cells[bi + 1:]
+                        emit(merged, fats, (a, b, g), (g | bit,))
+    return out

@@ -111,15 +111,15 @@ def have_family_graph(name: str) -> bool:
 
 
 #: the progress lines of ``build_catalog(9)`` without their timings: the
-#: candidates of each size (the line children of the line graphs one
-#: size down and their non-line children that pass the degree test,
-#: with no orbit test) and the members found
+#: candidates that the minimality phase tests at each size (the
+#: children of the line graphs one size down that pass the degree test,
+#: with no orbit test, and have no cover class) and the members found
 CATALOG_PROGRESS = (
-    "n=5: 22 candidates, 2 minimal forbidden",
-    "n=6: 116 candidates, 28 minimal forbidden",
-    "n=7: 559 candidates, 7 minimal forbidden",
-    "n=8: 3122 candidates, 1 minimal forbidden",
-    "n=9: 19431 candidates, 0 minimal forbidden",
+    "n=5: 3 candidates, 2 minimal forbidden",
+    "n=6: 61 candidates, 28 minimal forbidden",
+    "n=7: 408 candidates, 7 minimal forbidden",
+    "n=8: 2680 candidates, 1 minimal forbidden",
+    "n=9: 18032 candidates, 0 minimal forbidden",
 )
 
 

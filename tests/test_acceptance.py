@@ -67,6 +67,7 @@ def test_criterion_2_catalog_counts_n9(monkeypatch):
     # from an empty layer store, so the progress lines time a full build;
     # their counts are checked without the timings
     monkeypatch.setattr(verify, "_LAYERS", {})
+    monkeypatch.setattr(verify, "_CHILDREN", {})
     lines = []
 
     def progress(line):

@@ -24,12 +24,13 @@ from hoffline.enumeration import (
     _cell_layouts,
     _compose,
     _cut_components,
+    _degree_bands,
+    _degree_tested_child,
     _extend,
     _orbit_representatives,
     _slim_graphs,
     _slot_partitions,
     _sum_family,
-    _target_cell,
     Graph6Error,
     MalformedHeader,
     NonCanonicalPadding,
@@ -140,15 +141,18 @@ def _filter_parents():
             yield from ((p, True, True) for p in layer)
 
 
-def test_target_cell_filter_matches_unpruned_orbit_test():
+def test_degree_test_matches_unpruned_orbit_test():
     # the degree test against McKay's orbit test with every child
     # labelled: it never rejects an accepted child, it passes on the
     # allowed targets of every child it keeps, and it does reject
-    # children of every kind
+    # children of every kind; reading the degree bands, it rejects
+    # exactly the children in which an allowed target has a higher
+    # degree than the new vertex
     rejected = {}
     for parent, connected, fat in _filter_parents():
         kind = "fat" if fat else ("connected" if connected else "all")
         cuts = _cut_components(parent) if kind == "connected" else None
+        at_least = _degree_bands(parent, fat)
         for nbhd in range(1 if connected or fat else 0, 1 << parent.slim_count):
             child = _extend(parent, nbhd, fat)
             allowed = allowed_targets(child, connected, fat)
@@ -156,7 +160,9 @@ def test_target_cell_filter_matches_unpruned_orbit_test():
             orbits = automorphism_orbits(child, autos)
             target = max(_iter_bits(allowed), key=lab.index)
             accepted = any(parent.n in orb and target in orb for orb in orbits)
-            kept = _target_cell(parent, nbhd, fat, cuts)
+            kept = _degree_tested_child(parent, nbhd, fat, cuts, at_least)
+            higher = any(child.adj[v].bit_count() > nbhd.bit_count() for v in _iter_bits(allowed))
+            assert (kept is None) == higher
             if kept:
                 assert kept == (child, allowed)
             else:
@@ -184,11 +190,11 @@ def test_extended_neighbourhoods_are_orbit_minima(monkeypatch):
     # builds the child of each unless the degree test rejects it
     extended = []
 
-    def recording_target_cell(parent, nbhd, fat, cuts):
+    def recording_degree_test(parent, nbhd, fat, cuts, at_least):
         extended.append(nbhd)
-        return _target_cell(parent, nbhd, fat, cuts)
+        return _degree_tested_child(parent, nbhd, fat, cuts, at_least)
 
-    monkeypatch.setattr(enumeration, "_target_cell", recording_target_cell)
+    monkeypatch.setattr(enumeration, "_degree_tested_child", recording_degree_test)
     pruned = 0
     for parent, connected, fat in _filter_parents():
         autos = list(_colour_automorphisms(parent))

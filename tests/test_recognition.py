@@ -22,6 +22,7 @@ from bruteforce import (
     VertexNotInGraph,
     build_sum,
     delete_vertex_from_cover,
+    extensions_reference,
     hline_bruteforce,
     strict_covers_reference,
 )
@@ -460,9 +461,48 @@ def test_extension_in_descending_order():
             assert sorted(got) == sorted(recognition._classes(g, g.slim_mask, [])), list(g.adj)
 
 
+def test_extension_matches_the_reference_step():
+    # the step runs the loop over a class's cells only when some fat
+    # holds N(v) and one or two vertices more, and checks the fat counts
+    # of the classes it returns; the step that ran that loop and check
+    # on every class it read gives the same classes in the same order,
+    # for every class list of every slim graph to n = 6, as ``_classes``
+    # sorts it and as the extension builds it vertex by vertex, and
+    # every neighbourhood of a new vertex
+    found = 0
+    for n in range(1, 7):
+        for g in all_slim_graphs(n):
+            built, prefix = [((), ())], 0
+            for v in range(n):
+                built = _extensions(built, v, g.adj[v] & prefix)
+                prefix |= 1 << v
+            for classes in (recognition._classes(g, g.slim_mask, []), built):
+                for nbhd in range(1 << n):
+                    got = _extensions(classes, n, nbhd)
+                    assert got == extensions_reference(classes, n, nbhd), (list(g.adj), nbhd)
+                    found += len(got)
+    assert found
+
+
 def test_extension_rejects_a_singleton_with_one_fat():
     with pytest.raises(HoffmanGraphError, match="wrong fat count"):
         _extensions([((1,), (1,))], 1, 0)
+
+
+@pytest.mark.parametrize("cells, fats, nbhd", [
+    ((0b1,), (0b1, 0b1, 0b1), 0b1),
+    ((0b11,), (0b11, 0b11), 0),
+    ((0b11,), (0b01, 0b10), 0),
+    ((0b11,), (0b01,), 0),
+    ((0b11,), (), 0),
+], ids=["singleton-in-three", "pair-in-two", "pair-split", "pair-vertex-in-none", "pair-in-none"])
+def test_extension_checks_the_fat_counts_of_the_classes_it_returns(cells, fats, nbhd):
+    # the check reads the vertices in one, two and three fats: a
+    # singleton lies in exactly two, and an H3 cell in one fat that holds
+    # all of it; the new vertex 2 keeps the class's cells and, but for
+    # the fat it joins, its fats
+    with pytest.raises(HoffmanGraphError, match="wrong fat count"):
+        _extensions([(cells, fats)], 2, nbhd)
 
 
 def test_strict_covers_refuse_a_fat_vertex():

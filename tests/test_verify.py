@@ -1,7 +1,9 @@
 """Catalog pipeline, screening, claim checkers, persistence."""
 
+import itertools
 import json
 import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -228,30 +230,41 @@ def test_candidates_hold_every_non_line_child_the_orbit_test_accepts(n):
 
 
 def test_catalog_build_labels_only_line_children_and_members(monkeypatch):
-    # from an empty layer store: the 808 children of layers 2-8 that have
-    # a class are labelled for the orbit test, which 132 of them fail,
-    # and the 38 members and the 8 copies of members among the
-    # candidates for their forms
-    searches = 0
-    real = core.canonical_data
+    # from an empty layer store: the 265 children of layers 2-7 that have
+    # a class are labelled for the orbit test, and the 38 members and the
+    # 8 copies of members among the candidates for their forms; the 543
+    # line children of size 8 are recognized but not labelled.  The
+    # deletion seam searches the classes of 425 parents less a vertex,
+    # and containment makes 7,966 embedding searches
+    calls = Counter()
+    real_canonical, real_classes, real_embedding = (
+        core.canonical_data, verify._classes, verify.find_embedding,
+    )
 
-    def counting(g):
-        nonlocal searches
-        searches += 1
-        return real(g)
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
 
     monkeypatch.setattr(verify, "_LAYERS", {})
-    monkeypatch.setattr(core, "canonical_data", counting)
-    monkeypatch.setattr(enumeration, "canonical_data", counting)
+    monkeypatch.setattr(verify, "_CHILDREN", {})
+    canonical = counted("canonical", real_canonical)
+    monkeypatch.setattr(core, "canonical_data", canonical)
+    monkeypatch.setattr(enumeration, "canonical_data", canonical)
+    monkeypatch.setattr(verify, "_classes", counted("classes", real_classes))
+    monkeypatch.setattr(verify, "find_embedding", counted("embedding", real_embedding))
     assert build_catalog(8).total() == 38
-    assert searches == 854
+    assert calls == {"canonical": 311, "classes": 425, "embedding": 7966}
+    assert 8 not in verify._LAYERS
+    assert sum(len(line) for line, _ in verify._children(8)) == 543
     assert sum(len(_layer(n)[0]) for n in range(2, 9)) == 676
 
 
 def test_minimality_seam_prefers_a_vertex_whose_classes_are_found(catalog8, monkeypatch):
     # u is any vertex outside the embedding's image, so the seam takes
-    # one whose parent-less-u classes it holds already; the least vertex
-    # outside the image makes 820 searches for n <= 8
+    # one whose parent-less-u classes it holds already: the parent's
+    # last vertex, whose classes the store holds, or one searched before
     _layer(8)
     searches = 0
     real = verify._classes
@@ -263,22 +276,83 @@ def test_minimality_seam_prefers_a_vertex_whose_classes_are_found(catalog8, monk
 
     monkeypatch.setattr(verify, "_classes", counted_classes)
     assert build_catalog(8).checksum() == catalog8.checksum()
-    assert searches == 680
+    assert searches == 425
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_seeded_parent_classes_are_those_of_the_parent(n):
+    # the seam's seed for a line graph P is read from the store as the
+    # classes of P's parent; they are the classes that the seam would
+    # search for P less its last vertex
+    def normal(classes):
+        return {(tuple(sorted(cells)), fats) for cells, fats in classes}
+
+    line = _layer(n)[0]
+    seeds = verify._parent_classes(n)
+    assert len(seeds) == len(line)
+    for p, seed in zip(line, seeds):
+        assert normal(seed) == normal(verify._classes(p, p.slim_mask & ~(1 << (p.n - 1)), []))
+
+
+def test_reused_sibling_embeddings_are_induced(catalog8, monkeypatch):
+    # a candidate takes a sibling's member embedding when its new vertex
+    # meets the image in the same trace; every one the build takes is an
+    # induced embedding of that member into the candidate
+    reused = []
+    real = verify._sibling_embedding
+
+    def recording(g, found):
+        embedding = real(g, found)
+        if embedding is not None:
+            m = next(m for m, e, _image, _trace in found if e is embedding)
+            reused.append((m.graph, g, embedding))
+        return embedding
+
+    monkeypatch.setattr(verify, "_sibling_embedding", recording)
+    assert build_catalog(8).checksum() == catalog8.checksum()
+    assert reused
+    for pattern, host, embedding in reused:
+        assert len(set(embedding)) == pattern.n and max(embedding) < host.n
+        for u, v in itertools.combinations(range(pattern.n), 2):
+            assert pattern.adjacent(u, v) == host.adjacent(embedding[u], embedding[v])
+
+
+def test_layer_after_the_catalog_equals_an_eager_one(monkeypatch):
+    # the catalog leaves the line children of its last size unlabelled;
+    # a layer labelled after it is the layer built before any catalog
+    def built():
+        line, candidates, classes, autos = _layer(8)
+        return (
+            [g.adj for g in line],
+            [[g.adj for g in children] for children in candidates],
+            classes,
+            autos,
+        )
+
+    monkeypatch.setattr(verify, "_LAYERS", {})
+    monkeypatch.setattr(verify, "_CHILDREN", {})
+    build_catalog(8)
+    assert 8 not in verify._LAYERS
+    after = built()
+    monkeypatch.setattr(verify, "_LAYERS", {})
+    monkeypatch.setattr(verify, "_CHILDREN", {})
+    assert built() == after
 
 
 def test_catalog_keeps_one_member_per_class(monkeypatch):
     # the candidates are not labelled and may hold a class twice (see
     # ``_layer``); the build keeps one member per canonical form, here
     # with one more copy of a candidate
-    line, candidates, classes, autos = _layer(5)
-    i = next(i for i, children in enumerate(candidates) if children)
-    copy = relabeled(candidates[i][0], [4, 3, 2, 1, 0])
-    assert copy != candidates[i][0]
-    twice = (*candidates[:i], candidates[i] + (copy,), *candidates[i + 1:])
-    monkeypatch.setitem(verify._LAYERS, 5, (line, twice, classes, autos))
+    children = verify._children(5)
+    i = next(i for i, (_, candidates) in enumerate(children) if candidates)
+    line, candidates = children[i]
+    copy = relabeled(candidates[0], [4, 3, 2, 1, 0])
+    assert copy != candidates[0]
+    twice = (*children[:i], (line, candidates + (copy,)), *children[i + 1:])
+    monkeypatch.setitem(verify._CHILDREN, 5, twice)
     lines = []
     assert build_catalog(5, progress=lines.append).counts() == {5: 2}
-    assert untimed(lines) == ("n=5: 23 candidates, 2 minimal forbidden",)
+    assert untimed(lines) == ("n=5: 4 candidates, 2 minimal forbidden",)
 
 
 def test_catalog_progress_lines_count_the_candidates():
@@ -292,6 +366,7 @@ def test_catalog_progress_lines_count_the_candidates():
 def test_catalog_determinism(catalog7, monkeypatch):
     # from an empty layer store, so the catalog is generated again
     monkeypatch.setattr(verify, "_LAYERS", {})
+    monkeypatch.setattr(verify, "_CHILDREN", {})
     again = build_catalog(7)
     assert again.checksum() == catalog7.checksum()
 
