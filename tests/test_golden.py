@@ -14,10 +14,11 @@ vertices see different neighbours outside the cell; the k = 5 sums:
 before cell partitions with a repeated multiset of classes were
 skipped; the streams of all graphs on 7 vertices and of connected
 graphs on 8: before each parent was extended once per orbit of its
-automorphism group), so a mismatch means
-some output changed byte for byte.  When a change alters an output on
-purpose, recompute the digest (``_digest`` of the corpus) and say why in
-the commit.
+automorphism group; the k = 6 sums: before slot partitions that a
+permutation of like cells maps onto an earlier one were skipped), so a
+mismatch means some output changed byte for byte.  When a change alters
+an output on purpose, recompute the digest (``_digest`` of the corpus)
+and say why in the commit.
 """
 
 import hashlib
@@ -58,6 +59,7 @@ CLI_DIGESTS = {
 SUM_GRAPHS_DIGEST = "e28c4d1cc8eea47ab8c8d36ee2bcf6a097cdc80785b857a02f077ddd2f7aab5a"
 ENUMERATE_SUMS_DIGEST = "7626865c0dcbb3c910c9e1196f3d366a4ff3d6555914d1157248de91b7295b1e"
 SUM_FAMILY5_DIGEST = "2d27834b31ebdec6dc1a30886d4ce519bb38306fb2b055e1203fcbe9d4c996da"
+SUM_FAMILY6_DIGEST = "41338be7ad5cf303a75a8189d88c9bb1e44aa81a9b7aecfdccc338e5aa504389"
 BUILD_SUM_DIGEST = "432be6663fb47dccfedcdd1fff25833c30249c9fbcc4a4ceeffa007bca619e36"
 FAT_COVERS_DIGEST = "cf5797bc49afc3809268d87999895b52af474a9aa87116c624fbb7da59aff4ef"
 FAT_CLASSES_DIGEST = "e9375da14a014d50aaba8584fe753e81ee280c37ae368634ac3e8f61c2bb45e9"
@@ -257,6 +259,17 @@ def test_sum_family_5_and_rows():
     ]
     assert len(lines) == 239 + 70 + 129 + 224 + 57 + 57
     assert _digest(lines) == SUM_FAMILY5_DIGEST
+
+
+def test_sum_family_6():
+    # the k = 6 family, all and connected: the largest size sums reach
+    lines = [
+        json.dumps([c, g.slim_count, g.fat_count, list(g.adj), [sorted(p) for p in parts]])
+        for c in (None, 1)
+        for g, parts in sum_graphs(6, component_count=c)
+    ]
+    assert len(lines) == 794 + 204
+    assert _digest(lines) == SUM_FAMILY6_DIGEST
 
 
 def _random_component(rng):
