@@ -41,7 +41,8 @@ filter its output by their hypotheses.
 
 ``enumerate_sums`` composes a fixed fat graph F with every sum K of
 parts from {H1, H2, H3, H5} meeting size/component bounds, gluing the
-fat vertices of F onto fat vertices of K in all valid ways.
+fat vertices of F onto fat vertices of K in all valid ways, one per
+orbit of the automorphisms of K and F.
 """
 
 from __future__ import annotations
@@ -438,9 +439,13 @@ def fat_hoffman_graphs(slim_count, fat_max):
 # structure per slot partition (``_slot_partitions``).  No two of the
 # structures are equal: the layouts have different multisets of classes,
 # and the slot partitions of one layout different multisets of blocks.
-# ``canonical_form`` keeps the first of each isomorphism class, since a
-# permutation of the parts can still map one multiset of blocks onto
-# another.
+# A permutation of like cells can still map one multiset of blocks onto
+# another, so a partition whose orbit under those permutations was met
+# before is skipped unbuilt (``_cell_swaps``), and the canonical form
+# keeps the first of each isomorphism class among the rest.  The
+# labelling's stored automorphisms stay with each member, and
+# ``enumerate_sums`` glues F onto K only by the least fat map of each
+# orbit under the automorphisms of K and F.
 
 
 #: slim vertices and fat slots of a cell of each class, in layout order
@@ -604,13 +609,42 @@ def sum_graphs(slim_count, classes=("H1", "H2", "H3", "H5"), component_count=Non
     unknown = sorted(set(classes) - _CELL_SHAPES.keys())
     if unknown:
         raise HoffmanGraphError(f"unknown part classes {unknown}: expected H1, H2, H3, H5")
-    yield from _sum_family(slim_count, frozenset(classes), component_count)
+    for g, parts, _autos in _sum_family(slim_count, frozenset(classes), component_count):
+        yield g, parts
+
+
+def _cell_swaps(cells):
+    """For each part p of the layout ``cells`` whose class is also that
+    of part p + 1, the bitmask of the two parts: the transpositions of
+    adjacent like cells, which generate every permutation of the parts
+    that keeps each part's class."""
+    return [3 << p for p in range(len(cells) - 1) if cells[p][1] == cells[p + 1][1]]
+
+
+# One slot partition per orbit of cell permutations.  A permutation s of
+# the parts that keeps each part's class is the image of a permutation of
+# the slim vertices that maps each cell onto a like cell, vertex by vertex
+# in layout order (an H5 cell's edge onto the other's edge), so the sum of
+# a multiset of blocks is isomorphic to that of the blocks with each part
+# p replaced by s(p).  The transpositions of adjacent like cells generate
+# those permutations; transposing parts p and p + 1 flips both bits of a
+# block holding exactly one of them and leaves the others alone.  An
+# orbit of multisets is closed under them, so it is found by applying
+# them until nothing new appears, as in ``_orbit_representatives``.  The
+# family keeps the first structure of each isomorphism class, and a
+# later partition of an orbit gives a sum isomorphic to the first one's,
+# with the same component count and canonical form: the form set would
+# drop it.  So skipping every partition of an orbit met before keeps the
+# same members in the same order; the form set still guards the members
+# that different orbits give.
 
 
 @functools.cache
 def _sum_family(slim_count, classes, component_count):
+    """(graph, parts, stored automorphisms) per member of ``sum_graphs``,
+    the automorphisms from the labelling that found the member new."""
     if slim_count == 0:
-        return ((EMPTY_GRAPH, ()),) if component_count in (None, 0) else ()
+        return ((EMPTY_GRAPH, (), []),) if component_count in (None, 0) else ()
     family = []
     seen = set()
     for cells in _cell_layouts(slim_count, classes):
@@ -623,21 +657,38 @@ def _sum_family(slim_count, classes, component_count):
         slot_parts = [
             p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_SHAPES[cls][1])
         ]
+        swaps = _cell_swaps(cells)
+        orbits = set()
         for blocks in _slot_partitions(slot_parts):
+            # skip a partition that a cell permutation maps onto one met
+            # before (see the block comment above)
+            key = tuple(sorted(blocks))
+            if key in orbits:
+                continue
+            orbits.add(key)
+            orbit = [key]
+            for member in orbit:
+                for swap in swaps:
+                    image = tuple(sorted(
+                        b ^ swap if (b & swap).bit_count() == 1 else b for b in member
+                    ))
+                    if image not in orbits:
+                        orbits.add(image)
+                        orbit.append(image)
             g, parts = _block_sum(slim_rows, masks, blocks)
-            # filtered before ``canonical_form``, so only the members
-            # with the asked-for component count are labelled: caching
-            # the whole family per size and filtering in ``sum_graphs``
+            # filtered before the labelling, so only the members with
+            # the asked-for component count are labelled: caching the
+            # whole family per size and filtering in ``sum_graphs``
             # labels every member and made ``verify_table1`` 9-49 %
             # slower (4 of 4 pairs, 2 cores, Python 3.11)
             if component_count is not None:
                 if len(g.connected_components()) != component_count:
                     continue
-            form = canonical_form(g)
+            form, _lab, autos = canonical_data(g)
             if form in seen:
                 continue
             seen.add(form)
-            family.append((g, parts))
+            family.append((g, parts, autos))
     return tuple(family)
 
 
@@ -656,6 +707,35 @@ def _compose(f_graph, k_graph, fat_map):
     return HoffmanGraph(fs + ks, len(fat_nbhds), adj, _checked=True)
 
 
+# One gluing per orbit of fat maps (McKay, J. Algorithms 26, 1998).  A
+# fat map m glues F's fat i onto K's fat m(i).  Let a be an automorphism
+# of K and s one of F, which permutes F's fat positions.  The composition
+# of a(m) is that of m with K's vertices renamed by a, and that of m(s)
+# is that of m with F's slim vertices renamed by s: F's fat s(i) sees the
+# image under s of what F's fat i sees.  Either renaming maps the cells,
+# the slim edges inside them and every fat neighbourhood of the one
+# structure onto those of the other, and rule (iv) derives the cross
+# edges from them alone.  So the maps of one orbit under Aut(K) x Aut(F)
+# give isomorphic compositions, or all raise SharedFatConflict, since a
+# slim pair sharing two fat vertices in one is renamed onto such a pair
+# in the other; connectivity and the canonical form are also constant on
+# the orbit.  ``itertools.permutations`` of an ascending range gives the
+# maps in lexicographic order, so the loop meets the least map of an
+# orbit first.  When a loop over every map keeps a graph from an orbit,
+# it is the least map's: any later map composes a graph that is
+# disconnected or conflicting exactly when the least map's is, and
+# otherwise has a form that the least map already put into the form set.
+# So gluing only the least map of each orbit gives the same graphs in the
+# same order; the form set still guards the graphs that different orbits
+# and different sums K give.  No two maps glued compose the same
+# adjacency: such maps differ by a permutation of F's fat vertices with
+# equal neighbourhoods (each has a slim neighbour), an automorphism of F.
+# An orbit is closed under the generators, the stored automorphisms of
+# K, kept with it by ``_sum_family``, and those of F's labelling, so it
+# is found by applying them until nothing new appears, as in
+# ``_orbit_representatives``.
+
+
 def enumerate_sums(
     f_graph,
     slim_count_k,
@@ -669,22 +749,46 @@ def enumerate_sums(
     components; every fat vertex of F is identified with a fat vertex of
     K (the fat set of F embeds into that of K) in all ways compatible
     with the sum conditions.  Gluings that would make a slim pair share
-    two fat vertices are skipped, not raised.  The arguments of K are
-    checked by ``sum_graphs`` before any work.
+    two fat vertices are skipped, not raised.  Only the least fat map of
+    each orbit under the automorphisms of K and F is glued (see the block
+    comment above).  The arguments of K are checked by ``sum_graphs``
+    before any work.
     """
     seen = set()
-    for k_graph, _parts in sum_graphs(slim_count_k, classes, component_count_k):
+    family = None
+    for i, (k_graph, _parts) in enumerate(sum_graphs(slim_count_k, classes, component_count_k)):
+        if family is None:
+            # ``sum_graphs`` has checked the arguments and built the
+            # family, whose members carry their stored automorphisms;
+            # those of F act on its fat positions
+            family = _sum_family(slim_count_k, frozenset(classes), component_count_k)
+            fs = f_graph.slim_count
+            f_autos = [
+                [a[fs + j] - fs for j in range(f_graph.fat_count)]
+                for a in canonical_data(f_graph)[2]
+            ]
+        k_autos = family[i][2]
         kfats = range(k_graph.slim_count, k_graph.n)
-        local = set()
+        orbits = set()
         # with no fat vertex in F, the one gluing is the empty tuple
         for fat_map in itertools.permutations(kfats, f_graph.fat_count):
+            # glue only the least map of each orbit (see the block
+            # comment above)
+            if fat_map in orbits:
+                continue
+            orbits.add(fat_map)
+            orbit = [fat_map]
+            for member in orbit:
+                images = [tuple(a[kf] for kf in member) for a in k_autos]
+                images += [tuple(member[j] for j in a) for a in f_autos]
+                for image in images:
+                    if image not in orbits:
+                        orbits.add(image)
+                        orbit.append(image)
             try:
                 g = _compose(f_graph, k_graph, fat_map)
             except SharedFatConflict:
                 continue
-            if g.adj in local:
-                continue
-            local.add(g.adj)
             if not g.is_connected():
                 continue
             form = canonical_form(g)

@@ -411,10 +411,12 @@ def _first_contained(g, members):
 
 def _sibling_embedding(g, found):
     """An embedding into the candidate ``g`` of a member found for a
-    sibling, or None.  ``found`` holds (member, embedding, image, trace)
-    for the siblings of ``g``, its parent P plus a new vertex w = n - 1:
-    the image of the embedding as a bitmask, and the neighbours of the
-    sibling's w in it.
+    sibling, or None.  ``found`` holds [member, embedding, image, trace,
+    rows] for the siblings of ``g``, its parent P plus a new vertex
+    w = n - 1: the image of the embedding as a bitmask, the neighbours of
+    the sibling's w in it, and the member's rows mapped through the
+    embedding, None until a trace first matches and then kept, since
+    siblings share an embedding many times.
 
     Two siblings are P plus w with different neighbourhoods, so they
     agree on every pair of vertices but those at w.  When the image of
@@ -425,11 +427,15 @@ def _sibling_embedding(g, found):
     so containment keeps resting on the members alone.
     """
     nbhd = g.adj[g.n - 1]
-    for m, embedding, image, trace in found:
-        if nbhd & image == trace and all(
-            g.adj[x] & image == _mask_of(embedding[j] for j in _iter_bits(row))
-            for x, row in zip(embedding, m.graph.adj)
-        ):
+    for entry in found:
+        m, embedding, image, trace, rows = entry
+        if nbhd & image != trace:
+            continue
+        if rows is None:
+            rows = entry[4] = [
+                _mask_of(embedding[j] for j in _iter_bits(row)) for row in m.graph.adj
+            ]
+        if all(g.adj[x] & image == row for x, row in zip(embedding, rows)):
             return embedding
     return None
 
@@ -518,7 +524,7 @@ def build_catalog(n_max, jobs=1, progress=None):
                         continue
                     m, embedding = hit
                     image = _mask_of(embedding)
-                    found.append((m, embedding, image, g.adj[n - 1] & image))
+                    found.append([m, embedding, image, g.adj[n - 1] & image, None])
                 # g is its parent plus n - 1, and a line graph contains
                 # no member, so the image holds n - 1 and every vertex
                 # left out is the parent's; g - u still contains the

@@ -87,8 +87,10 @@ from hoffline.core import (
 )
 from hoffline.enumeration import (
     EMPTY_GRAPH,
+    _compose,
     _extend,
     all_slim_graphs,
+    sum_graphs,
 )
 from hoffline.families import classify_part, family_graph
 from hoffline.spectral import (
@@ -104,7 +106,7 @@ from hoffline.spectral import (
     sturm_chain,
 )
 from hoffline.recognition import StrictCover
-from hoffline.sums import _block_sum, _sum_adjacency, validate_sum
+from hoffline.sums import SharedFatConflict, _block_sum, _sum_adjacency, validate_sum
 
 from helpers import automorphism_orbits
 
@@ -906,6 +908,26 @@ def sum_family_unpruned(slim_count, classes, component_count):
             seen.add(form)
             family.append((g, parts))
     return tuple(family)
+
+
+def enumerate_sums_unpruned(f_graph, slim_count_k, classes=("H1", "H2", "H3", "H5"),
+                            component_count_k=None):
+    """The graphs of ``enumerate_sums``, gluing F onto each sum K by every
+    fat map (no orbit skip): the first graph of each class, in order."""
+    seen = set()
+    for k_graph, _parts in sum_graphs(slim_count_k, classes, component_count_k):
+        kfats = range(k_graph.slim_count, k_graph.n)
+        for fat_map in itertools.permutations(kfats, f_graph.fat_count):
+            try:
+                g = _compose(f_graph, k_graph, fat_map)
+            except SharedFatConflict:
+                continue
+            if not g.is_connected():
+                continue
+            form = canonical_form(g)
+            if form not in seen:
+                seen.add(form)
+                yield g
 
 
 def _refine(adj, cells):

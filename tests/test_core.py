@@ -285,6 +285,7 @@ def test_stored_automorphisms_are_never_the_identity(spectral_corpus, fat_corpus
     # the line-graph layers 1-8, built afresh so that their line children
     # are labelled again (the store labels no other child)
     monkeypatch.setattr(verify, "_LAYERS", {})
+    monkeypatch.setattr(verify, "_CHILDREN", {})
     monkeypatch.setattr(enumeration, "canonical_data", recording)
     verify._layer(8)
     assert len(stored) > corpus_size

@@ -53,6 +53,7 @@ from bruteforce import (
     _cell_partitions,
     allowed_targets,
     canonical_children_unpruned,
+    enumerate_sums_unpruned,
     fat_graphs_bruteforce,
     fat_neighbourhoods_labelled,
     sum_family_unpruned,
@@ -520,7 +521,21 @@ def test_sum_family_matches_unpruned(classes, k_max):
         for c in (None, 1, 2):
             got = _sum_family.__wrapped__(k, classes, c)
             want = sum_family_unpruned(k, classes, c)
-            assert [(g.adj, p) for g, p in got] == [(g.adj, p) for g, p in want], (k, c)
+            assert [(g.adj, p) for g, p, _autos in got] == [(g.adj, p) for g, p in want], (k, c)
+
+
+@pytest.mark.parametrize(
+    "fname,k,c",
+    [(f, k, c) for f in ("F1", "F3", "F4", "F6", "F7", "F9") for k in range(5) for c in (None, 1, 2)]
+    + [("F1", 5, 1), ("F3", 5, 1)],
+)
+def test_enumerate_sums_matches_unpruned(fname, k, c):
+    # gluing only the least fat map of each orbit under the automorphisms
+    # of K and F gives the same graphs in the same order as every map;
+    # the last two are table-1 rows a and c
+    f_graph = family_graph(fname)
+    got = [g.adj for g in enumerate_sums(f_graph, k, component_count_k=c)]
+    assert got == [g.adj for g in enumerate_sums_unpruned(f_graph, k, component_count_k=c)]
 
 
 def test_enumerate_sums_empty_f_gives_plain_sums():
