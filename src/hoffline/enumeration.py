@@ -613,6 +613,22 @@ def sum_graphs(slim_count, classes=("H1", "H2", "H3", "H5"), component_count=Non
         yield g, parts
 
 
+def _new_orbit(seen, x, images):
+    """Whether ``x`` lies outside the orbits in ``seen``; if so, its orbit
+    is added to ``seen``, found by applying ``images`` (a member to its
+    images under the generators) until nothing new appears."""
+    if x in seen:
+        return False
+    seen.add(x)
+    orbit = [x]
+    for member in orbit:
+        for image in images(member):
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return True
+
+
 def _cell_swaps(cells):
     """For each part p of the layout ``cells`` whose class is also that
     of part p + 1, the bitmask of the two parts: the transpositions of
@@ -629,14 +645,14 @@ def _cell_swaps(cells):
 # p replaced by s(p).  The transpositions of adjacent like cells generate
 # those permutations; transposing parts p and p + 1 flips both bits of a
 # block holding exactly one of them and leaves the others alone.  An
-# orbit of multisets is closed under them, so it is found by applying
-# them until nothing new appears, as in ``_orbit_representatives``.  The
-# family keeps the first structure of each isomorphism class, and a
-# later partition of an orbit gives a sum isomorphic to the first one's,
-# with the same component count and canonical form: the form set would
-# drop it.  So skipping every partition of an orbit met before keeps the
-# same members in the same order; the form set still guards the members
-# that different orbits give.
+# orbit of multisets is closed under them, so ``_new_orbit`` finds it by
+# applying them until nothing new appears.  The family keeps the first
+# structure of each isomorphism class, and a later partition of an orbit
+# gives a sum isomorphic to the first one's, with the same component
+# count and canonical form: the form set would drop it.  So skipping
+# every partition of an orbit met before keeps the same members in the
+# same order; the form set still guards the members that different
+# orbits give.
 
 
 @functools.cache
@@ -658,23 +674,19 @@ def _sum_family(slim_count, classes, component_count):
             p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_SHAPES[cls][1])
         ]
         swaps = _cell_swaps(cells)
+
+        def swapped(key):
+            return [
+                tuple(sorted(b ^ swap if (b & swap).bit_count() == 1 else b for b in key))
+                for swap in swaps
+            ]
+
         orbits = set()
         for blocks in _slot_partitions(slot_parts):
             # skip a partition that a cell permutation maps onto one met
             # before (see the block comment above)
-            key = tuple(sorted(blocks))
-            if key in orbits:
+            if not _new_orbit(orbits, tuple(sorted(blocks)), swapped):
                 continue
-            orbits.add(key)
-            orbit = [key]
-            for member in orbit:
-                for swap in swaps:
-                    image = tuple(sorted(
-                        b ^ swap if (b & swap).bit_count() == 1 else b for b in member
-                    ))
-                    if image not in orbits:
-                        orbits.add(image)
-                        orbit.append(image)
             g, parts = _block_sum(slim_rows, masks, blocks)
             # filtered before the labelling, so only the members with
             # the asked-for component count are labelled: caching the
@@ -731,9 +743,8 @@ def _compose(f_graph, k_graph, fat_map):
 # adjacency: such maps differ by a permutation of F's fat vertices with
 # equal neighbourhoods (each has a slim neighbour), an automorphism of F.
 # An orbit is closed under the generators, the stored automorphisms of
-# K, kept with it by ``_sum_family``, and those of F's labelling, so it
-# is found by applying them until nothing new appears, as in
-# ``_orbit_representatives``.
+# K, kept with it by ``_sum_family``, and those of F's labelling, so
+# ``_new_orbit`` finds it by applying them until nothing new appears.
 
 
 def enumerate_sums(
@@ -768,23 +779,20 @@ def enumerate_sums(
                 for a in canonical_data(f_graph)[2]
             ]
         k_autos = family[i][2]
+
+        def moved(fat_map):
+            return [tuple(a[kf] for kf in fat_map) for a in k_autos] + [
+                tuple(fat_map[j] for j in a) for a in f_autos
+            ]
+
         kfats = range(k_graph.slim_count, k_graph.n)
         orbits = set()
         # with no fat vertex in F, the one gluing is the empty tuple
         for fat_map in itertools.permutations(kfats, f_graph.fat_count):
             # glue only the least map of each orbit (see the block
             # comment above)
-            if fat_map in orbits:
+            if not _new_orbit(orbits, fat_map, moved):
                 continue
-            orbits.add(fat_map)
-            orbit = [fat_map]
-            for member in orbit:
-                images = [tuple(a[kf] for kf in member) for a in k_autos]
-                images += [tuple(member[j] for j in a) for a in f_autos]
-                for image in images:
-                    if image not in orbits:
-                        orbits.add(image)
-                        orbit.append(image)
             try:
                 g = _compose(f_graph, k_graph, fat_map)
             except SharedFatConflict:
