@@ -441,7 +441,7 @@ def fat_hoffman_graphs(slim_count, fat_max):
 # and the slot partitions of one layout different multisets of blocks.
 # A permutation of like cells can still map one multiset of blocks onto
 # another, so a partition whose orbit under those permutations was met
-# before is skipped unbuilt (``_cell_swaps``), and the canonical form
+# before is skipped unbuilt (``_new_orbit``), and the canonical form
 # keeps the first of each isomorphism class among the rest.  The
 # labelling's stored automorphisms stay with each member, and
 # ``enumerate_sums`` glues F onto K only by the least fat map of each
@@ -629,14 +629,6 @@ def _new_orbit(seen, x, images):
     return True
 
 
-def _cell_swaps(cells):
-    """For each part p of the layout ``cells`` whose class is also that
-    of part p + 1, the bitmask of the two parts: the transpositions of
-    adjacent like cells, which generate every permutation of the parts
-    that keeps each part's class."""
-    return [3 << p for p in range(len(cells) - 1) if cells[p][1] == cells[p + 1][1]]
-
-
 # One slot partition per orbit of cell permutations.  A permutation s of
 # the parts that keeps each part's class is the image of a permutation of
 # the slim vertices that maps each cell onto a like cell, vertex by vertex
@@ -673,7 +665,9 @@ def _sum_family(slim_count, classes, component_count):
         slot_parts = [
             p for p, (_cell, cls, _edges) in enumerate(cells) for _ in range(_CELL_SHAPES[cls][1])
         ]
-        swaps = _cell_swaps(cells)
+        # parts p and p + 1 of one class, as bitmasks (see the block
+        # comment above)
+        swaps = [3 << p for p in range(len(cells) - 1) if cells[p][1] == cells[p + 1][1]]
 
         def swapped(key):
             return [
