@@ -22,13 +22,18 @@ for a prune of the production search:
   when it searched, and the tests hold ``enumerate_strict_covers`` and
   ``is_h_line`` to it, order included;
 - ``sum_family_unpruned`` is the sum-family loop as it stood before a
-  cell partition whose multiset of classes was already seen was skipped
-  (it builds each host with ``_assemble_sum``, the assembly as it stood
+  cell partition whose multiset of classes was already seen, or a slot
+  partition that a permutation of like cells maps onto an earlier one,
+  was skipped (it builds each host with ``_assemble_sum``, the assembly as it stood
   before sums were built from blocks, and runs on
   ``_cell_partitions``, every typed cell partition as it stood before
   one layout per class multiset was built, and on
   ``fat_neighbourhoods_labelled``, the slot partitions as they stood
   before interchangeable slots and blocks were told apart);
+- ``enumerate_sums_unpruned`` is the composition loop as it stood before
+  only the least fat map of each orbit under the automorphisms of K and
+  F was glued (it shares ``sum_graphs`` and ``_compose`` with the
+  production code);
 - ``canonical_data_unpruned`` is the canonical labelling search as it
   stood before refinement counted only into the cells of the previous
   split and candidates were pruned by the orbits of the stored

@@ -526,8 +526,12 @@ def test_sum_family_matches_unpruned(classes, k_max):
 
 @pytest.mark.parametrize(
     "fname,k,c",
-    [(f, k, c) for f in ("F1", "F3", "F4", "F6", "F7", "F9") for k in range(5) for c in (None, 1, 2)]
-    + [("F1", 5, 1), ("F3", 5, 1)],
+    [
+        (f, k, c)
+        for f in ("F1", "F3", "F4", "F6", "F7", "F9")
+        for k in range(5)
+        for c in (None, 1, 2)
+    ] + [("F1", 5, 1), ("F3", 5, 1)],
 )
 def test_enumerate_sums_matches_unpruned(fname, k, c):
     # gluing only the least fat map of each orbit under the automorphisms
